@@ -79,7 +79,8 @@ class MonteCarloSummary:
 
     Shorter traces are padded with their final value before averaging, so
     mse_mean[j] is the mean over runs of the MSE at outer iteration j
-    (iteration 0 is the initialization).
+    (iteration 0 is the initialization).  failures holds one
+    (seed, exception type name, message) row per failed run.
     """
 
     iterations: np.ndarray
@@ -88,11 +89,19 @@ class MonteCarloSummary:
     final_mse: np.ndarray
     seeds: np.ndarray
     converged_runs: int
-    failed_runs: int
+    failures: tuple[tuple[int, str, str], ...]
+
+    @property
+    def failed_runs(self):
+        return len(self.failures)
 
 
 def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
-    """Re-run the designer on seeds base..base+runs-1 and aggregate traces."""
+    """Re-run the designer on seeds base..base+runs-1 and aggregate traces.
+
+    A run that raises DesignError or LinAlgError is recorded as a failure
+    with its cause; any other exception is a fault and propagates.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     base = cfg.seed if base_seed is None else base_seed
@@ -100,18 +109,21 @@ def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
     traces = []
     finals = []
     converged = 0
-    failed = 0
+    failures = []
     for seed in seeds:
         try:
             _, trace = design_pilots(dl, ul, dc_replace(cfg, seed=int(seed)))
-        except Exception:
-            failed += 1
+        except (DesignError, np.linalg.LinAlgError) as exc:
+            failures.append((int(seed), type(exc).__name__, str(exc)))
             continue
         traces.append(trace.mse)
         finals.append(trace.mse[-1])
         converged += trace.converged
     if not traces:
-        raise DesignError(f"all {runs} design runs failed")
+        seed, kind, message = failures[0]
+        raise DesignError(
+            f"all {runs} design runs failed; seed {seed}: {kind}: {message}"
+        )
     length = max(len(t) for t in traces)
     padded = np.array([t + [t[-1]] * (length - len(t)) for t in traces])
     std = (
@@ -126,7 +138,7 @@ def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
         final_mse=np.asarray(finals),
         seeds=seeds,
         converged_runs=converged,
-        failed_runs=failed,
+        failures=tuple(failures),
     )
 
 

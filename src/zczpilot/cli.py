@@ -167,7 +167,11 @@ def _cmd_montecarlo(args):
              "final_mse": summary.final_mse.tolist(),
              "seeds": summary.seeds.tolist(),
              "converged_runs": summary.converged_runs,
-             "failed_runs": summary.failed_runs},
+             "failed_runs": summary.failed_runs,
+             "failures": [
+                 {"seed": seed, "type": kind, "message": message}
+                 for seed, kind, message in summary.failures
+             ]},
             indent=2,
         )
         _atomic_write(target, lambda p: Path(p).write_text(text + "\n"))
@@ -175,6 +179,8 @@ def _cmd_montecarlo(args):
     total = len(summary.seeds)
     print(f"runs: {total}  converged: {summary.converged_runs}  "
           f"failed: {summary.failed_runs}")
+    for seed, kind, message in summary.failures:
+        print(f"seed {seed} failed: {kind}: {message}")
     print(f"mean final mse: {float(np.mean(summary.final_mse)):.12g}")
     print(f"wrote {target}")
     if summary.failed_runs or summary.converged_runs < total:

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import kron
-
 # Default correlation coefficients; magnitudes and phases for the
 # transmit side, receive side and the temporal noise factor.
 DEFAULT_RHO_RT = 0.9 * np.exp(-1j * 0.8349 * np.pi)
@@ -110,8 +108,8 @@ def build_scenario(
         n_t=n_t,
         n_r=n_r,
         b=b,
-        chan_cov=_unit_trace(kron(r_t.T, r_r)),
-        noise_cov=_unit_trace(kron(m_t.T, r_r)),
+        chan_cov=_unit_trace(np.kron(r_t.T, r_r)),
+        noise_cov=_unit_trace(np.kron(m_t.T, r_r)),
         gamma=float(gamma),
         rho_rt=complex(rho_rt),
         rho_rr=complex(rho_rr),
@@ -148,7 +146,7 @@ def reciprocal_scenario(s):
         n_r=s.n_t,
         b=s.b,
         chan_cov=chan_ul,
-        noise_cov=_unit_trace(kron(m_t.T, m_r)),
+        noise_cov=_unit_trace(np.kron(m_t.T, m_r)),
         gamma=float(s.b * s.n_r),
         rho_rt=s.rho_rt,
         rho_rr=s.rho_rr,

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimation import channel_mse_lemma, optimal_V
+from .estimation import mse_and_optimal_V
 from .tensorops import adjoint_embed, power_iteration_opnorm, shift_matrix
 
 _DYKSTRA_MAX_CYCLES = 5000
@@ -349,31 +349,40 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     return x, y, g
 
 
+def _curvature_matrix(v2, s):
+    """The curvature operator T(P) = adj(W2 L(P) R), W2 = V2 V2^H, as a
+    contiguous (b n_t) x (b n_t) Hermitian matrix acting on P.ravel().
+
+    T[(i,j),(k,l)] = sum_{r,s} W2[(i,r),(k,s)] R[(l,s),(j,r)] is one GEMM
+    of W2 regrouped as (i,k) x (r,s) against R regrouped as (r,s) x (l,j),
+    then one layout copy.  Each operand is released as soon as the next
+    one exists, so at most two dense copies are alive at once.
+    """
+    n_r, b, n_t = s.n_r, s.b, s.n_t
+    w2 = v2 @ v2.conj().T
+    lhs = w2.reshape(b, n_r, b, n_r).transpose(0, 2, 1, 3).reshape(b * b, n_r * n_r)
+    del w2
+    rhs = s.chan_cov.reshape(n_t, n_r, n_t, n_r).transpose(3, 1, 0, 2)
+    prod = lhs @ rhs.reshape(n_r * n_r, n_t * n_t)
+    del lhs
+    return prod.reshape(b, b, n_t, n_t).transpose(0, 3, 1, 2).reshape(b * n_t, b * n_t)
+
+
 def _mm_quadratic(v, s):
     """Quadratic model pieces of F(V, .) at fixed V.
 
     F(V, P) = <L(P), W2 L(P) R> + 2 Re <L(P), V2 V1^H R> + const with
     L the pilot embedding and W2 = V2 V2^H, so the (self-adjoint, PSD)
     curvature operator is T(P) = adj(W2 L(P) R) and the linear term is
-    G = adj(V2 V1^H R).  Returns (apply_t, g).
+    G = adj(V2 V1^H R).  Returns (apply_t, g); apply_t is one matvec on
+    the dense curvature matrix.
     """
-    w2 = v.v2 @ v.v2.conj().T
-    r = s.chan_cov
-    n_r = s.n_r
-    b, n_t = s.b, s.n_t
-    # Densify T once: T(P)_{ij} = sum_{r,s} W2[i,r,k,s] P_{kl} R[l,s,j,r],
-    # so repeated applications inside the power iteration are one
-    # tensordot instead of embed/adjoint round trips.
-    dense = np.einsum(
-        "irks,lsjr->ijkl",
-        w2.reshape(b, n_r, b, n_r),
-        r.reshape(n_t, n_r, n_t, n_r),
-    )
+    t_mat = _curvature_matrix(v.v2, s)
 
     def apply_t(q):
-        return np.tensordot(dense, q, axes=([2, 3], [0, 1]))
+        return (t_mat @ q.reshape(-1)).reshape(q.shape)
 
-    g = adjoint_embed(v.v2 @ v.v1.conj().T @ r, n_r)
+    g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
     return apply_t, g
 
 
@@ -499,10 +508,12 @@ def _restore_sidelobes(x, basis, p, cfg):
     return _shrink_into_sets(x, _ellipsoid_eigs(b, cfg.k), p), worst
 
 
-def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, total_mse, mse_cur):
-    """Restoration step after an inner cycle; returns (x, y, t, None) with
-    t the accepted step fraction, or (None, None, 0.0, (sidelobe residual,
-    MSE excess)) when no step is accepted.
+def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, score, mse_cur):
+    """Restoration step after an inner cycle; returns (x, y, t, scored, None)
+    with t the accepted step fraction, or (None, None, 0.0, None, (sidelobe
+    residual, MSE excess)) when no step is accepted.  score(x, y) returns
+    (total MSE, per-link data); scored is its value at the accepted pair,
+    or None when the new pair already met the bound and was not scored.
 
     The new X is restored inside the cross-correlation nullspace of the new
     Y and Y is re-projected toward y_sigma with y_step.  The pair is
@@ -515,7 +526,7 @@ def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, total_mse, mse_cur):
     (x_cur, y_cur), (x_new, y_new) = cur, new
     shifts = _shift_stack(x_new.shape[0], cfg.k)
     if np.abs(_sidelobes(x_new, shifts, cfg.literal_transpose)).max() <= _RESTORE_DONE:
-        return x_new, y_new, 1.0, None
+        return x_new, y_new, 1.0, None, None
     for t in [0.5**i for i in range(_RESTORE_MAX_HALVINGS + 1)]:
         y_t = y_cur + t * (y_new - y_cur)
         vecs = _cross_vectors(
@@ -528,10 +539,11 @@ def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, total_mse, mse_cur):
         excess = np.inf
         if worst <= SIDELOBE_DELTA:
             y_r = y_step(y_sigma, x_r, cfg, p=p_y)
-            excess = total_mse(x_r, y_r) - mse_cur
+            scored = score(x_r, y_r)
+            excess = scored[0] - mse_cur
             if excess <= 0.0:
-                return x_r, y_r, t, None
-    return None, None, 0.0, (worst, excess)
+                return x_r, y_r, t, scored, None
+    return None, None, 0.0, None, (worst, excess)
 
 
 def _pair_residuals(x, y, cfg):
@@ -580,8 +592,11 @@ def design_pilots(dl, ul, cfg):
     p_x = cfg.p if cfg.p is not None else dl.gamma / dl.n_t
     p_y = cfg.p if cfg.p is not None else ul.gamma / ul.n_t
 
-    def total_mse(x, y):
-        return channel_mse_lemma(x, dl) + channel_mse_lemma(y, ul)
+    def score(x, y):
+        """Total MSE of a pair and each link's (mse, V*): one Gram
+        factorization per link, reused for the next MM target."""
+        links = (mse_and_optimal_V(x, dl), mse_and_optimal_V(y, ul))
+        return links[0][0] + links[1][0], links
 
     t0 = time.perf_counter()
     trace = DesignTrace()
@@ -611,7 +626,7 @@ def design_pilots(dl, ul, cfg):
                 )
         y = y_step(y_raw, x, cfg, p=p_y)
 
-        mse = total_mse(x, y)
+        mse, links = score(x, y)
         power, cross, auto, _ = _pair_residuals(x, y, cfg)
         trace.mse.append(mse)
         trace.max_power.append(power)
@@ -620,18 +635,19 @@ def design_pilots(dl, ul, cfg):
 
         best = (mse, x, y)
         for it in range(1, cfg.max_outer + 1):
-            v_dl = optimal_V(x, dl)
-            v_ul = optimal_V(y, ul)
+            (_, v_dl), (_, v_ul) = links
             x_sigma = build_sigma_target(v_dl, x, dl)
             y_sigma = build_sigma_target(v_ul, y, ul)
+            # V* is not needed once the targets exist; releasing it before
+            # the next pair is scored lowers the peak memory on large links.
+            del links, v_dl, v_ul
             x_new, y_new, _ = inner_cycle(
                 x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y
             )
-            step = 1.0
+            step, scored = 1.0, None
             if cfg.k:
-                x_new, y_new, step, rejected = _restored_pair(
-                    (x, y), (x_new, y_new), y_sigma, cfg, p_x, p_y,
-                    total_mse, mse,
+                x_new, y_new, step, scored, rejected = _restored_pair(
+                    (x, y), (x_new, y_new), y_sigma, cfg, p_x, p_y, score, mse
                 )
                 if rejected is not None:
                     # The next iteration would repeat this one exactly, so
@@ -647,7 +663,8 @@ def design_pilots(dl, ul, cfg):
                     break
             x, y = x_new, y_new
 
-            prev, mse = mse, total_mse(x, y)
+            prev = mse
+            mse, links = scored if scored is not None else score(x, y)
             power, cross, auto, _ = _pair_residuals(x, y, cfg)
             trace.mse.append(mse)
             trace.max_power.append(power)

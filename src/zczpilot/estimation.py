@@ -47,12 +47,7 @@ def channel_mse_lemma(p, s):
     Computes trace[R] - trace[(Pt R)^H (M + Pt R Pt^H)^-1 (Pt R)] with a
     single Hermitian solve in the data domain; R may be singular.
     """
-    _, pt = _lifted(p, s)
-    w = pt @ s.chan_cov
-    gram = s.noise_cov + w @ pt.conj().T
-    t = hermitian_solve(gram, w)
-    correction = np.einsum("ij,ij->", w.conj(), t)
-    return float(np.trace(s.chan_cov).real - correction.real)
+    return mse_and_optimal_V(p, s)[0]
 
 
 def build_Q(p, s):
@@ -86,17 +81,36 @@ class AuxiliaryV:
         return np.vstack([self.v1, self.v2])
 
 
+def mse_and_optimal_V(p, s):
+    """Lemma MSE and the minimizer V* from one factorization of the Gram.
+
+    With W = Pt R and G = M + W Pt^H, the single Hermitian solve
+    Z = G^-1 W gives both mse = trace[R] - Re trace[W^H Z] and
+    V* = [I; -Z].  The designer scores an iterate and builds its next MM
+    target from this one call.
+    """
+    _, pt = _lifted(p, s)
+    w = pt @ s.chan_cov
+    gram = w @ pt.conj().T
+    gram += s.noise_cov
+    z = hermitian_solve(gram, w)
+    # The Gram is dead once factored; dropping it before V is built, and
+    # negating Z in place, keeps the peak resident memory of large links
+    # (512-dimensional Gram matrices) from growing with the fused call.
+    del gram
+    correction = np.einsum("ij,ij->", w.conj(), z)
+    mse = float(np.trace(s.chan_cov).real - correction.real)
+    v2 = np.negative(z, out=z)
+    return mse, AuxiliaryV(v1=np.eye(s.n_t * s.n_r, dtype=np.complex128), v2=v2)
+
+
 def optimal_V(p, s):
     """Minimizer of trace[V^H Q V] over V with fixed top block I.
 
     V* = [I; -(M + Pt R Pt^H)^-1 Pt R]; at this point the quadratic form
     equals the estimation MSE.
     """
-    _, pt = _lifted(p, s)
-    w = pt @ s.chan_cov
-    gram = s.noise_cov + w @ pt.conj().T
-    v2 = -hermitian_solve(gram, w)
-    return AuxiliaryV(v1=np.eye(s.n_t * s.n_r, dtype=np.complex128), v2=v2)
+    return mse_and_optimal_V(p, s)[1]
 
 
 def surrogate_F(v, p, s):

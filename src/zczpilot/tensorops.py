@@ -14,28 +14,6 @@ import numpy as np
 import scipy.linalg
 
 
-def kron(a, b):
-    """Kronecker product of two 2-D arrays.
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Input matrices.
-
-    Returns
-    -------
-    ndarray
-        Matrix of shape (a.shape[0]*b.shape[0], a.shape[1]*b.shape[1])
-        with blocks a[i, j] * b.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects 2-D arrays")
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def embed_pilot(p, n_r):
     """Lift a pilot matrix to the operator acting on vectorized channels.
 

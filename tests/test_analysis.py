@@ -19,7 +19,7 @@ from zczpilot.analysis import (
     write_trace_csv,
 )
 from zczpilot.covariance import build_scenario, reciprocal_scenario
-from zczpilot.designer import DesignConfig, design_pilots
+from zczpilot.designer import DesignConfig, DesignError, design_pilots
 from zczpilot.estimation import channel_mse_lemma
 from zczpilot.tensorops import shift_matrix
 
@@ -162,6 +162,53 @@ class TestMonteCarlo:
         dl, ul = scenario
         with pytest.raises(ValueError):
             monte_carlo_design(dl, ul, DesignConfig(k=1), runs=0)
+
+    def test_failed_seeds_keep_their_cause(self, scenario, monkeypatch):
+        import zczpilot.analysis as analysis
+
+        def stub(dl, ul, cfg):
+            if cfg.seed == 1:
+                raise DesignError("start column 0 cannot be restored")
+            if cfg.seed == 2:
+                raise np.linalg.LinAlgError("singular Gram")
+            return design_pilots(dl, ul, cfg)
+
+        monkeypatch.setattr(analysis, "design_pilots", stub)
+        dl, ul = scenario
+        summary = monte_carlo_design(dl, ul, DesignConfig(k=1, max_outer=5), runs=4)
+        assert summary.failures == (
+            (1, "DesignError", "start column 0 cannot be restored"),
+            (2, "LinAlgError", "singular Gram"),
+        )
+        assert summary.failed_runs == 2
+        assert summary.final_mse.size == 2
+
+    def test_programming_error_propagates(self, scenario, monkeypatch):
+        import zczpilot.analysis as analysis
+
+        def stub(dl, ul, cfg):
+            if cfg.seed == 0:
+                raise DesignError("start column 0 cannot be restored")
+            if cfg.seed == 1:
+                raise TypeError("bad argument")
+            return design_pilots(dl, ul, cfg)
+
+        monkeypatch.setattr(analysis, "design_pilots", stub)
+        dl, ul = scenario
+        with pytest.raises(TypeError, match="bad argument"):
+            monte_carlo_design(dl, ul, DesignConfig(k=1, max_outer=5), runs=3)
+
+    def test_all_failed_names_a_cause(self, scenario, monkeypatch):
+        import zczpilot.analysis as analysis
+
+        def stub(dl, ul, cfg):
+            raise DesignError(f"seed {cfg.seed} unrestorable")
+
+        monkeypatch.setattr(analysis, "design_pilots", stub)
+        dl, ul = scenario
+        with pytest.raises(DesignError, match="all 2 design runs failed; seed 0: "
+                           "DesignError: seed 0 unrestorable"):
+            monte_carlo_design(dl, ul, DesignConfig(k=1), runs=2)
 
 
 class TestEmpiricalMse:

@@ -247,6 +247,30 @@ class TestMonteCarlo:
         assert rc == EXIT_CONFIG
         assert "--runs" in capsys.readouterr().err
 
+    def test_failed_seed_printed_with_cause(self, small_config, tmp_path, capsys,
+                                            monkeypatch):
+        import zczpilot.analysis as analysis
+        from zczpilot.designer import DesignError
+
+        design = analysis.design_pilots
+
+        def stub(dl, ul, cfg):
+            if cfg.seed == 1:
+                raise DesignError("start column 0 cannot be restored")
+            return design(dl, ul, cfg)
+
+        monkeypatch.setattr(analysis, "design_pilots", stub)
+        out = tmp_path / "mc"
+        rc = main(["montecarlo", "--config", str(small_config),
+                   "--out", str(out), "--runs", "2", "--format", "json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_NOCONV
+        assert "runs: 2  converged: 1  failed: 1" in lines
+        assert "seed 1 failed: DesignError: start column 0 cannot be restored" in lines
+        doc = json.loads((out / "mc_summary.json").read_text())
+        assert doc["failures"] == [{"seed": 1, "type": "DesignError",
+                                    "message": "start column 0 cannot be restored"}]
+
 
 class TestValidate:
     def test_passes_on_reference_statistics(self, small_config, capsys):

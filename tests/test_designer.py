@@ -12,6 +12,7 @@ from zczpilot.designer import (
     DegenerateConstraintWarning,
     DesignConfig,
     _cross_vectors,
+    _curvature_matrix,
     _mm_quadratic,
     _null_basis,
     _restore_sidelobes,
@@ -23,7 +24,12 @@ from zczpilot.designer import (
     y_step,
 )
 from zczpilot.estimation import optimal_V, surrogate_F
-from zczpilot.tensorops import power_iteration_opnorm, shift_matrix
+from zczpilot.tensorops import (
+    adjoint_embed,
+    embed_pilot,
+    power_iteration_opnorm,
+    shift_matrix,
+)
 
 
 def crandn(rng, *shape):
@@ -342,6 +348,87 @@ def _dense_opnorm(apply_t, shape):
     return float(np.linalg.eigvalsh((dense + dense.conj().T) / 2.0)[-1])
 
 
+class TestCurvatureMatrix:
+    # Non-square links (n_t != n_r, b distinct from both), so that a wrong
+    # index regrouping in the GEMM cannot cancel out.
+    @pytest.fixture(params=["downlink", "uplink"])
+    def link(self, request):
+        dl = build_scenario(
+            3, 2, 5, rho_rt=0.6 + 0.3j, rho_rr=-0.3 + 0.5j, rho_mt=0.2 - 0.7j
+        )
+        s = dl if request.param == "downlink" else reciprocal_scenario(dl)
+        rng = np.random.default_rng(21)
+        return s, optimal_V(crandn(rng, s.b, s.n_t), s), rng
+
+    def test_matches_embedding_oracle(self, link):
+        s, v, rng = link
+        apply_t, _ = _mm_quadratic(v, s)
+        w2 = v.v2 @ v.v2.conj().T
+        for _ in range(4):
+            p = crandn(rng, s.b, s.n_t)
+            want = adjoint_embed(w2 @ embed_pilot(p, s.n_r) @ s.chan_cov, s.n_r)
+            npt.assert_allclose(
+                apply_t(p), want, rtol=0, atol=1e-12 * np.abs(want).max()
+            )
+
+    def test_contiguous_and_hermitian(self, link):
+        s, v, _ = link
+        t = _curvature_matrix(v.v2, s)
+        assert t.shape == (s.b * s.n_t, s.b * s.n_t)
+        assert t.flags.c_contiguous
+        assert np.abs(t - t.conj().T).max() <= 1e-12 * np.abs(t).max()
+
+    def test_power_iteration_matches_dense_norm(self, link):
+        s, v, _ = link
+        apply_t, _ = _mm_quadratic(v, s)
+        shape = (s.b, s.n_t)
+        lam = power_iteration_opnorm(apply_t, shape, tol=1e-6, max_iter=500)
+        assert lam == pytest.approx(_dense_opnorm(apply_t, shape), rel=1e-6)
+
+
+class TestFactorizationReuse:
+    """design_pilots factors each link's Gram matrix once per accepted
+    iterate: the MSE that scores it and the V* of the next MM target come
+    from the same solve, and a pair accepted by restoration is not scored
+    again."""
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_one_factorization_per_link_and_iterate(self, k, monkeypatch):
+        import zczpilot.designer as designer
+        import zczpilot.estimation as estimation
+
+        # n_r differs between the links, so the Gram size names the link.
+        dl = build_scenario(2, 3, 6)
+        ul = reciprocal_scenario(dl)
+        solves = {dl.b * dl.n_r: 0, ul.b * ul.n_r: 0}
+        solve = estimation.hermitian_solve
+
+        def counting_solve(a, rhs):
+            solves[a.shape[0]] += 1
+            return solve(a, rhs)
+
+        restored = []
+        restored_pair = designer._restored_pair
+
+        def recording(*args):
+            out = restored_pair(*args)
+            restored.append(out)
+            return out
+
+        monkeypatch.setattr(estimation, "hermitian_solve", counting_solve)
+        monkeypatch.setattr(designer, "_restored_pair", recording)
+        _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
+        assert trace.outer_iterations == 8
+        if k:
+            # Every iteration went through restoration, was scored there
+            # and was accepted at the full step (no extra trial solves).
+            assert len(restored) == trace.outer_iterations
+            assert all(r[2] == 1.0 and r[3] is not None for r in restored)
+        else:
+            assert not restored
+        assert list(solves.values()) == [trace.outer_iterations + 1] * 2
+
+
 class TestDesignPilots:
     def test_unconstrained_improves_on_initialization(self):
         dl = build_scenario(4, 4, 8)
@@ -496,14 +583,13 @@ class TestSidelobeBound:
         x_new = crandn(rng, 8, 2)
         assert sidelobe_ratios(x_new, cfg.k).max() > SIDELOBE_DELTA
 
-        def total_mse(x, y):
-            return 0.0 if np.array_equal(x, x_cur) else 1.0
+        def score(x, y):
+            return (0.0 if np.array_equal(x, x_cur) else 1.0), None
 
-        x, y, _, rejected = _restored_pair(
-            (x_cur, y_cur), (x_new, y_cur), y_cur, cfg, cfg.p, cfg.p,
-            total_mse, 0.0,
+        x, y, _, scored, rejected = _restored_pair(
+            (x_cur, y_cur), (x_new, y_cur), y_cur, cfg, cfg.p, cfg.p, score, 0.0
         )
-        assert x is None and y is None
+        assert x is None and y is None and scored is None
         assert rejected[0] <= SIDELOBE_DELTA
         assert rejected[1] == 1.0
 
@@ -519,8 +605,8 @@ class TestSidelobeBound:
         restored_pair = designer._restored_pair
 
         def halved(*args):
-            x, y, _, rejected = restored_pair(*args)
-            return x, y, 0.5, rejected
+            x, y, _, scored, rejected = restored_pair(*args)
+            return x, y, 0.5, scored, rejected
 
         monkeypatch.setattr(designer, "_restored_pair", halved)
         _, trace = design_pilots(dl, ul, cfg)
@@ -531,7 +617,8 @@ class TestSidelobeBound:
         import zczpilot.designer as designer
 
         monkeypatch.setattr(
-            designer, "_restored_pair", lambda *a: (None, None, 0.0, (0.04, 2e-3))
+            designer, "_restored_pair",
+            lambda *a: (None, None, 0.0, None, (0.04, 2e-3)),
         )
         dl = build_scenario(2, 2, 6)
         pair, trace = design_pilots(

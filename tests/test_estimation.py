@@ -12,6 +12,7 @@ from zczpilot.estimation import (
     channel_mse_direct,
     channel_mse_lemma,
     mmse_estimate,
+    mse_and_optimal_V,
     optimal_V,
     simulate_training,
     surrogate_F,
@@ -100,6 +101,23 @@ class TestMseForms:
         s = build_scenario(2, 2, 4)
         p = random_pilot(rng, s, energy=s.gamma)
         assert channel_mse_lemma(alpha * p, s) <= channel_mse_lemma(p, s) + 1e-10
+
+
+class TestFusedMseAndV:
+    @pytest.mark.parametrize("n_t,n_r,b", [(3, 2, 5), (2, 3, 4), (1, 4, 8), (4, 1, 2)])
+    def test_agrees_with_wrappers_and_direct_form(self, n_t, n_r, b):
+        rng = np.random.default_rng(n_t * 100 + n_r * 10 + b)
+        s = build_scenario(
+            n_t, n_r, b, rho_rt=0.5 + 0.3j, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j
+        )
+        p = random_pilot(rng, s, energy=s.gamma)
+        mse, v = mse_and_optimal_V(p, s)
+        assert abs(mse - channel_mse_lemma(p, s)) <= 1e-14 * mse
+        v_ref = optimal_V(p, s)
+        npt.assert_allclose(v.v1, v_ref.v1, rtol=0, atol=1e-14)
+        npt.assert_allclose(v.v2, v_ref.v2, rtol=0, atol=1e-14 * np.abs(v_ref.v2).max())
+        # criterion 2's tolerance for the lemma against the information form
+        assert abs(mse - channel_mse_direct(p, s)) <= 1e-8 * mse
 
 
 class TestBlockMatrixQ:

@@ -1,4 +1,4 @@
-"""Kernel linear-algebra helpers: Kronecker ops, shifts, power iteration."""
+"""Kernel linear-algebra helpers: Kronecker embedding, shifts, power iteration."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +8,6 @@ from zczpilot.tensorops import (
     adjoint_embed,
     embed_pilot,
     hermitian_solve,
-    kron,
     power_iteration_opnorm,
     shift_matrix,
 )
@@ -16,52 +15,6 @@ from zczpilot.tensorops import (
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestKron:
-    def test_identity_times_identity(self):
-        npt.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_structural_block_placement(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = kron(a, np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[0:2, 2:4] = np.eye(2)
-        npt.assert_array_equal(out, expected)
-
-    def test_entrywise_definition(self):
-        rng = np.random.default_rng(0)
-        a = crandn(rng, 2, 2)
-        b = crandn(rng, 3, 3)
-        out = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for r in range(3):
-                    for s in range(3):
-                        npt.assert_allclose(
-                            out[i * 3 + r, j * 3 + s], a[i, j] * b[r, s], rtol=1e-14
-                        )
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        a = crandn(rng, 3, 2)
-        b = crandn(rng, 2, 4)
-        npt.assert_allclose(kron(a, b), np.kron(a, b), rtol=0, atol=0)
-
-    def test_associative(self):
-        rng = np.random.default_rng(2)
-        a, b, c = crandn(rng, 2, 2), crandn(rng, 2, 3), crandn(rng, 3, 2)
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        npt.assert_allclose(left, right, rtol=1e-10)
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(3)
-        a, c = crandn(rng, 2, 3), crandn(rng, 3, 2)
-        b, d = crandn(rng, 3, 2), crandn(rng, 2, 3)
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        npt.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
 class TestEmbedPilot:
@@ -76,7 +29,7 @@ class TestEmbedPilot:
     def test_equals_kron_with_identity(self, seed):
         rng = np.random.default_rng(seed)
         p = crandn(rng, 3, 2)
-        npt.assert_array_equal(embed_pilot(p, 2), kron(p, np.eye(2)))
+        npt.assert_array_equal(embed_pilot(p, 2), np.kron(p, np.eye(2)))
 
 
 class TestAdjointEmbed:
