@@ -7,7 +7,6 @@ from .analysis import (
     CorrelationReport,
     EmpiricalMse,
     MonteCarloSummary,
-    analytic_mse,
     correlation_report,
     empirical_mse,
     monte_carlo_design,
@@ -72,7 +71,6 @@ __all__ = [
     "RunConfig",
     "SensingFeasibility",
     "TimingScenario",
-    "analytic_mse",
     "archive_payload",
     "build_scenario",
     "channel_mse_direct",

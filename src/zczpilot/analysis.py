@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .designer import DesignError, design_pilots
-from .estimation import channel_mse_lemma, mmse_estimate, simulate_training
+from .estimation import mmse_squared_errors
 from .tensorops import shift_matrix
 
 DB_FLOOR = -300.0
@@ -155,17 +155,15 @@ class EmpiricalMse:
 def empirical_mse(p, s, trials, seed=0):
     """Average ||H_hat - H||_F^2 over seeded training simulations.
 
-    Trial t uses seed + t, so batches can be split and merged.  With a
-    single trial the standard error is undefined and reported as 0 with
+    Trial t uses seed + t, so batches can be split and merged.  The Gram
+    and the covariances are factored once per call and the trials run in
+    blocks (see :func:`mmse_squared_errors`).  With a single trial the
+    standard error is undefined and reported as 0 with
     stderr_defined=False.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    errs = np.empty(trials)
-    for t in range(trials):
-        real = simulate_training(p, s, seed + t)
-        h_hat = mmse_estimate(real.yrx, p, s)
-        errs[t] = np.linalg.norm(h_hat - real.h) ** 2
+    errs = mmse_squared_errors(p, s, range(seed, seed + trials))
     mean = float(np.mean(errs))
     if trials == 1:
         return EmpiricalMse(mean=mean, stderr=0.0, trials=1, stderr_defined=False)
@@ -173,36 +171,21 @@ def empirical_mse(p, s, trials, seed=0):
     return EmpiricalMse(mean=mean, stderr=stderr, trials=trials, stderr_defined=True)
 
 
-def analytic_mse(p, s):
-    """Alias for the lemma-form MSE, the reference value for validation."""
-    return channel_mse_lemma(p, s)
-
-
 def _fmt(v):
     return format(float(v), ".17g")
 
 
 def write_correlation_csv(report, path):
-    """Emit the report as rows kind,q,l,lag,re,im,mag_db (17 digits)."""
+    """Emit correlation_rows as kind,q,l,lag,re,im,mag_db (17 digits;
+    l is empty on auto rows)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "q", "l", "lag", "re", "im", "mag_db"])
-        n_t, n_y = report.crosscorr.shape[:2]
-        for q in range(n_t):
-            for j, lag in enumerate(report.lags):
-                v = report.autocorr[q, j]
-                w.writerow(
-                    ["auto", q, "", lag, _fmt(v.real), _fmt(v.imag),
-                     _fmt(report.autocorr_db[q, j])]
-                )
-        for q in range(n_t):
-            for l in range(n_y):
-                for j, lag in enumerate(report.lags):
-                    v = report.crosscorr[q, l, j]
-                    w.writerow(
-                        ["cross", q, l, lag, _fmt(v.real), _fmt(v.imag),
-                         _fmt(report.crosscorr_db[q, l, j])]
-                    )
+        for r in correlation_rows(report):
+            w.writerow(
+                [r["kind"], r["q"], "" if r["l"] is None else r["l"], r["lag"],
+                 _fmt(r["re"]), _fmt(r["im"]), _fmt(r["mag_db"])]
+            )
 
 
 def write_montecarlo_csv(summary, path):
@@ -230,7 +213,8 @@ def write_trace_csv(trace, path):
 
 
 def correlation_rows(report):
-    """Report rows as dicts, same order and fields as the CSV emitter."""
+    """Report rows as dicts: the auto rows by downlink column q and lag,
+    then the cross rows by q, uplink column l and lag."""
     rows = []
     n_t, n_y = report.crosscorr.shape[:2]
     for q in range(n_t):

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -233,7 +234,9 @@ def _cmd_validate(args):
     pilot *= np.sqrt(dl.gamma) / np.linalg.norm(pilot)
 
     analytic = channel_mse_lemma(pilot, dl)
+    t0 = time.perf_counter()
     emp = empirical_mse(pilot, dl, trials, seed=seed + 1)
+    elapsed = time.perf_counter() - t0
     gap = abs(emp.mean - analytic)
     limit = 3.0 * emp.stderr
     ok = gap <= limit
@@ -242,6 +245,8 @@ def _cmd_validate(args):
     print(f"empirical mse: {emp.mean:.12g} (stderr {emp.stderr:.3g}, "
           f"{trials} trials)")
     print(f"|gap| = {gap:.3g} vs 3*stderr = {limit:.3g}")
+    print(f"simulated {trials} trials in {elapsed:.3g} s "
+          f"({trials / elapsed:.4g} trials/s)")
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VALIDATION
 

@@ -148,8 +148,40 @@ def _covariance_factor(c):
         return u * np.sqrt(np.clip(w, 0.0, None))[None, :]
 
 
-def _circular_gaussian(rng, n):
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+def _circular_gaussian(z):
+    """CN(0, I) rows from N(0, 1) rows laid out as [real parts, imaginary parts]."""
+    k = z.shape[-1] // 2
+    return (z[:, :k] + 1j * z[:, k:]) / np.sqrt(2.0)
+
+
+# Seeds per block of _training_draws.  A block's white draws, channels,
+# noise and estimation errors are held at once, so this bounds the
+# simulator's memory for any trial count: the noise of 64 trials on an
+# 8x8, B = 64 link is 0.5 MB.  Larger blocks are no faster, since a
+# trial's cost is mostly its generator's set-up.
+_TRIAL_BLOCK = 64
+
+
+def _training_draws(s, seeds):
+    """Yield (h, noise) blocks with row j holding vec(H) ~ CN(0, R) and
+    vec(N) ~ CN(0, M) for the j-th seed of the block.
+
+    Each seed's generator draws the real then imaginary parts of the
+    channel's white vector, then those of the noise's, so a seed
+    reproduces its realization in any block.  The covariance factors are
+    computed once per call.
+    """
+    f_h = _covariance_factor(s.chan_cov).T
+    f_n = _covariance_factor(s.noise_cov).T
+    n_h = 2 * s.n_t * s.n_r
+    width = n_h + 2 * s.b * s.n_r
+    for start in range(0, len(seeds), _TRIAL_BLOCK):
+        block = seeds[start:start + _TRIAL_BLOCK]
+        white = np.empty((len(block), width))
+        for row, seed in zip(white, block):
+            np.random.default_rng(seed).standard_normal(out=row)
+        h = _circular_gaussian(white[:, :n_h]) @ f_h
+        yield h, _circular_gaussian(white[:, n_h:]) @ f_n
 
 
 def simulate_training(p, s, seed, noise_scale=1.0):
@@ -160,12 +192,16 @@ def simulate_training(p, s, seed, noise_scale=1.0):
     gives the noiseless received block exactly.
     """
     p, _ = _lifted(p, s)
-    rng = np.random.default_rng(seed)
-    h_vec = _covariance_factor(s.chan_cov) @ _circular_gaussian(rng, s.n_t * s.n_r)
-    n_vec = _covariance_factor(s.noise_cov) @ _circular_gaussian(rng, s.b * s.n_r)
-    h = h_vec.reshape((s.n_r, s.n_t), order="F")
-    noise = noise_scale * n_vec.reshape((s.n_r, s.b), order="F")
+    h_vec, n_vec = next(_training_draws(s, [seed]))
+    h = h_vec[0].reshape((s.n_r, s.n_t), order="F")
+    noise = noise_scale * n_vec[0].reshape((s.n_r, s.b), order="F")
     return TrainingRealization(h=h, noise=noise, yrx=h @ p.T + noise)
+
+
+def _estimator(p, s):
+    """The MMSE estimator W^H G^-1 = Z^H, with Z = G^-1 W the solve behind
+    V* = [I; -Z] in :func:`mse_and_optimal_V` (G and R are Hermitian)."""
+    return -mse_and_optimal_V(p, s)[1].v2.conj().T
 
 
 def mmse_estimate(yrx, p, s):
@@ -173,9 +209,25 @@ def mmse_estimate(yrx, p, s):
     yrx = np.asarray(yrx, dtype=np.complex128)
     if yrx.shape != (s.n_r, s.b):
         raise ValueError(f"yrx shape {yrx.shape}, expected {(s.n_r, s.b)}")
-    _, pt = _lifted(p, s)
-    w = pt @ s.chan_cov
-    gram = s.noise_cov + w @ pt.conj().T
-    z = hermitian_solve(gram, yrx.reshape(-1, order="F"))
-    h_vec = w.conj().T @ z
+    h_vec = _estimator(p, s) @ yrx.reshape(-1, order="F")
     return h_vec.reshape((s.n_r, s.n_t), order="F")
+
+
+def mmse_squared_errors(p, s, seeds):
+    """||H^ - H||_F^2 of the MMSE estimate for each seed's training draw.
+
+    Draw for draw the same as simulate_training followed by mmse_estimate
+    per seed, but the Gram and the covariances are factored once and the
+    seeds run in blocks as matrix products.
+    """
+    _, pt = _lifted(p, s)
+    est = _estimator(p, s)
+    errs = np.empty(len(seeds))
+    done = 0
+    for h, y in _training_draws(s, seeds):
+        y += h @ pt.T  # the noise block becomes the received block in place
+        err = y @ est.T
+        err -= h
+        errs[done:done + len(h)] = np.linalg.norm(err, axis=1) ** 2
+        done += len(h)
+    return errs

@@ -12,7 +12,6 @@ from zczpilot.analysis import (
     correlation_report,
     correlation_rows,
     empirical_mse,
-    analytic_mse,
     monte_carlo_design,
     write_correlation_csv,
     write_montecarlo_csv,
@@ -20,8 +19,8 @@ from zczpilot.analysis import (
 )
 from zczpilot.covariance import build_scenario, reciprocal_scenario
 from zczpilot.designer import DesignConfig, DesignError, design_pilots
-from zczpilot.estimation import channel_mse_lemma
-from zczpilot.tensorops import shift_matrix
+from zczpilot.estimation import _TRIAL_BLOCK, channel_mse_lemma, simulate_training
+from zczpilot.tensorops import embed_pilot, shift_matrix
 
 
 def crandn(rng, *shape):
@@ -226,7 +225,7 @@ class TestEmpiricalMse:
         p = crandn(rng, 4, 2)
         p *= np.sqrt(s.gamma) / np.linalg.norm(p)
         out = empirical_mse(p, s, trials=3000, seed=10)
-        gap = abs(out.mean - analytic_mse(p, s))
+        gap = abs(out.mean - channel_mse_lemma(p, s))
         assert out.stderr_defined
         assert gap <= 3.0 * out.stderr
 
@@ -252,11 +251,41 @@ class TestEmpiricalMse:
         with pytest.raises(ValueError):
             empirical_mse(np.ones((2, 1)), s, trials=0)
 
-    def test_analytic_alias(self):
-        s = build_scenario(2, 2, 4)
-        rng = np.random.default_rng(4)
-        p = crandn(rng, 4, 2)
-        assert analytic_mse(p, s) == channel_mse_lemma(p, s)
+    def test_batches_split_and_merge_across_block_boundary(self):
+        s = build_scenario(1, 1, 2)
+        p = np.ones((2, 1), dtype=complex)
+        n1, n2 = _TRIAL_BLOCK + 5, 40
+        whole = empirical_mse(p, s, trials=n1 + n2, seed=3)
+        first = empirical_mse(p, s, trials=n1, seed=3)
+        second = empirical_mse(p, s, trials=n2, seed=3 + n1)
+        merged = (n1 * first.mean + n2 * second.mean) / (n1 + n2)
+        assert whole.mean == pytest.approx(merged, rel=1e-12)
+
+    @pytest.mark.parametrize("n_t,n_r,b", [(1, 1, 2), (2, 3, 4), (8, 8, 64)])
+    def test_equals_per_trial_loop(self, n_t, n_r, b):
+        s = build_scenario(
+            n_t, n_r, b, rho_rt=0.5 + 0.3j, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j
+        )
+        rng = np.random.default_rng(b)
+        p = crandn(rng, b, n_t)
+        p *= np.sqrt(s.gamma) / np.linalg.norm(p)
+        pt = embed_pilot(p, n_r)
+        gram = s.noise_cov + pt @ s.chan_cov @ pt.conj().T
+        estimator = s.chan_cov @ pt.conj().T @ np.linalg.inv(gram)
+        seed = 11
+        errs = []
+        for t in range(_TRIAL_BLOCK + 7):
+            real = simulate_training(p, s, seed + t)
+            h_hat = estimator @ real.yrx.reshape(-1, order="F")
+            errs.append(np.linalg.norm(h_hat - real.h.reshape(-1, order="F")) ** 2)
+        for trials in (1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 7):
+            out = empirical_mse(p, s, trials=trials, seed=seed)
+            want = errs[:trials]
+            assert out.trials == trials
+            assert out.mean == pytest.approx(np.mean(want), rel=1e-12)
+            if trials > 1:
+                stderr = np.std(want, ddof=1) / np.sqrt(trials)
+                assert out.stderr == pytest.approx(stderr, rel=1e-10)
 
 
 def read_csv_rows(path):
@@ -294,6 +323,42 @@ class TestCsvEmitters:
                  for r in rows if r[0] == "cross"}
         for j, lag in enumerate(rep.lags):
             assert cross[int(lag)] == rep.crosscorr[0, 0, j]
+
+    def test_correlation_csv_reads_back_as_rows(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = crandn(rng, 6, 2)
+        y = crandn(rng, 6, 3)
+        x[:, 1] = 0.0  # zero correlations hit the dB floor
+        rep = correlation_report(x, y, max_lag=3)
+        path = tmp_path / "corr.csv"
+        write_correlation_csv(rep, path)
+        header, csv_rows = read_csv_rows(path)
+        dict_rows = correlation_rows(rep)
+        assert header == list(dict_rows[0])
+        assert len(csv_rows) == len(dict_rows)
+        for got, want in zip(csv_rows, dict_rows):
+            assert got[0] == want["kind"]
+            assert int(got[1]) == want["q"]
+            assert (got[2] == "") if want["l"] is None else int(got[2]) == want["l"]
+            assert int(got[3]) == want["lag"]
+            assert float(got[4]) == want["re"]
+            assert float(got[5]) == want["im"]
+            assert float(got[6]) == want["mag_db"]
+
+    def test_correlation_csv_bytes(self, tmp_path):
+        x = np.array([[1.0], [0.0]], dtype=complex)
+        y = np.array([[0.0], [0.5j]])
+        path = tmp_path / "corr.csv"
+        write_correlation_csv(correlation_report(x, y, max_lag=1), path)
+        assert path.read_bytes() == (
+            b"kind,q,l,lag,re,im,mag_db\r\n"
+            b"auto,0,,-1,0,0,-300\r\n"
+            b"auto,0,,0,1,0,0\r\n"
+            b"auto,0,,1,0,0,-300\r\n"
+            b"cross,0,0,-1,0,0,-300\r\n"
+            b"cross,0,0,0,0,0,-300\r\n"
+            b"cross,0,0,1,0,0.5,-6.0205999132796242\r\n"
+        )
 
     def test_montecarlo_csv(self, tmp_path):
         dl = build_scenario(2, 2, 4)

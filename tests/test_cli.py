@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -36,6 +37,24 @@ d_user_m = 25000
 d_object_m = 30000
 symbol_time_s = 25e-6
 processing_symbols = 1
+"""
+
+# 8x8 links with B = 64 and no correlation zone: the large benchmark scenario.
+KRON = """
+[scenario]
+n_t = 8
+n_r = 8
+b = 64
+rho_rt_mag = 0.9
+rho_rt_phase_pi = -0.8349
+rho_rr_mag = 0.65
+rho_rr_phase_pi = -0.4289
+rho_mt_mag = 0.8
+rho_mt_phase_pi = -0.5361
+
+[design]
+k = 0
+seed = 0
 """
 
 TIMING_ONLY = """
@@ -272,14 +291,28 @@ class TestMonteCarlo:
                                     "message": "start column 0 cannot be restored"}]
 
 
+SIMULATED = re.compile(r"simulated (\d+) trials in \S+ s \(\S+ trials/s\)")
+
+
 class TestValidate:
     def test_passes_on_reference_statistics(self, small_config, capsys):
         rc = main(["validate", "--config", str(small_config),
                    "--trials", "400"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
-        assert "PASS" in out
         assert "analytic mse:" in out
+        lines = out.strip().splitlines()
+        assert SIMULATED.fullmatch(lines[-2]).group(1) == "400"
+        assert lines[-1] == "PASS"
+
+    def test_passes_at_benchmark_scale(self, tmp_path, capsys):
+        path = tmp_path / "kron.ini"
+        path.write_text(KRON)
+        rc = main(["validate", "--config", str(path), "--trials", "300"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == EXIT_OK
+        assert SIMULATED.fullmatch(lines[-2]).group(1) == "300"
+        assert lines[-1] == "PASS"
 
     def test_trials_floor(self, small_config, capsys):
         rc = main(["validate", "--config", str(small_config), "--trials", "1"])

@@ -7,11 +7,14 @@ import pytest
 
 from zczpilot.covariance import ChannelScenario, build_scenario
 from zczpilot.estimation import (
+    _TRIAL_BLOCK,
+    _training_draws,
     AuxiliaryV,
     build_Q,
     channel_mse_direct,
     channel_mse_lemma,
     mmse_estimate,
+    mmse_squared_errors,
     mse_and_optimal_V,
     optimal_V,
     simulate_training,
@@ -38,6 +41,16 @@ def random_pilot(rng, s, energy=None):
     if energy is not None:
         p *= np.sqrt(energy) / np.linalg.norm(p)
     return p
+
+
+def least_squares_scenario():
+    sigma2 = 1e6
+    return ChannelScenario(
+        n_t=2, n_r=2, b=4,
+        chan_cov=sigma2 * np.eye(4, dtype=complex),
+        noise_cov=np.eye(8, dtype=complex) / 8.0,
+        gamma=1.0,
+    )
 
 
 DIM_GRID = [
@@ -224,6 +237,35 @@ class TestSimulator:
         npt.assert_array_equal(a.noise, b.noise)
         npt.assert_array_equal(a.yrx, b.yrx)
 
+    def test_draw_order(self):
+        # one generator per seed: channel real, channel imaginary, noise
+        # real, noise imaginary, each coloured by its Cholesky factor
+        s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
+        rng = np.random.default_rng(21)
+        white = [rng.standard_normal(k) for k in (6, 6, 12, 12)]
+        h = np.linalg.cholesky(s.chan_cov) @ (white[0] + 1j * white[1])
+        n = np.linalg.cholesky(s.noise_cov) @ (white[2] + 1j * white[3])
+        real = simulate_training(np.ones((4, 2)), s, seed=21)
+        npt.assert_allclose(real.h.reshape(-1, order="F"), h / np.sqrt(2.0),
+                            rtol=1e-14, atol=1e-15)
+        npt.assert_allclose(real.noise.reshape(-1, order="F"), n / np.sqrt(2.0),
+                            rtol=1e-14, atol=1e-15)
+
+    def test_seed_reproduces_its_draw_in_any_block(self):
+        s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
+        p = np.ones((4, 2))
+        seeds = range(5, 5 + _TRIAL_BLOCK + 3)
+        blocks = list(_training_draws(s, seeds))
+        assert [len(h) for h, _ in blocks] == [_TRIAL_BLOCK, 3]
+        h_rows = np.vstack([h for h, _ in blocks])
+        n_rows = np.vstack([n for _, n in blocks])
+        for j in (0, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 2):
+            real = simulate_training(p, s, seeds[j])
+            npt.assert_allclose(h_rows[j], real.h.reshape(-1, order="F"),
+                                rtol=1e-14, atol=1e-15)
+            npt.assert_allclose(n_rows[j], real.noise.reshape(-1, order="F"),
+                                rtol=1e-14, atol=1e-15)
+
     def test_channel_law(self):
         s = build_scenario(2, 2, 2)
         p = np.zeros((2, 2))
@@ -246,13 +288,7 @@ class TestMmseEstimator:
 
     def test_least_squares_limit(self):
         # huge prior variance and no noise turn MMSE into pilot inversion
-        sigma2 = 1e6
-        s = ChannelScenario(
-            n_t=2, n_r=2, b=4,
-            chan_cov=sigma2 * np.eye(4, dtype=complex),
-            noise_cov=np.eye(8, dtype=complex) / 8.0,
-            gamma=1.0,
-        )
+        s = least_squares_scenario()
         rng = np.random.default_rng(8)
         p = crandn(rng, 4, 2)
         p /= np.linalg.norm(p)
@@ -260,6 +296,26 @@ class TestMmseEstimator:
         est = mmse_estimate(real.yrx, p, s)
         err = np.linalg.norm(est - real.h) / np.linalg.norm(real.h)
         assert err <= 1e-3
+
+    @pytest.mark.parametrize("case", ["correlated", "kron-sized", "least-squares"])
+    def test_matches_dense_formula(self, case):
+        if case == "least-squares":
+            s = least_squares_scenario()
+        else:
+            dims = (2, 3, 4) if case == "correlated" else (8, 8, 64)
+            s = build_scenario(
+                *dims, rho_rt=0.5 + 0.3j, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j
+            )
+        rng = np.random.default_rng(12)
+        p = random_pilot(rng, s, energy=s.gamma)
+        pt = embed_pilot(p, s.n_r)
+        gram = s.noise_cov + pt @ s.chan_cov @ pt.conj().T
+        yrx = simulate_training(p, s, seed=4).yrx
+        want = s.chan_cov @ pt.conj().T @ np.linalg.solve(
+            gram, yrx.reshape(-1, order="F")
+        )
+        got = mmse_estimate(yrx, p, s).reshape(-1, order="F")
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_estimator_unbiased_shrinkage(self):
         # estimates shrink toward zero, never amplifying the observation
@@ -270,3 +326,21 @@ class TestMmseEstimator:
         est = mmse_estimate(real.yrx, p, s)
         assert est.shape == real.h.shape
         assert np.isfinite(est).all()
+
+
+class TestSquaredErrors:
+    def test_matches_simulator_and_estimator_per_seed(self):
+        rng = np.random.default_rng(13)
+        s = build_scenario(2, 3, 4, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j)
+        p = random_pilot(rng, s, energy=s.gamma)
+        seeds = [9, 2, 40]
+        want = []
+        for seed in seeds:
+            real = simulate_training(p, s, seed)
+            want.append(np.linalg.norm(mmse_estimate(real.yrx, p, s) - real.h) ** 2)
+        npt.assert_allclose(mmse_squared_errors(p, s, seeds), want, rtol=1e-12)
+
+    def test_pilot_shape_checked(self):
+        s = build_scenario(2, 2, 4)
+        with pytest.raises(ValueError):
+            mmse_squared_errors(np.ones((3, 2)), s, [0])
