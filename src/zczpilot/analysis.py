@@ -144,12 +144,15 @@ def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
 
 @dataclass(frozen=True)
 class EmpiricalMse:
-    """Simulation estimate of the channel MSE."""
+    """Simulation estimate of the channel MSE, next to the analytic (lemma)
+    MSE of the same pilot from the Gram factorization behind the
+    estimator."""
 
     mean: float
     stderr: float
     trials: int
     stderr_defined: bool
+    analytic: float
 
 
 def empirical_mse(p, s, trials, seed=0):
@@ -163,12 +166,14 @@ def empirical_mse(p, s, trials, seed=0):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    errs = mmse_squared_errors(p, s, range(seed, seed + trials))
+    analytic, errs = mmse_squared_errors(p, s, range(seed, seed + trials))
     mean = float(np.mean(errs))
     if trials == 1:
-        return EmpiricalMse(mean=mean, stderr=0.0, trials=1, stderr_defined=False)
+        return EmpiricalMse(mean=mean, stderr=0.0, trials=1, stderr_defined=False,
+                            analytic=analytic)
     stderr = float(np.std(errs, ddof=1) / math.sqrt(trials))
-    return EmpiricalMse(mean=mean, stderr=stderr, trials=trials, stderr_defined=True)
+    return EmpiricalMse(mean=mean, stderr=stderr, trials=trials, stderr_defined=True,
+                        analytic=analytic)
 
 
 def _fmt(v):

@@ -30,9 +30,20 @@ import numpy as np
 from .estimation import mse_and_optimal_V
 from .tensorops import adjoint_embed, power_iteration_opnorm, shift_matrix
 
-_DYKSTRA_MAX_CYCLES = 5000
-_ELLIPSOID_NEWTON_MAX = 200
 _TINY = 1e-300
+
+# Projected Newton on the dual of the sensing-pilot projection: the relative
+# KKT residual it stops at, its iteration cap (a few iterations are the norm),
+# the halvings of one backtracking search and its sufficient-rise fraction,
+# the curvature, relative to the largest, below which a direction of the
+# dual Hessian counts as null, and the share of the gradient in the null
+# directions above which a pivot is taken.
+_KKT_TOL = 1e-13
+_DUAL_NEWTON_MAX = 50
+_DUAL_HALVINGS = 60
+_ARMIJO = 1e-4
+_RANK_TOL = 1e-10
+_PIVOT_TOL = 1e-6
 
 # Sensing-pilot sidelobe bound: |x_q^H J_m x_q| <= SIDELOBE_DELTA ||x_q||^2
 # for m = 1..k, i.e. lags 1..k at least 30 dB below lag 0.
@@ -123,14 +134,9 @@ def _null_basis(vectors):
 
 
 @lru_cache(maxsize=None)
-def _ellipsoid_eigs(b, k):
-    """Eigendecompositions of J_m^T + J_m + 2I for m = 1..k (treat read-only)."""
-    out = []
-    for m in range(1, k + 1):
-        j = shift_matrix(b, m)
-        w, u = np.linalg.eigh(j + j.T + 2.0 * np.eye(b))
-        out.append((w, u))
-    return tuple(out)
+def _shift_stack(b, k):
+    """J_1..J_k stacked as a (k, b, b) array (treat read-only)."""
+    return np.stack([shift_matrix(b, m) for m in range(1, k + 1)])
 
 
 def _column_power(t):
@@ -146,100 +152,145 @@ def _project_ball_cols(t, p):
     return t * scale
 
 
-def _project_ellipsoid_cols(t, w, u, bound):
-    """Project columns of t onto {x : x^H U diag(w) U^T x <= bound}.
+def _autocorr(x, shifts, literal):
+    """r[m, q] = x_q^H J_m x_q (x_q^T J_m x_q under literal) for every column."""
+    return np.einsum("bq,mbc,cq->mq", x if literal else x.conj(), shifts, x)
 
-    w >= 0 and U real orthogonal come from an eigendecomposition.  Each
-    violating column gets its own multiplier via Newton on the secular
-    equation phi(nu) = sum_i w_i |t_i|^2 / (1 + nu w_i)^2 = bound; phi is
-    convex decreasing, so Newton from 0 climbs monotonically to the root.
+
+def _shrink_into_sets(x, shifts, p):
+    """Scale each column of x down until the ball and the ellipsoids hold.
+
+    The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(||x||^2 + Re x^H J_m x)
+    (J_m is real), so the ellipsoid m holds iff ||x||^2 + Re r_m <= p.
     """
-    tt = u.T @ t
-    wc = w[:, None]
-    q = wc * (tt.real**2 + tt.imag**2)
-    tol = 1e-13 * bound
-    phi = q.sum(axis=0) - bound
-    live = phi > tol
-    if not live.any():
-        return t
-    wq = wc * q
-    nu = np.zeros(t.shape[1])
-    for _ in range(_ELLIPSOID_NEWTON_MAX):
-        d = 1.0 + wc * nu
-        d2 = d * d
-        dphi = -2.0 * (wq / (d2 * d)).sum(axis=0)
-        # dphi < 0 strictly wherever live; the where keeps dead columns
-        # out of the division.
-        nu = np.where(live, nu - phi / np.where(live, dphi, -1.0), nu)
-        d = 1.0 + wc * nu
-        phi = (q / (d * d)).sum(axis=0) - bound
-        live = phi > tol
-        if not live.any():
-            break
-    return u @ (tt / (1.0 + wc * nu))
-
-
-def _dykstra(t, projections, tol, max_cycles=_DYKSTRA_MAX_CYCLES):
-    """Dykstra's alternating projections onto an intersection of convex sets."""
-    x = t.copy()
-    incs = [np.zeros_like(t) for _ in projections]
-    for _ in range(max_cycles):
-        x_prev = x
-        for i, proj in enumerate(projections):
-            shifted = x + incs[i]
-            x = proj(shifted)
-            incs[i] = shifted - x
-        if np.linalg.norm(x - x_prev) <= tol:
-            return x, True
-    return x, False
-
-
-def _shrink_into_sets(x, eigs, p):
-    """Scale each column of x down until the ball and the ellipsoids hold."""
     n2 = _column_power(x)
-    scale2 = np.where(n2 > p, p / np.maximum(n2, _TINY), 1.0)
-    for w, u in eigs:
-        tt = u.T @ x
-        val = (w[:, None] * (tt.real**2 + tt.imag**2)).sum(axis=0)
-        scale2 = np.minimum(
-            scale2, np.where(val > 2.0 * p, 2.0 * p / np.maximum(val, _TINY), 1.0)
-        )
-    return x * np.sqrt(scale2)
+    top = np.maximum(n2, (n2 + _autocorr(x, shifts, False).real).max(axis=0))
+    return x * np.sqrt(np.where(top > p, p / np.maximum(top, _TINY), 1.0))
 
 
-def _project_matrix(t, basis, eigs, p, tol):
-    """Project every column of t onto nullspace ∩ ellipsoids ∩ ball.
+def _nullspace(vectors, b):
+    """Orthonormal basis of span(vectors)^perp, at _null_basis's rank rule.
 
-    All columns share the constraint sets, so they run through Dykstra
-    together as one matrix iterate.
+    The trailing left singular vectors of one full SVD; the identity when
+    there are no vectors or all of them are zero.
     """
+    if vectors.shape[1] == 0 or not vectors.any():
+        return np.eye(b, dtype=np.complex128)
+    u, sv, _ = np.linalg.svd(vectors)
+    return u[:, int(np.count_nonzero(sv > 1e-10 * sv[0])):]
 
-    def p_sub(v):
-        return v - basis @ (basis.conj().T @ v)
 
-    has_sub = basis.shape[1] > 0
-    if not eigs:
-        # With no quadratic sets, nullspace-then-shrink is the exact
-        # projection onto the intersection (both sets contain 0 and
-        # scaling preserves nullspace membership).
-        z = p_sub(t) if has_sub else t
-        return _project_ball_cols(z, p), True
+def _ellipsoid_blocks(null, shifts):
+    """A_0 = I and A_m = C^H (J_m + J_m^T + 2I) C, m = 1..k, as (k+1, d, d)."""
+    eye = np.eye(null.shape[1])
+    kc = null.conj().T @ (shifts @ null)
+    return np.concatenate([eye[None], kc + kc.conj().transpose(0, 2, 1) + 2.0 * eye])
 
-    projs = []
-    if has_sub:
-        projs.append(p_sub)
-    for w, u in eigs:
-        projs.append(lambda v, w=w, u=u: _project_ellipsoid_cols(v, w, u, 2.0 * p))
-    projs.append(lambda v: _project_ball_cols(v, p))
-    x, ok = _dykstra(t, projs, tol)
-    # Feasibility polish: restore the affine constraints exactly, then
-    # shrink each column uniformly until every ball/ellipsoid holds.
-    # Scaling keeps nullspace membership, so the exit point is feasible
-    # in all sets at an optimality cost of the order of the Dykstra
-    # residual.
-    if has_sub:
-        x = p_sub(x)
-    return _shrink_into_sets(x, eigs, p), ok
+
+def _dual_point(nu, s, a):
+    """The Lagrangian minimizer c = H^-1 s, H = I + sum_i nu_i A_i, of every
+    row, with H^-1, A_i c as (n, k+1, d) and Re c^H A_i c as (n, k+1)."""
+    k1, d = a.shape[:2]
+    h = (nu @ a.reshape(k1, d * d)).reshape(-1, d, d)
+    diag = np.arange(d)
+    h[:, diag, diag] += 1.0
+    hinv = np.linalg.inv(h)
+    c = (hinv @ s[:, :, None])[:, :, 0]
+    ac = (a @ c.T).transpose(2, 0, 1)
+    return hinv, c, ac, np.einsum("qi,qmi->qm", c.conj(), ac).real
+
+
+def _kkt_residual(nu, grad, beta):
+    return np.abs(np.minimum(nu, -grad / beta)).max(axis=1)
+
+
+def _newton_direction(hess, grad, nu, eps):
+    """Each row's ascent step on its free set (nu_i > eps or grad_i > 0).
+
+    A nu_i <= eps with grad_i <= 0 steps to 0 (the eps-active set of
+    Bertsekas, SIAM J. Control Optim. 1982): were it free, a Newton step
+    that drives it below 0 would be clipped there for every step length,
+    and the clipped step need not raise the dual.
+
+    The dual is exactly linear along a null vector v of the free-set
+    Hessian, since sum_i v_i A_i c = 0 leaves c unchanged.  When the
+    gradient has a component n there, the step follows n to the first
+    nu_i that reaches 0, the pivot of a simplex step; a free nu_i <= eps
+    that n would push down stays where it is instead.  Other rows take
+    the Newton step on the range of the Hessian.
+    """
+    bound = nu <= eps[:, None]
+    free = ~bound | (grad > 0.0)
+    diag = np.arange(hess.shape[1])
+    while True:
+        sub = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+        scale = np.maximum(sub[:, diag, diag].max(axis=1), _TINY)
+        sub[:, diag, diag] += np.where(free, 0.0, scale[:, None])
+        w, u = np.linalg.eigh(sub)
+        null = w <= _RANK_TOL * scale[:, None]
+        rhs = np.where(free, grad, 0.0)
+        coef = np.einsum("qij,qi->qj", u, rhs)
+        n = np.where(free, np.einsum("qij,qj->qi", u, np.where(null, coef, 0.0)), 0.0)
+        pivot = (n * n).sum(axis=1) > _PIVOT_TOL**2 * (rhs * rhs).sum(axis=1)
+        blocked = free & bound & (n < 0.0) & pivot[:, None]
+        if not blocked.any():
+            break
+        free &= ~blocked
+    inv_w = np.where(null, 0.0, 1.0 / np.where(null, 1.0, w))
+    newton = np.einsum("qij,qj->qi", u, coef * inv_w)
+    down = (n < 0.0) & pivot[:, None]
+    ratio = np.where(down, nu / np.where(down, -n, 1.0), np.inf).min(axis=1)
+    pivot &= np.isfinite(ratio)
+    step = np.where(pivot[:, None], np.where(pivot, ratio, 0.0)[:, None] * n, newton)
+    return np.where(free, step, np.where(grad > 0.0, 0.0, -nu))
+
+
+def _dual_projection(s, a, beta):
+    """Solve min ||c - s_q||^2 s.t. c^H A_i c <= beta_i for every row s_q.
+
+    The multipliers nu >= 0 maximize the concave dual
+    g(nu) = ||s||^2 - s^H H^-1 s - nu.beta, whose gradient is
+    Re c^H A_i c - beta_i and whose Hessian is -2 Re (A_i c)^H H^-1 (A_j c).
+    Projected Newton runs on all rows together (_newton_direction), and
+    backtracks along the projection arc until the dual rises.  The A_i c
+    lie in the 2d-1 real dimensions where Im c^H w = 0, so the Hessian is
+    singular whenever more than 2d-1 multipliers are free (a nullspace of
+    dimension d <= k+1 can do that); the dual is then linear along its
+    null vectors, which the direction handles by a pivot.  The rise
+    g(nu') - g(nu) = sum_i dnu_i (Re c'^H A_i c - beta_i) is computed in
+    that exact form, free of the cancellation in the dual values.  Returns
+    c, nu and each row's relative KKT residual
+    max_i |min(nu_i, -grad_i / beta_i)|, which exceeds _KKT_TOL only when
+    the Newton cap was reached.
+    """
+    nu = np.zeros((s.shape[0], a.shape[0]))
+    hinv, c, ac, quad = _dual_point(nu, s, a)
+    for _ in range(_DUAL_NEWTON_MAX):
+        grad = quad - beta
+        res = _kkt_residual(nu, grad, beta)
+        live = np.flatnonzero(res > _KKT_TOL)
+        if not live.size:
+            break
+        v, g, acl, sl = nu[live], grad[live], ac[live], s[live]
+        hess = 2.0 * np.real(acl.conj() @ hinv[live] @ acl.transpose(0, 2, 1))
+        step = _newton_direction(hess, g, v, res[live])
+        alpha = 1.0
+        for _ in range(_DUAL_HALVINGS):
+            trial = np.maximum(v + alpha * step, 0.0)
+            move = trial - v
+            point = _dual_point(trial, sl, a)
+            cross = np.einsum("qi,qmi->qm", point[1].conj(), acl).real
+            rise = ((cross - beta) * move).sum(axis=1)
+            ok = (rise > 0.0) & (rise >= _ARMIJO * (move * g).sum(axis=1))
+            rows = live[ok]
+            nu[rows] = trial[ok]
+            for full, part in zip((hinv, c, ac, quad), point):
+                full[rows] = part[ok]
+            if ok.all():
+                break
+            live, step, v, g, acl, sl = (x[~ok] for x in (live, step, v, g, acl, sl))
+            alpha *= 0.5
+    return c, nu, _kkt_residual(nu, quad - beta, beta)
 
 
 def _resolve_p(cfg, p):
@@ -256,8 +307,14 @@ def x_step(x_target, y_fixed, cfg, p=None):
 
     The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
     columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}.
-    If the cross-correlation vectors span the whole space only x = 0 is
-    feasible; those columns are zeroed under a DegenerateConstraintWarning.
+    With k = 0 the projection onto the nullspace followed by the shrink
+    into the ball is exact.  With k >= 1 each column x = C c, C an
+    orthonormal nullspace basis, solves the small QCQP in c through its
+    Lagrange dual (_dual_projection), and _shrink_into_sets then removes
+    any rounding excess over the bounds; a RuntimeWarning reports the KKT
+    residual if the Newton cap was reached.  If the cross-correlation
+    vectors span the whole space only x = 0 is feasible; those columns are
+    zeroed under a DegenerateConstraintWarning.
     """
     x_target = np.asarray(x_target, dtype=np.complex128)
     y_fixed = np.asarray(y_fixed, dtype=np.complex128).reshape(x_target.shape[0], -1)
@@ -266,8 +323,13 @@ def x_step(x_target, y_fixed, cfg, p=None):
     if cfg.k >= b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
     vecs = _cross_vectors(y_fixed, b, _cross_lags(cfg), False, cfg.literal_transpose)
-    basis = _null_basis(vecs)
-    if basis.shape[1] >= b:
+    if cfg.k:
+        null = _nullspace(vecs, b)
+        degenerate = null.shape[1] == 0
+    else:
+        basis = _null_basis(vecs)
+        degenerate = basis.shape[1] >= b
+    if degenerate:
         warnings.warn(
             "cross-correlation constraints span the whole space; "
             "returning zero columns",
@@ -275,16 +337,24 @@ def x_step(x_target, y_fixed, cfg, p=None):
             stacklevel=2,
         )
         return np.zeros_like(x_target)
-    eigs = _ellipsoid_eigs(b, cfg.k)
-    out, ok = _project_matrix(x_target, basis, eigs, p, cfg.inner_tol)
-    if not ok:
+    if not cfg.k:
+        if basis.shape[1]:
+            x_target = x_target - basis @ (basis.conj().T @ x_target)
+        return _project_ball_cols(x_target, p)
+    shifts = _shift_stack(b, cfg.k)
+    beta = np.full(cfg.k + 1, 2.0 * p)
+    beta[0] = p
+    c, _, res = _dual_projection(
+        (null.conj().T @ x_target).T, _ellipsoid_blocks(null, shifts), beta
+    )
+    if res.max() > _KKT_TOL:
         warnings.warn(
-            f"projection did not reach tol={cfg.inner_tol} within "
-            f"{_DYKSTRA_MAX_CYCLES} cycles",
+            f"sensing-pilot projection stopped after {_DUAL_NEWTON_MAX} Newton "
+            f"iterations at relative KKT residual {res.max():.3g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return out
+    return _shrink_into_sets(null @ c.T, shifts, p)
 
 
 def y_step(y_target, x_fixed, cfg, p=None):
@@ -439,16 +509,9 @@ class DesignTrace:
     warnings: list[str] = field(default_factory=list)
 
 
-@lru_cache(maxsize=None)
-def _shift_stack(b, k):
-    """J_1..J_k stacked as a (k, b, b) array (treat read-only)."""
-    return np.stack([shift_matrix(b, m) for m in range(1, k + 1)])
-
-
 def _sidelobes(x, shifts, literal):
     """Normalized sidelobes h[m, q] = r_m(x_q) / ||x_q||^2, 0 for zero columns."""
-    xc = x if literal else x.conj()
-    r = np.einsum("bq,mbc,cq->mq", xc, shifts, x)
+    r = _autocorr(x, shifts, literal)
     s = _column_power(x)
     return r / np.where(s > 0.0, s, 1.0)
 
@@ -505,7 +568,7 @@ def _restore_sidelobes(x, basis, p, cfg):
         x[:, q], worst[q] = _restore_column(
             x[:, q], basis, shifts, cfg.literal_transpose
         )
-    return _shrink_into_sets(x, _ellipsoid_eigs(b, cfg.k), p), worst
+    return _shrink_into_sets(x, shifts, p), worst
 
 
 def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, score, mse_cur):

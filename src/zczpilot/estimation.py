@@ -20,11 +20,15 @@ import numpy as np
 from .tensorops import adjoint_embed, embed_pilot, hermitian_solve
 
 
-def _lifted(p, s):
+def _checked(p, s):
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (s.b, s.n_t):
         raise ValueError(f"pilot shape {p.shape}, scenario expects {(s.b, s.n_t)}")
-    return p, embed_pilot(p, s.n_r)
+    return p
+
+
+def _lifted(p, s):
+    return embed_pilot(_checked(p, s), s.n_r)
 
 
 def channel_mse_direct(p, s):
@@ -33,7 +37,7 @@ def channel_mse_direct(p, s):
     Reference implementation used for cross-checks; prefer
     :func:`channel_mse_lemma` in loops and for singular priors.
     """
-    _, pt = _lifted(p, s)
+    pt = _lifted(p, s)
     n = s.n_t * s.n_r
     r_inv = hermitian_solve(s.chan_cov, np.eye(n))
     inner = r_inv + pt.conj().T @ hermitian_solve(s.noise_cov, pt)
@@ -57,7 +61,7 @@ def build_Q(p, s):
     the inverse of the error covariance, which ties the quadratic form
     trace[V^H Q V] to the estimation MSE.
     """
-    _, pt = _lifted(p, s)
+    pt = _lifted(p, s)
     w = pt @ s.chan_cov
     top = np.hstack([s.chan_cov, w.conj().T])
     bottom = np.hstack([w, s.noise_cov + w @ pt.conj().T])
@@ -89,7 +93,7 @@ def mse_and_optimal_V(p, s):
     V* = [I; -Z].  The designer scores an iterate and builds its next MM
     target from this one call.
     """
-    _, pt = _lifted(p, s)
+    pt = _lifted(p, s)
     w = pt @ s.chan_cov
     gram = w @ pt.conj().T
     gram += s.noise_cov
@@ -120,7 +124,7 @@ def surrogate_F(v, p, s):
     + trace[V2^H M V2] + trace[(Pt^H V2)^H R (Pt^H V2)] so the big block
     matrix is never formed.
     """
-    _, pt = _lifted(p, s)
+    pt = _lifted(p, s)
     r = s.chan_cov
     e = pt.conj().T @ v.v2
     term1 = np.einsum("ij,ij->", v.v1.conj(), r @ v.v1)
@@ -191,7 +195,7 @@ def simulate_training(p, s, seed, noise_scale=1.0):
     fixed seed reproduces the realization bit for bit.  noise_scale=0
     gives the noiseless received block exactly.
     """
-    p, _ = _lifted(p, s)
+    p = _checked(p, s)
     h_vec, n_vec = next(_training_draws(s, [seed]))
     h = h_vec[0].reshape((s.n_r, s.n_t), order="F")
     noise = noise_scale * n_vec[0].reshape((s.n_r, s.b), order="F")
@@ -199,9 +203,11 @@ def simulate_training(p, s, seed, noise_scale=1.0):
 
 
 def _estimator(p, s):
-    """The MMSE estimator W^H G^-1 = Z^H, with Z = G^-1 W the solve behind
-    V* = [I; -Z] in :func:`mse_and_optimal_V` (G and R are Hermitian)."""
-    return -mse_and_optimal_V(p, s)[1].v2.conj().T
+    """The lemma MSE and the MMSE estimator W^H G^-1 = Z^H, both from the
+    solve Z = G^-1 W behind V* = [I; -Z] in :func:`mse_and_optimal_V`
+    (G and R are Hermitian)."""
+    mse, v = mse_and_optimal_V(p, s)
+    return mse, -v.v2.conj().T
 
 
 def mmse_estimate(yrx, p, s):
@@ -209,19 +215,21 @@ def mmse_estimate(yrx, p, s):
     yrx = np.asarray(yrx, dtype=np.complex128)
     if yrx.shape != (s.n_r, s.b):
         raise ValueError(f"yrx shape {yrx.shape}, expected {(s.n_r, s.b)}")
-    h_vec = _estimator(p, s) @ yrx.reshape(-1, order="F")
+    h_vec = _estimator(p, s)[1] @ yrx.reshape(-1, order="F")
     return h_vec.reshape((s.n_r, s.n_t), order="F")
 
 
 def mmse_squared_errors(p, s, seeds):
-    """||H^ - H||_F^2 of the MMSE estimate for each seed's training draw.
+    """The lemma MSE of p and ||H^ - H||_F^2 of the MMSE estimate for each
+    seed's training draw.
 
     Draw for draw the same as simulate_training followed by mmse_estimate
     per seed, but the Gram and the covariances are factored once and the
-    seeds run in blocks as matrix products.
+    seeds run in blocks as matrix products.  The MSE comes from the same
+    Gram factorization as the estimator.
     """
-    _, pt = _lifted(p, s)
-    est = _estimator(p, s)
+    pt = _lifted(p, s)
+    mse, est = _estimator(p, s)
     errs = np.empty(len(seeds))
     done = 0
     for h, y in _training_draws(s, seeds):
@@ -230,4 +238,4 @@ def mmse_squared_errors(p, s, seeds):
         err -= h
         errs[done:done + len(h)] = np.linalg.norm(err, axis=1) ** 2
         done += len(h)
-    return errs
+    return mse, errs

@@ -225,7 +225,8 @@ class TestEmpiricalMse:
         p = crandn(rng, 4, 2)
         p *= np.sqrt(s.gamma) / np.linalg.norm(p)
         out = empirical_mse(p, s, trials=3000, seed=10)
-        gap = abs(out.mean - channel_mse_lemma(p, s))
+        assert out.analytic == channel_mse_lemma(p, s)
+        gap = abs(out.mean - out.analytic)
         assert out.stderr_defined
         assert gap <= 3.0 * out.stderr
 

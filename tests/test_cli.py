@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from zczpilot import estimation
 from zczpilot.archive import read_archive, without_timestamp
 from zczpilot.cli import (
     EXIT_CONFIG,
@@ -313,6 +314,21 @@ class TestValidate:
         assert rc == EXIT_OK
         assert SIMULATED.fullmatch(lines[-2]).group(1) == "300"
         assert lines[-1] == "PASS"
+
+    def test_one_gram_factorization_per_call(self, small_config, capsys,
+                                            monkeypatch):
+        # the analytic MSE comes from the solve that builds the estimator
+        solves = []
+        fused = estimation.mse_and_optimal_V
+
+        def counted(p, s):
+            solves.append(p.shape)
+            return fused(p, s)
+
+        monkeypatch.setattr(estimation, "mse_and_optimal_V", counted)
+        rc = main(["validate", "--config", str(small_config), "--trials", "50"])
+        assert rc == EXIT_OK
+        assert solves == [(4, 1)]
 
     def test_trials_floor(self, small_config, capsys):
         rc = main(["validate", "--config", str(small_config), "--trials", "1"])

@@ -1,22 +1,30 @@
 """Constrained projection steps, majorization targets, and the full
 cyclic pilot design loop."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.optimize
 
 from zczpilot.covariance import build_scenario, reciprocal_scenario
+from zczpilot import designer
 from zczpilot.designer import (
     SIDELOBE_DELTA,
     DegenerateConstraintWarning,
     DesignConfig,
     _cross_vectors,
     _curvature_matrix,
+    _dual_projection,
+    _ellipsoid_blocks,
     _mm_quadratic,
     _null_basis,
+    _nullspace,
     _restore_sidelobes,
     _restored_pair,
+    _shift_stack,
+    _shrink_into_sets,
     build_sigma_target,
     design_pilots,
     inner_cycle,
@@ -105,6 +113,37 @@ def slsqp_project(t, p, k, constraint_vectors):
     return split(res.x)
 
 
+def slsqp_project_from(t, p, k, constraint_vectors, start):
+    """Reference projection through SLSQP on the real form of the problem,
+    with analytic gradients, started at a feasible point."""
+    b = t.size
+    mats = [np.eye(b)]
+    for m in range(1, k + 1):
+        j = shift_matrix(b, m)
+        mats.append(j + j.T + 2.0 * np.eye(b))
+    blocks = np.array([np.kron(np.eye(2), a) for a in mats])  # x^H A x = z^T A2 z
+    bound = np.array([p] + [2.0 * p] * k)
+    vr, vi = constraint_vectors.real.T, constraint_vectors.imag.T
+    eq = np.vstack([np.hstack([vr, vi]), np.hstack([-vi, vr])])  # Re, Im of v^H x
+    tr = np.concatenate([t.real, t.imag])
+    cons = [{"type": "ineq", "fun": lambda z: bound - np.einsum("i,mij,j->m", z, blocks, z),
+             "jac": lambda z: -2.0 * blocks @ z}]
+    if eq.size:
+        cons.append({"type": "eq", "fun": lambda z: eq @ z, "jac": lambda z: eq})
+    res = scipy.optimize.minimize(
+        lambda z: float(((z - tr) ** 2).sum()),
+        np.concatenate([start.real, start.imag]),
+        jac=lambda z: 2.0 * (z - tr),
+        method="SLSQP",
+        constraints=cons,
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    # status 8 (the line search found no descent) is SLSQP stopping at its
+    # precision limit; the caller's comparison still checks the point
+    assert res.success or res.status == 8, res.message
+    return res.x[:b] + 1j * res.x[b:]
+
+
 class TestXStep:
     def test_feasible_target_unchanged(self):
         rng = np.random.default_rng(0)
@@ -174,6 +213,95 @@ class TestXStep:
         assert ellipsoid_values(out, cfg.k).max() <= 2.0 * cfg.p + 1e-9
         assert cross_residual(out, y, cfg.k) <= 1e-10
 
+    @staticmethod
+    def assert_matches_nlp_solver(t, y, cfg):
+        b = t.shape[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # Newton converged
+            out = x_step(t, y, cfg)
+        vecs = np.hstack([shift_matrix(b, m) @ y for m in range(0, cfg.k + 1)])
+        if cfg.literal_transpose:
+            vecs = vecs.conj()
+        # SLSQP starts at the target moved into the nullspace and scaled
+        # inside the ball and the ellipsoids, a feasible point found
+        # without the projection under test
+        inside = t - vecs @ np.linalg.lstsq(vecs, t, rcond=None)[0] if y.size else t
+        load = np.vstack([np.real(np.sum(inside.conj() * inside, axis=0)) / cfg.p,
+                          ellipsoid_values(inside, cfg.k) / (2.0 * cfg.p)]).max(axis=0)
+        inside = inside / np.sqrt(np.maximum(load, 1.0))
+        for q in range(t.shape[1]):
+            ref = slsqp_project_from(t[:, q], cfg.p, cfg.k, vecs, inside[:, q])
+            assert np.linalg.norm(out[:, q] - ref) <= 1e-5
+            mine = np.linalg.norm(out[:, q] - t[:, q])
+            assert mine <= np.linalg.norm(ref - t[:, q]) + 1e-7
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_nlp_solver_at_reference_shape(self, seed):
+        # b = 8, k = 4, no cross vectors (the collapsed uplink), 4 columns
+        rng = np.random.default_rng(seed)
+        t = crandn(rng, 8, 4) * rng.uniform(0.3, 1.5, 4)
+        self.assert_matches_nlp_solver(t, np.zeros((8, 0)), DesignConfig(k=4, p=1.0))
+
+    @pytest.mark.parametrize("b,k,seed", [(4, 2, 0), (4, 2, 1), (6, 3, 0), (6, 3, 929)])
+    def test_matches_nlp_solver_with_singular_dual_hessian(self, b, k, seed):
+        # nullspace dimension d = 1 and 2: the k+1 vectors A_i c span at
+        # most 2d-1 real dimensions, so the dual Hessian is singular once
+        # enough multipliers are free.  Seed 929 leaves a multiplier a
+        # rounding error above 0 with a negative gradient, where a Newton
+        # step without the eps-active set stalls.
+        rng = np.random.default_rng(seed)
+        y = crandn(rng, b, 1) * 0.5
+        t = crandn(rng, b, 3) * rng.uniform(0.3, 2.5, 3)
+        assert b - (k + 1) <= k + 1
+        self.assert_matches_nlp_solver(t, y, DesignConfig(k=k, p=1.0))
+
+    def test_matches_nlp_solver_literal_transpose(self):
+        rng = np.random.default_rng(4)
+        cfg = DesignConfig(k=2, p=1.5, literal_transpose=True)
+        y = crandn(rng, 7, 1) * 0.7
+        out = x_step(crandn(rng, 7, 2) * 2.0, y, cfg)
+        assert np.abs(out.T @ y).max() <= 1e-10
+        self.assert_matches_nlp_solver(crandn(rng, 7, 2) * 2.0, y, cfg)
+
+    def test_dual_solution_meets_kkt(self):
+        rng = np.random.default_rng(8)
+        b, k, p = 8, 3, 1.0
+        y = crandn(rng, b, 1) * 0.5
+        t = crandn(rng, b, 5) * 2.0
+        vecs = np.hstack([shift_matrix(b, m) @ y for m in range(k + 1)])
+        null = _nullspace(vecs, b)
+        beta = np.array([p] + [2.0 * p] * k)
+        c, nu, res = _dual_projection(
+            (null.conj().T @ t).T, _ellipsoid_blocks(null, _shift_stack(b, k)), beta
+        )
+        x = null @ c.T
+        mats = [np.eye(b)]
+        for m in range(1, k + 1):
+            j = shift_matrix(b, m)
+            mats.append(j + j.T + 2.0 * np.eye(b))
+        vals = np.array([np.real(np.einsum("bq,bc,cq->q", x.conj(), a, x)) for a in mats])
+        assert res.max() <= 1e-12
+        assert (nu >= 0.0).all()
+        assert (nu > 0.0).any()
+        assert (vals <= beta[:, None] * (1.0 + 1e-12)).all()
+        npt.assert_allclose(nu.T * (vals - beta[:, None]), 0.0, atol=1e-9)
+        # stationarity: x - t + sum_i nu_i E_i x lies in span(vecs)
+        grad = x - t + sum(nu[:, i] * (a @ x) for i, a in enumerate(mats))
+        grad -= vecs @ np.linalg.lstsq(vecs, grad, rcond=None)[0]
+        assert np.abs(grad).max() <= 1e-9
+
+    def test_newton_cap_warns_and_stays_feasible(self, monkeypatch):
+        monkeypatch.setattr(designer, "_DUAL_NEWTON_MAX", 1)
+        rng = np.random.default_rng(12)
+        cfg = DesignConfig(k=3, p=1.0)
+        y = crandn(rng, 8, 1) * 0.4
+        with pytest.warns(RuntimeWarning, match="relative KKT residual"):
+            out = x_step(crandn(rng, 8, 3) * 3.0, y, cfg)
+        powers = np.real(np.sum(out.conj() * out, axis=0))
+        assert powers.max() <= cfg.p * (1.0 + 1e-12)
+        assert ellipsoid_values(out, cfg.k).max() <= 2.0 * cfg.p * (1.0 + 1e-12)
+        assert cross_residual(out, y, cfg.k) <= 1e-10
+
     def test_degenerate_constraints_zero_with_warning(self):
         rng = np.random.default_rng(6)
         cfg = DesignConfig(k=2, p=1.0)
@@ -187,6 +315,47 @@ class TestXStep:
         cfg = DesignConfig(k=4, p=1.0)
         with pytest.raises(ValueError):
             x_step(np.ones((4, 1)), np.zeros((4, 0)), cfg)
+
+
+def eigen_shrink(x, k, p):
+    """Shrink into the ball and ellipsoids through eigendecompositions of
+    J_m + J_m^T + 2I (the reference form of _shrink_into_sets)."""
+    b = x.shape[0]
+    n2 = np.real(np.sum(x.conj() * x, axis=0))
+    scale2 = np.where(n2 > p, p / n2, 1.0)
+    for m in range(1, k + 1):
+        j = shift_matrix(b, m)
+        w, u = np.linalg.eigh(j + j.T + 2.0 * np.eye(b))
+        val = (w[:, None] * np.abs(u.T @ x) ** 2).sum(axis=0)
+        scale2 = np.minimum(scale2, np.where(val > 2.0 * p, 2.0 * p / val, 1.0))
+    return x * np.sqrt(scale2)
+
+
+class TestShrink:
+    def test_matches_eigendecomposition_form(self):
+        rng = np.random.default_rng(10)
+        b, k, p = 8, 4, 1.0
+        x = crandn(rng, b, 12) * rng.uniform(0.1, 1.5, 12)
+        out = _shrink_into_sets(x, _shift_stack(b, k), p)
+        assert not np.array_equal(out, x)
+        npt.assert_allclose(out, eigen_shrink(x, k, p), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_restoration_shrinks_like_eigendecomposition_form(self, literal):
+        # the ellipsoids use x^H under either correlation convention
+        rng = np.random.default_rng(11)
+        b, k, p = 8, 4, 1.0
+        cfg = DesignConfig(k=k, p=p, literal_transpose=literal)
+        basis = np.zeros((b, 0), dtype=complex)
+        # columns restored without a power cap meet the restoration level,
+        # so after rescaling the second call only shrinks them
+        x, worst = _restore_sidelobes(crandn(rng, b, 8), basis, 1e6, cfg)
+        x = x[:, worst <= designer._RESTORE_DONE]
+        assert x.shape[1] >= 4
+        x *= rng.uniform(0.5, 2.0, x.shape[1]) / np.linalg.norm(x, axis=0)
+        out, _ = _restore_sidelobes(x, basis, p, cfg)
+        assert not np.array_equal(out, x)
+        npt.assert_allclose(out, eigen_shrink(x, k, p), rtol=1e-12, atol=0)
 
 
 class TestYStep:

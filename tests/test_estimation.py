@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from zczpilot import estimation
 from zczpilot.covariance import ChannelScenario, build_scenario
 from zczpilot.estimation import (
     _TRIAL_BLOCK,
@@ -228,6 +229,16 @@ class TestSimulator:
         real = simulate_training(p, s, seed=5)
         npt.assert_allclose(real.yrx, real.h @ p.T + real.noise, rtol=0, atol=0)
 
+    def test_shape_checked_without_lifting(self, monkeypatch):
+        def no_lift(*args):
+            raise AssertionError("simulate_training lifted the pilot")
+
+        s = build_scenario(2, 2, 4)
+        monkeypatch.setattr(estimation, "embed_pilot", no_lift)
+        assert simulate_training(np.ones((4, 2)), s, seed=3).yrx.shape == (2, 4)
+        with pytest.raises(ValueError, match="pilot shape"):
+            simulate_training(np.ones((3, 2)), s, seed=3)
+
     def test_seed_determinism(self):
         s = build_scenario(2, 2, 4)
         p = np.ones((4, 2))
@@ -338,7 +349,9 @@ class TestSquaredErrors:
         for seed in seeds:
             real = simulate_training(p, s, seed)
             want.append(np.linalg.norm(mmse_estimate(real.yrx, p, s) - real.h) ** 2)
-        npt.assert_allclose(mmse_squared_errors(p, s, seeds), want, rtol=1e-12)
+        mse, errs = mmse_squared_errors(p, s, seeds)
+        npt.assert_allclose(errs, want, rtol=1e-12)
+        assert mse == channel_mse_lemma(p, s)
 
     def test_pilot_shape_checked(self):
         s = build_scenario(2, 2, 4)
