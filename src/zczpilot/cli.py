@@ -34,7 +34,7 @@ from .analysis import (
 from .archive import ArchiveError, archive_payload, dump_archive, read_archive
 from .config import ConfigError, load_config
 from .covariance import reciprocal_scenario
-from .designer import DesignError, design_pilots
+from .designer import DesignError, column_power_bound, design_pilots
 from .timing import delay_symbols, is_sensing_feasible, max_object_range
 
 EXIT_OK = 0
@@ -84,8 +84,7 @@ def _cmd_design(args):
     dl = rc.downlink()
     ul = reciprocal_scenario(dl)
     pair, trace = design_pilots(dl, ul, design)
-    p_x = design.p if design.p is not None else dl.gamma / dl.n_t
-    p_y = design.p if design.p is not None else ul.gamma / ul.n_t
+    p_x, p_y = column_power_bound(design, dl), column_power_bound(design, ul)
 
     out = _out_dir(rc, args)
     payload = archive_payload(pair, trace, design, p_x, p_y, config_sha256=rc.sha256)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import build_scenario
+from .covariance import DEFAULT_RHO_POLAR, build_scenario
 from .designer import DesignConfig
 from .timing import TimingScenario
 
@@ -49,9 +49,6 @@ _SECTIONS = {
     "timing": _TIMING_KEYS,
     "output": _OUTPUT_KEYS,
 }
-
-_DEFAULT_PHASES = {"rho_rt": -0.8349, "rho_rr": -0.4289, "rho_mt": -0.5361}
-_DEFAULT_MAGS = {"rho_rt": 0.9, "rho_rr": 0.65, "rho_mt": 0.8}
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,10 @@ def parse_config(text, sha256=""):
             raise ConfigError(f"[scenario] missing required key(s): {', '.join(missing)}")
 
     rhos = {}
-    for name in ("rho_rt", "rho_rr", "rho_mt"):
-        mag = _parse(cp, "scenario", f"{name}_mag", float, "number", _DEFAULT_MAGS[name])
+    for name, (mag_default, phase_default) in DEFAULT_RHO_POLAR.items():
+        mag = _parse(cp, "scenario", f"{name}_mag", float, "number", mag_default)
         phase = _parse(
-            cp, "scenario", f"{name}_phase_pi", float, "number", _DEFAULT_PHASES[name]
+            cp, "scenario", f"{name}_phase_pi", float, "number", phase_default
         )
         if not 0 <= mag < 1:
             raise ConfigError(f"[scenario] {name}_mag: must be in [0, 1), got {mag}")

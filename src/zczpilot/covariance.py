@@ -11,11 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default correlation coefficients; magnitudes and phases for the
-# transmit side, receive side and the temporal noise factor.
-DEFAULT_RHO_RT = 0.9 * np.exp(-1j * 0.8349 * np.pi)
-DEFAULT_RHO_RR = 0.65 * np.exp(-1j * 0.4289 * np.pi)
-DEFAULT_RHO_MT = 0.8 * np.exp(-1j * 0.5361 * np.pi)
+# Default correlation coefficients of the transmit side, the receive side
+# and the temporal noise factor, as (magnitude, phase in units of pi); the
+# configuration file gives them in this form.
+DEFAULT_RHO_POLAR = {
+    "rho_rt": (0.9, -0.8349),
+    "rho_rr": (0.65, -0.4289),
+    "rho_mt": (0.8, -0.5361),
+}
+DEFAULT_RHO_RT, DEFAULT_RHO_RR, DEFAULT_RHO_MT = (
+    mag * np.exp(1j * np.pi * phase) for mag, phase in DEFAULT_RHO_POLAR.values()
+)
 
 _HERM_TOL = 1e-10
 
@@ -117,28 +123,22 @@ def build_scenario(
     )
 
 
-def _commutation(m, n):
-    """Permutation K with K @ vec(A) = vec(A.T) for A of shape (m, n)."""
-    k = np.zeros((m * n, m * n))
-    for c in range(n):
-        for r in range(m):
-            k[r * n + c, c * m + r] = 1.0
-    return k
-
-
 def reciprocal_scenario(s):
     """Uplink scenario for a TDD-reciprocal channel.
 
     The uplink channel is the transpose of the downlink one, so its
     covariance is the downlink chan_cov conjugated by the vec-transpose
-    permutation (eigenvalues are preserved exactly).  The uplink noise
+    permutation K (eigenvalues are preserved exactly): entry ((r, t),
+    (r', t')) of K R K^T is entry ((t, r), (t', r')) of R, one axis swap
+    on each side of the 4-index view of R.  The uplink noise
     covariance is rebuilt from the scenario's exponential parameters at
     the swapped dimensions, and gamma defaults to b times the new
     transmit antenna count.  Applying this twice returns a scenario
     identical to the result of building the original with defaults.
     """
-    k = _commutation(s.n_r, s.n_t)
-    chan_ul = k @ s.chan_cov @ k.T
+    n = s.n_t * s.n_r
+    r4 = s.chan_cov.reshape(s.n_t, s.n_r, s.n_t, s.n_r)
+    chan_ul = r4.transpose(1, 0, 3, 2).reshape(n, n)
     m_t = exponential_covariance(s.b, s.rho_mt)
     m_r = exponential_covariance(s.n_t, s.rho_rr)
     return ChannelScenario(

@@ -7,6 +7,14 @@ constraint sets: per-column power balls, zero cross-correlation between
 the two pilots over a lag window, and the convexified low-autocorrelation
 ellipsoids on the downlink (sensing) pilot.
 
+Both pilots see one zero-correlation zone.  Its constraint vectors come
+from one cached stack of shift matrices (_cross_vectors), and one SVD rank
+rule turns them into an orthonormal nullspace basis C (_nullspace).  The
+uplink projection is the k = 0 case of the downlink one: C C^H t, then the
+shrink into the ball (_shrink_into_sets with no ellipsoids).  For k >= 1
+the downlink solves the ellipsoid QCQP in the coordinates of C instead.
+The restoration below works inside the same C.
+
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 a restoration step follows each inner
 cycle and holds every column of the sensing pilot to the 30 dB bound
@@ -31,6 +39,12 @@ from .estimation import mse_and_optimal_V
 from .tensorops import adjoint_embed, power_iteration_opnorm, shift_matrix
 
 _TINY = 1e-300
+
+# Power iteration for the MM step size: its relative tolerance, its
+# iteration cap, and the safety margin on the operator norm it returns.
+_OPNORM_TOL = 1e-6
+_OPNORM_MAX_ITER = 500
+_OPNORM_MARGIN = 1.1
 
 # Projected Newton on the dual of the sensing-pilot projection: the relative
 # KKT residual it stops at, its iteration cap (a few iterations are the norm),
@@ -102,54 +116,37 @@ class DesignConfig:
             raise ValueError("max_outer must be >= 1")
 
 
-def _cross_lags(cfg):
-    return range(1 if cfg.lags_from_one else 0, cfg.k + 1)
+@lru_cache(maxsize=None)
+def _lag_stack(b, k):
+    """J_0..J_k stacked as a (k+1, b, b) array (treat read-only)."""
+    return np.stack([shift_matrix(b, m) for m in range(k + 1)])
 
 
-def _cross_vectors(fixed, b, lags, transpose_shift, literal):
+def _shift_stack(b, k):
+    """J_1..J_k, the sidelobe lags, as a (k, b, b) view of _lag_stack."""
+    return _lag_stack(b, k)[1:]
+
+
+def _cross_vectors(fixed, cfg, transpose_shift):
     """Constraint vectors a with a^H x = 0 zeroing correlation against `fixed`.
 
     For the downlink step the vectors are J_m y_l; for the uplink step
-    J_m^T x_q.  Under the literal-transpose convention the constraint is
-    on x^T J y, i.e. the conjugated vectors.
+    J_m^T x_q; m runs over 0..k, or 1..k with lags_from_one, lag-major.
+    Under the literal-transpose convention the constraint is on x^T J y,
+    i.e. the conjugated vectors.
     """
     fixed = np.asarray(fixed, dtype=np.complex128)
-    cols = [np.zeros((b, 0), dtype=np.complex128)]
-    for i in lags:
-        j = shift_matrix(b, i)
-        cols.append((j.T if transpose_shift else j) @ fixed)
-    a = np.hstack(cols)
-    return a.conj() if literal else a
-
-
-def _null_basis(vectors):
-    """Orthonormal basis of span(vectors), rank-revealed at 1e-10 * smax."""
-    if vectors.shape[1] == 0:
-        return np.zeros((vectors.shape[0], 0), dtype=np.complex128)
-    u, sv, _ = np.linalg.svd(vectors, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((vectors.shape[0], 0), dtype=np.complex128)
-    rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
-    return u[:, :rank]
-
-
-@lru_cache(maxsize=None)
-def _shift_stack(b, k):
-    """J_1..J_k stacked as a (k, b, b) array (treat read-only)."""
-    return np.stack([shift_matrix(b, m) for m in range(1, k + 1)])
+    b = fixed.shape[0]
+    lags = _lag_stack(b, cfg.k)[1 if cfg.lags_from_one else 0 :]
+    a = (lags.transpose(0, 2, 1) if transpose_shift else lags) @ fixed
+    a = a.transpose(1, 0, 2).reshape(b, -1)
+    return a.conj() if cfg.literal_transpose else a
 
 
 def _column_power(t):
     return np.einsum("ij,ij->j", t.real, t.real) + np.einsum(
         "ij,ij->j", t.imag, t.imag
     )
-
-
-def _project_ball_cols(t, p):
-    """Shrink every column of t into the ball of squared radius p."""
-    n2 = _column_power(t)
-    scale = np.where(n2 > p, np.sqrt(p / np.maximum(n2, _TINY)), 1.0)
-    return t * scale
 
 
 def _autocorr(x, shifts, literal):
@@ -161,23 +158,39 @@ def _shrink_into_sets(x, shifts, p):
     """Scale each column of x down until the ball and the ellipsoids hold.
 
     The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(||x||^2 + Re x^H J_m x)
-    (J_m is real), so the ellipsoid m holds iff ||x||^2 + Re r_m <= p.
+    (J_m is real), so the ellipsoid m holds iff ||x||^2 + Re r_m <= p.  With
+    no shifts (k = 0) this is the shrink into the ball; the initial 0 of the
+    reduction is below ||x||^2 and leaves the maximum unchanged.
     """
     n2 = _column_power(x)
-    top = np.maximum(n2, (n2 + _autocorr(x, shifts, False).real).max(axis=0))
+    top = np.maximum(
+        n2, (n2 + _autocorr(x, shifts, False).real).max(axis=0, initial=0.0)
+    )
     return x * np.sqrt(np.where(top > p, p / np.maximum(top, _TINY), 1.0))
 
 
 def _nullspace(vectors, b):
-    """Orthonormal basis of span(vectors)^perp, at _null_basis's rank rule.
+    """Orthonormal basis C of span(vectors)^perp.
 
-    The trailing left singular vectors of one full SVD; the identity when
-    there are no vectors or all of them are zero.
+    The trailing left singular vectors of one full SVD, past the rank
+    counted at 1e-10 times the largest singular value; the identity when
+    there are no vectors or all of them are zero.  No columns means that
+    only the zero vector meets the constraints.
     """
     if vectors.shape[1] == 0 or not vectors.any():
         return np.eye(b, dtype=np.complex128)
     u, sv, _ = np.linalg.svd(vectors)
     return u[:, int(np.count_nonzero(sv > 1e-10 * sv[0])):]
+
+
+def _in_nullspace(null, t):
+    """C C^H t, the projection of t's columns onto span(C).
+
+    C = I (no constraint) returns t itself, so an unconstrained step keeps
+    its values and memory layout, and with them the summation order of
+    the BLAS calls that follow.
+    """
+    return t if null.shape[1] == null.shape[0] else null @ (null.conj().T @ t)
 
 
 def _ellipsoid_blocks(null, shifts):
@@ -302,86 +315,70 @@ def _resolve_p(cfg, p):
     return float(p)
 
 
-def x_step(x_target, y_fixed, cfg, p=None):
-    """Project each target column onto the downlink constraint set.
+def _project_zone(target, fixed, cfg, p, transpose_shift, k):
+    """Project each target column onto {||t||^2 <= p} ∩ {t^H (J_m^T + J_m +
+    2I) t <= 2p, m = 1..k} ∩ the nullspace of the cross vectors of `fixed`.
 
-    The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
-    columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}.
-    With k = 0 the projection onto the nullspace followed by the shrink
-    into the ball is exact.  With k >= 1 each column x = C c, C an
-    orthonormal nullspace basis, solves the small QCQP in c through its
+    The cross vectors give an orthonormal nullspace basis C.  With k = 0
+    the projection C C^H t followed by the shrink into the ball is exact.
+    With k >= 1 each column x = C c solves the small QCQP in c through its
     Lagrange dual (_dual_projection), and _shrink_into_sets then removes
     any rounding excess over the bounds; a RuntimeWarning reports the KKT
-    residual if the Newton cap was reached.  If the cross-correlation
-    vectors span the whole space only x = 0 is feasible; those columns are
-    zeroed under a DegenerateConstraintWarning.
+    residual if the Newton cap was reached.  If the cross vectors span the
+    whole space only t = 0 is feasible; the columns are then zeroed under
+    a DegenerateConstraintWarning.
     """
-    x_target = np.asarray(x_target, dtype=np.complex128)
-    y_fixed = np.asarray(y_fixed, dtype=np.complex128).reshape(x_target.shape[0], -1)
-    b = x_target.shape[0]
+    target = np.asarray(target, dtype=np.complex128)
+    b = target.shape[0]
+    fixed = np.asarray(fixed, dtype=np.complex128).reshape(b, -1)
     p = _resolve_p(cfg, p)
     if cfg.k >= b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
-    vecs = _cross_vectors(y_fixed, b, _cross_lags(cfg), False, cfg.literal_transpose)
-    if cfg.k:
-        null = _nullspace(vecs, b)
-        degenerate = null.shape[1] == 0
-    else:
-        basis = _null_basis(vecs)
-        degenerate = basis.shape[1] >= b
-    if degenerate:
+    null = _nullspace(_cross_vectors(fixed, cfg, transpose_shift), b)
+    if not null.shape[1]:
         warnings.warn(
             "cross-correlation constraints span the whole space; "
             "returning zero columns",
             DegenerateConstraintWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return np.zeros_like(x_target)
-    if not cfg.k:
-        if basis.shape[1]:
-            x_target = x_target - basis @ (basis.conj().T @ x_target)
-        return _project_ball_cols(x_target, p)
-    shifts = _shift_stack(b, cfg.k)
-    beta = np.full(cfg.k + 1, 2.0 * p)
+        return np.zeros_like(target)
+    shifts = _shift_stack(b, k)
+    if not k:
+        return _shrink_into_sets(_in_nullspace(null, target), shifts, p)
+    beta = np.full(k + 1, 2.0 * p)
     beta[0] = p
     c, _, res = _dual_projection(
-        (null.conj().T @ x_target).T, _ellipsoid_blocks(null, shifts), beta
+        (null.conj().T @ target).T, _ellipsoid_blocks(null, shifts), beta
     )
     if res.max() > _KKT_TOL:
         warnings.warn(
             f"sensing-pilot projection stopped after {_DUAL_NEWTON_MAX} Newton "
             f"iterations at relative KKT residual {res.max():.3g}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return _shrink_into_sets(null @ c.T, shifts, p)
+
+
+def x_step(x_target, y_fixed, cfg, p=None):
+    """Project each target column onto the downlink constraint set.
+
+    The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
+    columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}
+    (_project_zone).
+    """
+    return _project_zone(x_target, y_fixed, cfg, p, False, cfg.k)
 
 
 def y_step(y_target, x_fixed, cfg, p=None):
     """Project each target column onto the uplink constraint set (exact).
 
     The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
-    lags}; projecting onto the nullspace and then shrinking into the ball
-    is the true projection onto the intersection.
+    lags}: the k = 0 case of the downlink projection, with the transposed
+    shifts J_m^T x_q as cross vectors.
     """
-    y_target = np.asarray(y_target, dtype=np.complex128)
-    x_fixed = np.asarray(x_fixed, dtype=np.complex128).reshape(y_target.shape[0], -1)
-    b = y_target.shape[0]
-    p = _resolve_p(cfg, p)
-    if cfg.k >= b:
-        raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
-    vecs = _cross_vectors(x_fixed, b, _cross_lags(cfg), True, cfg.literal_transpose)
-    basis = _null_basis(vecs)
-    if basis.shape[1] >= b:
-        warnings.warn(
-            "cross-correlation constraints span the whole space; "
-            "returning zero columns",
-            DegenerateConstraintWarning,
-            stacklevel=2,
-        )
-        return np.zeros_like(y_target)
-    z = y_target - basis @ (basis.conj().T @ y_target)
-    return _project_ball_cols(z, p)
+    return _project_zone(y_target, x_fixed, cfg, p, True, 0)
 
 
 def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
@@ -456,7 +453,7 @@ def _mm_quadratic(v, s):
     return apply_t, g
 
 
-def build_sigma_target(v, p_current, s, opnorm_tol=1e-6, opnorm_max_iter=500):
+def build_sigma_target(v, p_current, s):
     """Majorize-minimize target for one pilot block at fixed auxiliary V.
 
     With lam >= opnorm(T), F(V, P) <= F(V, P0) + 2<P-P0, T(P0)+G> +
@@ -476,9 +473,9 @@ def build_sigma_target(v, p_current, s, opnorm_tol=1e-6, opnorm_max_iter=500):
         return p_current.copy()
     apply_t, g = _mm_quadratic(v, s)
     lam = power_iteration_opnorm(
-        apply_t, p_current.shape, tol=opnorm_tol, max_iter=opnorm_max_iter
+        apply_t, p_current.shape, tol=_OPNORM_TOL, max_iter=_OPNORM_MAX_ITER
     )
-    lam *= 1.1
+    lam *= _OPNORM_MARGIN
     if not np.isfinite(lam) or lam <= 0.0:
         return p_current.copy()
     return p_current - (apply_t(p_current) + g) / lam
@@ -516,10 +513,10 @@ def _sidelobes(x, shifts, literal):
     return r / np.where(s > 0.0, s, 1.0)
 
 
-def _restore_column(x, basis, shifts, literal):
+def _restore_column(x, null, shifts, literal):
     """Gauss-Newton into |r_m(x)| <= _RESTORE_LEVEL ||x||^2, m = 1..k.
 
-    Each step is the minimum-norm real step, inside span(basis)^perp, that
+    Each step is the minimum-norm real step, inside span(null), that
     sets the linearized magnitude |h_m| of every lag above the level to
     the level; |h_m| is scale-invariant, so a later power cap keeps it.
     Returns the column and its final max_m |h_m|.
@@ -543,30 +540,29 @@ def _restore_column(x, basis, shifts, literal):
         else:
             grad = ha * jtx[act] + ha.conj() * jx[act]
         grad = ((grad - 2.0 * ma**2 * x) / (ma * s)).T
-        if basis.shape[1]:
-            grad = grad - basis @ (basis.conj().T @ grad)
+        grad = _in_nullspace(null, grad)
         gram = np.real(grad.conj().T @ grad)
         coef = np.linalg.lstsq(gram, _RESTORE_LEVEL - ma[:, 0], rcond=None)[0]
         x = x + grad @ coef
     return x, float(np.abs(_sidelobes(x[:, None], shifts, literal)).max())
 
 
-def _restore_sidelobes(x, basis, p, cfg):
+def _restore_sidelobes(x, null, p, cfg):
     """Move every column of x inside the sidelobe bound, then cap its power.
 
-    Columns are first projected onto span(basis)^perp (the cross-correlation
-    nullspace), then restored by _restore_column, then scaled down until
-    the ball and the ellipsoids hold.  Scaling keeps both the nullspace and
+    Columns are first projected onto span(null), null the cross-correlation
+    nullspace basis C, then restored by _restore_column, then scaled down
+    until the ball and the ellipsoids hold.  Scaling keeps both the nullspace and
     the normalized sidelobes.  Returns the matrix and each column's
     max_m |r_m| / ||x||^2.
     """
     b = x.shape[0]
     shifts = _shift_stack(b, cfg.k)
-    x = x - basis @ (basis.conj().T @ x) if basis.shape[1] else x.copy()
+    x = np.array(_in_nullspace(null, x))  # a copy: columns change in place
     worst = np.abs(_sidelobes(x, shifts, cfg.literal_transpose)).max(axis=0)
     for q in np.flatnonzero(worst > _RESTORE_DONE):
         x[:, q], worst[q] = _restore_column(
-            x[:, q], basis, shifts, cfg.literal_transpose
+            x[:, q], null, shifts, cfg.literal_transpose
         )
     return _shrink_into_sets(x, shifts, p), worst
 
@@ -592,12 +588,8 @@ def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, score, mse_cur):
         return x_new, y_new, 1.0, None, None
     for t in [0.5**i for i in range(_RESTORE_MAX_HALVINGS + 1)]:
         y_t = y_cur + t * (y_new - y_cur)
-        vecs = _cross_vectors(
-            y_t, y_t.shape[0], _cross_lags(cfg), False, cfg.literal_transpose
-        )
-        x_r, worst = _restore_sidelobes(
-            x_cur + t * (x_new - x_cur), _null_basis(vecs), p_x, cfg
-        )
+        null = _nullspace(_cross_vectors(y_t, cfg, False), y_t.shape[0])
+        x_r, worst = _restore_sidelobes(x_cur + t * (x_new - x_cur), null, p_x, cfg)
         worst = float(worst.max())
         excess = np.inf
         if worst <= SIDELOBE_DELTA:
@@ -612,14 +604,11 @@ def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, score, mse_cur):
 def _pair_residuals(x, y, cfg):
     """Max power, max |cross-corr| over the lag set, max |autocorr| of x at
     lags 1..k, and the worst normalized sidelobe max |r_m(x_q)| / ||x_q||^2
-    (0 for k = 0)."""
+    (0 for k = 0).  The cross-correlation is |a^H x_q| over the constraint
+    vectors a = J_m y_l that the projections zero."""
     b = x.shape[0]
-    xc = x if cfg.literal_transpose else x.conj()
-    max_cross = 0.0
-    for i in _cross_lags(cfg):
-        c = xc.T @ shift_matrix(b, i) @ y
-        if c.size:
-            max_cross = max(max_cross, float(np.abs(c).max()))
+    a = _cross_vectors(y, cfg, False)
+    max_cross = float(np.abs(a.conj().T @ x).max(initial=0.0))
     max_auto = worst = 0.0
     if cfg.k and x.size:
         h = np.abs(_sidelobes(x, _shift_stack(b, cfg.k), cfg.literal_transpose))
@@ -630,6 +619,12 @@ def _pair_residuals(x, y, cfg):
         if mat.size:
             powers.append(float(np.real(np.sum(mat.conj() * mat, axis=0)).max()))
     return max(powers), max_cross, max_auto, worst
+
+
+def column_power_bound(cfg, s):
+    """Per-column power bound of the pilot for link s: cfg.p, or else the
+    link's energy budget spread over its columns, gamma / n_t."""
+    return cfg.p if cfg.p is not None else s.gamma / s.n_t
 
 
 def design_pilots(dl, ul, cfg):
@@ -652,8 +647,7 @@ def design_pilots(dl, ul, cfg):
         raise ValueError("link scenarios must share the training length")
     if cfg.k >= dl.b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {dl.b}")
-    p_x = cfg.p if cfg.p is not None else dl.gamma / dl.n_t
-    p_y = cfg.p if cfg.p is not None else ul.gamma / ul.n_t
+    p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
 
     def score(x, y):
         """Total MSE of a pair and each link's (mse, V*): one Gram
@@ -680,7 +674,7 @@ def design_pilots(dl, ul, cfg):
         )
         x = x_step(x_raw, np.zeros((dl.b, 0)), cfg, p=p_x)
         if cfg.k:
-            x, worst = _restore_sidelobes(x, np.zeros((dl.b, 0)), p_x, cfg)
+            x, worst = _restore_sidelobes(x, np.eye(dl.b), p_x, cfg)
             if worst.max() > SIDELOBE_DELTA:
                 q = int(np.argmax(worst))
                 raise DesignError(

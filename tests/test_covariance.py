@@ -128,6 +128,24 @@ class TestReciprocalScenario:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("n_t,n_r", [(2, 3), (4, 4), (8, 8), (1, 2), (3, 1)])
+    def test_channel_is_commutation_conjugate(self, n_t, n_r):
+        # K vec(H) = vec(H^T) for the n_r x n_t channel H, so the uplink
+        # covariance is K R K^T; R is a generic (not Kronecker) covariance
+        rng = np.random.default_rng(n_t * 10 + n_r)
+        n = n_t * n_r
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        r = a @ a.conj().T
+        s = ChannelScenario(
+            n_t=n_t, n_r=n_r, b=2, chan_cov=r, noise_cov=np.eye(2 * n_r),
+            gamma=1.0,
+        )
+        k = np.zeros((n, n))
+        for c in range(n_t):
+            for row in range(n_r):
+                k[row * n_t + c, c * n_r + row] = 1.0
+        npt.assert_array_equal(reciprocal_scenario(s).chan_cov, k @ r @ k.T)
+
     @pytest.mark.parametrize("n_t,n_r,b", [(2, 3, 4), (1, 2, 3), (4, 4, 8)])
     def test_involution_recovers_original(self, n_t, n_r, b):
         s = build_scenario(n_t, n_r, b)
