@@ -45,13 +45,22 @@ EXIT_IO = 4
 EXIT_DESIGN = 5
 
 
+def _seed_override(args):
+    """The --seed option, or None when it is not given."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _apply_design_overrides(rc, args):
     import dataclasses
 
     design = rc.design
     updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
+    seed = _seed_override(args)
+    if seed is not None:
+        updates["seed"] = seed
     if getattr(args, "lags_from_one", False):
         updates["lags_from_one"] = True
     if getattr(args, "literal_transpose", False):
@@ -223,7 +232,9 @@ def _cmd_validate(args):
     trials = args.trials if args.trials is not None else 10000
     if trials < 2:
         raise ConfigError(f"--trials must be >= 2, got {trials}")
-    seed = args.seed if args.seed is not None else rc.design.seed
+    seed = _seed_override(args)
+    if seed is None:
+        seed = rc.design.seed
 
     rng = np.random.default_rng(seed)
     pilot = rng.standard_normal((dl.b, dl.n_t)) + 1j * rng.standard_normal(

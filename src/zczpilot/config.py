@@ -133,6 +133,9 @@ def parse_config(text, sha256=""):
         missing = [k for k, v in (("n_t", n_t), ("n_r", n_r), ("b", b)) if v is None]
         if missing:
             raise ConfigError(f"[scenario] missing required key(s): {', '.join(missing)}")
+        for key, value in (("n_t", n_t), ("n_r", n_r), ("b", b)):
+            if value < 1:
+                raise ConfigError(f"[scenario] {key}: must be positive, got {value}")
 
     rhos = {}
     for name, (mag_default, phase_default) in DEFAULT_RHO_POLAR.items():

@@ -5,6 +5,7 @@ Spatial and temporal correlation both follow the exponential model: entry
 the diagonal.  A link scenario combines transmit/receive spatial factors
 with a temporal noise factor through Kronecker products, normalized to unit
 trace so that the training energy budget gamma is the only scale knob.
+kronecker_factors recovers the two channel factors from a covariance.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,9 @@ DEFAULT_RHO_RT, DEFAULT_RHO_RR, DEFAULT_RHO_MT = (
 )
 
 _HERM_TOL = 1e-10
+# Largest entry of R - (R_tx (x) R_rx) / tau, relative to R's largest, that
+# still counts as a Kronecker product.
+_KRON_TOL = 1e-10
 
 
 def exponential_covariance(n, rho):
@@ -152,3 +156,24 @@ def reciprocal_scenario(s):
         rho_rr=s.rho_rr,
         rho_mt=s.rho_mt,
     )
+
+
+def kronecker_factors(s):
+    """Factors (R_tx, R_rx, tau) with chan_cov = (R_tx (x) R_rx) / tau.
+
+    R_tx (n_t x n_t) and R_rx (n_r x n_r) are the partial traces of
+    R = chan_cov over the receive and the transmit index, and tau = tr R.
+    They hold for every Kronecker R, whatever its scaling, and the
+    uplink R of reciprocal_scenario gives the swapped pair.  Raises
+    ValueError when R is not a Kronecker product.
+    """
+    r4 = s.chan_cov.reshape(s.n_t, s.n_r, s.n_t, s.n_r)
+    r_tx = np.einsum("isjs->ij", r4)
+    r_rx = np.einsum("titj->ij", r4)
+    tau = float(np.trace(r_tx).real)
+    if tau <= 0.0:
+        raise ValueError("chan_cov has no positive trace")
+    dev = np.abs(r4 - r_tx[:, None, :, None] * r_rx[None, :, None, :] / tau).max()
+    if dev > _KRON_TOL * np.abs(r4).max():
+        raise ValueError(f"chan_cov is not a Kronecker product (deviation {dev:.3e})")
+    return r_tx, r_rx, tau

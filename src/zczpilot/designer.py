@@ -7,6 +7,12 @@ constraint sets: per-column power balls, zero cross-correlation between
 the two pilots over a lag window, and the convexified low-autocorrelation
 ellipsoids on the downlink (sensing) pilot.
 
+The channel covariance of either link is a Kronecker product
+R = (R_tx (x) R_rx) / tau (covariance.kronecker_factors), so the
+curvature of the MM quadratic is T(P) = K P A with A = R_tx / tau and a
+b x b PSD matrix K taken from V2, and the step size is the exact norm
+lam_max(K) lam_max(A) of T, with a 10% margin.
+
 Both pilots see one zero-correlation zone.  Its constraint vectors come
 from one cached stack of shift matrices (_cross_vectors), and one SVD rank
 rule turns them into an orthonormal nullspace basis C (_nullspace).  The
@@ -21,11 +27,11 @@ cycle and holds every column of the sensing pilot to the 30 dB bound
 |r_m(x_q)| <= 10^(-1.5) ||x_q||^2, m = 1..k: Gauss-Newton minimum-norm
 steps inside the cross-correlation nullspace of Y, a power cap, and a
 re-projection of Y.  The restored pair is accepted only if it does not
-raise the total MSE, halving the step toward the current pair otherwise,
-so every iterate stays feasible (as in the constraint-handling MM of Sun,
-Babu & Palomar, IEEE TSP 2017).  The total estimation MSE of the two
-links is therefore non-increasing across outer iterations once the
-iterate is feasible, which the (restored) initialization guarantees.
+raise the total MSE, and the run stops unconverged otherwise, so every
+iterate stays feasible (as in the constraint-handling MM of Sun, Babu &
+Palomar, IEEE TSP 2017).  The total estimation MSE of the two links is
+therefore non-increasing across outer iterations once the iterate is
+feasible, which the (restored) initialization guarantees.
 """
 
 import time
@@ -35,15 +41,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .covariance import kronecker_factors
 from .estimation import mse_and_optimal_V
-from .tensorops import adjoint_embed, power_iteration_opnorm, shift_matrix
+from .tensorops import adjoint_embed, shift_matrix
 
 _TINY = 1e-300
 
-# Power iteration for the MM step size: its relative tolerance, its
-# iteration cap, and the safety margin on the operator norm it returns.
-_OPNORM_TOL = 1e-6
-_OPNORM_MAX_ITER = 500
+# Safety margin of the MM step size over the operator norm of the curvature.
 _OPNORM_MARGIN = 1.1
 
 # Projected Newton on the dual of the sensing-pilot projection: the relative
@@ -69,7 +73,6 @@ SIDELOBE_DELTA = 10.0 ** (-SIDELOBE_BOUND_DB / 20.0)
 _RESTORE_LEVEL = 0.99 * SIDELOBE_DELTA
 _RESTORE_DONE = _RESTORE_LEVEL * (1.0 + 1e-9)
 _RESTORE_MAX_STEPS = 50
-_RESTORE_MAX_HALVINGS = 20
 
 
 class DegenerateConstraintWarning(UserWarning):
@@ -114,6 +117,8 @@ class DesignConfig:
             raise ValueError("mu must be >= 0")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @lru_cache(maxsize=None)
@@ -416,23 +421,21 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     return x, y, g
 
 
-def _curvature_matrix(v2, s):
-    """The curvature operator T(P) = adj(W2 L(P) R), W2 = V2 V2^H, as a
-    contiguous (b n_t) x (b n_t) Hermitian matrix acting on P.ravel().
+def _mm_model(v, s):
+    """(K, A, G) with the curvature T(P) = K P A and the linear term G of
+    _mm_quadratic.
 
-    T[(i,j),(k,l)] = sum_{r,s} W2[(i,r),(k,s)] R[(l,s),(j,r)] is one GEMM
-    of W2 regrouped as (i,k) x (r,s) against R regrouped as (r,s) x (l,j),
-    then one layout copy.  Each operand is released as soon as the next
-    one exists, so at most two dense copies are alive at once.
+    With W2 = V2 V2^H and R = (R_tx (x) R_rx) / tau, T(P) = adj(W2 L(P) R)
+    has entries sum_{k,l} K[i,k] P[k,l] A[l,j] with A = R_tx / tau and
+    K[i,k] = sum_{r,s} W2[(i,r),(k,s)] R_rx[s,r]: one GEMM of V2, regrouped
+    as b x (n_r n), against the same regrouping of R_rx V2, so that W2 is
+    never formed.
     """
-    n_r, b, n_t = s.n_r, s.b, s.n_t
-    w2 = v2 @ v2.conj().T
-    lhs = w2.reshape(b, n_r, b, n_r).transpose(0, 2, 1, 3).reshape(b * b, n_r * n_r)
-    del w2
-    rhs = s.chan_cov.reshape(n_t, n_r, n_t, n_r).transpose(3, 1, 0, 2)
-    prod = lhs @ rhs.reshape(n_r * n_r, n_t * n_t)
-    del lhs
-    return prod.reshape(b, b, n_t, n_t).transpose(0, 3, 1, 2).reshape(b * n_t, b * n_t)
+    r_tx, r_rx, tau = kronecker_factors(s)
+    v2 = v.v2.reshape(s.b, s.n_r, -1)
+    k = v2.reshape(s.b, -1) @ (r_rx @ v2).reshape(s.b, -1).conj().T
+    g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
+    return k, r_tx / tau, g
 
 
 def _mm_quadratic(v, s):
@@ -441,15 +444,14 @@ def _mm_quadratic(v, s):
     F(V, P) = <L(P), W2 L(P) R> + 2 Re <L(P), V2 V1^H R> + const with
     L the pilot embedding and W2 = V2 V2^H, so the (self-adjoint, PSD)
     curvature operator is T(P) = adj(W2 L(P) R) and the linear term is
-    G = adj(V2 V1^H R).  Returns (apply_t, g); apply_t is one matvec on
-    the dense curvature matrix.
+    G = adj(V2 V1^H R).  Returns (apply_t, g); apply_t is the two-sided
+    product K P A of _mm_model.
     """
-    t_mat = _curvature_matrix(v.v2, s)
+    k, a, g = _mm_model(v, s)
 
     def apply_t(q):
-        return (t_mat @ q.reshape(-1)).reshape(q.shape)
+        return k @ q @ a
 
-    g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
     return apply_t, g
 
 
@@ -458,8 +460,11 @@ def build_sigma_target(v, p_current, s):
 
     With lam >= opnorm(T), F(V, P) <= F(V, P0) + 2<P-P0, T(P0)+G> +
     lam ||P-P0||^2, whose constrained minimizer is the projection of
-    P_sigma = P0 - (T(P0)+G)/lam.  lam comes from power iteration with a
-    10% safety margin.  A zero V2 makes F constant in P and returns P0.
+    P_sigma = P0 - (T(P0)+G)/lam.  T(P) = K P A is a Kronecker operator
+    with PSD factors, so its norm is exactly lam_max(K) lam_max(A); lam
+    adds a 10% safety margin.  A zero V2
+    makes F constant in P and returns P0.  Raises ValueError when the
+    channel covariance is not a Kronecker product.
     """
     p_current = np.asarray(p_current, dtype=np.complex128)
     if p_current.shape != (s.b, s.n_t):
@@ -471,14 +476,11 @@ def build_sigma_target(v, p_current, s):
         raise ValueError("auxiliary variable does not conform with the scenario")
     if not np.any(v.v2):
         return p_current.copy()
-    apply_t, g = _mm_quadratic(v, s)
-    lam = power_iteration_opnorm(
-        apply_t, p_current.shape, tol=_OPNORM_TOL, max_iter=_OPNORM_MAX_ITER
-    )
-    lam *= _OPNORM_MARGIN
+    k, a, g = _mm_model(v, s)
+    lam = _OPNORM_MARGIN * np.linalg.eigvalsh(k)[-1] * np.linalg.eigvalsh(a)[-1]
     if not np.isfinite(lam) or lam <= 0.0:
         return p_current.copy()
-    return p_current - (apply_t(p_current) + g) / lam
+    return p_current - (k @ p_current @ a + g) / lam
 
 
 @dataclass(frozen=True)
@@ -567,38 +569,33 @@ def _restore_sidelobes(x, null, p, cfg):
     return _shrink_into_sets(x, shifts, p), worst
 
 
-def _restored_pair(cur, new, y_sigma, cfg, p_x, p_y, score, mse_cur):
-    """Restoration step after an inner cycle; returns (x, y, t, scored, None)
-    with t the accepted step fraction, or (None, None, 0.0, None, (sidelobe
-    residual, MSE excess)) when no step is accepted.  score(x, y) returns
-    (total MSE, per-link data); scored is its value at the accepted pair,
-    or None when the new pair already met the bound and was not scored.
+def _restored_pair(new, y_sigma, cfg, p_x, p_y, score, mse_cur):
+    """Restoration step after an inner cycle; returns (x, y, scored, None),
+    or (None, None, None, (sidelobe residual, MSE excess)) when the
+    restored pair is rejected.  score(x, y) returns (total MSE, per-link
+    data); scored is its value at the accepted pair, or None when the new
+    pair already met the bound and was not scored.
 
     The new X is restored inside the cross-correlation nullspace of the new
     Y and Y is re-projected toward y_sigma with y_step.  The pair is
     accepted only if its total MSE is no larger than mse_cur, the MSE of
-    the current pair, which keeps the trace monotone.  Otherwise both
-    blocks step halfway back toward the current pair and the restoration
-    runs again, at most _RESTORE_MAX_HALVINGS times; the current pair
-    itself is never a trial, so a rejection is always reported as one.
+    the current pair, which keeps the trace monotone.
     """
-    (x_cur, y_cur), (x_new, y_new) = cur, new
+    x_new, y_new = new
     shifts = _shift_stack(x_new.shape[0], cfg.k)
     if np.abs(_sidelobes(x_new, shifts, cfg.literal_transpose)).max() <= _RESTORE_DONE:
-        return x_new, y_new, 1.0, None, None
-    for t in [0.5**i for i in range(_RESTORE_MAX_HALVINGS + 1)]:
-        y_t = y_cur + t * (y_new - y_cur)
-        null = _nullspace(_cross_vectors(y_t, cfg, False), y_t.shape[0])
-        x_r, worst = _restore_sidelobes(x_cur + t * (x_new - x_cur), null, p_x, cfg)
-        worst = float(worst.max())
-        excess = np.inf
-        if worst <= SIDELOBE_DELTA:
-            y_r = y_step(y_sigma, x_r, cfg, p=p_y)
-            scored = score(x_r, y_r)
-            excess = scored[0] - mse_cur
-            if excess <= 0.0:
-                return x_r, y_r, t, scored, None
-    return None, None, 0.0, None, (worst, excess)
+        return x_new, y_new, None, None
+    null = _nullspace(_cross_vectors(y_new, cfg, False), y_new.shape[0])
+    x_r, worst = _restore_sidelobes(x_new, null, p_x, cfg)
+    worst = float(worst.max())
+    if worst > SIDELOBE_DELTA:
+        return None, None, None, (worst, np.inf)
+    y_r = y_step(y_sigma, x_r, cfg, p=p_y)
+    scored = score(x_r, y_r)
+    excess = scored[0] - mse_cur
+    if excess <= 0.0:
+        return x_r, y_r, scored, None
+    return None, None, None, (worst, excess)
 
 
 def _pair_residuals(x, y, cfg):
@@ -637,8 +634,8 @@ def design_pilots(dl, ul, cfg):
     the ellipsoids and the cross-correlation zone; the seeded start is
     restored into that bound too (DesignError naming the column if it
     cannot be).  k = 0 has no sidelobe bound and no restoration step.
-    Stops when a full (unhalved) step moves the total MSE by less than
-    eta, or flags non-convergence at max_outer and returns the best pair
+    Stops when an outer iteration moves the total MSE by less than eta,
+    or flags non-convergence at max_outer and returns the best pair
     seen.  A rejected restoration is recorded in the warnings with its
     outer iteration and residual and ends the run unconverged, since the
     next iteration would repeat it exactly.
@@ -701,18 +698,17 @@ def design_pilots(dl, ul, cfg):
             x_new, y_new, _ = inner_cycle(
                 x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y
             )
-            step, scored = 1.0, None
+            scored = None
             if cfg.k:
-                x_new, y_new, step, scored, rejected = _restored_pair(
-                    (x, y), (x_new, y_new), y_sigma, cfg, p_x, p_y, score, mse
+                x_new, y_new, scored, rejected = _restored_pair(
+                    (x_new, y_new), y_sigma, cfg, p_x, p_y, score, mse
                 )
                 if rejected is not None:
                     # The next iteration would repeat this one exactly, so
                     # stop unconverged at the last accepted pair.
                     warnings.warn(
                         f"outer iteration {it}: sidelobe restoration rejected "
-                        f"after {_RESTORE_MAX_HALVINGS} halvings (sidelobe "
-                        f"residual {rejected[0]:.3g}, bound "
+                        f"(sidelobe residual {rejected[0]:.3g}, bound "
                         f"{SIDELOBE_DELTA:.3g}; MSE excess {rejected[1]:.3g})",
                         RuntimeWarning,
                         stacklevel=2,
@@ -730,9 +726,7 @@ def design_pilots(dl, ul, cfg):
             trace.outer_iterations += 1
             if mse < best[0]:
                 best = (mse, x, y)
-            # A halved step moves the MSE by a fraction of a full one, so
-            # only a full step's progress is measured against eta.
-            if abs(prev - mse) < cfg.eta and step == 1.0:
+            if abs(prev - mse) < cfg.eta:
                 trace.converged = True
                 break
 

@@ -5,10 +5,9 @@ All routines work on complex128 ndarrays.  A pilot matrix is B x n
 lifts it by a Kronecker identity block, and the adjoint of that lift is
 the block partial trace.  Both directions are needed by every gradient
 computation downstream, so they live here together with the shift
-matrices that express correlation lags and two small iterative solvers.
+matrices that express correlation lags and a Cholesky solve for
+Hermitian systems.
 """
-
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -100,54 +99,6 @@ def shift_matrix(b, i):
     if abs(i) >= b:
         raise ValueError(f"lag {i} out of range for size {b}")
     return np.eye(b, k=i)
-
-
-def power_iteration_opnorm(apply_op, shape, tol=1e-8, max_iter=1000):
-    """Largest eigenvalue of a self-adjoint PSD operator given by its action.
-
-    Parameters
-    ----------
-    apply_op : callable
-        Maps an ndarray of the given shape to another of the same shape.
-        Must be linear, self-adjoint and positive semidefinite with
-        respect to the trace inner product.
-    shape : tuple of int
-        Shape of the operator's domain elements.
-    tol : float
-        Relative residual ||T v - lam v|| / lam at which to stop.
-    max_iter : int
-        Iteration cap; on hitting it a warning is issued and the best
-        estimate returned.
-
-    Returns
-    -------
-    float
-        Estimated operator norm (top eigenvalue).
-    """
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("degenerate start vector")
-    v = v / nv
-    lam = 0.0
-    for _ in range(max_iter):
-        w = apply_op(v)
-        lam = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw <= 1e-300:
-            return 0.0
-        res = np.linalg.norm(w - lam * v)
-        if res <= tol * max(abs(lam), 1e-300):
-            return lam
-        v = w / nw
-    warnings.warn(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations; "
-        f"returning best estimate {lam:.6e}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return lam
 
 
 def hermitian_solve(a, rhs):

@@ -295,6 +295,37 @@ class TestMonteCarlo:
 SIMULATED = re.compile(r"simulated (\d+) trials in \S+ s \(\S+ trials/s\)")
 
 
+class TestInputRejection:
+    """Bad values from the config file or the command line exit with
+    EXIT_CONFIG and one error line, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "where, edits",
+        [("[scenario] n_t", {"n_t = 1": "n_t = 0"}),
+         ("[scenario] n_r", {"n_r = 1": "n_r = -1"}),
+         ("[scenario] b", {"b = 4": "b = 0", "k = 1": "k = 0"}),
+         ("[design] seed", {"seed = 0": "seed = -3"})],
+        ids=["n_t", "n_r", "b", "seed"],
+    )
+    def test_bad_config_value(self, tmp_path, capsys, where, edits):
+        text = SMALL
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        rc = main(["validate", "--config", str(path), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["design", "montecarlo", "validate"])
+    def test_negative_seed_option(self, small_config, tmp_path, capsys, command):
+        rc = main([command, "--config", str(small_config), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err == "error: --seed must be >= 0, got -1\n"
+
+
 class TestValidate:
     def test_passes_on_reference_statistics(self, small_config, capsys):
         rc = main(["validate", "--config", str(small_config),

@@ -112,6 +112,18 @@ class TestRejection:
         with pytest.raises(ConfigError, match="rho_rt_mag"):
             parse_config(MINIMAL + "rho_rt_mag = 1.0\n")
 
+    @pytest.mark.parametrize("key", ["n_t", "n_r", "b"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_dimensions_positive(self, key, value):
+        dims = {"n_t": 2, "n_r": 2, "b": 8, key: value}
+        text = "[scenario]\n" + "".join(f"{k} = {v}\n" for k, v in dims.items())
+        with pytest.raises(ConfigError, match=rf"\[scenario\] {key}: must be positive"):
+            parse_config(text)
+
+    def test_seed_nonnegative(self):
+        with pytest.raises(ConfigError, match=r"\[design\] seed"):
+            parse_config(MINIMAL + "[design]\nseed = -1\n")
+
     def test_gamma_positive(self):
         with pytest.raises(ConfigError, match="gamma"):
             parse_config(MINIMAL + "gamma = -3\n")

@@ -11,6 +11,7 @@ from zczpilot.covariance import (
     ChannelScenario,
     build_scenario,
     exponential_covariance,
+    kronecker_factors,
     reciprocal_scenario,
 )
 
@@ -102,6 +103,30 @@ class TestBuildScenario:
                 n_t=2, n_r=2, b=3, chan_cov=np.eye(4) / 4.0,
                 noise_cov=np.eye(4) / 4.0, gamma=6.0,
             )
+
+
+class TestKroneckerFactors:
+    @pytest.mark.parametrize("n_t,n_r", [(2, 3), (3, 1), (4, 4)])
+    def test_factors_rebuild_both_links(self, n_t, n_r):
+        s = build_scenario(n_t, n_r, 4, rho_rt=0.6 + 0.3j, rho_rr=-0.3 + 0.5j)
+        a, b, tau = kronecker_factors(s)
+        assert a.shape == (n_t, n_t) and b.shape == (n_r, n_r)
+        assert tau == pytest.approx(1.0)
+        npt.assert_allclose(np.kron(a, b) / tau, s.chan_cov, rtol=0, atol=1e-15)
+        a_ul, b_ul, tau_ul = kronecker_factors(reciprocal_scenario(s))
+        npt.assert_allclose(a_ul, b, rtol=0, atol=1e-15)
+        npt.assert_allclose(b_ul, a, rtol=0, atol=1e-15)
+        assert tau_ul == pytest.approx(tau, rel=1e-15)
+
+    def test_generic_covariance_rejected(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        s = ChannelScenario(
+            n_t=2, n_r=3, b=2, chan_cov=a @ a.conj().T, noise_cov=np.eye(6),
+            gamma=1.0,
+        )
+        with pytest.raises(ValueError, match="not a Kronecker product"):
+            kronecker_factors(s)
 
 
 class TestReciprocalScenario:

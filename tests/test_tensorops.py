@@ -1,4 +1,4 @@
-"""Kernel linear-algebra helpers: Kronecker embedding, shifts, power iteration."""
+"""Kernel linear-algebra helpers: Kronecker embedding, shifts, Hermitian solve."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +8,6 @@ from zczpilot.tensorops import (
     adjoint_embed,
     embed_pilot,
     hermitian_solve,
-    power_iteration_opnorm,
     shift_matrix,
 )
 
@@ -80,47 +79,6 @@ class TestShiftMatrix:
     def test_out_of_range_lag_rejected(self, i):
         with pytest.raises(ValueError):
             shift_matrix(3, i)
-
-
-class TestPowerIteration:
-    def test_identity_operator(self):
-        lam = power_iteration_opnorm(lambda v: v, (3, 2))
-        assert lam == pytest.approx(1.0, rel=1e-8)
-
-    def test_known_diagonal_spectrum(self):
-        d = np.array([1.0, 3.0, 2.0])
-        lam = power_iteration_opnorm(lambda v: d[:, None] * v, (3, 1))
-        assert lam == pytest.approx(3.0, rel=1e-8)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_dense_eigensolver(self, seed):
-        rng = np.random.default_rng(seed)
-        a = crandn(rng, 6, 6)
-        psd = a @ a.conj().T
-        lam = power_iteration_opnorm(lambda v: psd @ v, (6, 1), tol=1e-10)
-        expected = np.linalg.eigvalsh(psd)[-1]
-        assert lam == pytest.approx(expected, rel=1e-8)
-
-    def test_dense_psd_agreement_at_default_tol(self):
-        rng = np.random.default_rng(11)
-        a = crandn(rng, 8, 8)
-        psd = a @ a.conj().T
-        lam = power_iteration_opnorm(lambda v: psd @ v, (8, 1), tol=1e-6)
-        assert lam == pytest.approx(np.linalg.eigvalsh(psd)[-1], rel=1e-6)
-
-    def test_zero_operator(self):
-        lam = power_iteration_opnorm(lambda v: np.zeros_like(v), (4, 2))
-        assert lam == 0.0
-
-    def test_non_convergence_reports_best_estimate(self):
-        rng = np.random.default_rng(12)
-        a = crandn(rng, 12, 12)
-        psd = a @ a.conj().T
-        with pytest.warns(RuntimeWarning):
-            lam = power_iteration_opnorm(
-                lambda v: psd @ v, (12, 1), tol=1e-15, max_iter=2
-            )
-        assert lam > 0.0
 
 
 class TestHermitianSolve:
