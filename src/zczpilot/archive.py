@@ -10,6 +10,7 @@ for comparisons.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -123,6 +124,8 @@ def _matrix(payload, re_field, im_field, rows, cols):
                 )
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
                 raise ArchiveError(f"field {name!r}: row {i} has a non-numeric entry")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+                raise ArchiveError(f"field {name!r}: row {i} has a non-finite entry")
     return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 
 

@@ -9,7 +9,8 @@ commands never start work on a bad configuration.
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,10 +35,7 @@ _SCENARIO_KEYS = {
     "rho_mt_phase_pi": "temporal noise correlation phase, units of pi",
     "gamma": "training energy budget (default b*n_t)",
 }
-_DESIGN_KEYS = {
-    "k", "p", "epsilon", "eta", "mu", "max_outer", "inner_tol", "seed",
-    "lags_from_one", "literal_transpose",
-}
+_DESIGN_KEYS = {f.name for f in fields(DesignConfig)}
 _TIMING_KEYS = {
     "d_user_m", "d_object_m", "symbol_time_s", "processing_symbols",
     "propagation_mps", "modulation_symbols",
@@ -90,25 +88,21 @@ def _parse(cp, section, key, conv, kind, default):
     if raw == "":
         return default
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {kind}, got {raw!r}"
         ) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_bool(cp, section, key, default):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key).strip()
-    if raw == "":
-        return default
+def _boolean(raw):
     try:
-        return cp.getboolean(section, key)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected boolean, got {raw!r}"
-        ) from None
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def parse_config(text, sha256=""):
@@ -126,9 +120,9 @@ def parse_config(text, sha256=""):
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
 
-    n_t = _parse(cp, "scenario", "n_t", int, "integer", None)
-    n_r = _parse(cp, "scenario", "n_r", int, "integer", None)
-    b = _parse(cp, "scenario", "b", int, "integer", None)
+    n_t, n_r, b = (
+        _parse(cp, "scenario", key, int, "integer", None) for key in ("n_t", "n_r", "b")
+    )
     if cp.has_section("scenario"):
         missing = [k for k, v in (("n_t", n_t), ("n_r", n_r), ("b", b)) if v is None]
         if missing:
@@ -150,19 +144,18 @@ def parse_config(text, sha256=""):
     if gamma is not None and gamma <= 0:
         raise ConfigError(f"[scenario] gamma: must be positive, got {gamma}")
 
-    try:
-        design = DesignConfig(
-            k=_parse(cp, "design", "k", int, "integer", 4),
-            p=_parse(cp, "design", "p", float, "number", None),
-            epsilon=_parse(cp, "design", "epsilon", float, "number", 1e-5),
-            eta=_parse(cp, "design", "eta", float, "number", 1e-5),
-            mu=_parse(cp, "design", "mu", int, "integer", 50),
-            max_outer=_parse(cp, "design", "max_outer", int, "integer", 200),
-            inner_tol=_parse(cp, "design", "inner_tol", float, "number", 1e-8),
-            seed=_parse(cp, "design", "seed", int, "integer", 0),
-            lags_from_one=_parse_bool(cp, "design", "lags_from_one", False),
-            literal_transpose=_parse_bool(cp, "design", "literal_transpose", False),
+    # DesignConfig holds the defaults; each field's type picks its parser
+    # (p, the one optional field, is a float).
+    defaults = DesignConfig()
+    design = {}
+    for f in fields(DesignConfig):
+        conv, kind = {bool: (_boolean, "boolean"), int: (int, "integer")}.get(
+            f.type, (float, "number")
         )
+        default = getattr(defaults, f.name)
+        design[f.name] = _parse(cp, "design", f.name, conv, kind, default)
+    try:
+        design = DesignConfig(**design)
     except ValueError as err:
         raise ConfigError(f"[design] {err}") from None
     if b is not None and design.k >= b:

@@ -8,7 +8,7 @@ trace so that the training energy budget gamma is the only scale knob.
 kronecker_factors recovers the two channel factors from a covariance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,13 @@ class ChannelScenario:
     chan_cov is the n_t*n_r covariance of the vectorized channel and
     noise_cov the b*n_r covariance of the vectorized training noise.
     Scenarios produced by :func:`build_scenario` have unit trace on both;
-    directly constructed instances only need Hermitian PSD matrices of
-    consistent shape.  gamma is the training energy budget ||P||_F^2.
+    directly constructed instances need Hermitian PSD matrices of
+    consistent shape.  Construction checks shapes, finite entries,
+    Hermitian symmetry and a non-negative diagonal, not the full PSD
+    property (an eigendecomposition of a large noise covariance would
+    dominate set-up).  gamma is the training energy budget ||P||_F^2.  The
+    rho_* fields are the exponential coefficients of a built scenario
+    (None unless given); reciprocal_scenario needs rho_rr and rho_mt.
     """
 
     n_t: int
@@ -65,15 +70,15 @@ class ChannelScenario:
     chan_cov: np.ndarray
     noise_cov: np.ndarray
     gamma: float
-    rho_rt: complex = field(default=DEFAULT_RHO_RT)
-    rho_rr: complex = field(default=DEFAULT_RHO_RR)
-    rho_mt: complex = field(default=DEFAULT_RHO_MT)
+    rho_rt: complex | None = None
+    rho_rr: complex | None = None
+    rho_mt: complex | None = None
 
     def __post_init__(self):
         if min(self.n_t, self.n_r, self.b) < 1:
             raise ValueError("dimensions must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         n = self.n_t * self.n_r
         m = self.b * self.n_r
         if self.chan_cov.shape != (n, n):
@@ -85,9 +90,13 @@ class ChannelScenario:
                 f"noise_cov shape {self.noise_cov.shape}, expected {(m, m)}"
             )
         for name, c in (("chan_cov", self.chan_cov), ("noise_cov", self.noise_cov)):
+            if not np.isfinite(c).all():
+                raise ValueError(f"{name} has a non-finite entry")
             dev = np.abs(c - c.conj().T).max()
             if dev > _HERM_TOL * max(1.0, np.abs(c).max()):
                 raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
+            if np.diagonal(c).real.min() < 0.0:
+                raise ValueError(f"{name} has a negative diagonal entry")
 
 
 def _unit_trace(c):
@@ -139,7 +148,12 @@ def reciprocal_scenario(s):
     the swapped dimensions, and gamma defaults to b times the new
     transmit antenna count.  Applying this twice returns a scenario
     identical to the result of building the original with defaults.
+    Raises ValueError when the scenario has no rho_rr or rho_mt (a
+    directly built one that was not given them).
     """
+    for name in ("rho_rr", "rho_mt"):
+        if getattr(s, name) is None:
+            raise ValueError(f"the uplink noise needs the scenario's {name}")
     n = s.n_t * s.n_r
     r4 = s.chan_cov.reshape(s.n_t, s.n_r, s.n_t, s.n_r)
     chan_ul = r4.transpose(1, 0, 3, 2).reshape(n, n)

@@ -25,7 +25,8 @@ The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 a restoration step follows each inner
 cycle and holds every column of the sensing pilot to the 30 dB bound
 |r_m(x_q)| <= 10^(-1.5) ||x_q||^2, m = 1..k: Gauss-Newton minimum-norm
-steps inside the cross-correlation nullspace of Y, a power cap, and a
+steps inside the cross-correlation nullspace of Y, taken by all violating
+columns together (one batched solve per step), a power cap, and a
 re-projection of Y.  The restored pair is accepted only if it does not
 raise the total MSE, and the run stops unconverged otherwise, so every
 iterate stays feasible (as in the constraint-handling MM of Sun, Babu &
@@ -109,10 +110,10 @@ class DesignConfig:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.p is not None and self.p <= 0:
-            raise ValueError("p must be positive")
-        if self.epsilon <= 0 or self.eta <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.p is not None and not 0 < self.p < np.inf:
+            raise ValueError("p must be positive and finite")
+        if not all(0 < t < np.inf for t in (self.epsilon, self.eta, self.inner_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.mu < 0:
             raise ValueError("mu must be >= 0")
         if self.max_outer < 1:
@@ -515,57 +516,46 @@ def _sidelobes(x, shifts, literal):
     return r / np.where(s > 0.0, s, 1.0)
 
 
-def _restore_column(x, null, shifts, literal):
-    """Gauss-Newton into |r_m(x)| <= _RESTORE_LEVEL ||x||^2, m = 1..k.
-
-    Each step is the minimum-norm real step, inside span(null), that
-    sets the linearized magnitude |h_m| of every lag above the level to
-    the level; |h_m| is scale-invariant, so a later power cap keeps it.
-    Returns the column and its final max_m |h_m|.
-    """
-    for _ in range(_RESTORE_MAX_STEPS):
-        s = float(np.real(np.vdot(x, x)))
-        if s == 0.0:
-            return x, 0.0
-        jx = shifts @ x
-        jtx = shifts.transpose(0, 2, 1) @ x
-        h = ((x if literal else x.conj()) @ jx.T) / s
-        mag = np.abs(h)
-        if mag.max() <= _RESTORE_DONE:
-            return x, float(mag.max())
-        act = mag > _RESTORE_LEVEL
-        ha, ma = h[act, None], mag[act, None]
-        # Real gradient of |h_m| packed as Re + i Im, so that
-        # d|h_m| = Re(grad^H dx).
-        if literal:
-            grad = ha * (jx[act] + jtx[act]).conj()
-        else:
-            grad = ha * jtx[act] + ha.conj() * jx[act]
-        grad = ((grad - 2.0 * ma**2 * x) / (ma * s)).T
-        grad = _in_nullspace(null, grad)
-        gram = np.real(grad.conj().T @ grad)
-        coef = np.linalg.lstsq(gram, _RESTORE_LEVEL - ma[:, 0], rcond=None)[0]
-        x = x + grad @ coef
-    return x, float(np.abs(_sidelobes(x[:, None], shifts, literal)).max())
-
-
 def _restore_sidelobes(x, null, p, cfg):
     """Move every column of x inside the sidelobe bound, then cap its power.
 
-    Columns are first projected onto span(null), null the cross-correlation
-    nullspace basis C, then restored by _restore_column, then scaled down
-    until the ball and the ellipsoids hold.  Scaling keeps both the nullspace and
-    the normalized sidelobes.  Returns the matrix and each column's
-    max_m |r_m| / ||x||^2.
+    Columns are projected onto span(null), null the cross-correlation
+    nullspace basis C.  Every column with max_m |h_m| > _RESTORE_DONE,
+    h_m = r_m / ||x||^2, then takes Gauss-Newton steps, all together: the
+    minimum-norm real step in span(C) that sets the linearized |h_m| of
+    each lag above _RESTORE_LEVEL to the level, from a batched
+    pseudo-inverse of each column's k x k real Gram.  The final scaling
+    into the ball and the ellipsoids keeps the nullspace and every |h_m|.
+    Returns the matrix and each column's max_m |h_m|.
     """
-    b = x.shape[0]
-    shifts = _shift_stack(b, cfg.k)
+    shifts = _shift_stack(x.shape[0], cfg.k)
     x = np.array(_in_nullspace(null, x))  # a copy: columns change in place
-    worst = np.abs(_sidelobes(x, shifts, cfg.literal_transpose)).max(axis=0)
-    for q in np.flatnonzero(worst > _RESTORE_DONE):
-        x[:, q], worst[q] = _restore_column(
-            x[:, q], null, shifts, cfg.literal_transpose
-        )
+    live = np.arange(x.shape[1])
+    worst = np.zeros(x.shape[1])
+    for step in range(_RESTORE_MAX_STEPS + 1):
+        xl = x[:, live]
+        h = _sidelobes(xl, shifts, cfg.literal_transpose)
+        mag = np.abs(h)
+        worst[live] = mag.max(axis=0)
+        on = worst[live] > _RESTORE_DONE
+        if step == _RESTORE_MAX_STEPS or not on.any():
+            break
+        live, xl, h, mag = live[on], xl[:, on], h[:, on], mag[:, on]
+        jx = shifts @ xl
+        jtx = shifts.transpose(0, 2, 1) @ xl
+        # Real gradient of |h_m| packed as Re + i Im, so that
+        # d|h_m| = Re(grad^H dx); lags at or below the level get none.
+        if cfg.literal_transpose:
+            grad = h[:, None] * (jx + jtx).conj()
+        else:
+            grad = h[:, None] * jtx + h.conj()[:, None] * jx
+        act = mag > _RESTORE_LEVEL
+        norm = np.where(act, mag * _column_power(xl), np.inf)[:, None]
+        grad = (grad - 2.0 * (mag**2)[:, None] * xl) / norm
+        grad = _in_nullspace(null, grad.transpose(2, 1, 0))
+        gram = np.real(grad.conj().transpose(0, 2, 1) @ grad)
+        rhs = np.where(act, _RESTORE_LEVEL - mag, 0.0).T[:, :, None]
+        x[:, live] = xl + (grad @ (np.linalg.pinv(gram) @ rhs))[:, :, 0].T
     return _shrink_into_sets(x, shifts, p), worst
 
 
@@ -611,11 +601,8 @@ def _pair_residuals(x, y, cfg):
         h = np.abs(_sidelobes(x, _shift_stack(b, cfg.k), cfg.literal_transpose))
         max_auto = float((h * _column_power(x)).max())
         worst = float(h.max())
-    powers = [0.0]
-    for mat in (x, y):
-        if mat.size:
-            powers.append(float(np.real(np.sum(mat.conj() * mat, axis=0)).max()))
-    return max(powers), max_cross, max_auto, worst
+    power = max(float(_column_power(m).max(initial=0.0)) for m in (x, y))
+    return power, max_cross, max_auto, worst
 
 
 def column_power_bound(cfg, s):

@@ -163,6 +163,13 @@ class TestValidation:
         with pytest.raises(ArchiveError, match="non-numeric"):
             parse_archive(payload)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry(self, designed, value):
+        payload = make_payload(designed)
+        payload["y_re"][0][1] = value
+        with pytest.raises(ArchiveError, match="'y_re': row 0 has a non-finite"):
+            parse_archive(payload)
+
     def test_boolean_is_not_a_number(self, designed):
         payload = make_payload(designed)
         payload["x_re"][0][0] = True

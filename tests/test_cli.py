@@ -232,6 +232,15 @@ class TestAnalyze:
         assert rc == EXIT_CONFIG
         assert "--max-lag" in capsys.readouterr().err
 
+    def test_non_finite_entry(self, archive_dir, tmp_path, capsys):
+        doc = json.loads((archive_dir / "pilot_archive.json").read_text())
+        doc["x_re"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(path), "--out", str(tmp_path / "report")])
+        assert rc == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_archive(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "gone.json")])
         assert rc == EXIT_CONFIG
@@ -304,8 +313,10 @@ class TestInputRejection:
         [("[scenario] n_t", {"n_t = 1": "n_t = 0"}),
          ("[scenario] n_r", {"n_r = 1": "n_r = -1"}),
          ("[scenario] b", {"b = 4": "b = 0", "k = 1": "k = 0"}),
-         ("[design] seed", {"seed = 0": "seed = -3"})],
-        ids=["n_t", "n_r", "b", "seed"],
+         ("[design] seed", {"seed = 0": "seed = -3"}),
+         ("[design] p", {"seed = 0": "seed = 0\np = nan"}),
+         ("[scenario] gamma", {"b = 4": "b = 4\ngamma = inf"})],
+        ids=["n_t", "n_r", "b", "seed", "p-nan", "gamma-inf"],
     )
     def test_bad_config_value(self, tmp_path, capsys, where, edits):
         text = SMALL

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zczpilot.config import ConfigError, load_config, parse_config
+from zczpilot.designer import DesignConfig
 
 MINIMAL = """
 [scenario]
@@ -57,6 +58,7 @@ class TestDefaults:
         assert rc.fmt == "csv"
         assert rc.design.k == 4
         assert rc.design.seed == 0
+        assert rc.design == DesignConfig()
 
     def test_default_correlation_coefficients(self):
         rc = parse_config(MINIMAL)
@@ -123,6 +125,26 @@ class TestRejection:
     def test_seed_nonnegative(self):
         with pytest.raises(ConfigError, match=r"\[design\] seed"):
             parse_config(MINIMAL + "[design]\nseed = -1\n")
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("scenario", "gamma"), ("scenario", "rho_rt_mag"),
+         ("scenario", "rho_mt_phase_pi"), ("design", "p"), ("design", "epsilon"),
+         ("design", "eta"), ("design", "inner_tol"), ("timing", "d_user_m")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, section, key, value):
+        # MINIMAL ends inside [scenario]; [timing] needs a symbol time too
+        head, tail = {
+            "scenario": ("", ""),
+            "design": ("[design]\n", ""),
+            "timing": ("[timing]\n", "symbol_time_s = 1e-6\n"),
+        }[section]
+        text = MINIMAL + head + f"{key} = {value}\n" + tail
+        with pytest.raises(
+            ConfigError, match=rf"\[{section}\] {key}: expected a finite number"
+        ):
+            parse_config(text)
 
     def test_gamma_positive(self):
         with pytest.raises(ConfigError, match="gamma"):

@@ -97,6 +97,35 @@ class TestBuildScenario:
                 n_t=2, n_r=2, b=2, chan_cov=bad, noise_cov=np.eye(4) / 4.0, gamma=4.0
             )
 
+    @pytest.mark.parametrize(
+        "chan_cov, noise_cov, match",
+        [
+            (-np.eye(1), np.eye(1), "chan_cov has a negative diagonal"),
+            (np.array([[np.nan]]), np.eye(1), "chan_cov has a non-finite"),
+            (np.eye(1), np.array([[np.inf]]), "noise_cov has a non-finite"),
+            (np.eye(1), np.array([[-1e-3]]), "noise_cov has a negative diagonal"),
+        ],
+    )
+    def test_scenario_validation_rejects_bad_entries(self, chan_cov, noise_cov, match):
+        with pytest.raises(ValueError, match=match):
+            ChannelScenario(
+                n_t=1, n_r=1, b=1, chan_cov=chan_cov, noise_cov=noise_cov, gamma=1.0
+            )
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_scenario_validation_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            ChannelScenario(
+                n_t=1, n_r=1, b=1, chan_cov=np.eye(1), noise_cov=np.eye(1), gamma=gamma
+            )
+
+    def test_rank_deficient_prior_accepted(self):
+        s = ChannelScenario(
+            n_t=2, n_r=1, b=1, chan_cov=np.diag([1.0, 0.0]), noise_cov=np.eye(1),
+            gamma=1.0,
+        )
+        assert s.rho_rt is None and s.rho_rr is None and s.rho_mt is None
+
     def test_scenario_validation_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ChannelScenario(
@@ -163,13 +192,32 @@ class TestReciprocalScenario:
         r = a @ a.conj().T
         s = ChannelScenario(
             n_t=n_t, n_r=n_r, b=2, chan_cov=r, noise_cov=np.eye(2 * n_r),
-            gamma=1.0,
+            gamma=1.0, rho_rr=DEFAULT_RHO_RR, rho_mt=DEFAULT_RHO_MT,
         )
         k = np.zeros((n, n))
         for c in range(n_t):
             for row in range(n_r):
                 k[row * n_t + c, c * n_r + row] = 1.0
         npt.assert_array_equal(reciprocal_scenario(s).chan_cov, k @ r @ k.T)
+
+    @pytest.mark.parametrize("missing", ["rho_rr", "rho_mt"])
+    def test_missing_noise_coefficient_named(self, missing):
+        # a white downlink noise says nothing about the uplink noise
+        rho = {"rho_rr": 0.0, "rho_mt": 0.0}
+        del rho[missing]
+        s = ChannelScenario(
+            n_t=2, n_r=2, b=2, chan_cov=np.eye(4) / 4.0, noise_cov=np.eye(4) / 4.0,
+            gamma=4.0, **rho,
+        )
+        with pytest.raises(ValueError, match=missing):
+            reciprocal_scenario(s)
+
+    def test_given_coefficients_build_uplink_noise(self):
+        s = ChannelScenario(
+            n_t=2, n_r=3, b=2, chan_cov=np.eye(6) / 6.0, noise_cov=np.eye(6) / 6.0,
+            gamma=4.0, rho_rr=0.0, rho_mt=0.0,
+        )
+        npt.assert_array_equal(reciprocal_scenario(s).noise_cov, np.eye(4) / 4.0)
 
     @pytest.mark.parametrize("n_t,n_r,b", [(2, 3, 4), (1, 2, 3), (4, 4, 8)])
     def test_involution_recovers_original(self, n_t, n_r, b):

@@ -733,6 +733,84 @@ class TestSidelobeBound:
         assert sidelobe_ratios(pair.x, 2).max() <= SIDELOBE_DELTA
 
 
+def restore_column_loop(x, null, k, literal):
+    """Reference restoration of one column: Gauss-Newton into
+    |r_m(x)| <= _RESTORE_LEVEL ||x||^2 with one least-squares solve per
+    step on the lags above the level, no power cap."""
+    shifts = np.stack([shift_matrix(x.size, m) for m in range(1, k + 1)])
+    proj = null @ null.conj().T
+    for _ in range(designer._RESTORE_MAX_STEPS):
+        s = float(np.vdot(x, x).real)
+        jx, jtx = shifts @ x, shifts.transpose(0, 2, 1) @ x
+        h = ((x if literal else x.conj()) @ jx.T) / s
+        mag = np.abs(h)
+        if mag.max() <= designer._RESTORE_DONE:
+            break
+        act = mag > designer._RESTORE_LEVEL
+        ha, ma = h[act, None], mag[act, None]
+        if literal:
+            grad = ha * (jx[act] + jtx[act]).conj()
+        else:
+            grad = ha * jtx[act] + ha.conj() * jx[act]
+        grad = proj @ ((grad - 2.0 * ma**2 * x) / (ma * s)).T
+        gram = np.real(grad.conj().T @ grad)
+        x = x + grad @ np.linalg.lstsq(gram, designer._RESTORE_LEVEL - ma[:, 0])[0]
+    return x
+
+
+class TestBatchedRestoration:
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_matches_per_column_loop(self, literal):
+        rng = np.random.default_rng(20)
+        b, n = 10, 6
+        cfg = DesignConfig(k=3, literal_transpose=literal)
+        null = _nullspace(_cross_vectors(crandn(rng, b, 1), cfg, False), b)
+        x = null @ crandn(rng, null.shape[1], n)
+        out, _ = _restore_sidelobes(x, null, 1e6, cfg)
+        for q in range(n):
+            ref = restore_column_loop(x[:, q], null, cfg.k, literal)
+            # the two sidelobe formulas round differently, so a column that
+            # lands between _RESTORE_LEVEL and _RESTORE_DONE (1e-9 apart)
+            # may take one more step in one of them: a move of ~1e-11 ||x||
+            npt.assert_allclose(
+                out[:, q], ref, rtol=0, atol=1e-9 * np.linalg.norm(ref)
+            )
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_matrix_equals_columns_alone(self, literal):
+        # the Gauss-Newton steps of all violating columns are taken together;
+        # no column's path may depend on the others
+        rng = np.random.default_rng(21)
+        b, n = 12, 8
+        cfg = DesignConfig(k=3, p=2.0, literal_transpose=literal)
+        y = crandn(rng, b, 1)
+        null = _nullspace(_cross_vectors(y, cfg, False), b)
+        assert 0 < null.shape[1] < b
+        x = crandn(rng, b, n)
+        assert (sidelobe_ratios(x, cfg.k, literal) > SIDELOBE_DELTA).sum() >= n - 1
+        out, worst = _restore_sidelobes(x, null, cfg.p, cfg)
+        assert worst.max() <= SIDELOBE_DELTA
+        for q in range(n):
+            col, w = _restore_sidelobes(x[:, [q]], null, cfg.p, cfg)
+            npt.assert_allclose(out[:, q], col[:, 0], rtol=0, atol=1e-12)
+            assert worst[q] == pytest.approx(w[0], rel=1e-12)
+
+    def test_column_inside_bound_untouched(self):
+        rng = np.random.default_rng(22)
+        b = 8
+        cfg = DesignConfig(k=4)
+        null = np.eye(b, dtype=complex)
+        inside, w = _restore_sidelobes(crandn(rng, b, 1), null, 1e6, cfg)
+        assert designer._RESTORE_LEVEL < w[0] <= designer._RESTORE_DONE
+        x = np.concatenate([crandn(rng, b, 2), inside, crandn(rng, b, 2)], axis=1)
+        out, worst = _restore_sidelobes(x, null, 1e6, cfg)
+        npt.assert_array_equal(out[:, 2], x[:, 2])
+        assert worst[2] == w[0]
+        others = [0, 1, 3, 4]
+        assert (sidelobe_ratios(x[:, others], cfg.k) > SIDELOBE_DELTA).all()
+        assert sidelobe_ratios(out[:, others], cfg.k).max() <= SIDELOBE_DELTA
+
+
 class TestDesignConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -746,6 +824,12 @@ class TestDesignConfig:
             {"mu": -1},
             {"max_outer": 0},
             {"seed": -1},
+            {"p": float("nan")},
+            {"p": float("inf")},
+            {"epsilon": float("nan")},
+            {"eta": float("nan")},
+            {"eta": float("inf")},
+            {"inner_tol": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
