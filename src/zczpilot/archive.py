@@ -139,6 +139,8 @@ def parse_archive(payload):
         if not isinstance(dims.get(key), int) or dims[key] < 1:
             raise ArchiveError(f"field 'dims.{key}': expected a positive integer")
     design = _require(payload, "design", dict)
+    if not isinstance(design.get("literal_transpose", False), bool):
+        raise ArchiveError("field 'design.literal_transpose': expected a JSON boolean")
     result = _require(payload, "result", dict)
     x = _matrix(payload, "x_re", "x_im", dims["b"], dims["n_t"])
     y = _matrix(payload, "y_re", "y_im", dims["b"], dims["n_r"])

@@ -119,7 +119,7 @@ def _cmd_analyze(args):
     max_lag = args.max_lag if args.max_lag is not None else b - 1
     if not 0 <= max_lag < b:
         raise ConfigError(f"--max-lag must be in [0, {b - 1}], got {max_lag}")
-    literal = args.literal_transpose or bool(arch.design.get("literal_transpose", False))
+    literal = args.literal_transpose or arch.design.get("literal_transpose", False)
     report = correlation_report(
         arch.x, arch.y, max_lag=max_lag, literal_transpose=literal
     )

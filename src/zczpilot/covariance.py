@@ -5,10 +5,13 @@ Spatial and temporal correlation both follow the exponential model: entry
 the diagonal.  A link scenario combines transmit/receive spatial factors
 with a temporal noise factor through Kronecker products, normalized to unit
 trace so that the training energy budget gamma is the only scale knob.
-kronecker_factors recovers the two channel factors from a covariance.
+Each scenario splits both covariances back into their Kronecker factors
+(kronecker_split), lazily and once: the channel into transmit and
+receive factors, the noise into temporal and receive factors.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +28,8 @@ DEFAULT_RHO_RT, DEFAULT_RHO_RR, DEFAULT_RHO_MT = (
 )
 
 _HERM_TOL = 1e-10
-# Largest entry of R - (R_tx (x) R_rx) / tau, relative to R's largest, that
-# still counts as a Kronecker product.
+# Largest entry of C - (A (x) B) / tau, relative to C's largest, that still
+# counts as a Kronecker product.
 _KRON_TOL = 1e-10
 
 
@@ -62,6 +65,11 @@ class ChannelScenario:
     dominate set-up).  gamma is the training energy budget ||P||_F^2.  The
     rho_* fields are the exponential coefficients of a built scenario
     (None unless given); reciprocal_scenario needs rho_rr and rho_mt.
+
+    Both covariances must be Kronecker products: chan_factors and
+    noise_factors split them on first use (ValueError "not a Kronecker
+    product" otherwise) and keep the split.  The estimation layer also
+    needs the noise receive factor to be positive definite.
     """
 
     n_t: int
@@ -97,6 +105,31 @@ class ChannelScenario:
                 raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
             if np.diagonal(c).real.min() < 0.0:
                 raise ValueError(f"{name} has a negative diagonal entry")
+
+    @cached_property
+    def chan_factors(self):
+        """(R_tx, R_rx, tau) with chan_cov = (R_tx (x) R_rx) / tau; the
+        uplink of reciprocal_scenario gives the swapped pair."""
+        return kronecker_split(self.chan_cov, self.n_t, self.n_r, "chan_cov")
+
+    @cached_property
+    def noise_factors(self):
+        """(M_time, M_rx, tau) with noise_cov = (M_time (x) M_rx) / tau."""
+        return kronecker_split(self.noise_cov, self.b, self.n_r, "noise_cov")
+
+    @cached_property
+    def receive_eig(self):
+        """(lam, S, S^-1) with S^H M_rx S = I and S^H R_rx S = diag(lam).
+
+        The generalized eigendecomposition of the receive factors of the
+        channel and the noise (R_rx, M_rx), which diagonalizes both at
+        once: with M_rx = L L^H and L^-1 R_rx L^-H = U diag(lam) U^H,
+        S = L^-H U.  Raises LinAlgError when M_rx is not positive definite.
+        """
+        low = np.linalg.cholesky(self.noise_factors[1])
+        low_inv = np.linalg.inv(low)
+        lam, u = np.linalg.eigh(low_inv @ self.chan_factors[1] @ low_inv.conj().T)
+        return lam, low_inv.conj().T @ u, u.conj().T @ low.conj().T
 
 
 def _unit_trace(c):
@@ -172,22 +205,23 @@ def reciprocal_scenario(s):
     )
 
 
-def kronecker_factors(s):
-    """Factors (R_tx, R_rx, tau) with chan_cov = (R_tx (x) R_rx) / tau.
+def kronecker_split(c, outer, inner, name):
+    """Factors (A, B, tau) with c = (A (x) B) / tau, A outer x outer.
 
-    R_tx (n_t x n_t) and R_rx (n_r x n_r) are the partial traces of
-    R = chan_cov over the receive and the transmit index, and tau = tr R.
-    They hold for every Kronecker R, whatever its scaling, and the
-    uplink R of reciprocal_scenario gives the swapped pair.  Raises
-    ValueError when R is not a Kronecker product.
+    A and B are the partial traces of c over the inner and the outer
+    index, and tau = tr c.  They hold for every Kronecker c, whatever its
+    scaling.  The factors are read-only.  Raises ValueError naming c when
+    it has no positive trace or is not a Kronecker product.
     """
-    r4 = s.chan_cov.reshape(s.n_t, s.n_r, s.n_t, s.n_r)
-    r_tx = np.einsum("isjs->ij", r4)
-    r_rx = np.einsum("titj->ij", r4)
-    tau = float(np.trace(r_tx).real)
+    c4 = c.reshape(outer, inner, outer, inner)
+    a = np.einsum("isjs->ij", c4)
+    b = np.einsum("titj->ij", c4)
+    tau = float(np.trace(a).real)
     if tau <= 0.0:
-        raise ValueError("chan_cov has no positive trace")
-    dev = np.abs(r4 - r_tx[:, None, :, None] * r_rx[None, :, None, :] / tau).max()
-    if dev > _KRON_TOL * np.abs(r4).max():
-        raise ValueError(f"chan_cov is not a Kronecker product (deviation {dev:.3e})")
-    return r_tx, r_rx, tau
+        raise ValueError(f"{name} has no positive trace")
+    dev = np.abs(c4 - a[:, None, :, None] * b[None, :, None, :] / tau).max()
+    if dev > _KRON_TOL * np.abs(c4).max():
+        raise ValueError(f"{name} is not a Kronecker product (deviation {dev:.3e})")
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b, tau

@@ -8,10 +8,13 @@ the two pilots over a lag window, and the convexified low-autocorrelation
 ellipsoids on the downlink (sensing) pilot.
 
 The channel covariance of either link is a Kronecker product
-R = (R_tx (x) R_rx) / tau (covariance.kronecker_factors), so the
-curvature of the MM quadratic is T(P) = K P A with A = R_tx / tau and a
-b x b PSD matrix K taken from V2, and the step size is the exact norm
-lam_max(K) lam_max(A) of T, with a 10% margin.
+R = (R_tx (x) R_rx) / tau (ChannelScenario.chan_factors, split once per
+scenario), so the curvature of the MM quadratic is T(P) = K P A with
+A = R_tx / tau and a b x b PSD matrix K taken from V2, and the step size
+is the exact norm lam_max(K) lam_max(A) of T, with a 10% margin.  Each
+iterate is scored, and V2 built, by estimation.mse_and_optimal_V, which
+solves n_r blocks of size b x b per link instead of the (b n_r)-sized
+Gram.
 
 Both pilots see one zero-correlation zone.  Its constraint vectors come
 from one cached stack of shift matrices (_cross_vectors), and one SVD rank
@@ -42,7 +45,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covariance import kronecker_factors
 from .estimation import mse_and_optimal_V
 from .tensorops import adjoint_embed, shift_matrix
 
@@ -316,8 +318,8 @@ def _resolve_p(cfg, p):
     p = cfg.p if p is None else p
     if p is None:
         raise ValueError("no per-column power bound: set cfg.p or pass p")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < np.inf:
+        raise ValueError("p must be positive and finite")
     return float(p)
 
 
@@ -432,7 +434,7 @@ def _mm_model(v, s):
     as b x (n_r n), against the same regrouping of R_rx V2, so that W2 is
     never formed.
     """
-    r_tx, r_rx, tau = kronecker_factors(s)
+    r_tx, r_rx, tau = s.chan_factors
     v2 = v.v2.reshape(s.b, s.n_r, -1)
     k = v2.reshape(s.b, -1) @ (r_rx @ v2).reshape(s.b, -1).conj().T
     g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
@@ -634,8 +636,8 @@ def design_pilots(dl, ul, cfg):
     p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
 
     def score(x, y):
-        """Total MSE of a pair and each link's (mse, V*): one Gram
-        factorization per link, reused for the next MM target."""
+        """Total MSE of a pair and each link's (mse, V*): one batched solve
+        of the Gram blocks per link, reused for the next MM target."""
         links = (mse_and_optimal_V(x, dl), mse_and_optimal_V(y, ul))
         return links[0][0] + links[1][0], links
 

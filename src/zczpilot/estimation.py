@@ -8,16 +8,23 @@ vec(Yrx) = (P (x) I) vec(H) + vec(N), and the Bayesian estimator error is
 
 The matrix inversion lemma turns this into trace[R] minus a correction
 that never inverts R, which is the form used in hot loops and for
-rank-deficient priors.  The auxiliary-variable machinery (block matrix Q,
-minimizer V*, surrogate F) restates the same quantity as a quadratic form
-that is linear algebra-friendly for the pilot designer.
+rank-deficient priors.  Both covariances are Kronecker products
+(ChannelScenario.chan_factors, noise_factors), so the (B n_r)-dimensional
+Gram of that correction splits into n_r blocks of size B x B in the joint
+eigenbasis of the two receive factors (ChannelScenario.receive_eig;
+Kotecha & Sayeed, IEEE TSP 2004), and the training noise is coloured
+through its factors.  The noise receive factor must be positive definite.
+The dense forms (channel_mse_direct, build_Q) remain as references.  The
+auxiliary-variable machinery (block matrix Q, minimizer V*, surrogate F)
+restates the same quantity as a quadratic form that is linear
+algebra-friendly for the pilot designer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import adjoint_embed, embed_pilot, hermitian_solve
+from .tensorops import embed_pilot, hermitian_solve
 
 
 def _checked(p, s):
@@ -48,8 +55,8 @@ def channel_mse_direct(p, s):
 def channel_mse_lemma(p, s):
     """Estimation MSE via the matrix inversion lemma.
 
-    Computes trace[R] - trace[(Pt R)^H (M + Pt R Pt^H)^-1 (Pt R)] with a
-    single Hermitian solve in the data domain; R may be singular.
+    Computes trace[R] - trace[(Pt R)^H (M + Pt R Pt^H)^-1 (Pt R)] through
+    the n_r Gram blocks of :func:`mse_and_optimal_V`; R may be singular.
     """
     return mse_and_optimal_V(p, s)[0]
 
@@ -86,26 +93,41 @@ class AuxiliaryV:
 
 
 def mse_and_optimal_V(p, s):
-    """Lemma MSE and the minimizer V* from one factorization of the Gram.
+    """Lemma MSE and the minimizer V* from the Kronecker factors of the Gram.
 
-    With W = Pt R and G = M + W Pt^H, the single Hermitian solve
-    Z = G^-1 W gives both mse = trace[R] - Re trace[W^H Z] and
-    V* = [I; -Z].  The designer scores an iterate and builds its next MM
-    target from this one call.
+    With W = Pt R and G = M + W Pt^H, Z = G^-1 W gives both
+    mse = trace[R] - Re trace[W^H Z] and V* = [I; -Z].  For
+    R = (R_tx (x) R_rx) / tau and M = (M_time (x) M_rx) / tau_m, W is
+    Q (x) R_rx with Q = P R_tx / tau, and G = A1 (x) R_rx + M_time (x) M_rx
+    / tau_m with A1 = Q P^H.  The receive basis S of the scenario
+    (S^H M_rx S = I, S^H R_rx S = diag(lam)) turns G into n_r blocks
+    G_i = lam_i A1 + M_time / tau_m of size B x B, so one batched solve
+    Y_i = G_i^-1 Q gives Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
+    mse = trace[R] - sum_i lam_i^2 ||S^-1[i, :]||^2 Re trace[Q^H Y_i].
+    The designer scores an iterate and builds its next MM target from
+    this one call.  Raises ValueError when a covariance is not a Kronecker
+    product and LinAlgError when M_rx or a block is singular.
     """
-    pt = _lifted(p, s)
-    w = pt @ s.chan_cov
-    gram = w @ pt.conj().T
-    gram += s.noise_cov
-    z = hermitian_solve(gram, w)
-    # The Gram is dead once factored; dropping it before V is built, and
-    # negating Z in place, keeps the peak resident memory of large links
-    # (512-dimensional Gram matrices) from growing with the fused call.
-    del gram
-    correction = np.einsum("ij,ij->", w.conj(), z)
-    mse = float(np.trace(s.chan_cov).real - correction.real)
-    v2 = np.negative(z, out=z)
-    return mse, AuxiliaryV(v1=np.eye(s.n_t * s.n_r, dtype=np.complex128), v2=v2)
+    p = _checked(p, s)
+    r_tx, _, tau = s.chan_factors
+    m_time, _, tau_m = s.noise_factors
+    lam, basis, basis_inv = s.receive_eig
+    q = p @ r_tx
+    q /= tau
+    blocks = lam[:, None, None] * (q @ p.conj().T)
+    blocks += m_time / tau_m
+    y = np.linalg.solve(blocks, q)
+    n_r, b, n_t = y.shape
+    # Re trace[Q^H Y_i] for every block i at once.
+    fits = (y.reshape(n_r, -1) @ q.conj().ravel()).real
+    weights = lam**2 * np.linalg.norm(basis_inv, axis=1) ** 2
+    mse = float(np.trace(s.chan_cov).real - weights @ fits)
+    # -Z regrouped as rows (b, t) and columns (r, r'): one GEMM of the
+    # stacked Y_i against -lam_i S[r, i] S^-1[i, r'].
+    mix = -lam[:, None, None] * basis.T[:, :, None] * basis_inv[:, None, :]
+    v2 = y.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
+    v2 = v2.reshape(b, n_t, n_r, n_r).transpose(0, 2, 1, 3).reshape(b * n_r, -1)
+    return mse, AuxiliaryV(v1=np.eye(n_t * n_r, dtype=np.complex128), v2=v2)
 
 
 def optimal_V(p, s):
@@ -158,34 +180,54 @@ def _circular_gaussian(z):
     return (z[:, :k] + 1j * z[:, k:]) / np.sqrt(2.0)
 
 
-# Seeds per block of _training_draws.  A block's white draws, channels,
-# noise and estimation errors are held at once, so this bounds the
-# simulator's memory for any trial count: the noise of 64 trials on an
-# 8x8, B = 64 link is 0.5 MB.  Larger blocks are no faster, since a
-# trial's cost is mostly its generator's set-up.
+# Seeds per block of _white_blocks.  A block's white draws and estimation
+# errors are held at once, so this bounds the simulator's memory for any
+# trial count: the white draws of 64 trials on an 8x8, B = 64 link are
+# 0.6 MB.  Larger blocks are no faster, since a trial's cost is mostly
+# its generator's set-up.
 _TRIAL_BLOCK = 64
 
 
-def _training_draws(s, seeds):
-    """Yield (h, noise) blocks with row j holding vec(H) ~ CN(0, R) and
-    vec(N) ~ CN(0, M) for the j-th seed of the block.
-
-    Each seed's generator draws the real then imaginary parts of the
-    channel's white vector, then those of the noise's, so a seed
-    reproduces its realization in any block.  The covariance factors are
-    computed once per call.
-    """
-    f_h = _covariance_factor(s.chan_cov).T
-    f_n = _covariance_factor(s.noise_cov).T
-    n_h = 2 * s.n_t * s.n_r
-    width = n_h + 2 * s.b * s.n_r
+def _white_blocks(s, seeds):
+    """Yield the real white draws of each block of seeds, row j for the
+    j-th seed of the block: the real then imaginary parts of the channel's
+    white vector, then those of the noise's, from the seed's own
+    generator, so a seed reproduces its realization in any block."""
+    width = 2 * (s.n_t + s.b) * s.n_r
     for start in range(0, len(seeds), _TRIAL_BLOCK):
         block = seeds[start:start + _TRIAL_BLOCK]
         white = np.empty((len(block), width))
         for row, seed in zip(white, block):
             np.random.default_rng(seed).standard_normal(out=row)
-        h = _circular_gaussian(white[:, :n_h]) @ f_h
-        yield h, _circular_gaussian(white[:, n_h:]) @ f_n
+        yield white
+
+
+def _colouring(s):
+    """(F_h, F_time, F_rx) with vec(H) = F_h w and vec(N) = (F_time (x)
+    F_rx) w for white w: the noise factor is taken from the Kronecker
+    factors, since the Cholesky factor of (M_time (x) M_rx) / tau is
+    (L_time (x) L_rx) / sqrt(tau)."""
+    m_time, m_rx, tau_m = s.noise_factors
+    return (
+        _covariance_factor(s.chan_cov),
+        _covariance_factor(m_time) / np.sqrt(tau_m),
+        _covariance_factor(m_rx),
+    )
+
+
+def _training_draws(s, seeds):
+    """Yield (h, noise) blocks with row j holding vec(H) ~ CN(0, R) and
+    vec(N) ~ CN(0, M) for the j-th seed of the block (_white_blocks).
+
+    The noise factor acts on the b x n_r view W of each white vector as
+    F_time W F_rx^T.
+    """
+    f_h, f_time, f_rx = _colouring(s)
+    n_h = 2 * s.n_t * s.n_r
+    for white in _white_blocks(s, seeds):
+        h = _circular_gaussian(white[:, :n_h]) @ f_h.T
+        w = _circular_gaussian(white[:, n_h:]).reshape(len(white), s.b, s.n_r)
+        yield h, (f_time @ w @ f_rx.T).reshape(len(white), -1)
 
 
 def simulate_training(p, s, seed, noise_scale=1.0):
@@ -224,18 +266,28 @@ def mmse_squared_errors(p, s, seeds):
     seed's training draw.
 
     Draw for draw the same as simulate_training followed by mmse_estimate
-    per seed, but the Gram and the covariances are factored once and the
-    seeds run in blocks as matrix products.  The MSE comes from the same
-    Gram factorization as the estimator.
+    per seed, to rounding.  The error E (Pt vec(H) + vec(N)) - vec(H) of
+    the estimator E is linear in the white draws, (E Pt - I) F_h w_h +
+    E (F_time (x) F_rx) w_n, so its map is built once per call (the noise
+    part factor-wise on the b x n_r view of E's rows) and each block of
+    seeds costs one real matrix product.  The MSE comes from the same
+    block solve as the estimator.
     """
     pt = _lifted(p, s)
     mse, est = _estimator(p, s)
+    f_h, f_time, f_rx = _colouring(s)
+    n = s.n_t * s.n_r
+    gain_h = (est @ pt - np.eye(n)) @ f_h
+    gain_n = (f_time.T @ est.reshape(n, s.b, s.n_r) @ f_rx).reshape(n, -1)
+    # Rows in the layout of the white draws: real, imaginary parts of the
+    # channel's, then of the noise's; columns the real, imaginary parts of
+    # the error.
+    gain = np.vstack([gain_h.T, 1j * gain_h.T, gain_n.T, 1j * gain_n.T])
+    gain = np.hstack([gain.real, gain.imag]) / np.sqrt(2.0)
     errs = np.empty(len(seeds))
     done = 0
-    for h, y in _training_draws(s, seeds):
-        y += h @ pt.T  # the noise block becomes the received block in place
-        err = y @ est.T
-        err -= h
-        errs[done:done + len(h)] = np.linalg.norm(err, axis=1) ** 2
-        done += len(h)
+    for white in _white_blocks(s, seeds):
+        err = white @ gain
+        errs[done:done + len(err)] = np.einsum("ij,ij->i", err, err)
+        done += len(err)
     return mse, errs

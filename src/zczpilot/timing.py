@@ -6,6 +6,7 @@ window opened by the processing time and the correlation-zone depth, all
 measured in training symbol units.
 """
 
+import math
 from dataclasses import dataclass
 
 _SLACK_TOL = 1e-12
@@ -28,18 +29,19 @@ class TimingScenario:
     d_object: float | None = None
 
     def __post_init__(self):
-        if self.d_user <= 0:
-            raise ValueError("d_user must be positive")
-        if self.symbol_time <= 0:
-            raise ValueError("symbol_time must be positive")
-        if self.nu <= 0:
-            raise ValueError("propagation speed must be positive")
-        if self.t_pr < 0:
-            raise ValueError("t_pr must be >= 0")
+        # Written as 0 < x < inf so that a NaN fails every check.
+        if not 0 < self.d_user < math.inf:
+            raise ValueError("d_user must be positive and finite")
+        if not 0 < self.symbol_time < math.inf:
+            raise ValueError("symbol_time must be positive and finite")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("propagation speed must be positive and finite")
+        if not 0 <= self.t_pr < math.inf:
+            raise ValueError("t_pr must be >= 0 and finite")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.d_object is not None and self.d_object <= 0:
-            raise ValueError("d_object must be positive")
+        if self.d_object is not None and not 0 < self.d_object < math.inf:
+            raise ValueError("d_object must be positive and finite")
 
 
 def delay_symbols(d, s):

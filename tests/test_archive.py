@@ -170,6 +170,18 @@ class TestValidation:
         with pytest.raises(ArchiveError, match="'y_re': row 0 has a non-finite"):
             parse_archive(payload)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_literal_transpose_must_be_boolean(self, designed, value):
+        payload = make_payload(designed)
+        payload["design"]["literal_transpose"] = value
+        with pytest.raises(ArchiveError, match="'design.literal_transpose'.*boolean"):
+            parse_archive(payload)
+
+    def test_literal_transpose_may_be_absent(self, designed):
+        payload = make_payload(designed)
+        del payload["design"]["literal_transpose"]
+        assert "literal_transpose" not in parse_archive(payload).design
+
     def test_boolean_is_not_a_number(self, designed):
         payload = make_payload(designed)
         payload["x_re"][0][0] = True

@@ -241,6 +241,15 @@ class TestAnalyze:
         assert rc == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
 
+    def test_string_literal_transpose_rejected(self, archive_dir, tmp_path, capsys):
+        doc = json.loads((archive_dir / "pilot_archive.json").read_text())
+        doc["design"]["literal_transpose"] = "false"
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(path)])
+        assert rc == EXIT_CONFIG
+        assert "design.literal_transpose" in capsys.readouterr().err
+
     def test_missing_archive(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "gone.json")])
         assert rc == EXIT_CONFIG

@@ -11,7 +11,6 @@ from zczpilot.covariance import (
     ChannelScenario,
     build_scenario,
     exponential_covariance,
-    kronecker_factors,
     reciprocal_scenario,
 )
 
@@ -138,11 +137,11 @@ class TestKroneckerFactors:
     @pytest.mark.parametrize("n_t,n_r", [(2, 3), (3, 1), (4, 4)])
     def test_factors_rebuild_both_links(self, n_t, n_r):
         s = build_scenario(n_t, n_r, 4, rho_rt=0.6 + 0.3j, rho_rr=-0.3 + 0.5j)
-        a, b, tau = kronecker_factors(s)
+        a, b, tau = s.chan_factors
         assert a.shape == (n_t, n_t) and b.shape == (n_r, n_r)
         assert tau == pytest.approx(1.0)
         npt.assert_allclose(np.kron(a, b) / tau, s.chan_cov, rtol=0, atol=1e-15)
-        a_ul, b_ul, tau_ul = kronecker_factors(reciprocal_scenario(s))
+        a_ul, b_ul, tau_ul = reciprocal_scenario(s).chan_factors
         npt.assert_allclose(a_ul, b, rtol=0, atol=1e-15)
         npt.assert_allclose(b_ul, a, rtol=0, atol=1e-15)
         assert tau_ul == pytest.approx(tau, rel=1e-15)
@@ -154,8 +153,8 @@ class TestKroneckerFactors:
             n_t=2, n_r=3, b=2, chan_cov=a @ a.conj().T, noise_cov=np.eye(6),
             gamma=1.0,
         )
-        with pytest.raises(ValueError, match="not a Kronecker product"):
-            kronecker_factors(s)
+        with pytest.raises(ValueError, match="chan_cov is not a Kronecker product"):
+            s.chan_factors
 
 
 class TestReciprocalScenario:

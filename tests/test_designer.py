@@ -29,7 +29,7 @@ from zczpilot.designer import (
     x_step,
     y_step,
 )
-from zczpilot.estimation import optimal_V, surrogate_F
+from zczpilot.estimation import AuxiliaryV, optimal_V, surrogate_F
 from zczpilot.tensorops import adjoint_embed, embed_pilot, shift_matrix
 
 
@@ -253,6 +253,14 @@ class TestXStep:
         with pytest.raises(ValueError):
             x_step(np.ones((4, 1)), np.zeros((4, 0)), cfg)
 
+    @pytest.mark.parametrize("step", [x_step, y_step], ids=["x_step", "y_step"])
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_non_finite_power_bound_rejected(self, step, p):
+        # a NaN bound used to pass through uncapped: top > nan is false
+        cfg = DesignConfig(k=1)
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            step(3.0 * np.ones((4, 1)), np.zeros((4, 0)), cfg, p=p)
+
 
 def eigen_shrink(x, k, p):
     """Shrink into the ball and ellipsoids through eigendecompositions of
@@ -425,15 +433,18 @@ class TestSigmaTarget:
         assert lam == pytest.approx(1.1 * _dense_opnorm(apply_t, (4, 2)), rel=1e-12)
 
     def test_non_kronecker_channel_rejected(self):
-        # a generic PSD channel covariance has no Kronecker factors, so the
-        # curvature T = K P A / tau does not exist for it
+        # a generic PSD channel covariance has no Kronecker factors, so
+        # neither the factored Gram solve behind V* nor the curvature
+        # T = K P A / tau exists for it
         rng = np.random.default_rng(8)
         a = crandn(rng, 4, 4)
         s = ChannelScenario(
             n_t=2, n_r=2, b=4, chan_cov=a @ a.conj().T,
             noise_cov=np.eye(8, dtype=complex) / 8.0, gamma=8.0,
         )
-        v = optimal_V(crandn(rng, 4, 2), s)
+        with pytest.raises(ValueError, match="Kronecker"):
+            optimal_V(crandn(rng, 4, 2), s)
+        v = AuxiliaryV(v1=np.eye(4, dtype=complex), v2=crandn(rng, 8, 4))
         with pytest.raises(ValueError, match="Kronecker"):
             build_sigma_target(v, crandn(rng, 4, 2), s)
 
@@ -507,24 +518,24 @@ class TestCurvatureMatrix:
 
 
 class TestFactorizationReuse:
-    """design_pilots factors each link's Gram matrix once per accepted
+    """design_pilots solves each link's Gram blocks once per accepted
     iterate: the MSE that scores it and the V* of the next MM target come
-    from the same solve, and a pair accepted by restoration is not scored
-    again."""
+    from the same batched solve, and a pair accepted by restoration is not
+    scored again."""
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_one_factorization_per_link_and_iterate(self, k, monkeypatch):
         import zczpilot.designer as designer
-        import zczpilot.estimation as estimation
 
-        # n_r differs between the links, so the Gram size names the link.
+        # n_r differs between the links, so the stack of n_r blocks of
+        # size B x B names the link.
         dl = build_scenario(2, 3, 6)
         ul = reciprocal_scenario(dl)
-        solves = {dl.b * dl.n_r: 0, ul.b * ul.n_r: 0}
-        solve = estimation.hermitian_solve
+        solves = {(s.n_r, s.b, s.b): 0 for s in (dl, ul)}
+        solve = np.linalg.solve
 
         def counting_solve(a, rhs):
-            solves[a.shape[0]] += 1
+            solves[a.shape] += 1
             return solve(a, rhs)
 
         restored = []
@@ -535,7 +546,7 @@ class TestFactorizationReuse:
             restored.append(out)
             return out
 
-        monkeypatch.setattr(estimation, "hermitian_solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(designer, "_restored_pair", recording)
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
         assert trace.outer_iterations == 8

@@ -4,9 +4,11 @@ training simulator / MMSE estimator pair used for empirical checks."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
-from zczpilot import estimation
-from zczpilot.covariance import ChannelScenario, build_scenario
+from zczpilot import covariance, estimation
+from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
+from zczpilot.designer import DesignConfig, design_pilots
 from zczpilot.estimation import (
     _TRIAL_BLOCK,
     _training_draws,
@@ -21,7 +23,7 @@ from zczpilot.estimation import (
     simulate_training,
     surrogate_F,
 )
-from zczpilot.tensorops import embed_pilot
+from zczpilot.tensorops import embed_pilot, hermitian_solve
 
 
 def crandn(rng, *shape):
@@ -132,6 +134,135 @@ class TestFusedMseAndV:
         npt.assert_allclose(v.v2, v_ref.v2, rtol=0, atol=1e-14 * np.abs(v_ref.v2).max())
         # criterion 2's tolerance for the lemma against the information form
         assert abs(mse - channel_mse_direct(p, s)) <= 1e-8 * mse
+
+
+def dense_mse_and_v2(p, s):
+    """Oracle: the lemma MSE and V2 from one dense (B n_r)^2 Gram solve."""
+    pt = embed_pilot(p, s.n_r)
+    w = pt @ s.chan_cov
+    z = hermitian_solve(s.noise_cov + w @ pt.conj().T, w)
+    return float(np.trace(s.chan_cov).real - np.vdot(w, z).real), -z
+
+
+# Exponential coefficients up to |rho| = 0.95 on every factor.
+RHO_SETS = {
+    "default": {},
+    "strong": {"rho_rt": 0.95j, "rho_rr": -0.95, "rho_mt": 0.95 * np.exp(0.7j)},
+}
+
+
+class TestFactoredSolve:
+    """mse_and_optimal_V solves n_r blocks of size B x B; the dense Gram
+    solve and the information form are its oracles."""
+
+    @pytest.mark.parametrize("rho", RHO_SETS)
+    @pytest.mark.parametrize("link", ["downlink", "uplink"])
+    @pytest.mark.parametrize("n_t,n_r,b", DIM_GRID)
+    def test_matches_dense_gram_and_direct_form(self, n_t, n_r, b, link, rho):
+        s = build_scenario(n_t, n_r, b, **RHO_SETS[rho])
+        if link == "uplink":
+            # its noise receive factor is not its channel receive factor
+            s = reciprocal_scenario(s)
+        rng = np.random.default_rng(n_t * 100 + n_r * 10 + b)
+        p = random_pilot(rng, s, energy=s.gamma)
+        mse, v = mse_and_optimal_V(p, s)
+        mse_ref, v2_ref = dense_mse_and_v2(p, s)
+        npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
+        npt.assert_array_equal(v.v1, np.eye(s.n_t * s.n_r))
+        assert abs(mse - mse_ref) <= 1e-8 * mse_ref
+        direct = channel_mse_direct(p, s)
+        assert abs(mse - direct) <= 1e-8 * direct
+
+    @pytest.mark.parametrize(
+        "chan_cov",
+        [np.diag([1.0, 0.0, 0.0, 0.0]), np.kron(np.eye(2), np.diag([0.5, 0.0]))],
+        ids=["rank-one", "singular-receive-factor"],
+    )
+    def test_rank_deficient_prior(self, chan_cov):
+        s = ChannelScenario(
+            n_t=2, n_r=2, b=3, chan_cov=chan_cov.astype(complex),
+            noise_cov=np.eye(6, dtype=complex) / 6.0, gamma=6.0,
+        )
+        p = random_pilot(np.random.default_rng(1), s, energy=s.gamma)
+        mse, v = mse_and_optimal_V(p, s)
+        mse_ref, v2_ref = dense_mse_and_v2(p, s)
+        npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
+        assert abs(mse - mse_ref) <= 1e-8 * mse_ref
+
+    @pytest.mark.parametrize("link", ["downlink", "uplink"])
+    def test_covariances_off_unit_trace(self, link):
+        # built scenarios have tau = tau_m = 1; rescaling both covariances
+        # makes a misplaced normalization visible
+        s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
+        if link == "uplink":
+            s = reciprocal_scenario(s)
+        s = ChannelScenario(
+            n_t=s.n_t, n_r=s.n_r, b=s.b, chan_cov=2.5 * s.chan_cov,
+            noise_cov=0.3 * s.noise_cov, gamma=s.gamma,
+        )
+        p = random_pilot(np.random.default_rng(3), s, energy=s.gamma)
+        mse, v = mse_and_optimal_V(p, s)
+        mse_ref, v2_ref = dense_mse_and_v2(p, s)
+        npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
+        assert abs(mse - mse_ref) <= 1e-8 * mse_ref
+
+    def test_non_kronecker_noise_rejected(self):
+        rng = np.random.default_rng(2)
+        a = crandn(rng, 6, 6)
+        s = ChannelScenario(
+            n_t=2, n_r=2, b=3, chan_cov=np.eye(4, dtype=complex) / 4.0,
+            noise_cov=a @ a.conj().T, gamma=6.0,
+        )
+        with pytest.raises(ValueError, match="noise_cov is not a Kronecker product"):
+            mse_and_optimal_V(np.ones((3, 2)), s)
+
+    def test_singular_noise_receive_factor_raises(self):
+        s = ChannelScenario(
+            n_t=2, n_r=2, b=3, chan_cov=np.eye(4, dtype=complex) / 4.0,
+            noise_cov=np.kron(np.eye(3), np.diag([1.0, 0.0])).astype(complex) / 3.0,
+            gamma=6.0,
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            mse_and_optimal_V(np.ones((3, 2)), s)
+
+    def test_factors_split_lazily_and_once(self, monkeypatch):
+        splits = []
+        split = covariance.kronecker_split
+
+        def counting_split(c, *args):
+            splits.append(c.shape)
+            return split(c, *args)
+
+        monkeypatch.setattr(covariance, "kronecker_split", counting_split)
+        s = build_scenario(2, 3, 4)
+        assert not splits
+        for _ in range(3):
+            mse_and_optimal_V(np.ones((4, 2)), s)
+        assert sorted(splits) == [(6, 6), (12, 12)]
+
+    def test_no_factored_matrix_exceeds_training_length(self, monkeypatch):
+        # a 4x4, B = 16 design and a validate call factor nothing of the
+        # (B n_r)-dimensional Gram or noise covariance
+        sizes = []
+
+        def recording(fn):
+            def wrapped(a, *args, **kwargs):
+                sizes.append(max(np.shape(a)[-2:]))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        for mod, names in (
+            (np.linalg, ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "pinv")),
+            (scipy.linalg, ("eigh", "cho_factor", "cholesky", "solve")),
+        ):
+            for name in names:
+                monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+        dl = build_scenario(4, 4, 16)
+        ul = reciprocal_scenario(dl)
+        _, trace = design_pilots(dl, ul, DesignConfig(k=2, max_outer=3, seed=0))
+        assert trace.outer_iterations == 3
+        mmse_squared_errors(np.ones((16, 4)), dl, range(3))
+        assert sizes and max(sizes) <= 16
 
 
 class TestBlockMatrixQ:
@@ -261,6 +392,23 @@ class TestSimulator:
                             rtol=1e-14, atol=1e-15)
         npt.assert_allclose(real.noise.reshape(-1, order="F"), n / np.sqrt(2.0),
                             rtol=1e-14, atol=1e-15)
+
+    def test_noise_coloured_by_dense_factor_off_unit_trace(self):
+        # the factor-wise colouring L_time W L_rx^T / sqrt(tau_m) equals the
+        # Cholesky factor of the whole noise covariance, whatever its trace
+        s = reciprocal_scenario(build_scenario(3, 2, 4, rho_mt=0.1 - 0.6j))
+        s = ChannelScenario(
+            n_t=s.n_t, n_r=s.n_r, b=s.b, chan_cov=s.chan_cov,
+            noise_cov=0.3 * s.noise_cov, gamma=s.gamma,
+        )
+        seeds = [3, 17]
+        (_, noise), = _training_draws(s, seeds)
+        f_n = np.linalg.cholesky(s.noise_cov)
+        n_h, n_m = s.n_t * s.n_r, s.b * s.n_r
+        for row, seed in zip(noise, seeds):
+            white = np.random.default_rng(seed).standard_normal(2 * (n_h + n_m))
+            w = white[2 * n_h:2 * n_h + n_m] + 1j * white[2 * n_h + n_m:]
+            npt.assert_allclose(row, f_n @ w / np.sqrt(2.0), rtol=1e-13, atol=1e-15)
 
     def test_seed_reproduces_its_draw_in_any_block(self):
         s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)

@@ -143,6 +143,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             TimingScenario(**base)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field, named",
+        [("d_user", "d_user"), ("symbol_time", "symbol_time"), ("nu", "speed"),
+         ("t_pr", "t_pr"), ("d_object", "d_object")],
+    )
+    def test_non_finite_rejected(self, field, named, value):
+        base = dict(d_user=100.0, symbol_time=1e-6)
+        base[field] = value
+        with pytest.raises(ValueError, match=f"{named} must be .*finite"):
+            TimingScenario(**base)
+
     def test_modulation_time_carried(self):
         s = reference_scenario(t_mod=3.0)
         assert s.t_mod == 3.0
