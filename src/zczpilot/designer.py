@@ -7,14 +7,13 @@ constraint sets: per-column power balls, zero cross-correlation between
 the two pilots over a lag window, and the convexified low-autocorrelation
 ellipsoids on the downlink (sensing) pilot.
 
-The channel covariance of either link is a Kronecker product
-R = (R_tx (x) R_rx) / tau (ChannelScenario.chan_factors, split once per
-scenario), so the curvature of the MM quadratic is T(P) = K P A with
-A = R_tx / tau and a b x b PSD matrix K taken from V2, and the step size
-is the exact norm lam_max(K) lam_max(A) of T, with a 10% margin.  Each
-iterate is scored, and V2 built, by estimation.mse_and_optimal_V, which
-solves n_r blocks of size b x b per link instead of the (b n_r)-sized
-Gram.
+The channel covariance of either link is the Kronecker product
+R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
+quadratic is T(P) = K P R_tx with a b x b PSD matrix K taken from V2, and
+the step size is the exact norm lam_max(K) lam_max(R_tx) of T, with a 10%
+margin.  Each iterate is scored, and V2 built, by
+estimation.mse_and_optimal_V, which solves n_r blocks of size b x b per
+link instead of the (b n_r)-sized Gram.
 
 Both pilots see one zero-correlation zone.  Its constraint vectors come
 from one cached stack of shift matrices (_cross_vectors), and one SVD rank
@@ -116,8 +115,8 @@ class DesignConfig:
             raise ValueError("p must be positive and finite")
         if not all(0 < t < np.inf for t in (self.epsilon, self.eta, self.inner_tol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if self.mu < 1:
+            raise ValueError("mu must be >= 1")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if self.seed < 0:
@@ -428,17 +427,16 @@ def _mm_model(v, s):
     """(K, A, G) with the curvature T(P) = K P A and the linear term G of
     _mm_quadratic.
 
-    With W2 = V2 V2^H and R = (R_tx (x) R_rx) / tau, T(P) = adj(W2 L(P) R)
-    has entries sum_{k,l} K[i,k] P[k,l] A[l,j] with A = R_tx / tau and
+    With W2 = V2 V2^H and R = R_tx (x) R_rx, T(P) = adj(W2 L(P) R) has
+    entries sum_{k,l} K[i,k] P[k,l] A[l,j] with A = R_tx and
     K[i,k] = sum_{r,s} W2[(i,r),(k,s)] R_rx[s,r]: one GEMM of V2, regrouped
     as b x (n_r n), against the same regrouping of R_rx V2, so that W2 is
     never formed.
     """
-    r_tx, r_rx, tau = s.chan_factors
     v2 = v.v2.reshape(s.b, s.n_r, -1)
-    k = v2.reshape(s.b, -1) @ (r_rx @ v2).reshape(s.b, -1).conj().T
+    k = v2.reshape(s.b, -1) @ (s.r_rx @ v2).reshape(s.b, -1).conj().T
     g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
-    return k, r_tx / tau, g
+    return k, s.r_tx, g
 
 
 def _mm_quadratic(v, s):
@@ -466,8 +464,7 @@ def build_sigma_target(v, p_current, s):
     P_sigma = P0 - (T(P0)+G)/lam.  T(P) = K P A is a Kronecker operator
     with PSD factors, so its norm is exactly lam_max(K) lam_max(A); lam
     adds a 10% safety margin.  A zero V2
-    makes F constant in P and returns P0.  Raises ValueError when the
-    channel covariance is not a Kronecker product.
+    makes F constant in P and returns P0.
     """
     p_current = np.asarray(p_current, dtype=np.complex128)
     if p_current.shape != (s.b, s.n_t):

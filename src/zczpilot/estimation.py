@@ -8,13 +8,14 @@ vec(Yrx) = (P (x) I) vec(H) + vec(N), and the Bayesian estimator error is
 
 The matrix inversion lemma turns this into trace[R] minus a correction
 that never inverts R, which is the form used in hot loops and for
-rank-deficient priors.  Both covariances are Kronecker products
-(ChannelScenario.chan_factors, noise_factors), so the (B n_r)-dimensional
-Gram of that correction splits into n_r blocks of size B x B in the joint
-eigenbasis of the two receive factors (ChannelScenario.receive_eig;
-Kotecha & Sayeed, IEEE TSP 2004), and the training noise is coloured
-through its factors.  The noise receive factor must be positive definite.
-The dense forms (channel_mse_direct, build_Q) remain as references.  The
+rank-deficient priors.  A scenario holds both covariances as Kronecker
+factors, R = R_tx (x) R_rx and M = M_time (x) M_rx, so the
+(B n_r)-dimensional Gram of that correction splits into n_r blocks of size
+B x B in the joint eigenbasis of the two receive factors
+(ChannelScenario.receive_eig; Kotecha & Sayeed, IEEE TSP 2004), and the
+training noise is coloured through its factors.  The noise receive factor
+must be positive definite.  The dense forms (channel_mse_direct, build_Q,
+surrogate_F) remain as references.  The
 auxiliary-variable machinery (block matrix Q, minimizer V*, surrogate F)
 restates the same quantity as a quadratic form that is linear
 algebra-friendly for the pilot designer.
@@ -97,31 +98,27 @@ def mse_and_optimal_V(p, s):
 
     With W = Pt R and G = M + W Pt^H, Z = G^-1 W gives both
     mse = trace[R] - Re trace[W^H Z] and V* = [I; -Z].  For
-    R = (R_tx (x) R_rx) / tau and M = (M_time (x) M_rx) / tau_m, W is
-    Q (x) R_rx with Q = P R_tx / tau, and G = A1 (x) R_rx + M_time (x) M_rx
-    / tau_m with A1 = Q P^H.  The receive basis S of the scenario
-    (S^H M_rx S = I, S^H R_rx S = diag(lam)) turns G into n_r blocks
-    G_i = lam_i A1 + M_time / tau_m of size B x B, so one batched solve
+    R = R_tx (x) R_rx and M = M_time (x) M_rx, W is Q (x) R_rx with
+    Q = P R_tx, and G = A1 (x) R_rx + M_time (x) M_rx with A1 = Q P^H.  The
+    receive basis S of the scenario (S^H M_rx S = I,
+    S^H R_rx S = diag(lam)) turns G into n_r blocks
+    G_i = lam_i A1 + M_time of size B x B, so one batched solve
     Y_i = G_i^-1 Q gives Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
     mse = trace[R] - sum_i lam_i^2 ||S^-1[i, :]||^2 Re trace[Q^H Y_i].
     The designer scores an iterate and builds its next MM target from
-    this one call.  Raises ValueError when a covariance is not a Kronecker
-    product and LinAlgError when M_rx or a block is singular.
+    this one call.  Raises LinAlgError when M_rx or a block is singular.
     """
     p = _checked(p, s)
-    r_tx, _, tau = s.chan_factors
-    m_time, _, tau_m = s.noise_factors
     lam, basis, basis_inv = s.receive_eig
-    q = p @ r_tx
-    q /= tau
+    q = p @ s.r_tx
     blocks = lam[:, None, None] * (q @ p.conj().T)
-    blocks += m_time / tau_m
+    blocks += s.m_time
     y = np.linalg.solve(blocks, q)
     n_r, b, n_t = y.shape
     # Re trace[Q^H Y_i] for every block i at once.
     fits = (y.reshape(n_r, -1) @ q.conj().ravel()).real
     weights = lam**2 * np.linalg.norm(basis_inv, axis=1) ** 2
-    mse = float(np.trace(s.chan_cov).real - weights @ fits)
+    mse = float(np.trace(s.r_tx).real * np.trace(s.r_rx).real - weights @ fits)
     # -Z regrouped as rows (b, t) and columns (r, r'): one GEMM of the
     # stacked Y_i against -lam_i S[r, i] S^-1[i, r'].
     mix = -lam[:, None, None] * basis.T[:, :, None] * basis_inv[:, None, :]
@@ -205,13 +202,12 @@ def _white_blocks(s, seeds):
 def _colouring(s):
     """(F_h, F_time, F_rx) with vec(H) = F_h w and vec(N) = (F_time (x)
     F_rx) w for white w: the noise factor is taken from the Kronecker
-    factors, since the Cholesky factor of (M_time (x) M_rx) / tau is
-    (L_time (x) L_rx) / sqrt(tau)."""
-    m_time, m_rx, tau_m = s.noise_factors
+    factors, since the Cholesky factor of M_time (x) M_rx is
+    L_time (x) L_rx."""
     return (
         _covariance_factor(s.chan_cov),
-        _covariance_factor(m_time) / np.sqrt(tau_m),
-        _covariance_factor(m_rx),
+        _covariance_factor(s.m_time),
+        _covariance_factor(s.m_rx),
     )
 
 

@@ -116,9 +116,7 @@ def test_criterion_3_scalar_closed_form(capsys):
     worst = 0.0
     for gamma in (0.1, 1.0, 10.0):
         s = ChannelScenario(
-            n_t=1, n_r=1, b=1,
-            chan_cov=np.eye(1, dtype=complex),
-            noise_cov=np.eye(1, dtype=complex),
+            r_tx=np.eye(1), r_rx=np.eye(1), m_time=np.eye(1), m_rx=np.eye(1),
             gamma=gamma,
         )
         p = np.array([[np.sqrt(gamma)]], dtype=complex)

@@ -12,6 +12,7 @@ import pytest
 
 from zczpilot import estimation
 from zczpilot.archive import read_archive, without_timestamp
+from zczpilot.covariance import ChannelScenario
 from zczpilot.cli import (
     EXIT_CONFIG,
     EXIT_DESIGN,
@@ -324,8 +325,9 @@ class TestInputRejection:
          ("[scenario] b", {"b = 4": "b = 0", "k = 1": "k = 0"}),
          ("[design] seed", {"seed = 0": "seed = -3"}),
          ("[design] p", {"seed = 0": "seed = 0\np = nan"}),
-         ("[scenario] gamma", {"b = 4": "b = 4\ngamma = inf"})],
-        ids=["n_t", "n_r", "b", "seed", "p-nan", "gamma-inf"],
+         ("[scenario] gamma", {"b = 4": "b = 4\ngamma = inf"}),
+         ("[design] mu", {"seed = 0": "seed = 0\nmu = 0"})],
+        ids=["n_t", "n_r", "b", "seed", "p-nan", "gamma-inf", "mu-zero"],
     )
     def test_bad_config_value(self, tmp_path, capsys, where, edits):
         text = SMALL
@@ -380,6 +382,21 @@ class TestValidate:
         rc = main(["validate", "--config", str(small_config), "--trials", "50"])
         assert rc == EXIT_OK
         assert solves == [(4, 1)]
+
+    def test_no_dense_noise_covariance(self, tmp_path, capsys, monkeypatch):
+        # design and validate work on the Kronecker factors: neither forms
+        # the (B n_r)^2 noise covariance of the benchmark-sized scenario
+        def refuse(s):
+            raise AssertionError("dense noise covariance built")
+
+        monkeypatch.setattr(ChannelScenario, "noise_cov", property(refuse))
+        path = tmp_path / "kron.ini"
+        path.write_text(KRON + "max_outer = 2\n")
+        rc = main(["design", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_OK
+        rc = main(["validate", "--config", str(path), "--trials", "100"])
+        assert rc == EXIT_OK
+        capsys.readouterr()
 
     def test_trials_floor(self, small_config, capsys):
         rc = main(["validate", "--config", str(small_config), "--trials", "1"])

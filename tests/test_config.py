@@ -122,6 +122,11 @@ class TestRejection:
         with pytest.raises(ConfigError, match=rf"\[scenario\] {key}: must be positive"):
             parse_config(text)
 
+    def test_zero_inner_rounds_rejected(self):
+        # mu = 0 would leave every iterate in place and report convergence
+        with pytest.raises(ConfigError, match=r"\[design\] mu must be >= 1"):
+            parse_config(MINIMAL + "[design]\nmu = 0\n")
+
     def test_seed_nonnegative(self):
         with pytest.raises(ConfigError, match=r"\[design\] seed"):
             parse_config(MINIMAL + "[design]\nseed = -1\n")

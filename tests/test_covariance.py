@@ -64,6 +64,8 @@ class TestBuildScenario:
         assert s.gamma == 32.0
         assert abs(np.trace(s.chan_cov) - 1.0) <= 1e-10
         assert abs(np.trace(s.noise_cov) - 1.0) <= 1e-10
+        for c in (s.r_tx, s.r_rx, s.m_time, s.m_rx):
+            assert abs(np.trace(c) - 1.0) <= 1e-15
 
     def test_default_correlation_parameters(self):
         npt.assert_allclose(DEFAULT_RHO_RT, 0.9 * np.exp(-1j * 0.8349 * np.pi))
@@ -72,8 +74,8 @@ class TestBuildScenario:
 
     def test_kronecker_eigenvalue_structure(self):
         s = build_scenario(2, 3, 2)
-        r_t = exponential_covariance(2, s.rho_rt)
-        r_r = exponential_covariance(3, s.rho_rr)
+        r_t = exponential_covariance(2, DEFAULT_RHO_RT)
+        r_r = exponential_covariance(3, DEFAULT_RHO_RR)
         scale = np.trace(r_t).real * np.trace(r_r).real
         pairwise = np.sort(
             np.outer(np.linalg.eigvalsh(r_t.T), np.linalg.eigvalsh(r_r)).ravel()
@@ -89,72 +91,96 @@ class TestBuildScenario:
             build_scenario(2, 2, 4, rho_rt=1.0)
 
     def test_scenario_validation_rejects_non_hermitian(self):
-        bad = np.eye(4, dtype=complex)
+        bad = np.eye(2, dtype=complex)
         bad[0, 1] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="r_tx is not Hermitian"):
             ChannelScenario(
-                n_t=2, n_r=2, b=2, chan_cov=bad, noise_cov=np.eye(4) / 4.0, gamma=4.0
+                r_tx=bad, r_rx=np.eye(2) / 2.0, m_time=np.eye(2) / 2.0,
+                m_rx=np.eye(2) / 2.0, gamma=4.0,
             )
 
+    # In a 1 x 1 x 1 scenario the channel and noise covariances are r_tx
+    # and m_time.
     @pytest.mark.parametrize(
         "chan_cov, noise_cov, match",
         [
-            (-np.eye(1), np.eye(1), "chan_cov has a negative diagonal"),
-            (np.array([[np.nan]]), np.eye(1), "chan_cov has a non-finite"),
-            (np.eye(1), np.array([[np.inf]]), "noise_cov has a non-finite"),
-            (np.eye(1), np.array([[-1e-3]]), "noise_cov has a negative diagonal"),
+            (-np.eye(1), np.eye(1), "r_tx is not positive semidefinite"),
+            (np.array([[np.nan]]), np.eye(1), "r_tx has a non-finite"),
+            (np.eye(1), np.array([[np.inf]]), "m_time has a non-finite"),
+            (np.eye(1), np.array([[-1e-3]]), "m_time is not positive semidefinite"),
         ],
     )
     def test_scenario_validation_rejects_bad_entries(self, chan_cov, noise_cov, match):
         with pytest.raises(ValueError, match=match):
             ChannelScenario(
-                n_t=1, n_r=1, b=1, chan_cov=chan_cov, noise_cov=noise_cov, gamma=1.0
+                r_tx=chan_cov, r_rx=np.eye(1), m_time=noise_cov, m_rx=np.eye(1),
+                gamma=1.0,
             )
+
+    @pytest.mark.parametrize("name", ["r_tx", "r_rx", "m_time", "m_rx"])
+    def test_scenario_validation_rejects_indefinite_factor(self, name):
+        # Hermitian with a non-negative diagonal, but eigenvalues 3 and -1
+        factors = dict.fromkeys(["r_tx", "r_rx", "m_time", "m_rx"], np.eye(2) / 2.0)
+        factors[name] = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match=f"{name} is not positive semidefinite"):
+            ChannelScenario(**factors, gamma=1.0)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_scenario_validation_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             ChannelScenario(
-                n_t=1, n_r=1, b=1, chan_cov=np.eye(1), noise_cov=np.eye(1), gamma=gamma
+                r_tx=np.eye(1), r_rx=np.eye(1), m_time=np.eye(1), m_rx=np.eye(1),
+                gamma=gamma,
             )
 
     def test_rank_deficient_prior_accepted(self):
+        # a singular factor is PSD up to rounding: eigenvalues of order
+        # -1e-17 must not count as indefinite
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         s = ChannelScenario(
-            n_t=2, n_r=1, b=1, chan_cov=np.diag([1.0, 0.0]), noise_cov=np.eye(1),
-            gamma=1.0,
+            r_tx=np.diag([1.0, 0.0]), r_rx=np.eye(1), m_time=a @ a.conj().T,
+            m_rx=np.eye(1), gamma=1.0,
         )
-        assert s.rho_rt is None and s.rho_rr is None and s.rho_mt is None
+        assert (s.n_t, s.n_r, s.b) == (2, 1, 4)
+        assert s.rho_rr is None
 
     def test_scenario_validation_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            ChannelScenario(
-                n_t=2, n_r=2, b=3, chan_cov=np.eye(4) / 4.0,
-                noise_cov=np.eye(4) / 4.0, gamma=6.0,
-            )
+        for shapes in [(2, 2, 3, 3), (2, 2, 0, 2), ((2, 3), 2, 2, 2)]:
+            factors = [
+                np.eye(*n) if isinstance(n, tuple) else np.eye(n) for n in shapes
+            ]
+            with pytest.raises(ValueError, match="shape"):
+                ChannelScenario(*factors, gamma=6.0)
+
+    def test_scenario_is_immutable_and_hashable(self):
+        s = build_scenario(2, 2, 4)
+        t = build_scenario(2, 2, 4)
+        assert s == s and s != t
+        assert len({s, t, s}) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            s.r_tx[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.chan_cov[0, 0] = 2.0
+
+    def test_factors_are_copied(self):
+        r = np.eye(2) / 2.0
+        s = ChannelScenario(r_tx=r, r_rx=r, m_time=r, m_rx=r, gamma=1.0)
+        r[0, 0] = 5.0
+        npt.assert_array_equal(s.chan_cov, np.eye(4) / 4.0)
 
 
 class TestKroneckerFactors:
     @pytest.mark.parametrize("n_t,n_r", [(2, 3), (3, 1), (4, 4)])
     def test_factors_rebuild_both_links(self, n_t, n_r):
         s = build_scenario(n_t, n_r, 4, rho_rt=0.6 + 0.3j, rho_rr=-0.3 + 0.5j)
-        a, b, tau = s.chan_factors
-        assert a.shape == (n_t, n_t) and b.shape == (n_r, n_r)
-        assert tau == pytest.approx(1.0)
-        npt.assert_allclose(np.kron(a, b) / tau, s.chan_cov, rtol=0, atol=1e-15)
-        a_ul, b_ul, tau_ul = reciprocal_scenario(s).chan_factors
-        npt.assert_allclose(a_ul, b, rtol=0, atol=1e-15)
-        npt.assert_allclose(b_ul, a, rtol=0, atol=1e-15)
-        assert tau_ul == pytest.approx(tau, rel=1e-15)
-
-    def test_generic_covariance_rejected(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        s = ChannelScenario(
-            n_t=2, n_r=3, b=2, chan_cov=a @ a.conj().T, noise_cov=np.eye(6),
-            gamma=1.0,
-        )
-        with pytest.raises(ValueError, match="chan_cov is not a Kronecker product"):
-            s.chan_factors
+        assert s.r_tx.shape == (n_t, n_t) and s.r_rx.shape == (n_r, n_r)
+        npt.assert_array_equal(s.chan_cov, np.kron(s.r_tx, s.r_rx))
+        npt.assert_array_equal(s.noise_cov, np.kron(s.m_time, s.m_rx))
+        u = reciprocal_scenario(s)
+        npt.assert_array_equal(u.r_tx, s.r_rx)
+        npt.assert_array_equal(u.r_rx, s.r_tx)
+        npt.assert_array_equal(u.m_time, s.m_time)
 
 
 class TestReciprocalScenario:
@@ -171,6 +197,9 @@ class TestReciprocalScenario:
         assert u.gamma == 4 * 3
         assert u.noise_cov.shape == (4 * 2, 4 * 2)
         assert abs(np.trace(u.noise_cov) - 1.0) <= 1e-10
+        npt.assert_allclose(
+            u.m_rx, exponential_covariance(2, DEFAULT_RHO_RR) / 2.0, rtol=0, atol=0
+        )
 
     def test_permutation_preserves_spectrum(self):
         s = build_scenario(2, 1, 3)
@@ -184,37 +213,38 @@ class TestReciprocalScenario:
     @pytest.mark.parametrize("n_t,n_r", [(2, 3), (4, 4), (8, 8), (1, 2), (3, 1)])
     def test_channel_is_commutation_conjugate(self, n_t, n_r):
         # K vec(H) = vec(H^T) for the n_r x n_t channel H, so the uplink
-        # covariance is K R K^T; R is a generic (not Kronecker) covariance
+        # covariance is K R K^T; the factors are random PSD matrices
         rng = np.random.default_rng(n_t * 10 + n_r)
-        n = n_t * n_r
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        r = a @ a.conj().T
+
+        def random_psd(m):
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            return a @ a.conj().T
+
         s = ChannelScenario(
-            n_t=n_t, n_r=n_r, b=2, chan_cov=r, noise_cov=np.eye(2 * n_r),
-            gamma=1.0, rho_rr=DEFAULT_RHO_RR, rho_mt=DEFAULT_RHO_MT,
+            r_tx=random_psd(n_t), r_rx=random_psd(n_r), m_time=np.eye(2),
+            m_rx=np.eye(n_r), gamma=1.0, rho_rr=DEFAULT_RHO_RR,
         )
+        n = n_t * n_r
         k = np.zeros((n, n))
         for c in range(n_t):
             for row in range(n_r):
                 k[row * n_t + c, c * n_r + row] = 1.0
-        npt.assert_array_equal(reciprocal_scenario(s).chan_cov, k @ r @ k.T)
+        npt.assert_allclose(
+            reciprocal_scenario(s).chan_cov, k @ s.chan_cov @ k.T, rtol=1e-14, atol=0
+        )
 
-    @pytest.mark.parametrize("missing", ["rho_rr", "rho_mt"])
+    @pytest.mark.parametrize("missing", ["rho_rr"])
     def test_missing_noise_coefficient_named(self, missing):
         # a white downlink noise says nothing about the uplink noise
-        rho = {"rho_rr": 0.0, "rho_mt": 0.0}
-        del rho[missing]
-        s = ChannelScenario(
-            n_t=2, n_r=2, b=2, chan_cov=np.eye(4) / 4.0, noise_cov=np.eye(4) / 4.0,
-            gamma=4.0, **rho,
-        )
+        eye = np.eye(2) / 2.0
+        s = ChannelScenario(r_tx=eye, r_rx=eye, m_time=eye, m_rx=eye, gamma=4.0)
         with pytest.raises(ValueError, match=missing):
             reciprocal_scenario(s)
 
     def test_given_coefficients_build_uplink_noise(self):
         s = ChannelScenario(
-            n_t=2, n_r=3, b=2, chan_cov=np.eye(6) / 6.0, noise_cov=np.eye(6) / 6.0,
-            gamma=4.0, rho_rr=0.0, rho_mt=0.0,
+            r_tx=np.eye(2) / 2.0, r_rx=np.eye(3) / 3.0, m_time=np.eye(2) / 2.0,
+            m_rx=np.eye(3) / 3.0, gamma=4.0, rho_rr=0.0,
         )
         npt.assert_array_equal(reciprocal_scenario(s).noise_cov, np.eye(4) / 4.0)
 

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from zczpilot import covariance, estimation
+from zczpilot import estimation
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot.designer import DesignConfig, design_pilots
 from zczpilot.estimation import (
@@ -31,12 +31,8 @@ def crandn(rng, *shape):
 
 
 def scalar_scenario(gamma):
-    return ChannelScenario(
-        n_t=1, n_r=1, b=1,
-        chan_cov=np.eye(1, dtype=complex),
-        noise_cov=np.eye(1, dtype=complex),
-        gamma=gamma,
-    )
+    one = np.eye(1)
+    return ChannelScenario(r_tx=one, r_rx=one, m_time=one, m_rx=one, gamma=gamma)
 
 
 def random_pilot(rng, s, energy=None):
@@ -49,9 +45,8 @@ def random_pilot(rng, s, energy=None):
 def least_squares_scenario():
     sigma2 = 1e6
     return ChannelScenario(
-        n_t=2, n_r=2, b=4,
-        chan_cov=sigma2 * np.eye(4, dtype=complex),
-        noise_cov=np.eye(8, dtype=complex) / 8.0,
+        r_tx=sigma2 * np.eye(2), r_rx=np.eye(2),
+        m_time=np.eye(4) / 4.0, m_rx=np.eye(2) / 2.0,
         gamma=1.0,
     )
 
@@ -91,9 +86,8 @@ class TestMseForms:
 
     def test_rank_deficient_prior_is_fine_for_lemma(self):
         s = ChannelScenario(
-            n_t=2, n_r=1, b=2,
-            chan_cov=np.diag([1.0, 0.0]).astype(complex),
-            noise_cov=np.eye(2, dtype=complex) / 2.0,
+            r_tx=np.diag([1.0, 0.0]), r_rx=np.eye(1),
+            m_time=np.eye(2) / 2.0, m_rx=np.eye(1),
             gamma=4.0,
         )
         rng = np.random.default_rng(0)
@@ -174,14 +168,17 @@ class TestFactoredSolve:
         assert abs(mse - direct) <= 1e-8 * direct
 
     @pytest.mark.parametrize(
-        "chan_cov",
-        [np.diag([1.0, 0.0, 0.0, 0.0]), np.kron(np.eye(2), np.diag([0.5, 0.0]))],
+        "r_tx, r_rx",
+        [
+            (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
+            (np.eye(2), np.diag([0.5, 0.0])),
+        ],
         ids=["rank-one", "singular-receive-factor"],
     )
-    def test_rank_deficient_prior(self, chan_cov):
+    def test_rank_deficient_prior(self, r_tx, r_rx):
         s = ChannelScenario(
-            n_t=2, n_r=2, b=3, chan_cov=chan_cov.astype(complex),
-            noise_cov=np.eye(6, dtype=complex) / 6.0, gamma=6.0,
+            r_tx=r_tx, r_rx=r_rx, m_time=np.eye(3) / 3.0, m_rx=np.eye(2) / 2.0,
+            gamma=6.0,
         )
         p = random_pilot(np.random.default_rng(1), s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
@@ -191,14 +188,14 @@ class TestFactoredSolve:
 
     @pytest.mark.parametrize("link", ["downlink", "uplink"])
     def test_covariances_off_unit_trace(self, link):
-        # built scenarios have tau = tau_m = 1; rescaling both covariances
-        # makes a misplaced normalization visible
+        # built scenarios have unit-trace factors; rescaling the transmit
+        # and temporal factors makes a misplaced normalization visible
         s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
         if link == "uplink":
             s = reciprocal_scenario(s)
         s = ChannelScenario(
-            n_t=s.n_t, n_r=s.n_r, b=s.b, chan_cov=2.5 * s.chan_cov,
-            noise_cov=0.3 * s.noise_cov, gamma=s.gamma,
+            r_tx=2.5 * s.r_tx, r_rx=s.r_rx, m_time=0.3 * s.m_time, m_rx=s.m_rx,
+            gamma=s.gamma,
         )
         p = random_pilot(np.random.default_rng(3), s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
@@ -206,39 +203,32 @@ class TestFactoredSolve:
         npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
         assert abs(mse - mse_ref) <= 1e-8 * mse_ref
 
-    def test_non_kronecker_noise_rejected(self):
-        rng = np.random.default_rng(2)
-        a = crandn(rng, 6, 6)
-        s = ChannelScenario(
-            n_t=2, n_r=2, b=3, chan_cov=np.eye(4, dtype=complex) / 4.0,
-            noise_cov=a @ a.conj().T, gamma=6.0,
-        )
-        with pytest.raises(ValueError, match="noise_cov is not a Kronecker product"):
-            mse_and_optimal_V(np.ones((3, 2)), s)
-
     def test_singular_noise_receive_factor_raises(self):
         s = ChannelScenario(
-            n_t=2, n_r=2, b=3, chan_cov=np.eye(4, dtype=complex) / 4.0,
-            noise_cov=np.kron(np.eye(3), np.diag([1.0, 0.0])).astype(complex) / 3.0,
+            r_tx=np.eye(2) / 2.0, r_rx=np.eye(2) / 2.0,
+            m_time=np.eye(3) / 3.0, m_rx=np.diag([1.0, 0.0]),
             gamma=6.0,
         )
         with pytest.raises(np.linalg.LinAlgError):
             mse_and_optimal_V(np.ones((3, 2)), s)
 
     def test_factors_split_lazily_and_once(self, monkeypatch):
-        splits = []
-        split = covariance.kronecker_split
+        # the receive eigenbasis is computed on first use and kept, and the
+        # solve never forms a dense covariance
+        factored = []
+        cholesky = np.linalg.cholesky
 
-        def counting_split(c, *args):
-            splits.append(c.shape)
-            return split(c, *args)
+        def counting_cholesky(a):
+            factored.append(a.shape)
+            return cholesky(a)
 
-        monkeypatch.setattr(covariance, "kronecker_split", counting_split)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         s = build_scenario(2, 3, 4)
-        assert not splits
+        assert not factored
         for _ in range(3):
             mse_and_optimal_V(np.ones((4, 2)), s)
-        assert sorted(splits) == [(6, 6), (12, 12)]
+        assert factored == [(3, 3)]
+        assert "chan_cov" not in vars(s) and "noise_cov" not in vars(s)
 
     def test_no_factored_matrix_exceeds_training_length(self, monkeypatch):
         # a 4x4, B = 16 design and a validate call factor nothing of the
@@ -394,12 +384,12 @@ class TestSimulator:
                             rtol=1e-14, atol=1e-15)
 
     def test_noise_coloured_by_dense_factor_off_unit_trace(self):
-        # the factor-wise colouring L_time W L_rx^T / sqrt(tau_m) equals the
-        # Cholesky factor of the whole noise covariance, whatever its trace
+        # the factor-wise colouring L_time W L_rx^T equals the Cholesky
+        # factor of the whole noise covariance, whatever its trace
         s = reciprocal_scenario(build_scenario(3, 2, 4, rho_mt=0.1 - 0.6j))
         s = ChannelScenario(
-            n_t=s.n_t, n_r=s.n_r, b=s.b, chan_cov=s.chan_cov,
-            noise_cov=0.3 * s.noise_cov, gamma=s.gamma,
+            r_tx=s.r_tx, r_rx=s.r_rx, m_time=0.3 * s.m_time, m_rx=s.m_rx,
+            gamma=s.gamma,
         )
         seeds = [3, 17]
         (_, noise), = _training_draws(s, seeds)
