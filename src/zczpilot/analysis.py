@@ -206,15 +206,14 @@ def write_montecarlo_csv(summary, path):
 
 
 def write_trace_csv(trace, path):
-    """Emit designer progress as iteration,mse,max_cross,max_auto,max_power."""
+    """Emit designer progress as
+    iteration,mse,max_cross,max_auto,max_power,mse_dl,mse_ul."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iteration", "mse", "max_cross", "max_auto", "max_power"])
-        for i, mse in enumerate(trace.mse):
-            w.writerow(
-                [i, _fmt(mse), _fmt(trace.max_cross[i]), _fmt(trace.max_auto[i]),
-                 _fmt(trace.max_power[i])]
-            )
+        cols = ["mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul"]
+        w.writerow(["iteration", *cols])
+        for i in range(len(trace.mse)):
+            w.writerow([i, *(_fmt(getattr(trace, c)[i]) for c in cols)])
 
 
 def correlation_rows(report):

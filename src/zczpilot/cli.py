@@ -101,6 +101,8 @@ def _cmd_design(args):
     _atomic_write(out / "design_trace.csv", lambda p: write_trace_csv(trace, p))
 
     print(f"final mse: {trace.mse[-1]:.12g}")
+    print(f"downlink mse: {trace.mse_dl[-1]:.12g}")
+    print(f"uplink mse: {trace.mse_ul[-1]:.12g}")
     print(f"outer iterations: {trace.outer_iterations}")
     print(f"converged: {trace.converged}")
     print(f"max column power: {pair.max_column_power:.12g}")

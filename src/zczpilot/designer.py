@@ -9,11 +9,11 @@ ellipsoids on the downlink (sensing) pilot.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
-quadratic is T(P) = K P R_tx with a b x b PSD matrix K taken from V2, and
-the step size is the exact norm lam_max(K) lam_max(R_tx) of T, with a 10%
-margin.  Each iterate is scored, and V2 built, by
-estimation.mse_and_optimal_V, which solves n_r blocks of size b x b per
-link instead of the (b n_r)-sized Gram.
+quadratic is T(P) = K P R_tx with a b x b PSD matrix K, and the step size
+is the exact norm lam_max(K) lam_max(R_tx) of T, with a 10% margin.
+estimation.mse_and_optimal_V scores each iterate from n_r solved blocks
+of size b x b per link and returns V* as those blocks, from which
+_mm_model takes the next MM target: no dense V2 or channel covariance.
 
 Both pilots see one zero-correlation zone.  Its constraint vectors come
 from one cached stack of shift matrices (_cross_vectors), and one SVD rank
@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .estimation import mse_and_optimal_V
-from .tensorops import adjoint_embed, shift_matrix
+from .tensorops import shift_matrix
 
 _TINY = 1e-300
 
@@ -425,28 +425,32 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
 
 def _mm_model(v, s):
     """(K, A, G) with the curvature T(P) = K P A and the linear term G of
-    _mm_quadratic.
+    _mm_quadratic, from the solved blocks Y_i of v (a FactoredV).
 
-    With W2 = V2 V2^H and R = R_tx (x) R_rx, T(P) = adj(W2 L(P) R) has
-    entries sum_{k,l} K[i,k] P[k,l] A[l,j] with A = R_tx and
-    K[i,k] = sum_{r,s} W2[(i,r),(k,s)] R_rx[s,r]: one GEMM of V2, regrouped
-    as b x (n_r n), against the same regrouping of R_rx V2, so that W2 is
-    never formed.
+    With V2 = -sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
+    S^H R_rx S = diag(lam), the cross terms i != j of the partial traces
+    vanish, so A = R_tx, K = sum_i lam_i w_i Y_i Y_i^H and
+    G = -(sum_i w_i Y_i) R_tx with the MSE weights
+    w_i = lam_i^2 ||S^-1[i, :]||^2 = lam_i (S^-1 R_rx S)_ii.  K is one GEMM
+    of the stacked sqrt(lam_i w_i) Y_i, b x (n_r n), against its conjugate
+    transpose (a singular R_rx can give a rounding-negative lam_i, clipped
+    to 0); V2 and the dense channel covariance are never formed.
     """
-    v2 = v.v2.reshape(s.b, s.n_r, -1)
-    k = v2.reshape(s.b, -1) @ (s.r_rx @ v2).reshape(s.b, -1).conj().T
-    g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
-    return k, s.r_tx, g
+    n_r, b, _ = v.y.shape
+    root = np.sqrt(np.maximum(v.lam * v.weights, 0.0))
+    z = (root[:, None, None] * v.y).transpose(1, 0, 2).reshape(b, -1)
+    g = -(v.weights @ v.y.reshape(n_r, -1)).reshape(b, -1) @ s.r_tx
+    return z @ z.conj().T, s.r_tx, g
 
 
 def _mm_quadratic(v, s):
-    """Quadratic model pieces of F(V, .) at fixed V.
+    """Quadratic model pieces of F(V, .) at fixed V = V*.
 
     F(V, P) = <L(P), W2 L(P) R> + 2 Re <L(P), V2 V1^H R> + const with
     L the pilot embedding and W2 = V2 V2^H, so the (self-adjoint, PSD)
     curvature operator is T(P) = adj(W2 L(P) R) and the linear term is
-    G = adj(V2 V1^H R).  Returns (apply_t, g); apply_t is the two-sided
-    product K P A of _mm_model.
+    G = adj(V2 V1^H R), adj the block partial trace.  Returns (apply_t, g);
+    apply_t is the two-sided product K P A of _mm_model.
     """
     k, a, g = _mm_model(v, s)
 
@@ -457,24 +461,23 @@ def _mm_quadratic(v, s):
 
 
 def build_sigma_target(v, p_current, s):
-    """Majorize-minimize target for one pilot block at fixed auxiliary V.
+    """Majorize-minimize target for one pilot block at V = V*.
 
     With lam >= opnorm(T), F(V, P) <= F(V, P0) + 2<P-P0, T(P0)+G> +
     lam ||P-P0||^2, whose constrained minimizer is the projection of
     P_sigma = P0 - (T(P0)+G)/lam.  T(P) = K P A is a Kronecker operator
     with PSD factors, so its norm is exactly lam_max(K) lam_max(A); lam
-    adds a 10% safety margin.  A zero V2
-    makes F constant in P and returns P0.
+    adds a 10% safety margin.  v is the link's FactoredV; zero blocks
+    (V2 = 0) make F constant in P and return P0.
     """
     p_current = np.asarray(p_current, dtype=np.complex128)
     if p_current.shape != (s.b, s.n_t):
         raise ValueError(
             f"pilot shape {p_current.shape}, scenario expects {(s.b, s.n_t)}"
         )
-    n = s.n_t * s.n_r
-    if v.v1.shape != (n, n) or v.v2.shape != (s.b * s.n_r, n):
+    if v.y.shape != (s.n_r, s.b, s.n_t) or v.weights.shape != (s.n_r,):
         raise ValueError("auxiliary variable does not conform with the scenario")
-    if not np.any(v.v2):
+    if not np.any(v.y):
         return p_current.copy()
     k, a, g = _mm_model(v, s)
     lam = _OPNORM_MARGIN * np.linalg.eigvalsh(k)[-1] * np.linalg.eigvalsh(a)[-1]
@@ -496,9 +499,12 @@ class PilotPair:
 
 @dataclass
 class DesignTrace:
-    """Per-outer-iteration progress (entry 0 is the initialization)."""
+    """Per-outer-iteration progress (entry 0 is the initialization); the
+    total MSE is mse = mse_dl + mse_ul, the two links' estimation MSE."""
 
     mse: list[float] = field(default_factory=list)
+    mse_dl: list[float] = field(default_factory=list)
+    mse_ul: list[float] = field(default_factory=list)
     max_cross: list[float] = field(default_factory=list)
     max_auto: list[float] = field(default_factory=list)
     max_power: list[float] = field(default_factory=list)
@@ -506,6 +512,17 @@ class DesignTrace:
     outer_iterations: int = 0
     wall_time: float = 0.0
     warnings: list[str] = field(default_factory=list)
+
+
+def _record(trace, mse, links, residuals):
+    """Append an iterate's total and per-link MSE (the links of a score)
+    and its residuals (_pair_residuals) to the trace."""
+    trace.mse.append(mse)
+    trace.mse_dl.append(links[0][0])
+    trace.mse_ul.append(links[1][0])
+    trace.max_power.append(residuals[0])
+    trace.max_cross.append(residuals[1])
+    trace.max_auto.append(residuals[2])
 
 
 def _sidelobes(x, shifts, literal):
@@ -667,20 +684,13 @@ def design_pilots(dl, ul, cfg):
         y = y_step(y_raw, x, cfg, p=p_y)
 
         mse, links = score(x, y)
-        power, cross, auto, _ = _pair_residuals(x, y, cfg)
-        trace.mse.append(mse)
-        trace.max_power.append(power)
-        trace.max_cross.append(cross)
-        trace.max_auto.append(auto)
+        _record(trace, mse, links, _pair_residuals(x, y, cfg))
 
         best = (mse, x, y)
         for it in range(1, cfg.max_outer + 1):
             (_, v_dl), (_, v_ul) = links
             x_sigma = build_sigma_target(v_dl, x, dl)
             y_sigma = build_sigma_target(v_ul, y, ul)
-            # V* is not needed once the targets exist; releasing it before
-            # the next pair is scored lowers the peak memory on large links.
-            del links, v_dl, v_ul
             x_new, y_new, _ = inner_cycle(
                 x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y
             )
@@ -704,11 +714,7 @@ def design_pilots(dl, ul, cfg):
 
             prev = mse
             mse, links = scored if scored is not None else score(x, y)
-            power, cross, auto, _ = _pair_residuals(x, y, cfg)
-            trace.mse.append(mse)
-            trace.max_power.append(power)
-            trace.max_cross.append(cross)
-            trace.max_auto.append(auto)
+            _record(trace, mse, links, _pair_residuals(x, y, cfg))
             trace.outer_iterations += 1
             if mse < best[0]:
                 best = (mse, x, y)

@@ -22,6 +22,7 @@ algebra-friendly for the pilot designer.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,35 @@ class AuxiliaryV:
         return np.vstack([self.v1, self.v2])
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredV:
+    """V* = [I; V2] held as the solved Gram blocks of mse_and_optimal_V:
+    y[i] = G_i^-1 Q (n_r x B x n_t), lam, basis = S and basis_inv = S^-1
+    of ChannelScenario.receive_eig, and the MSE weights
+    weights[i] = lam_i^2 ||S^-1[i, :]||^2.  The dense v1 = I and
+    v2 = -sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] are built on first read."""
+
+    y: np.ndarray
+    lam: np.ndarray
+    weights: np.ndarray
+    basis: np.ndarray
+    basis_inv: np.ndarray
+
+    @cached_property
+    def v1(self):
+        return np.eye(self.y.shape[2] * self.y.shape[0], dtype=np.complex128)
+
+    @cached_property
+    def v2(self):
+        # -Z regrouped as rows (b, t) and columns (r, r'): one GEMM of the
+        # stacked Y_i against -lam_i S[r, i] S^-1[i, r'].
+        n_r, b, n_t = self.y.shape
+        s, s_inv = self.basis, self.basis_inv
+        mix = -self.lam[:, None, None] * s.T[:, :, None] * s_inv[:, None, :]
+        v2 = self.y.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
+        return v2.reshape(b, n_t, n_r, n_r).transpose(0, 2, 1, 3).reshape(b * n_r, -1)
+
+
 def mse_and_optimal_V(p, s):
     """Lemma MSE and the minimizer V* from the Kronecker factors of the Gram.
 
@@ -104,9 +134,10 @@ def mse_and_optimal_V(p, s):
     S^H R_rx S = diag(lam)) turns G into n_r blocks
     G_i = lam_i A1 + M_time of size B x B, so one batched solve
     Y_i = G_i^-1 Q gives Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
-    mse = trace[R] - sum_i lam_i^2 ||S^-1[i, :]||^2 Re trace[Q^H Y_i].
-    The designer scores an iterate and builds its next MM target from
-    this one call.  Raises LinAlgError when M_rx or a block is singular.
+    mse = trace[R] - sum_i w_i Re trace[Q^H Y_i], w_i = lam_i^2
+    ||S^-1[i, :]||^2.  V* is returned as those blocks (FactoredV), the
+    designer's MM target is built from them.  Raises LinAlgError when M_rx
+    or a block is singular.
     """
     p = _checked(p, s)
     lam, basis, basis_inv = s.receive_eig
@@ -114,17 +145,12 @@ def mse_and_optimal_V(p, s):
     blocks = lam[:, None, None] * (q @ p.conj().T)
     blocks += s.m_time
     y = np.linalg.solve(blocks, q)
-    n_r, b, n_t = y.shape
+    n_r = y.shape[0]
     # Re trace[Q^H Y_i] for every block i at once.
     fits = (y.reshape(n_r, -1) @ q.conj().ravel()).real
     weights = lam**2 * np.linalg.norm(basis_inv, axis=1) ** 2
     mse = float(np.trace(s.r_tx).real * np.trace(s.r_rx).real - weights @ fits)
-    # -Z regrouped as rows (b, t) and columns (r, r'): one GEMM of the
-    # stacked Y_i against -lam_i S[r, i] S^-1[i, r'].
-    mix = -lam[:, None, None] * basis.T[:, :, None] * basis_inv[:, None, :]
-    v2 = y.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
-    v2 = v2.reshape(b, n_t, n_r, n_r).transpose(0, 2, 1, 3).reshape(b * n_r, -1)
-    return mse, AuxiliaryV(v1=np.eye(n_t * n_r, dtype=np.complex128), v2=v2)
+    return mse, FactoredV(y, lam, weights, basis, basis_inv)
 
 
 def optimal_V(p, s):

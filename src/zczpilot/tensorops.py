@@ -2,11 +2,9 @@
 
 All routines work on complex128 ndarrays.  A pilot matrix is B x n
 (training length by transmit antennas); acting on vectorized channels
-lifts it by a Kronecker identity block, and the adjoint of that lift is
-the block partial trace.  Both directions are needed by every gradient
-computation downstream, so they live here together with the shift
-matrices that express correlation lags and a Cholesky solve for
-Hermitian systems.
+lifts it by a Kronecker identity block (embed_pilot).  The shift
+matrices express correlation lags, and a Cholesky solve serves Hermitian
+systems.
 """
 
 import numpy as np
@@ -41,39 +39,6 @@ def embed_pilot(p, n_r):
     rr = np.arange(n_r)
     out[:, rr, :, rr] = p[None, :, :]
     return out.reshape(b * n_r, n_t * n_r)
-
-
-def adjoint_embed(z, n_r):
-    """Adjoint of :func:`embed_pilot`: block partial trace.
-
-    Satisfies <embed_pilot(P, n_r), Z> = <P, adjoint_embed(Z, n_r)> for
-    the trace inner product <A, B> = trace(A^H B).
-
-    Parameters
-    ----------
-    z : ndarray
-        Matrix of shape (B*n_r, n_T*n_r).
-    n_r : int
-        Receive antenna count used in the embedding.
-
-    Returns
-    -------
-    ndarray
-        B x n_T matrix whose (b, t) entry is the trace of the (b, t)
-        block of z.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim != 2:
-        raise ValueError("z must be 2-D")
-    if n_r < 1:
-        raise ValueError("n_r must be positive")
-    if z.shape[0] % n_r or z.shape[1] % n_r:
-        raise ValueError(
-            f"shape {z.shape} is not divisible into {n_r}x{n_r} blocks"
-        )
-    b = z.shape[0] // n_r
-    n_t = z.shape[1] // n_r
-    return np.einsum("irjr->ij", z.reshape(b, n_r, n_t, n_r))
 
 
 def shift_matrix(b, i):

@@ -380,8 +380,12 @@ class TestCsvEmitters:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         header, rows = read_csv_rows(path)
-        assert header == ["iteration", "mse", "max_cross", "max_auto", "max_power"]
+        assert header == [
+            "iteration", "mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul"
+        ]
         assert len(rows) == len(trace.mse)
+        assert float(rows[-1][5]) == trace.mse_dl[-1]
+        assert float(rows[-1][6]) == trace.mse_ul[-1]
         assert float(rows[0][1]) == trace.mse[0]
         assert float(rows[-1][4]) == trace.max_power[-1]
 

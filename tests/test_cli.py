@@ -122,6 +122,7 @@ class TestDesign:
         captured = capsys.readouterr()
         assert rc == EXIT_OK
         assert "final mse:" in captured.out
+        assert "downlink mse:" in captured.out and "uplink mse:" in captured.out
         assert "converged: True" in captured.out
 
         arc = read_archive(out / "pilot_archive.json")
@@ -131,7 +132,9 @@ class TestDesign:
 
         with open(out / "design_trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "mse", "max_cross", "max_auto", "max_power"]
+        assert rows[0] == [
+            "iteration", "mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul"
+        ]
         assert len(rows) - 1 == arc.result["outer_iterations"] + 1
         assert float(rows[-1][1]) == arc.result["final_mse"]
 
@@ -180,6 +183,27 @@ class TestDesign:
         # outputs are still written for inspection
         assert (out / "pilot_archive.json").exists()
         assert (out / "design_trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [KRON + "max_outer = 2\n",
+         KRON.replace("n_t = 8", "n_t = 4").replace("n_r = 8", "n_r = 4")
+         .replace("b = 64", "b = 16").replace("k = 0", "k = 2\nmax_outer = 2")],
+        ids=["kron-k0", "zone-k2"],
+    )
+    def test_design_stays_factor_held(self, text, tmp_path, capsys, monkeypatch):
+        # the MM target comes from the solved Gram blocks: a design forms
+        # neither the dense channel covariance nor the dense V2
+        def refuse(obj):
+            raise AssertionError(f"dense {type(obj).__name__} matrix built")
+
+        monkeypatch.setattr(ChannelScenario, "chan_cov", property(refuse))
+        monkeypatch.setattr(estimation.FactoredV, "v2", property(refuse))
+        path = tmp_path / "factored.ini"
+        path.write_text(text)
+        rc = main(["design", "--config", str(path), "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_NOCONV)
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = main(["design", "--config", str(tmp_path / "nope.ini")])

@@ -8,7 +8,9 @@ import numpy.testing as npt
 import pytest
 import scipy.optimize
 
-from zczpilot.covariance import build_scenario, reciprocal_scenario
+from oracles import adjoint_embed
+from test_estimation import DIM_GRID, RHO_SETS
+from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot import designer
 from zczpilot.designer import (
     SIDELOBE_DELTA,
@@ -29,8 +31,8 @@ from zczpilot.designer import (
     x_step,
     y_step,
 )
-from zczpilot.estimation import optimal_V, surrogate_F
-from zczpilot.tensorops import adjoint_embed, embed_pilot, shift_matrix
+from zczpilot.estimation import channel_mse_lemma, optimal_V, surrogate_F
+from zczpilot.tensorops import embed_pilot, shift_matrix
 
 
 def crandn(rng, *shape):
@@ -493,6 +495,71 @@ class TestCurvatureMatrix:
         assert lam == pytest.approx(want, rel=1e-12)
 
 
+def dense_mm_model(v, s):
+    """The MM pieces (K, R_tx, G) from the dense V2: K from one GEMM of V2
+    against R_rx V2, each regrouped as b x (n_r n), and G the block partial
+    trace of V2 V1^H R."""
+    v2 = v.v2.reshape(s.b, s.n_r, -1)
+    k = v2.reshape(s.b, -1) @ (s.r_rx @ v2).reshape(s.b, -1).conj().T
+    g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
+    return k, s.r_tx, g
+
+
+def _link(n_t, n_r, b, link, rho, scale=(1.0, 1.0)):
+    """A built downlink or its reciprocal uplink, with its transmit and
+    receive channel factors scaled by scale."""
+    s = build_scenario(n_t, n_r, b, **RHO_SETS[rho])
+    if link == "uplink":
+        s = reciprocal_scenario(s)
+    return ChannelScenario(
+        r_tx=scale[0] * s.r_tx, r_rx=scale[1] * s.r_rx, m_time=s.m_time,
+        m_rx=s.m_rx, gamma=s.gamma,
+    )
+
+
+class TestBlockMmModel:
+    """K, G and the step size of the MM target come from the solved Gram
+    blocks; the dense V2 with the block partial trace is their oracle."""
+
+    @staticmethod
+    def check(s, seed):
+        rng = np.random.default_rng(seed)
+        v = optimal_V(crandn(rng, s.b, s.n_t), s)
+        k, a, g = designer._mm_model(v, s)
+        k_ref, a_ref, g_ref = dense_mm_model(v, s)
+        npt.assert_array_equal(a, a_ref)
+        for got, want in ((k, k_ref), (g, g_ref)):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        p0 = crandn(rng, s.b, s.n_t)
+        lam_ref = 1.1 * np.linalg.eigvalsh(k_ref)[-1] * np.linalg.eigvalsh(a_ref)[-1]
+        want = p0 - (k_ref @ p0 @ a_ref + g_ref) / lam_ref
+        got = build_sigma_target(v, p0, s)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert _step_size(v, p0, s) == pytest.approx(lam_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [(1.0, 1.0), (2.5, 0.4)], ids=["unit", "scaled"])
+    @pytest.mark.parametrize("rho", RHO_SETS)
+    @pytest.mark.parametrize("link", ["downlink", "uplink"])
+    @pytest.mark.parametrize("n_t,n_r,b", DIM_GRID)
+    def test_matches_dense_oracle(self, n_t, n_r, b, link, rho, scale):
+        self.check(_link(n_t, n_r, b, link, rho, scale), n_t * 100 + n_r * 10 + b)
+
+    @pytest.mark.parametrize("link", ["downlink", "uplink"])
+    def test_rank_one_receive_factor(self, link):
+        # lam_i = 0 for all but one receive mode; the noise receive factor
+        # is correlated, so S is not unitary
+        dims = (3, 4) if link == "downlink" else (4, 3)
+        s = _link(*dims, 6, link, "strong")
+        rng = np.random.default_rng(4)
+        u = crandn(rng, 4, 1)
+        s = ChannelScenario(
+            r_tx=s.r_tx, r_rx=u @ u.conj().T, m_time=s.m_time, m_rx=s.m_rx,
+            gamma=s.gamma,
+        )
+        assert np.sum(np.abs(s.receive_eig[0]) > 1e-12) == 1
+        self.check(s, 5)
+
+
 class TestFactorizationReuse:
     """design_pilots solves each link's Gram blocks once per accepted
     iterate: the MSE that scores it and the V* of the next MM target come
@@ -551,6 +618,20 @@ class TestDesignPilots:
         _, trace = design_pilots(dl, ul, cfg)
         steps = np.diff(np.asarray(trace.mse))
         assert steps.max() <= 1e-6
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_per_link_mse_adds_to_total(self, k):
+        dl = build_scenario(2, 3, 6)
+        ul = reciprocal_scenario(dl)
+        pair, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=5, seed=2))
+        assert len(trace.mse_dl) == len(trace.mse_ul) == len(trace.mse)
+        for total, down, up in zip(trace.mse, trace.mse_dl, trace.mse_ul):
+            assert down > 0.0 and up > 0.0
+            assert down + up == pytest.approx(total, rel=1e-15)
+        # the returned pair is the best iterate; its links are not swapped
+        best = int(np.argmin(trace.mse))
+        for got, p, s in ((trace.mse_dl, pair.x, dl), (trace.mse_ul, pair.y, ul)):
+            assert got[best] == pytest.approx(channel_mse_lemma(p, s), rel=1e-14)
 
     def test_seed_determinism_bitwise(self):
         dl = build_scenario(2, 2, 4)
