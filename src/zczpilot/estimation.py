@@ -135,8 +135,8 @@ def mse_and_optimal_V(p, s):
     G_i = lam_i A1 + M_time of size B x B, so one batched solve
     Y_i = G_i^-1 Q gives Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
     mse = trace[R] - sum_i w_i Re trace[Q^H Y_i], w_i = lam_i^2
-    ||S^-1[i, :]||^2.  V* is returned as those blocks (FactoredV), the
-    designer's MM target is built from them.  Raises LinAlgError when M_rx
+    ||S^-1[i, :]||^2.  V* is returned as those blocks (FactoredV), from
+    which the designer builds its MM target.  Raises LinAlgError when M_rx
     or a block is singular.
     """
     p = _checked(p, s)
