@@ -47,7 +47,6 @@ def archive_payload(pair, trace, cfg, p_x, p_y, config_sha256=""):
             "p_y": float(p_y),
             "epsilon": cfg.epsilon,
             "eta": cfg.eta,
-            "mu": cfg.mu,
             "max_outer": cfg.max_outer,
             "inner_tol": cfg.inner_tol,
             "seed": cfg.seed,
@@ -56,8 +55,11 @@ def archive_payload(pair, trace, cfg, p_x, p_y, config_sha256=""):
         },
         "result": {
             "final_mse": float(trace.mse[-1]),
+            "final_mse_dl": float(trace.mse_dl[-1]),
+            "final_mse_ul": float(trace.mse_ul[-1]),
             "best_mse": float(min(trace.mse)),
             "converged": bool(trace.converged),
+            "stop_reason": trace.stop_reason,
             "outer_iterations": int(trace.outer_iterations),
             "max_column_power": float(pair.max_column_power),
             "max_cross_corr": float(pair.max_cross_corr),

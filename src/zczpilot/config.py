@@ -35,7 +35,10 @@ _SCENARIO_KEYS = {
     "rho_mt_phase_pi": "temporal noise correlation phase, units of pi",
     "gamma": "training energy budget (default b*n_t)",
 }
-_DESIGN_KEYS = {f.name for f in fields(DesignConfig)}
+# mu, the inner-round cap that existing configs set, is accepted and
+# checked so that they still load; the designer takes one inner round and
+# ignores it.
+_DESIGN_KEYS = {f.name for f in fields(DesignConfig)} | {"mu"}
 _TIMING_KEYS = {
     "d_user_m", "d_object_m", "symbol_time_s", "processing_symbols",
     "propagation_mps", "modulation_symbols",
@@ -154,6 +157,8 @@ def parse_config(text, sha256=""):
         )
         default = getattr(defaults, f.name)
         design[f.name] = _parse(cp, "design", f.name, conv, kind, default)
+    if _parse(cp, "design", "mu", int, "integer", 1) < 1:
+        raise ConfigError("[design] mu must be >= 1")
     try:
         design = DesignConfig(**design)
     except ValueError as err:

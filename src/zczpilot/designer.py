@@ -2,10 +2,11 @@
 
 Each outer iteration refreshes the closed-form auxiliary minimizers for
 both link directions, builds majorize-minimize targets for the two pilot
-blocks, and then runs an inner cycle of exact projections onto the
-constraint sets: per-column power balls, zero cross-correlation between
-the two pilots over a lag window, and the convexified low-autocorrelation
-ellipsoids on the downlink (sensing) pilot.
+blocks, and then takes one inner round of exact projections onto the
+constraint sets, X first and then Y against the new X: per-column power
+balls, zero cross-correlation between the two pilots over a lag window,
+and the convexified low-autocorrelation ellipsoids on the downlink
+(sensing) pilot.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -25,7 +26,7 @@ The restoration below works inside the same C.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 a restoration step follows each inner
-cycle and holds every column of the sensing pilot to the 30 dB bound
+round and holds every column of the sensing pilot to the 30 dB bound
 |r_m(x_q)| <= 10^(-1.5) ||x_q||^2, m = 1..k: Gauss-Newton minimum-norm
 steps inside the cross-correlation nullspace of Y, taken by all violating
 columns together (one batched solve per step), a power cap, and a
@@ -95,13 +96,14 @@ class DesignConfig:
     lags_from_one).  p is the per-column power bound; leave
     None to derive gamma/n_columns per link.  literal_transpose switches
     correlations from the conjugated form x^H J y to the plain transpose.
+    inner_tol is only the re-projection tolerance the tests hold x_step
+    and y_step to; the designer does not read it.
     """
 
     k: int = 4
     p: float | None = None
     epsilon: float = 1e-5
     eta: float = 1e-5
-    mu: int = 50
     max_outer: int = 200
     inner_tol: float = 1e-8
     seed: int = 0
@@ -115,8 +117,6 @@ class DesignConfig:
             raise ValueError("p must be positive and finite")
         if not all(0 < t < np.inf for t in (self.epsilon, self.eta, self.inner_tol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.mu < 1:
-            raise ValueError("mu must be >= 1")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if self.seed < 0:
@@ -389,36 +389,17 @@ def y_step(y_target, x_fixed, cfg, p=None):
 
 
 def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
-    """Alternate x_step/y_step toward the targets for at most mu rounds.
+    """One block-coordinate round toward the MM targets: X = x_step(x_sigma)
+    against y0, then Y = y_step(y_sigma) against the new X.
 
-    Each step is an exact constrained minimization in one block, so
-    G = ||X - X_sigma||^2 + ||Y - Y_sigma||^2 never increases across
-    rounds.  Stops early when a round moves the pair by <= inner_tol.
+    Each step is an exact constrained minimization in its own block, so
+    the returned pair is feasible, X is no farther from X_sigma than the
+    current x0 (feasible against y0), and Y is the closest feasible point
+    to Y_sigma given X.  Returns (X, Y, G) with
+    G = ||X - X_sigma||^2 + ||Y - Y_sigma||^2.
     """
-    x, y = x0, y0
-    x_seen = y_seen = None
-    for _ in range(cfg.mu):
-        # The targets are fixed for the whole cycle and each step is a
-        # deterministic function of (target, other block), so a step whose
-        # other block did not move since its last run returns the same
-        # matrix and is skipped.
-        if x_seen is None or not np.array_equal(y, x_seen):
-            x_new = x_step(x_sigma, y, cfg, p=p_x)
-            x_seen = y
-        else:
-            x_new = x
-        if y_seen is None or not np.array_equal(x_new, y_seen):
-            y_new = y_step(y_sigma, x_new, cfg, p=p_y)
-            y_seen = x_new
-        else:
-            y_new = y
-        move = max(
-            np.linalg.norm(x_new - x) if x.size else 0.0,
-            np.linalg.norm(y_new - y) if y.size else 0.0,
-        )
-        x, y = x_new, y_new
-        if move <= cfg.inner_tol:
-            break
+    x = x_step(x_sigma, y0, cfg, p=p_x)
+    y = y_step(y_sigma, x, cfg, p=p_y)
     g = float(np.linalg.norm(x - x_sigma) ** 2 + np.linalg.norm(y - y_sigma) ** 2)
     return x, y, g
 
@@ -500,7 +481,9 @@ class PilotPair:
 @dataclass
 class DesignTrace:
     """Per-outer-iteration progress (entry 0 is the initialization); the
-    total MSE is mse = mse_dl + mse_ul, the two links' estimation MSE."""
+    total MSE is mse = mse_dl + mse_ul, the two links' estimation MSE.
+    stop_reason says what ended the outer loop: "eta" (the MSE moved by
+    less than eta), "max_outer" or "restoration_rejected"."""
 
     mse: list[float] = field(default_factory=list)
     mse_dl: list[float] = field(default_factory=list)
@@ -509,6 +492,7 @@ class DesignTrace:
     max_auto: list[float] = field(default_factory=list)
     max_power: list[float] = field(default_factory=list)
     converged: bool = False
+    stop_reason: str = "max_outer"
     outer_iterations: int = 0
     wall_time: float = 0.0
     warnings: list[str] = field(default_factory=list)
@@ -709,6 +693,7 @@ def design_pilots(dl, ul, cfg):
                         RuntimeWarning,
                         stacklevel=2,
                     )
+                    trace.stop_reason = "restoration_rejected"
                     break
             x, y = x_new, y_new
 
@@ -720,6 +705,7 @@ def design_pilots(dl, ul, cfg):
                 best = (mse, x, y)
             if abs(prev - mse) < cfg.eta:
                 trace.converged = True
+                trace.stop_reason = "eta"
                 break
 
     trace.warnings = list(dict.fromkeys(str(w.message) for w in caught))

@@ -79,6 +79,9 @@ class TestPayload:
         pair, trace, _, _ = designed
         r = make_payload(designed)["result"]
         assert r["final_mse"] == trace.mse[-1]
+        assert r["final_mse_dl"] == trace.mse_dl[-1]
+        assert r["final_mse_ul"] == trace.mse_ul[-1]
+        assert r["stop_reason"] == trace.stop_reason
         assert r["best_mse"] == min(trace.mse)
         assert r["converged"] == trace.converged
         assert r["outer_iterations"] == trace.outer_iterations

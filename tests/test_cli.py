@@ -123,7 +123,7 @@ class TestDesign:
         assert rc == EXIT_OK
         assert "final mse:" in captured.out
         assert "downlink mse:" in captured.out and "uplink mse:" in captured.out
-        assert "converged: True" in captured.out
+        assert "converged: True\nstop reason: eta\n" in captured.out
 
         arc = read_archive(out / "pilot_archive.json")
         assert arc.dims == {"b": 4, "n_t": 1, "n_r": 1}
@@ -137,6 +137,27 @@ class TestDesign:
         ]
         assert len(rows) - 1 == arc.result["outer_iterations"] + 1
         assert float(rows[-1][1]) == arc.result["final_mse"]
+
+    def test_mu_is_inert(self, tmp_path, capsys):
+        # mu is accepted and checked but the designer takes one round per
+        # outer iteration whatever its value.
+        outs = []
+        for mu in (1, 50):
+            path = tmp_path / f"mu{mu}.ini"
+            path.write_text(SMALL.replace("seed = 0", f"seed = 0\nmu = {mu}"))
+            out = tmp_path / f"run{mu}"
+            assert main(["design", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            outs.append(out)
+        a, b = (read_archive(o / "pilot_archive.json") for o in outs)
+        assert (a.x.tobytes(), a.y.tobytes()) == (b.x.tobytes(), b.y.tobytes())
+        assert "mu" not in a.design
+        assert ((outs[0] / "design_trace.csv").read_bytes()
+                == (outs[1] / "design_trace.csv").read_bytes())
+        path = tmp_path / "mu0.ini"
+        path.write_text(SMALL.replace("seed = 0", "seed = 0\nmu = 0"))
+        capsys.readouterr()
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "r0")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: [design] mu must be >= 1\n"
 
     def test_design_error_exit_code(self, small_config, tmp_path, capsys,
                                     monkeypatch):

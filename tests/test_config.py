@@ -123,7 +123,8 @@ class TestRejection:
             parse_config(text)
 
     def test_zero_inner_rounds_rejected(self):
-        # mu = 0 would leave every iterate in place and report convergence
+        # mu is ignored by the designer but still checked, so that a config
+        # that was invalid stays invalid
         with pytest.raises(ConfigError, match=r"\[design\] mu must be >= 1"):
             parse_config(MINIMAL + "[design]\nmu = 0\n")
 

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 import scipy.optimize
 
-from oracles import adjoint_embed
+from oracles import adjoint_embed, alternate_until_stable
 from test_estimation import DIM_GRID, RHO_SETS
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot import designer
@@ -386,6 +386,58 @@ class TestInnerCycle:
             g_prev = g
 
 
+    def test_one_round(self, monkeypatch):
+        calls = {"x_step": 0, "y_step": 0}
+
+        def counted(name):
+            step = getattr(designer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(designer, name, counted(name))
+        rng = np.random.default_rng(0)
+        cfg = DesignConfig(k=1, p=1.0)
+        x0 = np.zeros((8, 2), dtype=complex)
+        y0 = np.zeros((8, 2), dtype=complex)
+        x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
+        x, y, g = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        assert calls == {"x_step": 1, "y_step": 1}
+        npt.assert_array_equal(x, x_step(x_sigma, y0, cfg))
+        npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
+        assert g == pytest.approx(
+            np.linalg.norm(x - x_sigma) ** 2 + np.linalg.norm(y - y_sigma) ** 2,
+            rel=1e-15,
+        )
+
+        # A design: the start's x_step, then one per outer iteration.
+        calls.update(x_step=0, y_step=0)
+        dl = build_scenario(4, 4, 16)
+        _, trace = design_pilots(
+            dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
+        )
+        assert trace.stop_reason != "restoration_rejected"
+        assert calls["x_step"] == trace.outer_iterations + 1
+
+    def test_design_matches_alternation_until_stable(self, monkeypatch):
+        # zcz-sized (4x4, B = 16, k = 2): both links stay active, so the
+        # reference alternation runs a second, confirming round.
+        dl = build_scenario(4, 4, 16)
+        ul = reciprocal_scenario(dl)
+        cfg = DesignConfig(k=2, max_outer=20, seed=0)
+        _, one = design_pilots(dl, ul, cfg)
+        monkeypatch.setattr(designer, "inner_cycle", alternate_until_stable)
+        _, ref = design_pilots(dl, ul, cfg)
+        assert one.outer_iterations == ref.outer_iterations
+        assert one.converged == ref.converged
+        assert one.warnings == ref.warnings
+        npt.assert_allclose(one.mse, ref.mse, rtol=1e-10, atol=0.0)
+
+
 class TestSigmaTarget:
     def test_zero_v2_returns_current(self):
         rng = np.random.default_rng(0)
@@ -690,6 +742,36 @@ class TestDesignPilots:
             design_pilots(dl, ul, DesignConfig(k=4))
 
 
+class TestStopReason:
+    def test_eta(self):
+        dl = build_scenario(1, 1, 4)
+        cfg = DesignConfig(k=1, eta=1e-4, max_outer=300)
+        _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        assert trace.converged
+        assert trace.stop_reason == "eta"
+        assert trace.outer_iterations < cfg.max_outer
+
+    def test_max_outer(self):
+        dl = build_scenario(2, 2, 4)
+        cfg = DesignConfig(k=1, max_outer=3, seed=3)
+        _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        assert not trace.converged
+        assert trace.stop_reason == "max_outer"
+        assert trace.outer_iterations == cfg.max_outer
+
+    def test_restoration_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            designer, "_restored_pair", lambda *a: (None, None, None, (0.04, 2e-3))
+        )
+        dl = build_scenario(2, 2, 6)
+        _, trace = design_pilots(
+            dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=50)
+        )
+        assert not trace.converged
+        assert trace.stop_reason == "restoration_rejected"
+        assert trace.outer_iterations == 0
+
+
 def sidelobe_ratios(x, k, literal=False):
     """max over lags 1..k of |r_m(x_q)| / ||x_q||^2, one value per column."""
     from zczpilot.analysis import correlation_report
@@ -889,7 +971,6 @@ class TestDesignConfig:
             {"epsilon": 0.0},
             {"eta": 0.0},
             {"inner_tol": 0.0},
-            {"mu": -1},
             {"max_outer": 0},
             {"seed": -1},
             {"p": float("nan")},
@@ -898,7 +979,6 @@ class TestDesignConfig:
             {"eta": float("nan")},
             {"eta": float("inf")},
             {"inner_tol": float("nan")},
-            {"mu": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -910,7 +990,6 @@ class TestDesignConfig:
         assert cfg.k == 4
         assert cfg.epsilon == 1e-5
         assert cfg.eta == 1e-5
-        assert cfg.mu == 50
         assert cfg.max_outer == 200
         assert cfg.inner_tol == 1e-8
         assert not cfg.lags_from_one
