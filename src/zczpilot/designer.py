@@ -392,11 +392,13 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     """One block-coordinate round toward the MM targets: X = x_step(x_sigma)
     against y0, then Y = y_step(y_sigma) against the new X.
 
-    Each step is an exact constrained minimization in its own block, so
-    the returned pair is feasible, X is no farther from X_sigma than the
-    current x0 (feasible against y0), and Y is the closest feasible point
-    to Y_sigma given X.  Returns (X, Y, G) with
-    G = ||X - X_sigma||^2 + ||Y - Y_sigma||^2.
+    Each step is an exact constrained minimization in its own block, and
+    both steps enforce the same zone x_q^H J_m y_l = 0: the feasible x0 is
+    a candidate of the X step against y0, and y0 one of the Y step
+    against the new X.  So the pair is feasible and neither
+    ||X - X_sigma|| nor ||Y - Y_sigma|| exceeds its value at (x0, y0),
+    which is all the MM descent of either link needs.  Returns (X, Y, G)
+    with G = ||X - X_sigma||^2 + ||Y - Y_sigma||^2.
     """
     x = x_step(x_sigma, y0, cfg, p=p_x)
     y = y_step(y_sigma, x, cfg, p=p_y)

@@ -3,7 +3,7 @@ tests' oracles."""
 
 import numpy as np
 
-from zczpilot.designer import x_step, y_step
+from zczpilot import designer
 
 
 def adjoint_embed(z, n_r):
@@ -34,12 +34,12 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     x_seen = y_seen = None
     for _ in range(mu):
         if x_seen is None or not np.array_equal(y, x_seen):
-            x_new = x_step(x_sigma, y, cfg, p=p_x)
+            x_new = designer.x_step(x_sigma, y, cfg, p=p_x)
             x_seen = y
         else:
             x_new = x
         if y_seen is None or not np.array_equal(x_new, y_seen):
-            y_new = y_step(y_sigma, x_new, cfg, p=p_y)
+            y_new = designer.y_step(y_sigma, x_new, cfg, p=p_y)
             y_seen = x_new
         else:
             y_new = y

@@ -349,6 +349,22 @@ class TestYStep:
         assert np.abs(out).max() == 0.0
 
 
+def count_calls(monkeypatch, *names):
+    """Wrap the named designer functions so that each call is counted."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(designer, name, counted(name, getattr(designer, name)))
+    return calls
+
+
 class TestInnerCycle:
     def test_jointly_feasible_targets_converge_immediately(self):
         b, p = 6, 1.0
@@ -385,21 +401,20 @@ class TestInnerCycle:
             assert g <= g_prev + 1e-6
             g_prev = g
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_block_no_farther_than_start(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = DesignConfig(k=1, p=1.0)
+        x0 = x_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
+        y0 = y_step(crandn(rng, 8, 2), x0, cfg)
+        x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
+        x, y, _ = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        assert np.linalg.norm(x - x_sigma) <= np.linalg.norm(x0 - x_sigma) + 1e-12
+        assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
+        assert cross_residual(x, y, cfg.k) <= 1e-12
 
     def test_one_round(self, monkeypatch):
-        calls = {"x_step": 0, "y_step": 0}
-
-        def counted(name):
-            step = getattr(designer, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return step(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(designer, name, counted(name))
+        calls = count_calls(monkeypatch, "x_step", "y_step")
         rng = np.random.default_rng(0)
         cfg = DesignConfig(k=1, p=1.0)
         x0 = np.zeros((8, 2), dtype=complex)
@@ -430,8 +445,10 @@ class TestInnerCycle:
         ul = reciprocal_scenario(dl)
         cfg = DesignConfig(k=2, max_outer=20, seed=0)
         _, one = design_pilots(dl, ul, cfg)
+        calls = count_calls(monkeypatch, "x_step")
         monkeypatch.setattr(designer, "inner_cycle", alternate_until_stable)
         _, ref = design_pilots(dl, ul, cfg)
+        assert calls["x_step"] > ref.outer_iterations + 1
         assert one.outer_iterations == ref.outer_iterations
         assert one.converged == ref.converged
         assert one.warnings == ref.warnings
