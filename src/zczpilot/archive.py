@@ -48,7 +48,6 @@ def archive_payload(pair, trace, cfg, p_x, p_y, config_sha256=""):
             "epsilon": cfg.epsilon,
             "eta": cfg.eta,
             "max_outer": cfg.max_outer,
-            "inner_tol": cfg.inner_tol,
             "seed": cfg.seed,
             "lags_from_one": cfg.lags_from_one,
             "literal_transpose": cfg.literal_transpose,

@@ -2,11 +2,12 @@
 
 Each outer iteration refreshes the closed-form auxiliary minimizers for
 both link directions, builds majorize-minimize targets for the two pilot
-blocks, and then takes one inner round of exact projections onto the
-constraint sets, X first and then Y against the new X: per-column power
-balls, zero cross-correlation between the two pilots over a lag window,
-and the convexified low-autocorrelation ellipsoids on the downlink
-(sensing) pilot.
+blocks, and then takes one round (inner_cycle) of exact projections onto
+the constraint sets, X first and then Y against the new X: per-column
+power balls, zero cross-correlation between the two pilots over a lag
+window, and the convexified low-autocorrelation ellipsoids on the
+downlink (sensing) pilot.  The start is the same round from random
+targets, with no Y to correlate against yet.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -25,17 +26,18 @@ the downlink solves the ellipsoid QCQP in the coordinates of C instead.
 The restoration below works inside the same C.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
-r_m(x) = x^H J_m x, so for k >= 1 a restoration step follows each inner
-round and holds every column of the sensing pilot to the 30 dB bound
-|r_m(x_q)| <= 10^(-1.5) ||x_q||^2, m = 1..k: Gauss-Newton minimum-norm
-steps inside the cross-correlation nullspace of Y, taken by all violating
-columns together (one batched solve per step), a power cap, and a
-re-projection of Y.  The restored pair is accepted only if it does not
-raise the total MSE, and the run stops unconverged otherwise, so every
-iterate stays feasible (as in the constraint-handling MM of Sun, Babu &
-Palomar, IEEE TSP 2017).  The total estimation MSE of the two links is
-therefore non-increasing across outer iterations once the iterate is
-feasible, which the (restored) initialization guarantees.
+r_m(x) = x^H J_m x, so for k >= 1 the round holds every column of the
+sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
+m = 1..k, between its two steps: when a column of the new X breaks it,
+Gauss-Newton minimum-norm steps inside the cross-correlation nullspace of
+the current Y, taken by all violating columns together (one batched solve
+per step), and a power cap restore X before Y is projected against it.
+A round that restored X is accepted only if it does not raise the total
+MSE, and the run stops unconverged otherwise, so every iterate stays
+feasible (as in the constraint-handling MM of Sun, Babu & Palomar, IEEE
+TSP 2017).  The total estimation MSE of the two links is therefore
+non-increasing across outer iterations once the iterate is feasible,
+which the (restored) start guarantees.
 """
 
 import time
@@ -96,8 +98,6 @@ class DesignConfig:
     lags_from_one).  p is the per-column power bound; leave
     None to derive gamma/n_columns per link.  literal_transpose switches
     correlations from the conjugated form x^H J y to the plain transpose.
-    inner_tol is only the re-projection tolerance the tests hold x_step
-    and y_step to; the designer does not read it.
     """
 
     k: int = 4
@@ -105,7 +105,6 @@ class DesignConfig:
     epsilon: float = 1e-5
     eta: float = 1e-5
     max_outer: int = 200
-    inner_tol: float = 1e-8
     seed: int = 0
     lags_from_one: bool = False
     literal_transpose: bool = False
@@ -115,7 +114,7 @@ class DesignConfig:
             raise ValueError("k must be >= 0")
         if self.p is not None and not 0 < self.p < np.inf:
             raise ValueError("p must be positive and finite")
-        if not all(0 < t < np.inf for t in (self.epsilon, self.eta, self.inner_tol)):
+        if not all(0 < t < np.inf for t in (self.epsilon, self.eta)):
             raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
@@ -388,22 +387,32 @@ def y_step(y_target, x_fixed, cfg, p=None):
     return _project_zone(y_target, x_fixed, cfg, p, True, 0)
 
 
-def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
-    """One block-coordinate round toward the MM targets: X = x_step(x_sigma)
-    against y0, then Y = y_step(y_sigma) against the new X.
+def inner_cycle(x_sigma, y_sigma, y0, cfg, p_x=None, p_y=None):
+    """One round toward the MM targets, the start's and every outer
+    iteration's: X = x_step(x_sigma) against y0; for k >= 1, if a column
+    of X breaks the sidelobe bound, X restored inside the same
+    cross-correlation nullspace of y0 (_restore_sidelobes); then
+    Y = y_step(y_sigma) against that X.
 
-    Each step is an exact constrained minimization in its own block, and
-    both steps enforce the same zone x_q^H J_m y_l = 0: the feasible x0 is
-    a candidate of the X step against y0, and y0 one of the Y step
-    against the new X.  So the pair is feasible and neither
-    ||X - X_sigma|| nor ||Y - Y_sigma|| exceeds its value at (x0, y0),
-    which is all the MM descent of either link needs.  Returns (X, Y, G)
-    with G = ||X - X_sigma||^2 + ||Y - Y_sigma||^2.
+    Both steps and the restoration keep the zone x_q^H J_m y_l = 0, so
+    the pair is feasible.  Without a restoration each step is an exact
+    constrained minimization in its own block: a feasible current X is a
+    candidate of the X step against y0, and y0 one of the Y step, so
+    neither ||X - X_sigma|| nor ||Y - Y_sigma|| grows, which is all the MM
+    descent of either link needs.  Returns (X, Y, worst) with worst the
+    per-column restoration residual max_m |r_m(x_q)| / ||x_q||^2, or None
+    when no restoration ran.
     """
     x = x_step(x_sigma, y0, cfg, p=p_x)
-    y = y_step(y_sigma, x, cfg, p=p_y)
-    g = float(np.linalg.norm(x - x_sigma) ** 2 + np.linalg.norm(y - y_sigma) ** 2)
-    return x, y, g
+    worst = None
+    b = x.shape[0]
+    if cfg.k and (
+        np.abs(_sidelobes(x, _shift_stack(b, cfg.k), cfg.literal_transpose)).max()
+        > _RESTORE_DONE
+    ):
+        null = _nullspace(_cross_vectors(y0, cfg, False), b)
+        x, worst = _restore_sidelobes(x, null, _resolve_p(cfg, p_x), cfg)
+    return x, y_step(y_sigma, x, cfg, p=p_y), worst
 
 
 def _mm_model(v, s):
@@ -561,35 +570,6 @@ def _restore_sidelobes(x, null, p, cfg):
     return _shrink_into_sets(x, shifts, p), worst
 
 
-def _restored_pair(new, y_sigma, cfg, p_x, p_y, score, mse_cur):
-    """Restoration step after an inner cycle; returns (x, y, scored, None),
-    or (None, None, None, (sidelobe residual, MSE excess)) when the
-    restored pair is rejected.  score(x, y) returns (total MSE, per-link
-    data); scored is its value at the accepted pair, or None when the new
-    pair already met the bound and was not scored.
-
-    The new X is restored inside the cross-correlation nullspace of the new
-    Y and Y is re-projected toward y_sigma with y_step.  The pair is
-    accepted only if its total MSE is no larger than mse_cur, the MSE of
-    the current pair, which keeps the trace monotone.
-    """
-    x_new, y_new = new
-    shifts = _shift_stack(x_new.shape[0], cfg.k)
-    if np.abs(_sidelobes(x_new, shifts, cfg.literal_transpose)).max() <= _RESTORE_DONE:
-        return x_new, y_new, None, None
-    null = _nullspace(_cross_vectors(y_new, cfg, False), y_new.shape[0])
-    x_r, worst = _restore_sidelobes(x_new, null, p_x, cfg)
-    worst = float(worst.max())
-    if worst > SIDELOBE_DELTA:
-        return None, None, None, (worst, np.inf)
-    y_r = y_step(y_sigma, x_r, cfg, p=p_y)
-    scored = score(x_r, y_r)
-    excess = scored[0] - mse_cur
-    if excess <= 0.0:
-        return x_r, y_r, scored, None
-    return None, None, None, (worst, excess)
-
-
 def _pair_residuals(x, y, cfg):
     """Max power, max |cross-corr| over the lag set, max |autocorr| of x at
     lags 1..k, and the worst normalized sidelobe max |r_m(x_q)| / ||x_q||^2
@@ -620,14 +600,16 @@ def design_pilots(dl, ul, cfg):
     downlink pilot X is B x dl.n_t and the uplink pilot Y is B x ul.n_t.
     For k >= 1 every returned X meets |x_q^H J_m x_q| <= 10^(-1.5)
     ||x_q||^2 (30 dB) for all columns and m = 1..k, besides power <= p,
-    the ellipsoids and the cross-correlation zone; the seeded start is
-    restored into that bound too (DesignError naming the column if it
-    cannot be).  k = 0 has no sidelobe bound and no restoration step.
-    Stops when an outer iteration moves the total MSE by less than eta,
-    or flags non-convergence at max_outer and returns the best pair
-    seen.  A rejected restoration is recorded in the warnings with its
-    outer iteration and residual and ends the run unconverged, since the
-    next iteration would repeat it exactly.
+    the ellipsoids and the cross-correlation zone.  The start and every
+    outer iteration are one inner_cycle; the start's restoration raises a
+    DesignError naming the column if it cannot reach the bound.  k = 0 has
+    no sidelobe bound and no restoration.  Stops when an outer iteration
+    moves the total MSE by less than eta, or flags non-convergence at
+    max_outer and returns the best pair seen.  A restored round is
+    rejected, unscored, when its residual is over the bound, and also
+    when it raises the total MSE; the rejection is recorded in the
+    warnings with its outer iteration and residual and ends the run
+    unconverged, since the next iteration would repeat it exactly.
     """
     if dl.b != ul.b:
         raise ValueError("link scenarios must share the training length")
@@ -647,27 +629,27 @@ def design_pilots(dl, ul, cfg):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # Feasible start: X into ball ∩ ellipsoids (no cross constraints
-        # yet) and restored into the sidelobe bound, which keeps it a
-        # generic point, then Y projected against that X.  Every
-        # constraint the inner cycle later enforces holds from iteration
-        # 0, so the MM descent argument applies to the whole trace.
+        # Feasible start: the same round from random targets, against no
+        # Y yet.  X goes into ball ∩ ellipsoids and is restored into the
+        # sidelobe bound, which keeps it a generic point; Y is projected
+        # against that X.  Every constraint the later rounds enforce holds
+        # from iteration 0, so the MM descent argument applies to the
+        # whole trace.
         x_raw = rng.standard_normal((dl.b, dl.n_t)) + 1j * rng.standard_normal(
             (dl.b, dl.n_t)
         )
         y_raw = rng.standard_normal((ul.b, ul.n_t)) + 1j * rng.standard_normal(
             (ul.b, ul.n_t)
         )
-        x = x_step(x_raw, np.zeros((dl.b, 0)), cfg, p=p_x)
-        if cfg.k:
-            x, worst = _restore_sidelobes(x, np.eye(dl.b), p_x, cfg)
-            if worst.max() > SIDELOBE_DELTA:
-                q = int(np.argmax(worst))
-                raise DesignError(
-                    f"start column {q} cannot be brought inside the sidelobe "
-                    f"bound: residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
-                )
-        y = y_step(y_raw, x, cfg, p=p_y)
+        x, y, worst = inner_cycle(
+            x_raw, y_raw, np.zeros((dl.b, 0)), cfg, p_x=p_x, p_y=p_y
+        )
+        if worst is not None and worst.max() > SIDELOBE_DELTA:
+            q = int(np.argmax(worst))
+            raise DesignError(
+                f"start column {q} cannot be brought inside the sidelobe "
+                f"bound: residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
+            )
 
         mse, links = score(x, y)
         _record(trace, mse, links, _pair_residuals(x, y, cfg))
@@ -677,30 +659,31 @@ def design_pilots(dl, ul, cfg):
             (_, v_dl), (_, v_ul) = links
             x_sigma = build_sigma_target(v_dl, x, dl)
             y_sigma = build_sigma_target(v_ul, y, ul)
-            x_new, y_new, _ = inner_cycle(
-                x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y
+            x_new, y_new, worst = inner_cycle(
+                x_sigma, y_sigma, y, cfg, p_x=p_x, p_y=p_y
             )
-            scored = None
-            if cfg.k:
-                x_new, y_new, scored, rejected = _restored_pair(
-                    (x_new, y_new), y_sigma, cfg, p_x, p_y, score, mse
+            # A restored pair is scored only inside the bound and kept only
+            # if it does not raise the total MSE.  The next iteration would
+            # repeat a rejected one exactly, so the run stops unconverged
+            # at the last accepted pair.
+            excess = np.inf
+            if worst is None or worst.max() <= SIDELOBE_DELTA:
+                scored = score(x_new, y_new)
+                excess = scored[0] - mse
+            if worst is not None and not excess <= 0.0:
+                warnings.warn(
+                    f"outer iteration {it}: sidelobe restoration rejected "
+                    f"(sidelobe residual {worst.max():.3g}, bound "
+                    f"{SIDELOBE_DELTA:.3g}; MSE excess {excess:.3g})",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-                if rejected is not None:
-                    # The next iteration would repeat this one exactly, so
-                    # stop unconverged at the last accepted pair.
-                    warnings.warn(
-                        f"outer iteration {it}: sidelobe restoration rejected "
-                        f"(sidelobe residual {rejected[0]:.3g}, bound "
-                        f"{SIDELOBE_DELTA:.3g}; MSE excess {rejected[1]:.3g})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    trace.stop_reason = "restoration_rejected"
-                    break
+                trace.stop_reason = "restoration_rejected"
+                break
             x, y = x_new, y_new
 
             prev = mse
-            mse, links = scored if scored is not None else score(x, y)
+            mse, links = scored
             _record(trace, mse, links, _pair_residuals(x, y, cfg))
             trace.outer_iterations += 1
             if mse < best[0]:

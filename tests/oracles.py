@@ -20,35 +20,48 @@ def adjoint_embed(z, n_r):
     return np.einsum("irjr->ij", z.reshape(b, n_r, n_t, n_r))
 
 
-def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
-                           mu=50, inner_tol=1e-8):
-    """Reference inner cycle: alternate x_step/y_step toward the targets
-    for at most mu rounds, stopping once a round moves the pair by at
-    most inner_tol; a drop-in for zczpilot.designer.inner_cycle.
+def _restored_against(x, y, cfg, p):
+    """X restored inside the cross-correlation nullspace of y when a column
+    breaks the restoration threshold, with the per-column residual; (x,
+    None) when none does."""
+    b = x.shape[0]
+    shifts = designer._shift_stack(b, cfg.k)
+    if not cfg.k or (
+        np.abs(designer._sidelobes(x, shifts, cfg.literal_transpose)).max()
+        <= designer._RESTORE_DONE
+    ):
+        return x, None
+    null = designer._nullspace(designer._cross_vectors(y, cfg, False), b)
+    return designer._restore_sidelobes(x, null, designer._resolve_p(cfg, p), cfg)
 
-    The targets are fixed for the whole cycle and each step is a
-    deterministic function of (target, other block), so a step whose
-    other block did not move since its last run is skipped.
+
+def alternate_until_stable(x_sigma, y_sigma, y0, cfg, p_x=None, p_y=None,
+                           mu=50, inner_tol=1e-8):
+    """Reference outer iteration in the order the designer once took, a
+    drop-in for zczpilot.designer.inner_cycle: alternate x_step/y_step
+    toward the targets for at most mu rounds, stopping once a round moves
+    the pair by at most inner_tol; then, if a column of X breaks the
+    sidelobe bound, restore X inside the cross-correlation nullspace of
+    the final Y and project Y against the restored X.  Returns (X, Y,
+    worst) like inner_cycle.
+
+    The start (y0 with no columns) has no Y to alternate with or restore
+    against, so it takes one round with the restoration between the two
+    steps, which is also what the designer's start has always done.
     """
-    x, y = x0, y0
-    x_seen = y_seen = None
-    for _ in range(mu):
-        if x_seen is None or not np.array_equal(y, x_seen):
-            x_new = designer.x_step(x_sigma, y, cfg, p=p_x)
-            x_seen = y
-        else:
-            x_new = x
-        if y_seen is None or not np.array_equal(x_new, y_seen):
-            y_new = designer.y_step(y_sigma, x_new, cfg, p=p_y)
-            y_seen = x_new
-        else:
-            y_new = y
-        move = max(
-            np.linalg.norm(x_new - x) if x.size else 0.0,
-            np.linalg.norm(y_new - y) if y.size else 0.0,
-        )
+    x = designer.x_step(x_sigma, y0, cfg, p=p_x)
+    if not y0.shape[1]:
+        x, worst = _restored_against(x, y0, cfg, p_x)
+        return x, designer.y_step(y_sigma, x, cfg, p=p_y), worst
+    y = designer.y_step(y_sigma, x, cfg, p=p_y)
+    for _ in range(mu - 1):
+        x_new = designer.x_step(x_sigma, y, cfg, p=p_x)
+        y_new = designer.y_step(y_sigma, x_new, cfg, p=p_y)
+        move = max(np.linalg.norm(x_new - x), np.linalg.norm(y_new - y))
         x, y = x_new, y_new
         if move <= inner_tol:
             break
-    g = float(np.linalg.norm(x - x_sigma) ** 2 + np.linalg.norm(y - y_sigma) ** 2)
-    return x, y, g
+    x_r, worst = _restored_against(x, y, cfg, p_x)
+    if worst is None:
+        return x, y, None
+    return x_r, designer.y_step(y_sigma, x_r, cfg, p=p_y), worst

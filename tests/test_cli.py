@@ -138,26 +138,42 @@ class TestDesign:
         assert len(rows) - 1 == arc.result["outer_iterations"] + 1
         assert float(rows[-1][1]) == arc.result["final_mse"]
 
-    def test_mu_is_inert(self, tmp_path, capsys):
-        # mu is accepted and checked but the designer takes one round per
-        # outer iteration whatever its value.
+    @staticmethod
+    def assert_key_is_inert(tmp_path, capsys, key, values, bad, error):
+        """Designs that differ only in `key` write the same X, Y and trace
+        bytes and leave the key out of the archive; `bad` is rejected."""
         outs = []
-        for mu in (1, 50):
-            path = tmp_path / f"mu{mu}.ini"
-            path.write_text(SMALL.replace("seed = 0", f"seed = 0\nmu = {mu}"))
-            out = tmp_path / f"run{mu}"
+        for i, value in enumerate(values):
+            path = tmp_path / f"{key}{i}.ini"
+            path.write_text(SMALL.replace("seed = 0", f"seed = 0\n{key} = {value}"))
+            out = tmp_path / f"run{key}{i}"
             assert main(["design", "--config", str(path), "--out", str(out)]) == EXIT_OK
             outs.append(out)
         a, b = (read_archive(o / "pilot_archive.json") for o in outs)
         assert (a.x.tobytes(), a.y.tobytes()) == (b.x.tobytes(), b.y.tobytes())
-        assert "mu" not in a.design
+        assert key not in a.design
         assert ((outs[0] / "design_trace.csv").read_bytes()
                 == (outs[1] / "design_trace.csv").read_bytes())
-        path = tmp_path / "mu0.ini"
-        path.write_text(SMALL.replace("seed = 0", "seed = 0\nmu = 0"))
+        path = tmp_path / f"{key}-bad.ini"
+        path.write_text(SMALL.replace("seed = 0", f"seed = 0\n{key} = {bad}"))
         capsys.readouterr()
-        assert main(["design", "--config", str(path), "--out", str(tmp_path / "r0")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: [design] mu must be >= 1\n"
+        out = tmp_path / f"run{key}-bad"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_mu_is_inert(self, tmp_path, capsys):
+        # mu is accepted and checked but the designer takes one round per
+        # outer iteration whatever its value.
+        self.assert_key_is_inert(
+            tmp_path, capsys, "mu", (1, 50), 0, "[design] mu must be >= 1"
+        )
+
+    def test_inner_tol_is_inert(self, tmp_path, capsys):
+        # inner_tol is accepted and checked but no part of the design reads it.
+        self.assert_key_is_inert(
+            tmp_path, capsys, "inner_tol", (1e-3, 1e-8), 0,
+            "[design] inner_tol must be positive",
+        )
 
     def test_design_error_exit_code(self, small_config, tmp_path, capsys,
                                     monkeypatch):

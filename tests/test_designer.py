@@ -1,6 +1,7 @@
 """Constrained projection steps, majorization targets, and the full
 cyclic pilot design loop."""
 
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,6 @@ from zczpilot.designer import (
     _mm_quadratic,
     _nullspace,
     _restore_sidelobes,
-    _restored_pair,
     _shift_stack,
     _shrink_into_sets,
     build_sigma_target,
@@ -33,6 +33,10 @@ from zczpilot.designer import (
 )
 from zczpilot.estimation import channel_mse_lemma, optimal_V, surrogate_F
 from zczpilot.tensorops import embed_pilot, shift_matrix
+
+# Tolerance x_step and y_step are held to on re-projection of their own
+# output.
+INNER_TOL = 1e-8
 
 
 def crandn(rng, *shape):
@@ -99,7 +103,7 @@ class TestXStep:
         y = np.zeros((b, 0))
         t = 0.1 * crandn(rng, b, 2)
         out = x_step(t, y, cfg)
-        assert np.linalg.norm(out - t) <= cfg.inner_tol
+        assert np.linalg.norm(out - t) <= INNER_TOL
 
     def test_ball_only_closed_form(self):
         rng = np.random.default_rng(1)
@@ -146,7 +150,7 @@ class TestXStep:
         y = crandn(rng, b, 1) * 0.4
         out = x_step(crandn(rng, b, 3) * 2.0, y, cfg)
         again = x_step(out, y, cfg)
-        assert np.linalg.norm(again - out) <= 2.0 * cfg.inner_tol
+        assert np.linalg.norm(again - out) <= 2.0 * INNER_TOL
         powers = np.real(np.sum(out.conj() * out, axis=0))
         assert powers.max() <= cfg.p + 1e-9
         assert ellipsoid_values(out, cfg.k).max() <= 2.0 * cfg.p + 1e-9
@@ -311,7 +315,7 @@ class TestYStep:
         cfg = DesignConfig(k=1, p=5.0)
         t = 0.2 * crandn(rng, 6, 2)
         out = y_step(t, np.zeros((6, 0)), cfg)
-        assert np.linalg.norm(out - t) <= cfg.inner_tol
+        assert np.linalg.norm(out - t) <= INNER_TOL
 
     def test_pure_ball_scaling(self):
         rng = np.random.default_rng(1)
@@ -338,7 +342,7 @@ class TestYStep:
         x = crandn(rng, 8, 2)
         out = y_step(crandn(rng, 8, 2) * 3.0, x, cfg)
         again = y_step(out, x, cfg)
-        assert np.linalg.norm(again - out) <= 2.0 * cfg.inner_tol
+        assert np.linalg.norm(again - out) <= 2.0 * INNER_TOL
 
     def test_degenerate_constraints_zero_with_warning(self):
         rng = np.random.default_rng(5)
@@ -373,12 +377,10 @@ class TestInnerCycle:
         y_sigma = np.zeros((b, 1), dtype=complex)
         x_sigma[0, 0] = np.sqrt(p)
         y_sigma[4, 0] = np.sqrt(p)
-        x0 = np.zeros_like(x_sigma)
-        y0 = np.zeros_like(y_sigma)
-        x, y, g = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        x, y, worst = inner_cycle(x_sigma, y_sigma, np.zeros_like(y_sigma), cfg)
         npt.assert_allclose(x, x_sigma, atol=1e-9)
         npt.assert_allclose(y, y_sigma, atol=1e-9)
-        assert g <= 1e-12
+        assert worst is None
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objective_non_increasing_across_rounds(self, seed):
@@ -397,37 +399,76 @@ class TestInnerCycle:
                 np.linalg.norm(x - x_sigma) ** 2
                 + np.linalg.norm(y - y_sigma) ** 2
             )
-            # inner projections are exact up to inner_tol, so allow that slack
+            # inner projections are exact up to INNER_TOL, so allow that slack
             assert g <= g_prev + 1e-6
             g_prev = g
 
     @pytest.mark.parametrize("seed", range(3))
     def test_each_block_no_farther_than_start(self, seed):
+        # k = 0: no restoration, so each block is an exact projection
         rng = np.random.default_rng(seed)
-        cfg = DesignConfig(k=1, p=1.0)
+        cfg = DesignConfig(k=0, p=1.0)
         x0 = x_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
         y0 = y_step(crandn(rng, 8, 2), x0, cfg)
         x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
-        x, y, _ = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        x, y, worst = inner_cycle(x_sigma, y_sigma, y0, cfg)
+        assert worst is None
         assert np.linalg.norm(x - x_sigma) <= np.linalg.norm(x0 - x_sigma) + 1e-12
         assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
         assert cross_residual(x, y, cfg.k) <= 1e-12
+
+    def test_no_violation_is_plain_x_step(self, monkeypatch):
+        # impulses have no sidelobes, and a collapsed Y leaves them in zone
+        calls = count_calls(monkeypatch, "_restore_sidelobes")
+        cfg = DesignConfig(k=2, p=1.0)
+        x_sigma = np.zeros((8, 2), dtype=complex)
+        x_sigma[1, 0], x_sigma[5, 1] = 0.5, 2.0j
+        y0 = np.zeros((8, 1), dtype=complex)
+        y_sigma = crandn(np.random.default_rng(0), 8, 1)
+        x, _, worst = inner_cycle(x_sigma, y_sigma, y0, cfg)
+        npt.assert_array_equal(x, x_step(x_sigma, y0, cfg))
+        assert worst is None
+        assert calls == {"_restore_sidelobes": 0}
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_restored_x_in_zone_and_bound(self, literal):
+        rng = np.random.default_rng(13)
+        cfg = DesignConfig(k=2, p=1.0, literal_transpose=literal)
+        y0 = y_step(crandn(rng, 8, 1), np.zeros((8, 0)), cfg)
+        x_sigma = crandn(rng, 8, 3) * 2.0
+        assert sidelobe_ratios(x_step(x_sigma, y0, cfg), cfg.k, literal).max() > (
+            SIDELOBE_DELTA
+        )
+        x, y, worst = inner_cycle(x_sigma, crandn(rng, 8, 1), y0, cfg)
+        assert worst is not None and worst.shape == (3,)
+        assert worst.max() <= SIDELOBE_DELTA
+        assert sidelobe_ratios(x, cfg.k, literal).max() <= SIDELOBE_DELTA
+        assert cross_residual(x, y0, cfg.k, literal) <= 1e-12
+        assert cross_residual(x, y, cfg.k, literal) <= 1e-12
+        assert np.sum(np.abs(x) ** 2, axis=0).max() <= cfg.p * (1 + 1e-12)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_y_is_y_step_of_new_x(self, k):
+        # y0 meets the zone against any X that lies in y0's zone, so it is a
+        # candidate of the Y step whether or not X was restored
+        rng = np.random.default_rng(14)
+        cfg = DesignConfig(k=k, p=1.0)
+        y0 = y_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
+        x_sigma, y_sigma = crandn(rng, 8, 2) * 2.0, crandn(rng, 8, 2)
+        x, y, worst = inner_cycle(x_sigma, y_sigma, y0, cfg)
+        assert (worst is None) == (k == 0)
+        npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
+        assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
 
     def test_one_round(self, monkeypatch):
         calls = count_calls(monkeypatch, "x_step", "y_step")
         rng = np.random.default_rng(0)
         cfg = DesignConfig(k=1, p=1.0)
-        x0 = np.zeros((8, 2), dtype=complex)
         y0 = np.zeros((8, 2), dtype=complex)
         x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
-        x, y, g = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        x, y, _ = inner_cycle(x_sigma, y_sigma, y0, cfg)
         assert calls == {"x_step": 1, "y_step": 1}
-        npt.assert_array_equal(x, x_step(x_sigma, y0, cfg))
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
-        assert g == pytest.approx(
-            np.linalg.norm(x - x_sigma) ** 2 + np.linalg.norm(y - y_sigma) ** 2,
-            rel=1e-15,
-        )
 
         # A design: the start's x_step, then one per outer iteration.
         calls.update(x_step=0, y_step=0)
@@ -438,9 +479,22 @@ class TestInnerCycle:
         assert trace.stop_reason != "restoration_rejected"
         assert calls["x_step"] == trace.outer_iterations + 1
 
+    def test_restored_design_takes_one_y_step_per_round(self, monkeypatch):
+        # zcz-sized (4x4, B = 16, k = 2): the restoration fires in every
+        # round, and Y is still projected once per round, not again after it
+        calls = count_calls(monkeypatch, "inner_cycle", "y_step", "_restore_sidelobes")
+        dl = build_scenario(4, 4, 16)
+        _, trace = design_pilots(
+            dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=6)
+        )
+        rounds = trace.outer_iterations + 1
+        assert trace.outer_iterations == 6
+        assert calls == dict.fromkeys(calls, rounds)
+
     def test_design_matches_alternation_until_stable(self, monkeypatch):
         # zcz-sized (4x4, B = 16, k = 2): both links stay active, so the
-        # reference alternation runs a second, confirming round.
+        # reference alternation runs a second, confirming round, and
+        # restores X against the Y it ends with.
         dl = build_scenario(4, 4, 16)
         ul = reciprocal_scenario(dl)
         cfg = DesignConfig(k=2, max_outer=20, seed=0)
@@ -451,6 +505,7 @@ class TestInnerCycle:
         assert calls["x_step"] > ref.outer_iterations + 1
         assert one.outer_iterations == ref.outer_iterations
         assert one.converged == ref.converged
+        assert one.stop_reason == ref.stop_reason
         assert one.warnings == ref.warnings
         npt.assert_allclose(one.mse, ref.mse, rtol=1e-10, atol=0.0)
 
@@ -631,9 +686,8 @@ class TestBlockMmModel:
 
 class TestFactorizationReuse:
     """design_pilots solves each link's Gram blocks once per accepted
-    iterate: the MSE that scores it and the V* of the next MM target come
-    from the same batched solve, and a pair accepted by restoration is not
-    scored again."""
+    iterate: the MSE that scores it (and accepts a restored pair) and the
+    V* of the next MM target come from the same batched solve."""
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_one_factorization_per_link_and_iterate(self, k, monkeypatch):
@@ -650,26 +704,15 @@ class TestFactorizationReuse:
             solves[a.shape] += 1
             return solve(a, rhs)
 
-        restored = []
-        restored_pair = designer._restored_pair
-
-        def recording(*args):
-            out = restored_pair(*args)
-            restored.append(out)
-            return out
-
+        restored = count_calls(monkeypatch, "_restore_sidelobes")
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        monkeypatch.setattr(designer, "_restored_pair", recording)
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
         assert trace.outer_iterations == 8
-        if k:
-            # Every iteration went through restoration, was scored there
-            # and was accepted (no extra trial solves).
-            assert len(restored) == trace.outer_iterations
-            assert all(r[2] is not None for r in restored)
-        else:
-            assert not restored
-        assert list(solves.values()) == [trace.outer_iterations + 1] * 2
+        # With k = 2 the start and every iteration restored X, and each
+        # restored pair was scored once (no extra trial solves).
+        rounds = trace.outer_iterations + 1
+        assert restored["_restore_sidelobes"] == (rounds if k else 0)
+        assert list(solves.values()) == [rounds] * 2
 
 
 class TestDesignPilots:
@@ -777,9 +820,18 @@ class TestStopReason:
         assert trace.outer_iterations == cfg.max_outer
 
     def test_restoration_rejected(self, monkeypatch):
-        monkeypatch.setattr(
-            designer, "_restored_pair", lambda *a: (None, None, None, (0.04, 2e-3))
-        )
+        # every restoration after the start reports a residual over the
+        # bound: the run stops at once and never scores the pair
+        restore = designer._restore_sidelobes
+        calls = count_calls(monkeypatch, "mse_and_optimal_V")
+        seen = []
+
+        def over_bound(*args):
+            x, worst = restore(*args)
+            seen.append(x)
+            return x, worst if len(seen) == 1 else np.full_like(worst, 0.04)
+
+        monkeypatch.setattr(designer, "_restore_sidelobes", over_bound)
         dl = build_scenario(2, 2, 6)
         _, trace = design_pilots(
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=50)
@@ -787,6 +839,31 @@ class TestStopReason:
         assert not trace.converged
         assert trace.stop_reason == "restoration_rejected"
         assert trace.outer_iterations == 0
+        assert len(seen) == 2
+        assert calls == {"mse_and_optimal_V": 2}  # the start's two links
+        assert any(
+            "outer iteration 1:" in w and "residual 0.04" in w and "MSE excess inf" in w
+            for w in trace.warnings
+        )
+
+
+def raise_later_scores(monkeypatch, dl, rise, keep=None):
+    """Make every score after the start's report each link's start MSE
+    plus `rise`; a downlink pilot equal to `keep`, if given, keeps its true
+    MSE instead."""
+    real = designer.mse_and_optimal_V
+    start = {}
+
+    def scored(p, s):
+        mse, v = real(p, s)
+        if len(start) < 2:
+            start[id(s)] = mse
+            return mse, v
+        if keep is not None and s is dl and np.array_equal(p, keep()):
+            return mse, v
+        return start[id(s)] + rise, v
+
+    monkeypatch.setattr(designer, "mse_and_optimal_V", scored)
 
 
 def sidelobe_ratios(x, k, literal=False):
@@ -838,13 +915,10 @@ class TestSidelobeBound:
         assert ellipsoid_values(x, cfg.k).max() <= 2.0 * cfg.p * (1 + 1e-12)
 
     def test_k0_runs_no_restoration(self, monkeypatch):
-        import zczpilot.designer as designer
-
         def fail(*args, **kwargs):
             raise AssertionError("restoration ran with k = 0")
 
         monkeypatch.setattr(designer, "_restore_sidelobes", fail)
-        monkeypatch.setattr(designer, "_restored_pair", fail)
         dl = build_scenario(2, 2, 4)
         design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=0, max_outer=5))
 
@@ -856,47 +930,47 @@ class TestSidelobeBound:
         with pytest.raises(RuntimeError, match=r"start column \d+ .*residual"):
             design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=2))
 
-    def test_restoration_never_falls_back_to_current_pair(self):
-        # A collapsed uplink (Y = 0) leaves the current X exactly unchanged
-        # by restoration, so a trial at the current pair would keep the MSE
-        # and pass the check: a stall that the eta rule would report as
-        # convergence.  Here only the current X keeps the MSE.
-        rng = np.random.default_rng(3)
-        cfg = DesignConfig(k=2, p=2.0)
-        x_cur, _ = _restore_sidelobes(
-            0.1 * crandn(rng, 8, 2), np.eye(8), cfg.p, cfg
-        )
-        y_cur = np.zeros((8, 1), dtype=np.complex128)
-        x_new = crandn(rng, 8, 2)
-        assert sidelobe_ratios(x_new, cfg.k).max() > SIDELOBE_DELTA
+    def test_restoration_never_falls_back_to_current_pair(self, monkeypatch):
+        # A collapsed uplink (Y = 0, 4x4 with B = 8 and k = 4) leaves the
+        # current X exactly unchanged by restoration, so a trial at the
+        # current pair would keep the MSE and pass the check: a stall that
+        # the eta rule would report as convergence.  Here only the start's
+        # X keeps its MSE, and every other pair scores higher.
+        start = []
+        restore = designer._restore_sidelobes
 
-        def score(x, y):
-            return (0.0 if np.array_equal(x, x_cur) else 1.0), None
+        def first_restored(*args):
+            out = restore(*args)
+            start.append(out[0])
+            return out
 
-        x, y, scored, rejected = _restored_pair(
-            (x_new, y_cur), y_cur, cfg, cfg.p, cfg.p, score, 0.0
+        monkeypatch.setattr(designer, "_restore_sidelobes", first_restored)
+        dl = build_scenario(4, 4, 8)
+        raise_later_scores(monkeypatch, dl, 1.0, keep=lambda: start[0])
+        pair, trace = design_pilots(
+            dl, reciprocal_scenario(dl), DesignConfig(k=4, max_outer=50)
         )
-        assert x is None and y is None and scored is None
-        assert rejected[0] <= SIDELOBE_DELTA
-        assert rejected[1] == 1.0
+        assert np.abs(pair.y).max() == 0.0
+        assert len(start) == 2
+        assert not trace.converged
+        assert trace.stop_reason == "restoration_rejected"
+        assert trace.outer_iterations == 0 and len(trace.mse) == 1
+        npt.assert_array_equal(pair.x, start[0])
 
     def test_rejected_restoration_recorded_and_unconverged(self, monkeypatch):
-        import zczpilot.designer as designer
-
-        monkeypatch.setattr(
-            designer, "_restored_pair",
-            lambda *a: (None, None, None, (0.04, 2e-3)),
-        )
+        # the restored pair meets the bound but raises the total MSE by 2e-3
         dl = build_scenario(2, 2, 6)
+        raise_later_scores(monkeypatch, dl, 1e-3)
         pair, trace = design_pilots(
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=50)
         )
         assert not trace.converged
+        assert trace.stop_reason == "restoration_rejected"
         assert trace.outer_iterations == 0
-        assert any(
-            "outer iteration 1:" in w and "0.04" in w and "MSE excess 0.002" in w
-            for w in trace.warnings
-        )
+        (warning,) = [w for w in trace.warnings if "outer iteration 1:" in w]
+        residual = float(re.search(r"sidelobe residual (\S+),", warning).group(1))
+        assert residual <= SIDELOBE_DELTA
+        assert "MSE excess 0.002" in warning
         assert sidelobe_ratios(pair.x, 2).max() <= SIDELOBE_DELTA
 
 
@@ -987,7 +1061,7 @@ class TestDesignConfig:
             {"p": -2.0},
             {"epsilon": 0.0},
             {"eta": 0.0},
-            {"inner_tol": 0.0},
+            {"epsilon": -1.0},
             {"max_outer": 0},
             {"seed": -1},
             {"p": float("nan")},
@@ -995,7 +1069,7 @@ class TestDesignConfig:
             {"epsilon": float("nan")},
             {"eta": float("nan")},
             {"eta": float("inf")},
-            {"inner_tol": float("nan")},
+            {"epsilon": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -1008,6 +1082,7 @@ class TestDesignConfig:
         assert cfg.epsilon == 1e-5
         assert cfg.eta == 1e-5
         assert cfg.max_outer == 200
-        assert cfg.inner_tol == 1e-8
+        # the inner-round knobs are gone: the designer takes one round
+        assert not hasattr(cfg, "inner_tol") and not hasattr(cfg, "mu")
         assert not cfg.lags_from_one
         assert not cfg.literal_transpose
