@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -79,14 +80,18 @@ def without_timestamp(payload):
     return out
 
 
-def dump_archive(payload, path):
-    """Write the payload atomically (temp file + rename)."""
-    text = json.dumps(payload, indent=2)
+def atomic_write(path, write_fn):
+    """Write path atomically: write_fn fills <path>.tmp, which then
+    replaces path, so a reader never sees a half-written file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    write_fn(tmp)
     os.replace(tmp, path)
+
+
+def dump_archive(payload, path):
+    """Write the payload atomically (atomic_write)."""
+    text = json.dumps(payload, indent=2) + "\n"
+    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 @dataclass(frozen=True)

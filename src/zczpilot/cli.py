@@ -15,7 +15,6 @@ produce a pair that meets every bound (nothing is written).
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,13 @@ from .analysis import (
     write_montecarlo_csv,
     write_trace_csv,
 )
-from .archive import ArchiveError, archive_payload, dump_archive, read_archive
+from .archive import (
+    ArchiveError,
+    archive_payload,
+    atomic_write,
+    dump_archive,
+    read_archive,
+)
 from .config import ConfigError, load_config
 from .covariance import reciprocal_scenario
 from .designer import DesignError, column_power_bound, design_pilots
@@ -81,12 +86,6 @@ def _fmt_choice(rc, args):
     return getattr(args, "format", None) or rc.fmt
 
 
-def _atomic_write(path, write_fn):
-    tmp = f"{path}.tmp"
-    write_fn(tmp)
-    os.replace(tmp, path)
-
-
 def _cmd_design(args):
     rc = load_config(args.config)
     design = _apply_design_overrides(rc, args)
@@ -98,7 +97,7 @@ def _cmd_design(args):
     out = _out_dir(rc, args)
     payload = archive_payload(pair, trace, design, p_x, p_y, config_sha256=rc.sha256)
     dump_archive(payload, out / "pilot_archive.json")
-    _atomic_write(out / "design_trace.csv", lambda p: write_trace_csv(trace, p))
+    atomic_write(out / "design_trace.csv", lambda p: write_trace_csv(trace, p))
 
     print(f"final mse: {trace.mse[-1]:.12g}")
     print(f"downlink mse: {trace.mse_dl[-1]:.12g}")
@@ -133,7 +132,7 @@ def _cmd_analyze(args):
         out.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             target = out / "correlation.csv"
-            _atomic_write(target, lambda p: write_correlation_csv(report, p))
+            atomic_write(target, lambda p: write_correlation_csv(report, p))
         else:
             target = out / "correlation.json"
             text = json.dumps(
@@ -141,7 +140,7 @@ def _cmd_analyze(args):
                  "rows": correlation_rows(report)},
                 indent=2,
             )
-            _atomic_write(target, lambda p: Path(p).write_text(text + "\n"))
+            atomic_write(target, lambda p: Path(p).write_text(text + "\n"))
         print(f"wrote {target}")
 
     peak_auto = float(report.autocorr_db[:, report.lags != 0].max()) if max_lag else None
@@ -168,7 +167,7 @@ def _cmd_montecarlo(args):
     fmt = _fmt_choice(rc, args)
     if fmt == "csv":
         target = out / "mc_summary.csv"
-        _atomic_write(target, lambda p: write_montecarlo_csv(summary, p))
+        atomic_write(target, lambda p: write_montecarlo_csv(summary, p))
     else:
         target = out / "mc_summary.json"
         text = json.dumps(
@@ -185,7 +184,7 @@ def _cmd_montecarlo(args):
              ]},
             indent=2,
         )
-        _atomic_write(target, lambda p: Path(p).write_text(text + "\n"))
+        atomic_write(target, lambda p: Path(p).write_text(text + "\n"))
 
     total = len(summary.seeds)
     print(f"runs: {total}  converged: {summary.converged_runs}  "

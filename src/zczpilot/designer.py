@@ -2,12 +2,12 @@
 
 Each outer iteration refreshes the closed-form auxiliary minimizers for
 both link directions, builds majorize-minimize targets for the two pilot
-blocks, and then takes one round (inner_cycle) of exact projections onto
-the constraint sets, X first and then Y against the new X: per-column
-power balls, zero cross-correlation between the two pilots over a lag
-window, and the convexified low-autocorrelation ellipsoids on the
-downlink (sensing) pilot.  The start is the same round from random
-targets, with no Y to correlate against yet.
+blocks, and then takes one round (inner_cycle) toward the constraint
+sets, X first and then Y against the new X: per-column power balls, zero
+cross-correlation between the two pilots over a lag window, and the
+convexified low-autocorrelation ellipsoids on the downlink (sensing)
+pilot.  The start is the same round from random targets, with no Y to
+correlate against yet.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -19,25 +19,26 @@ _mm_model takes the next MM target: no dense V2 or channel covariance.
 
 Both pilots see one zero-correlation zone.  Its constraint vectors come
 from one cached stack of shift matrices (_cross_vectors), and one SVD rank
-rule turns them into an orthonormal nullspace basis C (_nullspace).  The
-uplink projection is the k = 0 case of the downlink one: C C^H t, then the
-shrink into the ball (_shrink_into_sets with no ellipsoids).  For k >= 1
-the downlink solves the ellipsoid QCQP in the coordinates of C instead.
-The restoration below works inside the same C.
+rule turns them into an orthonormal nullspace basis C (_nullspace).  Both
+steps are the same zone projection: C C^H t, then the shrink into the
+ball and, for the downlink, the ellipsoids (_shrink_into_sets).  For the
+uplink (no ellipsoids) that is the exact projection; for the downlink
+with k >= 1 it is a feasible point near the target.  The restoration
+below works inside the same C.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
-r_m(x) = x^H J_m x, so for k >= 1 the round holds every column of the
+r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
 sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
-m = 1..k, between its two steps: when a column of the new X breaks it,
-Gauss-Newton minimum-norm steps inside the cross-correlation nullspace of
-the current Y, taken by all violating columns together (one batched solve
-per step), and a power cap restore X before Y is projected against it.
-A round that restored X is accepted only if it does not raise the total
-MSE, and the run stops unconverged otherwise, so every iterate stays
-feasible (as in the constraint-handling MM of Sun, Babu & Palomar, IEEE
-TSP 2017).  The total estimation MSE of the two links is therefore
-non-increasing across outer iterations once the iterate is feasible,
-which the (restored) start guarantees.
+m = 1..k, between its two steps: Gauss-Newton minimum-norm steps inside
+the cross-correlation nullspace of the current Y, taken by all violating
+columns together (one batched solve per step), and a power cap restore X
+before Y is projected against it.  Such a round is accepted only if it
+is inside the bound and does not raise the total MSE, and the run stops
+unconverged otherwise, so every iterate stays feasible (as in the
+constraint-handling MM of Sun, Babu & Palomar, IEEE TSP 2017).  The
+total estimation MSE of the two links is therefore non-increasing across
+outer iterations: for k = 0 by the MM descent of exact projections, for
+k >= 1 by that acceptance rule.
 """
 
 import time
@@ -54,19 +55,6 @@ _TINY = 1e-300
 
 # Safety margin of the MM step size over the operator norm of the curvature.
 _OPNORM_MARGIN = 1.1
-
-# Projected Newton on the dual of the sensing-pilot projection: the relative
-# KKT residual it stops at, its iteration cap (a few iterations are the norm),
-# the halvings of one backtracking search and its sufficient-rise fraction,
-# the curvature, relative to the largest, below which a direction of the
-# dual Hessian counts as null, and the share of the gradient in the null
-# directions above which a pivot is taken.
-_KKT_TOL = 1e-13
-_DUAL_NEWTON_MAX = 50
-_DUAL_HALVINGS = 60
-_ARMIJO = 1e-4
-_RANK_TOL = 1e-10
-_PIVOT_TOL = 1e-6
 
 # Sensing-pilot sidelobe bound: |x_q^H J_m x_q| <= SIDELOBE_DELTA ||x_q||^2
 # for m = 1..k, i.e. lags 1..k at least 30 dB below lag 0.
@@ -199,119 +187,6 @@ def _in_nullspace(null, t):
     return t if null.shape[1] == null.shape[0] else null @ (null.conj().T @ t)
 
 
-def _ellipsoid_blocks(null, shifts):
-    """A_0 = I and A_m = C^H (J_m + J_m^T + 2I) C, m = 1..k, as (k+1, d, d)."""
-    eye = np.eye(null.shape[1])
-    kc = null.conj().T @ (shifts @ null)
-    return np.concatenate([eye[None], kc + kc.conj().transpose(0, 2, 1) + 2.0 * eye])
-
-
-def _dual_point(nu, s, a):
-    """The Lagrangian minimizer c = H^-1 s, H = I + sum_i nu_i A_i, of every
-    row, with H^-1, A_i c as (n, k+1, d) and Re c^H A_i c as (n, k+1)."""
-    k1, d = a.shape[:2]
-    h = (nu @ a.reshape(k1, d * d)).reshape(-1, d, d)
-    diag = np.arange(d)
-    h[:, diag, diag] += 1.0
-    hinv = np.linalg.inv(h)
-    c = (hinv @ s[:, :, None])[:, :, 0]
-    ac = (a @ c.T).transpose(2, 0, 1)
-    return hinv, c, ac, np.einsum("qi,qmi->qm", c.conj(), ac).real
-
-
-def _kkt_residual(nu, grad, beta):
-    return np.abs(np.minimum(nu, -grad / beta)).max(axis=1)
-
-
-def _newton_direction(hess, grad, nu, eps):
-    """Each row's ascent step on its free set (nu_i > eps or grad_i > 0).
-
-    A nu_i <= eps with grad_i <= 0 steps to 0 (the eps-active set of
-    Bertsekas, SIAM J. Control Optim. 1982): were it free, a Newton step
-    that drives it below 0 would be clipped there for every step length,
-    and the clipped step need not raise the dual.
-
-    The dual is exactly linear along a null vector v of the free-set
-    Hessian, since sum_i v_i A_i c = 0 leaves c unchanged.  When the
-    gradient has a component n there, the step follows n to the first
-    nu_i that reaches 0, the pivot of a simplex step; a free nu_i <= eps
-    that n would push down stays where it is instead.  Other rows take
-    the Newton step on the range of the Hessian.
-    """
-    bound = nu <= eps[:, None]
-    free = ~bound | (grad > 0.0)
-    diag = np.arange(hess.shape[1])
-    while True:
-        sub = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
-        scale = np.maximum(sub[:, diag, diag].max(axis=1), _TINY)
-        sub[:, diag, diag] += np.where(free, 0.0, scale[:, None])
-        w, u = np.linalg.eigh(sub)
-        null = w <= _RANK_TOL * scale[:, None]
-        rhs = np.where(free, grad, 0.0)
-        coef = np.einsum("qij,qi->qj", u, rhs)
-        n = np.where(free, np.einsum("qij,qj->qi", u, np.where(null, coef, 0.0)), 0.0)
-        pivot = (n * n).sum(axis=1) > _PIVOT_TOL**2 * (rhs * rhs).sum(axis=1)
-        blocked = free & bound & (n < 0.0) & pivot[:, None]
-        if not blocked.any():
-            break
-        free &= ~blocked
-    inv_w = np.where(null, 0.0, 1.0 / np.where(null, 1.0, w))
-    newton = np.einsum("qij,qj->qi", u, coef * inv_w)
-    down = (n < 0.0) & pivot[:, None]
-    ratio = np.where(down, nu / np.where(down, -n, 1.0), np.inf).min(axis=1)
-    pivot &= np.isfinite(ratio)
-    step = np.where(pivot[:, None], np.where(pivot, ratio, 0.0)[:, None] * n, newton)
-    return np.where(free, step, np.where(grad > 0.0, 0.0, -nu))
-
-
-def _dual_projection(s, a, beta):
-    """Solve min ||c - s_q||^2 s.t. c^H A_i c <= beta_i for every row s_q.
-
-    The multipliers nu >= 0 maximize the concave dual
-    g(nu) = ||s||^2 - s^H H^-1 s - nu.beta, whose gradient is
-    Re c^H A_i c - beta_i and whose Hessian is -2 Re (A_i c)^H H^-1 (A_j c).
-    Projected Newton runs on all rows together (_newton_direction), and
-    backtracks along the projection arc until the dual rises.  The A_i c
-    lie in the 2d-1 real dimensions where Im c^H w = 0, so the Hessian is
-    singular whenever more than 2d-1 multipliers are free (a nullspace of
-    dimension d <= k+1 can do that); the dual is then linear along its
-    null vectors, which the direction handles by a pivot.  The rise
-    g(nu') - g(nu) = sum_i dnu_i (Re c'^H A_i c - beta_i) is computed in
-    that exact form, free of the cancellation in the dual values.  Returns
-    c, nu and each row's relative KKT residual
-    max_i |min(nu_i, -grad_i / beta_i)|, which exceeds _KKT_TOL only when
-    the Newton cap was reached.
-    """
-    nu = np.zeros((s.shape[0], a.shape[0]))
-    hinv, c, ac, quad = _dual_point(nu, s, a)
-    for _ in range(_DUAL_NEWTON_MAX):
-        grad = quad - beta
-        res = _kkt_residual(nu, grad, beta)
-        live = np.flatnonzero(res > _KKT_TOL)
-        if not live.size:
-            break
-        v, g, acl, sl = nu[live], grad[live], ac[live], s[live]
-        hess = 2.0 * np.real(acl.conj() @ hinv[live] @ acl.transpose(0, 2, 1))
-        step = _newton_direction(hess, g, v, res[live])
-        alpha = 1.0
-        for _ in range(_DUAL_HALVINGS):
-            trial = np.maximum(v + alpha * step, 0.0)
-            move = trial - v
-            point = _dual_point(trial, sl, a)
-            cross = np.einsum("qi,qmi->qm", point[1].conj(), acl).real
-            rise = ((cross - beta) * move).sum(axis=1)
-            ok = (rise > 0.0) & (rise >= _ARMIJO * (move * g).sum(axis=1))
-            rows = live[ok]
-            nu[rows] = trial[ok]
-            for full, part in zip((hinv, c, ac, quad), point):
-                full[rows] = part[ok]
-            if ok.all():
-                break
-            live, step, v, g, acl, sl = (x[~ok] for x in (live, step, v, g, acl, sl))
-            alpha *= 0.5
-    return c, nu, _kkt_residual(nu, quad - beta, beta)
-
-
 def _resolve_p(cfg, p):
     p = cfg.p if p is None else p
     if p is None:
@@ -322,17 +197,15 @@ def _resolve_p(cfg, p):
 
 
 def _project_zone(target, fixed, cfg, p, transpose_shift, k):
-    """Project each target column onto {||t||^2 <= p} ∩ {t^H (J_m^T + J_m +
+    """Move each target column into {||t||^2 <= p} ∩ {t^H (J_m^T + J_m +
     2I) t <= 2p, m = 1..k} ∩ the nullspace of the cross vectors of `fixed`.
 
-    The cross vectors give an orthonormal nullspace basis C.  With k = 0
-    the projection C C^H t followed by the shrink into the ball is exact.
-    With k >= 1 each column x = C c solves the small QCQP in c through its
-    Lagrange dual (_dual_projection), and _shrink_into_sets then removes
-    any rounding excess over the bounds; a RuntimeWarning reports the KKT
-    residual if the Newton cap was reached.  If the cross vectors span the
-    whole space only t = 0 is feasible; the columns are then zeroed under
-    a DegenerateConstraintWarning.
+    The cross vectors give an orthonormal nullspace basis C; the columns
+    are projected onto it (C C^H t) and then shrunk into the ball and the
+    ellipsoids (_shrink_into_sets).  With k = 0 this is the exact
+    projection; with k >= 1 it is a feasible point, not the nearest one.
+    If the cross vectors span the whole space only t = 0 is feasible; the
+    columns are then zeroed under a DegenerateConstraintWarning.
     """
     target = np.asarray(target, dtype=np.complex128)
     b = target.shape[0]
@@ -349,30 +222,16 @@ def _project_zone(target, fixed, cfg, p, transpose_shift, k):
             stacklevel=3,
         )
         return np.zeros_like(target)
-    shifts = _shift_stack(b, k)
-    if not k:
-        return _shrink_into_sets(_in_nullspace(null, target), shifts, p)
-    beta = np.full(k + 1, 2.0 * p)
-    beta[0] = p
-    c, _, res = _dual_projection(
-        (null.conj().T @ target).T, _ellipsoid_blocks(null, shifts), beta
-    )
-    if res.max() > _KKT_TOL:
-        warnings.warn(
-            f"sensing-pilot projection stopped after {_DUAL_NEWTON_MAX} Newton "
-            f"iterations at relative KKT residual {res.max():.3g}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return _shrink_into_sets(null @ c.T, shifts, p)
+    return _shrink_into_sets(_in_nullspace(null, target), _shift_stack(b, k), p)
 
 
 def x_step(x_target, y_fixed, cfg, p=None):
-    """Project each target column onto the downlink constraint set.
+    """Move each target column into the downlink constraint set.
 
     The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
     columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}
-    (_project_zone).
+    (_project_zone): the zone projection, then the shrink into the ball
+    and the ellipsoids.
     """
     return _project_zone(x_target, y_fixed, cfg, p, False, cfg.k)
 
@@ -381,7 +240,7 @@ def y_step(y_target, x_fixed, cfg, p=None):
     """Project each target column onto the uplink constraint set (exact).
 
     The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
-    lags}: the k = 0 case of the downlink projection, with the transposed
+    lags}: the k = 0 case of the downlink step, with the transposed
     shifts J_m^T x_q as cross vectors.
     """
     return _project_zone(y_target, x_fixed, cfg, p, True, 0)
@@ -389,35 +248,37 @@ def y_step(y_target, x_fixed, cfg, p=None):
 
 def inner_cycle(x_sigma, y_sigma, y0, cfg, p_x=None, p_y=None):
     """One round toward the MM targets, the start's and every outer
-    iteration's: X = x_step(x_sigma) against y0; for k >= 1, if a column
-    of X breaks the sidelobe bound, X restored inside the same
-    cross-correlation nullspace of y0 (_restore_sidelobes); then
-    Y = y_step(y_sigma) against that X.
+    iteration's: X = x_step(x_sigma) against y0; for k >= 1, X restored
+    into the sidelobe bound inside the same cross-correlation nullspace of
+    y0 (_restore_sidelobes, where a column already inside takes no step);
+    then Y = y_step(y_sigma) against that X.
 
     Both steps and the restoration keep the zone x_q^H J_m y_l = 0, so
-    the pair is feasible.  Without a restoration each step is an exact
-    constrained minimization in its own block: a feasible current X is a
-    candidate of the X step against y0, and y0 one of the Y step, so
-    neither ||X - X_sigma|| nor ||Y - Y_sigma|| grows, which is all the MM
-    descent of either link needs.  Returns (X, Y, worst) with worst the
-    per-column restoration residual max_m |r_m(x_q)| / ||x_q||^2, or None
-    when no restoration ran.
+    the pair is feasible.  With k = 0 both steps are exact projections: a
+    feasible current X is a candidate of the X step against y0, and y0 one
+    of the Y step, so neither ||X - X_sigma|| nor ||Y - Y_sigma|| grows,
+    which is all the MM descent of either link needs.  With k >= 1 the X
+    step is not exact, and design_pilots tests the round instead.  Returns
+    (X, Y, worst) with worst the per-column restoration residual
+    max_m |r_m(x_q)| / ||x_q||^2, or None for k = 0.
     """
     x = x_step(x_sigma, y0, cfg, p=p_x)
     worst = None
-    b = x.shape[0]
-    if cfg.k and (
-        np.abs(_sidelobes(x, _shift_stack(b, cfg.k), cfg.literal_transpose)).max()
-        > _RESTORE_DONE
-    ):
-        null = _nullspace(_cross_vectors(y0, cfg, False), b)
+    if cfg.k:
+        null = _nullspace(_cross_vectors(y0, cfg, False), x.shape[0])
         x, worst = _restore_sidelobes(x, null, _resolve_p(cfg, p_x), cfg)
     return x, y_step(y_sigma, x, cfg, p=p_y), worst
 
 
 def _mm_model(v, s):
-    """(K, A, G) with the curvature T(P) = K P A and the linear term G of
-    _mm_quadratic, from the solved blocks Y_i of v (a FactoredV).
+    """Quadratic model pieces (K, A, G) of F(V, .) at fixed V = V*, from
+    the solved blocks Y_i of v (a FactoredV).
+
+    F(V, P) = <L(P), W2 L(P) R> + 2 Re <L(P), V2 V1^H R> + const with L
+    the pilot embedding and W2 = V2 V2^H, so the (self-adjoint, PSD)
+    curvature operator is T(P) = adj(W2 L(P) R) and the linear term is
+    G = adj(V2 V1^H R), adj the block partial trace.  T is the two-sided
+    product T(P) = K P A.
 
     With V2 = -sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
     S^H R_rx S = diag(lam), the cross terms i != j of the partial traces
@@ -433,23 +294,6 @@ def _mm_model(v, s):
     z = (root[:, None, None] * v.y).transpose(1, 0, 2).reshape(b, -1)
     g = -(v.weights @ v.y.reshape(n_r, -1)).reshape(b, -1) @ s.r_tx
     return z @ z.conj().T, s.r_tx, g
-
-
-def _mm_quadratic(v, s):
-    """Quadratic model pieces of F(V, .) at fixed V = V*.
-
-    F(V, P) = <L(P), W2 L(P) R> + 2 Re <L(P), V2 V1^H R> + const with
-    L the pilot embedding and W2 = V2 V2^H, so the (self-adjoint, PSD)
-    curvature operator is T(P) = adj(W2 L(P) R) and the linear term is
-    G = adj(V2 V1^H R), adj the block partial trace.  Returns (apply_t, g);
-    apply_t is the two-sided product K P A of _mm_model.
-    """
-    k, a, g = _mm_model(v, s)
-
-    def apply_t(q):
-        return k @ q @ a
-
-    return apply_t, g
 
 
 def build_sigma_target(v, p_current, s):
@@ -605,11 +449,12 @@ def design_pilots(dl, ul, cfg):
     DesignError naming the column if it cannot reach the bound.  k = 0 has
     no sidelobe bound and no restoration.  Stops when an outer iteration
     moves the total MSE by less than eta, or flags non-convergence at
-    max_outer and returns the best pair seen.  A restored round is
-    rejected, unscored, when its residual is over the bound, and also
-    when it raises the total MSE; the rejection is recorded in the
-    warnings with its outer iteration and residual and ends the run
-    unconverged, since the next iteration would repeat it exactly.
+    max_outer and returns the best pair seen.  For k >= 1 a round (which
+    always runs the restoration) is rejected, unscored, when its residual
+    is over the bound, and also when it raises the total MSE; the
+    rejection is recorded in the warnings with its outer iteration and
+    residual and ends the run unconverged, since the next iteration would
+    repeat it exactly.
     """
     if dl.b != ul.b:
         raise ValueError("link scenarios must share the training length")
@@ -633,8 +478,7 @@ def design_pilots(dl, ul, cfg):
         # Y yet.  X goes into ball ∩ ellipsoids and is restored into the
         # sidelobe bound, which keeps it a generic point; Y is projected
         # against that X.  Every constraint the later rounds enforce holds
-        # from iteration 0, so the MM descent argument applies to the
-        # whole trace.
+        # from iteration 0.
         x_raw = rng.standard_normal((dl.b, dl.n_t)) + 1j * rng.standard_normal(
             (dl.b, dl.n_t)
         )
@@ -662,8 +506,9 @@ def design_pilots(dl, ul, cfg):
             x_new, y_new, worst = inner_cycle(
                 x_sigma, y_sigma, y, cfg, p_x=p_x, p_y=p_y
             )
-            # A restored pair is scored only inside the bound and kept only
-            # if it does not raise the total MSE.  The next iteration would
+            # For k >= 1 the X step is not an exact projection, so a pair
+            # is scored only inside the bound and kept only if it does not
+            # raise the total MSE.  The next iteration would
             # repeat a rejected one exactly, so the run stops unconverged
             # at the last accepted pair.
             excess = np.inf

@@ -21,17 +21,11 @@ def adjoint_embed(z, n_r):
 
 
 def _restored_against(x, y, cfg, p):
-    """X restored inside the cross-correlation nullspace of y when a column
-    breaks the restoration threshold, with the per-column residual; (x,
-    None) when none does."""
-    b = x.shape[0]
-    shifts = designer._shift_stack(b, cfg.k)
-    if not cfg.k or (
-        np.abs(designer._sidelobes(x, shifts, cfg.literal_transpose)).max()
-        <= designer._RESTORE_DONE
-    ):
+    """X restored into the sidelobe bound inside the cross-correlation
+    nullspace of y, with the per-column residual; (x, None) for k = 0."""
+    if not cfg.k:
         return x, None
-    null = designer._nullspace(designer._cross_vectors(y, cfg, False), b)
+    null = designer._nullspace(designer._cross_vectors(y, cfg, False), x.shape[0])
     return designer._restore_sidelobes(x, null, designer._resolve_p(cfg, p), cfg)
 
 
@@ -40,10 +34,9 @@ def alternate_until_stable(x_sigma, y_sigma, y0, cfg, p_x=None, p_y=None,
     """Reference outer iteration in the order the designer once took, a
     drop-in for zczpilot.designer.inner_cycle: alternate x_step/y_step
     toward the targets for at most mu rounds, stopping once a round moves
-    the pair by at most inner_tol; then, if a column of X breaks the
-    sidelobe bound, restore X inside the cross-correlation nullspace of
-    the final Y and project Y against the restored X.  Returns (X, Y,
-    worst) like inner_cycle.
+    the pair by at most inner_tol; then, for k >= 1, restore X inside the
+    cross-correlation nullspace of the final Y and project Y against the
+    restored X.  Returns (X, Y, worst) like inner_cycle.
 
     The start (y0 with no columns) has no Y to alternate with or restore
     against, so it takes one round with the restoration between the two

@@ -19,7 +19,7 @@ from zczpilot.cli import main
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot.designer import (
     DesignConfig,
-    _mm_quadratic,
+    _mm_model,
     build_sigma_target,
     design_pilots,
     x_step,
@@ -232,12 +232,12 @@ def test_criterion_6_mm_descent(capsys):
 
         # quadratic model evaluated through its pieces must match the
         # blockwise form at p0 (majorizer tightness)
-        apply_t, g = _mm_quadratic(v, s)
+        k_mat, a_mat, g = _mm_model(v, s)
         const = surrogate_F(v, np.zeros_like(p0), s)
         quad = (
             const
             + 2.0 * np.real(np.sum(p0.conj() * g))
-            + np.real(np.sum(p0.conj() * apply_t(p0)))
+            + np.real(np.sum(p0.conj() * (k_mat @ p0 @ a_mat)))
         )
         f0 = surrogate_F(v, p0, s)
         worst_tight = max(worst_tight, abs(quad - f0) / max(1.0, abs(f0)))
