@@ -23,8 +23,8 @@ rule turns them into an orthonormal nullspace basis C (_nullspace).  Both
 steps are the same zone projection: C C^H t, then the shrink into the
 ball and, for the downlink, the ellipsoids (_shrink_into_sets).  For the
 uplink (no ellipsoids) that is the exact projection; for the downlink
-with k >= 1 it is a feasible point near the target.  The restoration
-below works inside the same C.
+with k >= 1 it is a feasible point near the target.  A round builds the
+downlink C once, and the restoration below works inside it.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
@@ -32,13 +32,14 @@ sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
 m = 1..k, between its two steps: Gauss-Newton minimum-norm steps inside
 the cross-correlation nullspace of the current Y, taken by all violating
 columns together (one batched solve per step), and a power cap restore X
-before Y is projected against it.  Such a round is accepted only if it
-is inside the bound and does not raise the total MSE, and the run stops
-unconverged otherwise, so every iterate stays feasible (as in the
-constraint-handling MM of Sun, Babu & Palomar, IEEE TSP 2017).  The
-total estimation MSE of the two links is therefore non-increasing across
-outer iterations: for k = 0 by the MM descent of exact projections, for
-k >= 1 by that acceptance rule.
+before Y is projected against it.  A column of X that then ends farther
+from its MM target than the current column, or over the bound, keeps
+the current column, which is feasible.  The MM majorizer is separable by
+column, and the current Y is a candidate of the exact Y step, so every
+round is a descent step and every iterate is feasible (as in the
+constraint-handling MM of Sun, Babu & Palomar, IEEE TSP 2017): the total
+estimation MSE of the two links is non-increasing across outer
+iterations for every k.
 """
 
 import time
@@ -196,24 +197,25 @@ def _resolve_p(cfg, p):
     return float(p)
 
 
-def _project_zone(target, fixed, cfg, p, transpose_shift, k):
-    """Move each target column into {||t||^2 <= p} ∩ {t^H (J_m^T + J_m +
-    2I) t <= 2p, m = 1..k} ∩ the nullspace of the cross vectors of `fixed`.
-
-    The cross vectors give an orthonormal nullspace basis C; the columns
-    are projected onto it (C C^H t) and then shrunk into the ball and the
-    ellipsoids (_shrink_into_sets).  With k = 0 this is the exact
-    projection; with k >= 1 it is a feasible point, not the nearest one.
-    If the cross vectors span the whole space only t = 0 is feasible; the
-    columns are then zeroed under a DegenerateConstraintWarning.
-    """
-    target = np.asarray(target, dtype=np.complex128)
-    b = target.shape[0]
-    fixed = np.asarray(fixed, dtype=np.complex128).reshape(b, -1)
-    p = _resolve_p(cfg, p)
+def _zone_basis(fixed, b, cfg, transpose_shift):
+    """Orthonormal basis C of the zone against `fixed`: the nullspace of
+    its cross vectors (_cross_vectors) in C^b."""
     if cfg.k >= b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
-    null = _nullspace(_cross_vectors(fixed, cfg, transpose_shift), b)
+    fixed = np.asarray(fixed, dtype=np.complex128).reshape(b, -1)
+    return _nullspace(_cross_vectors(fixed, cfg, transpose_shift), b)
+
+
+def _project_zone(target, null, p, k):
+    """Move each target column into {||t||^2 <= p} ∩ {t^H (J_m^T + J_m +
+    2I) t <= 2p, m = 1..k} ∩ span(null), null a zone basis C.
+
+    The columns are projected onto the zone (C C^H t) and then shrunk
+    into the ball and the ellipsoids (_shrink_into_sets).  With k = 0
+    this is the exact projection; with k >= 1 it is a feasible point, not
+    the nearest one.  If C has no columns only t = 0 is feasible; the
+    columns are then zeroed under a DegenerateConstraintWarning.
+    """
     if not null.shape[1]:
         warnings.warn(
             "cross-correlation constraints span the whole space; "
@@ -222,7 +224,9 @@ def _project_zone(target, fixed, cfg, p, transpose_shift, k):
             stacklevel=3,
         )
         return np.zeros_like(target)
-    return _shrink_into_sets(_in_nullspace(null, target), _shift_stack(b, k), p)
+    return _shrink_into_sets(
+        _in_nullspace(null, target), _shift_stack(target.shape[0], k), p
+    )
 
 
 def x_step(x_target, y_fixed, cfg, p=None):
@@ -233,7 +237,9 @@ def x_step(x_target, y_fixed, cfg, p=None):
     (_project_zone): the zone projection, then the shrink into the ball
     and the ellipsoids.
     """
-    return _project_zone(x_target, y_fixed, cfg, p, False, cfg.k)
+    x_target = np.asarray(x_target, dtype=np.complex128)
+    null = _zone_basis(y_fixed, x_target.shape[0], cfg, False)
+    return _project_zone(x_target, null, _resolve_p(cfg, p), cfg.k)
 
 
 def y_step(y_target, x_fixed, cfg, p=None):
@@ -243,31 +249,55 @@ def y_step(y_target, x_fixed, cfg, p=None):
     lags}: the k = 0 case of the downlink step, with the transposed
     shifts J_m^T x_q as cross vectors.
     """
-    return _project_zone(y_target, x_fixed, cfg, p, True, 0)
+    y_target = np.asarray(y_target, dtype=np.complex128)
+    null = _zone_basis(x_fixed, y_target.shape[0], cfg, True)
+    return _project_zone(y_target, null, _resolve_p(cfg, p), 0)
 
 
-def inner_cycle(x_sigma, y_sigma, y0, cfg, p_x=None, p_y=None):
-    """One round toward the MM targets, the start's and every outer
-    iteration's: X = x_step(x_sigma) against y0; for k >= 1, X restored
-    into the sidelobe bound inside the same cross-correlation nullspace of
-    y0 (_restore_sidelobes, where a column already inside takes no step);
-    then Y = y_step(y_sigma) against that X.
+def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
+    """One round toward the MM targets from the current pair (x0, y0).
 
-    Both steps and the restoration keep the zone x_q^H J_m y_l = 0, so
-    the pair is feasible.  With k = 0 both steps are exact projections: a
-    feasible current X is a candidate of the X step against y0, and y0 one
-    of the Y step, so neither ||X - X_sigma|| nor ||Y - Y_sigma|| grows,
-    which is all the MM descent of either link needs.  With k >= 1 the X
-    step is not exact, and design_pilots tests the round instead.  Returns
-    (X, Y, worst) with worst the per-column restoration residual
-    max_m |r_m(x_q)| / ||x_q||^2, or None for k = 0.
+    X is the zone projection of x_sigma against y0; for k >= 1 it is then
+    restored into the sidelobe bound inside the same zone basis
+    (_restore_sidelobes; a column already inside takes no step).  A column
+    that ends farther from its target than x0's, or over the bound (a
+    RuntimeWarning names it), keeps x0's column.  Y = y_step(y_sigma)
+    against that X.  Returns (X, Y).
+
+    x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
+    column of X does too, and none is farther from its target than x0's:
+    the MM majorizer is separable by column, so X does not raise it.  The
+    zone is symmetric, so y0 is a candidate of the exact Y step, and Y
+    does not raise its majorizer either.  The round is a descent step for
+    every k.  The start has no current pair (x0 None, y0 without columns),
+    holds nothing, and raises a DesignError naming a column that its
+    restoration cannot bring inside the bound.
     """
-    x = x_step(x_sigma, y0, cfg, p=p_x)
-    worst = None
+    x_sigma = np.asarray(x_sigma, dtype=np.complex128)
+    p_x = _resolve_p(cfg, p_x)
+    null = _zone_basis(y0, x_sigma.shape[0], cfg, False)
+    x = _project_zone(x_sigma, null, p_x, cfg.k)
+    over = np.zeros(x.shape[1], dtype=bool)
     if cfg.k:
-        null = _nullspace(_cross_vectors(y0, cfg, False), x.shape[0])
-        x, worst = _restore_sidelobes(x, null, _resolve_p(cfg, p_x), cfg)
-    return x, y_step(y_sigma, x, cfg, p=p_y), worst
+        x, worst = _restore_sidelobes(x, null, p_x, cfg)
+        over = worst > SIDELOBE_DELTA
+        for q in np.flatnonzero(over):
+            if x0 is None:
+                raise DesignError(
+                    f"start column {q} cannot be brought inside the sidelobe "
+                    f"bound: residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
+                )
+            warnings.warn(
+                f"column {q} keeps its current value: its sidelobe "
+                f"restoration ended at residual {worst[q]:.3g} > "
+                f"{SIDELOBE_DELTA:.3g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    if x0 is not None:
+        far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
+        x = np.where(over | far, x0, x)
+    return x, y_step(y_sigma, x, cfg, p=p_y)
 
 
 def _mm_model(v, s):
@@ -338,7 +368,7 @@ class DesignTrace:
     """Per-outer-iteration progress (entry 0 is the initialization); the
     total MSE is mse = mse_dl + mse_ul, the two links' estimation MSE.
     stop_reason says what ended the outer loop: "eta" (the MSE moved by
-    less than eta), "max_outer" or "restoration_rejected"."""
+    less than eta) or "max_outer"."""
 
     mse: list[float] = field(default_factory=list)
     mse_dl: list[float] = field(default_factory=list)
@@ -447,14 +477,11 @@ def design_pilots(dl, ul, cfg):
     the ellipsoids and the cross-correlation zone.  The start and every
     outer iteration are one inner_cycle; the start's restoration raises a
     DesignError naming the column if it cannot reach the bound.  k = 0 has
-    no sidelobe bound and no restoration.  Stops when an outer iteration
-    moves the total MSE by less than eta, or flags non-convergence at
-    max_outer and returns the best pair seen.  For k >= 1 a round (which
-    always runs the restoration) is rejected, unscored, when its residual
-    is over the bound, and also when it raises the total MSE; the
-    rejection is recorded in the warnings with its outer iteration and
-    residual and ends the run unconverged, since the next iteration would
-    repeat it exactly.
+    no sidelobe bound and no restoration.  Every round is a descent step
+    (a column that cannot improve keeps its current value), so the total
+    MSE is non-increasing and the returned pair is the last iterate.
+    Stops when an outer iteration moves the total MSE by less than eta,
+    or flags non-convergence at max_outer.
     """
     if dl.b != ul.b:
         raise ValueError("link scenarios must share the training length")
@@ -485,61 +512,32 @@ def design_pilots(dl, ul, cfg):
         y_raw = rng.standard_normal((ul.b, ul.n_t)) + 1j * rng.standard_normal(
             (ul.b, ul.n_t)
         )
-        x, y, worst = inner_cycle(
-            x_raw, y_raw, np.zeros((dl.b, 0)), cfg, p_x=p_x, p_y=p_y
+        x, y = inner_cycle(
+            x_raw, y_raw, None, np.zeros((dl.b, 0)), cfg, p_x=p_x, p_y=p_y
         )
-        if worst is not None and worst.max() > SIDELOBE_DELTA:
-            q = int(np.argmax(worst))
-            raise DesignError(
-                f"start column {q} cannot be brought inside the sidelobe "
-                f"bound: residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
-            )
-
         mse, links = score(x, y)
         _record(trace, mse, links, _pair_residuals(x, y, cfg))
 
-        best = (mse, x, y)
-        for it in range(1, cfg.max_outer + 1):
-            (_, v_dl), (_, v_ul) = links
-            x_sigma = build_sigma_target(v_dl, x, dl)
-            y_sigma = build_sigma_target(v_ul, y, ul)
-            x_new, y_new, worst = inner_cycle(
-                x_sigma, y_sigma, y, cfg, p_x=p_x, p_y=p_y
+        for _ in range(cfg.max_outer):
+            x, y = inner_cycle(
+                build_sigma_target(links[0][1], x, dl),
+                build_sigma_target(links[1][1], y, ul),
+                x,
+                y,
+                cfg,
+                p_x=p_x,
+                p_y=p_y,
             )
-            # For k >= 1 the X step is not an exact projection, so a pair
-            # is scored only inside the bound and kept only if it does not
-            # raise the total MSE.  The next iteration would
-            # repeat a rejected one exactly, so the run stops unconverged
-            # at the last accepted pair.
-            excess = np.inf
-            if worst is None or worst.max() <= SIDELOBE_DELTA:
-                scored = score(x_new, y_new)
-                excess = scored[0] - mse
-            if worst is not None and not excess <= 0.0:
-                warnings.warn(
-                    f"outer iteration {it}: sidelobe restoration rejected "
-                    f"(sidelobe residual {worst.max():.3g}, bound "
-                    f"{SIDELOBE_DELTA:.3g}; MSE excess {excess:.3g})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                trace.stop_reason = "restoration_rejected"
-                break
-            x, y = x_new, y_new
-
             prev = mse
-            mse, links = scored
+            mse, links = score(x, y)
             _record(trace, mse, links, _pair_residuals(x, y, cfg))
             trace.outer_iterations += 1
-            if mse < best[0]:
-                best = (mse, x, y)
             if abs(prev - mse) < cfg.eta:
                 trace.converged = True
                 trace.stop_reason = "eta"
                 break
 
     trace.warnings = list(dict.fromkeys(str(w.message) for w in caught))
-    mse, x, y = best
     power, cross, auto, worst = _pair_residuals(x, y, cfg)
     if worst > SIDELOBE_DELTA:
         raise DesignError(
