@@ -37,13 +37,10 @@ from .designer import (
     y_step,
 )
 from .estimation import (
-    AuxiliaryV,
-    channel_mse_direct,
     channel_mse_lemma,
     mmse_estimate,
     optimal_V,
     simulate_training,
-    surrogate_F,
 )
 from .timing import (
     SensingFeasibility,
@@ -55,7 +52,6 @@ from .timing import (
 
 __all__ = [
     "__version__",
-    "AuxiliaryV",
     "ArchiveError",
     "ChannelScenario",
     "ConfigError",
@@ -73,7 +69,6 @@ __all__ = [
     "TimingScenario",
     "archive_payload",
     "build_scenario",
-    "channel_mse_direct",
     "channel_mse_lemma",
     "correlation_report",
     "delay_symbols",
@@ -92,7 +87,6 @@ __all__ = [
     "read_archive",
     "reciprocal_scenario",
     "simulate_training",
-    "surrogate_F",
     "x_step",
     "y_step",
 ]

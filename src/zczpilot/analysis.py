@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .designer import DesignError, design_pilots
+from .designer import DesignError, design_pilots, shift_matrix
 from .estimation import mmse_squared_errors
-from .tensorops import shift_matrix
 
 DB_FLOOR = -300.0
 

@@ -57,7 +57,6 @@ def archive_payload(pair, trace, cfg, p_x, p_y, config_sha256=""):
             "final_mse": float(trace.mse[-1]),
             "final_mse_dl": float(trace.mse_dl[-1]),
             "final_mse_ul": float(trace.mse_ul[-1]),
-            "best_mse": float(min(trace.mse)),
             "converged": bool(trace.converged),
             "stop_reason": trace.stop_reason,
             "outer_iterations": int(trace.outer_iterations),

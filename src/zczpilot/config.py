@@ -35,10 +35,10 @@ _SCENARIO_KEYS = {
     "rho_mt_phase_pi": "temporal noise correlation phase, units of pi",
     "gamma": "training energy budget (default b*n_t)",
 }
-# mu (the inner-round cap) and inner_tol (the inner-round tolerance), which
-# existing configs set, are accepted and checked so that they still load;
-# the designer takes one inner round and ignores both.
-_DESIGN_KEYS = {f.name for f in fields(DesignConfig)} | {"mu", "inner_tol"}
+# mu (the inner-round cap), which existing configs set, is accepted and
+# checked so that they still load; the designer takes one inner round and
+# ignores it.
+_DESIGN_KEYS = {f.name for f in fields(DesignConfig)} | {"mu"}
 _TIMING_KEYS = {
     "d_user_m", "d_object_m", "symbol_time_s", "processing_symbols",
     "propagation_mps", "modulation_symbols",
@@ -159,8 +159,6 @@ def parse_config(text, sha256=""):
         design[f.name] = _parse(cp, "design", f.name, conv, kind, default)
     if _parse(cp, "design", "mu", int, "integer", 1) < 1:
         raise ConfigError("[design] mu must be >= 1")
-    if _parse(cp, "design", "inner_tol", float, "number", 1.0) <= 0:
-        raise ConfigError("[design] inner_tol must be positive")
     try:
         design = DesignConfig(**design)
     except ValueError as err:

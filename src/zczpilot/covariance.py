@@ -6,8 +6,8 @@ the diagonal.  A link scenario holds the Kronecker factors of its two
 covariances: the channel covariance is R_tx (x) R_rx (transmit and receive
 factors) and the noise covariance M_time (x) M_rx (temporal and receive
 factors).  Built scenarios have unit-trace factors, so the training energy
-budget gamma is the only scale knob.  The dense covariances are derived
-from the factors on demand, for the reference formulas.
+budget gamma is the only scale knob.  The dense covariances are never
+formed: estimation works on the factors.
 """
 
 from dataclasses import dataclass
@@ -55,8 +55,8 @@ def exponential_covariance(n, rho):
 class ChannelScenario:
     """Covariance description of one link direction by Kronecker factors.
 
-    The vectorized channel has covariance chan_cov = r_tx (x) r_rx and the
-    vectorized training noise noise_cov = m_time (x) m_rx.  n_t, n_r and b
+    The vectorized channel has covariance R = r_tx (x) r_rx and the
+    vectorized training noise M = m_time (x) m_rx.  n_t, n_r and b
     are the sizes of r_tx, r_rx and m_time; m_rx is n_r x n_r.  Each factor
     is kept as a read-only complex copy and must be Hermitian positive
     semidefinite with finite entries (a singular factor is accepted; the
@@ -109,16 +109,6 @@ class ChannelScenario:
     @property
     def b(self):
         return self.m_time.shape[0]
-
-    @cached_property
-    def chan_cov(self):
-        """Dense channel covariance r_tx (x) r_rx, read-only."""
-        return _read_only(np.kron(self.r_tx, self.r_rx))
-
-    @cached_property
-    def noise_cov(self):
-        """Dense noise covariance m_time (x) m_rx, read-only."""
-        return _read_only(np.kron(self.m_time, self.m_rx))
 
     @cached_property
     def receive_eig(self):
@@ -178,7 +168,7 @@ def reciprocal_scenario(s):
 
     The uplink channel is the transpose of the downlink one, so its
     covariance has the swapped factors r_rx (x) r_tx (the downlink
-    chan_cov conjugated by the vec-transpose permutation).  The uplink
+    covariance conjugated by the vec-transpose permutation).  The uplink
     noise keeps the temporal factor and takes as receive factor the
     unit-trace exponential covariance of rho_rr at the n_t uplink receive
     antennas; gamma is b times the new transmit antenna count.  Applying

@@ -7,26 +7,22 @@ vec(Yrx) = (P (x) I) vec(H) + vec(N), and the Bayesian estimator error is
     mse = trace[(R^-1 + Pt^H M^-1 Pt)^-1],    Pt = P (x) I_{n_r}.
 
 The matrix inversion lemma turns this into trace[R] minus a correction
-that never inverts R, which is the form used in hot loops and for
-rank-deficient priors.  A scenario holds both covariances as Kronecker
-factors, R = R_tx (x) R_rx and M = M_time (x) M_rx, so the
-(B n_r)-dimensional Gram of that correction splits into n_r blocks of size
-B x B in the joint eigenbasis of the two receive factors
-(ChannelScenario.receive_eig; Kotecha & Sayeed, IEEE TSP 2004), and the
-training noise is coloured through its factors.  The noise receive factor
-must be positive definite.  The dense forms (channel_mse_direct, build_Q,
-surrogate_F) remain as references.  The
-auxiliary-variable machinery (block matrix Q, minimizer V*, surrogate F)
-restates the same quantity as a quadratic form that is linear
-algebra-friendly for the pilot designer.
+that never inverts R, so rank-deficient priors are fine.  A scenario holds
+both covariances as Kronecker factors, R = R_tx (x) R_rx and
+M = M_time (x) M_rx, so the (B n_r)-dimensional Gram of that correction
+splits into n_r blocks of size B x B in the joint eigenbasis of the two
+receive factors (ChannelScenario.receive_eig; Kotecha & Sayeed, IEEE TSP
+2004).  The noise receive factor must be positive definite.  Those solved
+blocks are the one form of the minimizer V* of the auxiliary quadratic
+form trace[V^H Q V] (FactoredV): the MSE, the designer's MM target, the
+MMSE estimator and the simulator's error maps are all read from them, and
+the channel and the training noise are coloured through their factors.
+No dense covariance, lifted pilot or dense V* is formed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-
-from .tensorops import embed_pilot, hermitian_solve
 
 
 def _checked(p, s):
@@ -34,24 +30,6 @@ def _checked(p, s):
     if p.shape != (s.b, s.n_t):
         raise ValueError(f"pilot shape {p.shape}, scenario expects {(s.b, s.n_t)}")
     return p
-
-
-def _lifted(p, s):
-    return embed_pilot(_checked(p, s), s.n_r)
-
-
-def channel_mse_direct(p, s):
-    """Estimation MSE in the information form (inverts the prior).
-
-    Reference implementation used for cross-checks; prefer
-    :func:`channel_mse_lemma` in loops and for singular priors.
-    """
-    pt = _lifted(p, s)
-    n = s.n_t * s.n_r
-    r_inv = hermitian_solve(s.chan_cov, np.eye(n))
-    inner = r_inv + pt.conj().T @ hermitian_solve(s.noise_cov, pt)
-    theta = hermitian_solve(inner, np.eye(n))
-    return float(np.trace(theta).real)
 
 
 def channel_mse_lemma(p, s):
@@ -63,64 +41,19 @@ def channel_mse_lemma(p, s):
     return mse_and_optimal_V(p, s)[0]
 
 
-def build_Q(p, s):
-    """Auxiliary block matrix [[R, (Pt R)^H], [Pt R, M + Pt R Pt^H]].
-
-    Positive definite whenever R and M are; its inverse's leading block is
-    the inverse of the error covariance, which ties the quadratic form
-    trace[V^H Q V] to the estimation MSE.
-    """
-    pt = _lifted(p, s)
-    w = pt @ s.chan_cov
-    top = np.hstack([s.chan_cov, w.conj().T])
-    bottom = np.hstack([w, s.noise_cov + w @ pt.conj().T])
-    return np.vstack([top, bottom])
-
-
-@dataclass(frozen=True)
-class AuxiliaryV:
-    """Stacked auxiliary variable V = [v1; v2] with square top block."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def __post_init__(self):
-        if self.v1.ndim != 2 or self.v1.shape[0] != self.v1.shape[1]:
-            raise ValueError("v1 must be square")
-        if self.v2.ndim != 2 or self.v2.shape[1] != self.v1.shape[1]:
-            raise ValueError("v2 must have the same column count as v1")
-
-    def stacked(self):
-        return np.vstack([self.v1, self.v2])
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredV:
-    """V* = [I; V2] held as the solved Gram blocks of mse_and_optimal_V:
+    """V* = [I; -Z] held as the solved Gram blocks of mse_and_optimal_V:
     y[i] = G_i^-1 Q (n_r x B x n_t), lam, basis = S and basis_inv = S^-1
     of ChannelScenario.receive_eig, and the MSE weights
-    weights[i] = lam_i^2 ||S^-1[i, :]||^2.  The dense v1 = I and
-    v2 = -sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] are built on first read."""
+    weights[i] = lam_i^2 ||S^-1[i, :]||^2, with
+    Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :]."""
 
     y: np.ndarray
     lam: np.ndarray
     weights: np.ndarray
     basis: np.ndarray
     basis_inv: np.ndarray
-
-    @cached_property
-    def v1(self):
-        return np.eye(self.y.shape[2] * self.y.shape[0], dtype=np.complex128)
-
-    @cached_property
-    def v2(self):
-        # -Z regrouped as rows (b, t) and columns (r, r'): one GEMM of the
-        # stacked Y_i against -lam_i S[r, i] S^-1[i, r'].
-        n_r, b, n_t = self.y.shape
-        s, s_inv = self.basis, self.basis_inv
-        mix = -self.lam[:, None, None] * s.T[:, :, None] * s_inv[:, None, :]
-        v2 = self.y.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
-        return v2.reshape(b, n_t, n_r, n_r).transpose(0, 2, 1, 3).reshape(b * n_r, -1)
 
 
 def mse_and_optimal_V(p, s):
@@ -156,27 +89,10 @@ def mse_and_optimal_V(p, s):
 def optimal_V(p, s):
     """Minimizer of trace[V^H Q V] over V with fixed top block I.
 
-    V* = [I; -(M + Pt R Pt^H)^-1 Pt R]; at this point the quadratic form
-    equals the estimation MSE.
+    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its solved blocks (FactoredV);
+    at this point the quadratic form equals the estimation MSE.
     """
     return mse_and_optimal_V(p, s)[1]
-
-
-def surrogate_F(v, p, s):
-    """Quadratic form F(V, P) = trace[V^H Q(P) V], evaluated blockwise.
-
-    Expanded as trace[V1^H R V1] + 2 Re trace[V2^H Pt R V1]
-    + trace[V2^H M V2] + trace[(Pt^H V2)^H R (Pt^H V2)] so the big block
-    matrix is never formed.
-    """
-    pt = _lifted(p, s)
-    r = s.chan_cov
-    e = pt.conj().T @ v.v2
-    term1 = np.einsum("ij,ij->", v.v1.conj(), r @ v.v1)
-    term2 = 2.0 * np.einsum("ij,ij->", e.conj(), r @ v.v1).real
-    term3 = np.einsum("ij,ij->", v.v2.conj(), s.noise_cov @ v.v2)
-    term4 = np.einsum("ij,ij->", e.conj(), r @ e)
-    return float(term1.real + term2 + term3.real + term4.real)
 
 
 @dataclass(frozen=True)
@@ -226,14 +142,14 @@ def _white_blocks(s, seeds):
 
 
 def _colouring(s):
-    """(F_h, F_time, F_rx) with vec(H) = F_h w and vec(N) = (F_time (x)
-    F_rx) w for white w: the noise factor is taken from the Kronecker
-    factors, since the Cholesky factor of M_time (x) M_rx is
-    L_time (x) L_rx."""
+    """The factor pairs ((F_tx, F_rx), (F_time, F_n)) of the channel and
+    the noise covariance, with vec(H) = (F_tx (x) F_rx) w and
+    vec(N) = (F_time (x) F_n) w for white w: each covariance is coloured
+    through its Kronecker factors, since the Cholesky factor of A (x) B is
+    L_A (x) L_B."""
     return (
-        _covariance_factor(s.chan_cov),
-        _covariance_factor(s.m_time),
-        _covariance_factor(s.m_rx),
+        (_covariance_factor(s.r_tx), _covariance_factor(s.r_rx)),
+        (_covariance_factor(s.m_time), _covariance_factor(s.m_rx)),
     )
 
 
@@ -241,15 +157,21 @@ def _training_draws(s, seeds):
     """Yield (h, noise) blocks with row j holding vec(H) ~ CN(0, R) and
     vec(N) ~ CN(0, M) for the j-th seed of the block (_white_blocks).
 
-    The noise factor acts on the b x n_r view W of each white vector as
-    F_time W F_rx^T.
+    A factor pair (F_a, F_b) acts on the matrix view W of its white
+    vector, n_t x n_r for the channel and b x n_r for the noise, as
+    F_a W F_b^T.
     """
-    f_h, f_time, f_rx = _colouring(s)
+    factors = _colouring(s)
     n_h = 2 * s.n_t * s.n_r
     for white in _white_blocks(s, seeds):
-        h = _circular_gaussian(white[:, :n_h]) @ f_h.T
-        w = _circular_gaussian(white[:, n_h:]).reshape(len(white), s.b, s.n_r)
-        yield h, (f_time @ w @ f_rx.T).reshape(len(white), -1)
+        n = len(white)
+        views = (
+            _circular_gaussian(white[:, :n_h]).reshape(n, s.n_t, s.n_r),
+            _circular_gaussian(white[:, n_h:]).reshape(n, s.b, s.n_r),
+        )
+        h, noise = ((f_a @ w @ f_b.T).reshape(n, -1)
+                    for (f_a, f_b), w in zip(factors, views))
+        yield h, noise
 
 
 def simulate_training(p, s, seed, noise_scale=1.0):
@@ -266,21 +188,28 @@ def simulate_training(p, s, seed, noise_scale=1.0):
     return TrainingRealization(h=h, noise=noise, yrx=h @ p.T + noise)
 
 
-def _estimator(p, s):
-    """The lemma MSE and the MMSE estimator W^H G^-1 = Z^H, both from the
-    solve Z = G^-1 W behind V* = [I; -Z] in :func:`mse_and_optimal_V`
-    (G and R are Hermitian)."""
-    mse, v = mse_and_optimal_V(p, s)
-    return mse, -v.v2.conj().T
-
-
 def mmse_estimate(yrx, p, s):
-    """Bayesian channel estimate vec(H^) = R Pt^H (M + Pt R Pt^H)^-1 vec(Yrx)."""
+    """Bayesian channel estimate vec(H^) = R Pt^H (M + Pt R Pt^H)^-1 vec(Yrx).
+
+    The estimator is Z^H (G and R are Hermitian), applied from the solved
+    blocks of V* (mse_and_optimal_V):
+    H^ = S^-H [lam_i (S^H Yrx)[i, :] conj(Y_i)]_i, row i for receive mode i.
+    """
     yrx = np.asarray(yrx, dtype=np.complex128)
     if yrx.shape != (s.n_r, s.b):
         raise ValueError(f"yrx shape {yrx.shape}, expected {(s.n_r, s.b)}")
-    h_vec = _estimator(p, s)[1] @ yrx.reshape(-1, order="F")
-    return h_vec.reshape((s.n_r, s.n_t), order="F")
+    v = optimal_V(p, s)
+    modes = np.einsum("ib,ibt->it", v.basis.conj().T @ yrx, v.y.conj())
+    return v.basis_inv.conj().T @ (v.lam[:, None] * modes)
+
+
+def _kron_sum_t(c, d):
+    """(sum_i c[i] (x) d[i])^T for stacks c (m x q) and d (n x n): one
+    GEMM over i, regrouped to rows (q, n) and columns (m, n)."""
+    k, m, q = c.shape
+    n = d.shape[1]
+    out = c.reshape(k, -1).T @ d.reshape(k, -1)
+    return out.reshape(m, q, n, n).transpose(1, 3, 0, 2).reshape(q * n, m * n)
 
 
 def mmse_squared_errors(p, s, seeds):
@@ -289,22 +218,34 @@ def mmse_squared_errors(p, s, seeds):
 
     Draw for draw the same as simulate_training followed by mmse_estimate
     per seed, to rounding.  The error E (Pt vec(H) + vec(N)) - vec(H) of
-    the estimator E is linear in the white draws, (E Pt - I) F_h w_h +
-    E (F_time (x) F_rx) w_n, so its map is built once per call (the noise
-    part factor-wise on the b x n_r view of E's rows) and each block of
-    seeds costs one real matrix product.  The MSE comes from the same
-    block solve as the estimator.
+    the estimator E = Z^H is linear in the white draws,
+    (E Pt - I)(F_tx (x) F_rx) w_h + E (F_time (x) F_n) w_n, and with
+    E = sum_i lam_i Y_i^H (x) S^-H[:, i] S[:, i]^H both maps are sums of
+    Kronecker products over the receive modes i:
+    sum_i lam_i (Y_i^H P F_tx) (x) D_i - F_tx (x) F_rx and
+    sum_i lam_i (Y_i^H F_time) (x) D_i with D_i = S^-H[:, i] S[:, i]^H F_rx
+    for the channel and with F_n in place of F_rx for the noise.  They are
+    built once per call, from the same block solve as the MSE, and each
+    block of seeds costs one real matrix product.
     """
-    pt = _lifted(p, s)
-    mse, est = _estimator(p, s)
-    f_h, f_time, f_rx = _colouring(s)
-    n = s.n_t * s.n_r
-    gain_h = (est @ pt - np.eye(n)) @ f_h
-    gain_n = (f_time.T @ est.reshape(n, s.b, s.n_r) @ f_rx).reshape(n, -1)
+    p = _checked(p, s)
+    mse, v = mse_and_optimal_V(p, s)
+    (f_tx, f_rx), (f_time, f_n) = _colouring(s)
+    yh = v.lam[:, None, None] * v.y.conj().transpose(0, 2, 1)
+
+    def receive(f):
+        # the stack of D_i = S^-H[:, i] S[:, i]^H f
+        return v.basis_inv.conj()[:, :, None] * (v.basis.conj().T @ f)[:, None, :]
+
+    gain_h = _kron_sum_t(
+        np.concatenate([yh @ (p @ f_tx), -f_tx[None]]),
+        np.concatenate([receive(f_rx), f_rx[None]]),
+    )
+    gain_n = _kron_sum_t(yh @ f_time, receive(f_n))
     # Rows in the layout of the white draws: real, imaginary parts of the
     # channel's, then of the noise's; columns the real, imaginary parts of
     # the error.
-    gain = np.vstack([gain_h.T, 1j * gain_h.T, gain_n.T, 1j * gain_n.T])
+    gain = np.vstack([gain_h, 1j * gain_h, gain_n, 1j * gain_n])
     gain = np.hstack([gain.real, gain.imag]) / np.sqrt(2.0)
     errs = np.empty(len(seeds))
     done = 0

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import build_Q, channel_mse_direct, surrogate_F
 from zczpilot.analysis import correlation_report, empirical_mse
 from zczpilot.archive import without_timestamp
 from zczpilot.cli import main
@@ -22,17 +23,11 @@ from zczpilot.designer import (
     _mm_model,
     build_sigma_target,
     design_pilots,
+    shift_matrix,
     x_step,
     y_step,
 )
-from zczpilot.estimation import (
-    build_Q,
-    channel_mse_direct,
-    channel_mse_lemma,
-    optimal_V,
-    surrogate_F,
-)
-from zczpilot.tensorops import shift_matrix
+from zczpilot.estimation import channel_mse_lemma, optimal_V
 
 # Tolerance the projections are held to on re-projection of their own
 # output (criterion 7 allows twice it).

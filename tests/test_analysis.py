@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import chan_cov, embed_pilot, noise_cov
 from zczpilot.analysis import (
     DB_FLOOR,
     correlation_report,
@@ -18,9 +19,8 @@ from zczpilot.analysis import (
     write_trace_csv,
 )
 from zczpilot.covariance import build_scenario, reciprocal_scenario
-from zczpilot.designer import DesignConfig, DesignError, design_pilots
+from zczpilot.designer import DesignConfig, DesignError, design_pilots, shift_matrix
 from zczpilot.estimation import _TRIAL_BLOCK, channel_mse_lemma, simulate_training
-from zczpilot.tensorops import embed_pilot, shift_matrix
 
 
 def crandn(rng, *shape):
@@ -271,8 +271,8 @@ class TestEmpiricalMse:
         p = crandn(rng, b, n_t)
         p *= np.sqrt(s.gamma) / np.linalg.norm(p)
         pt = embed_pilot(p, n_r)
-        gram = s.noise_cov + pt @ s.chan_cov @ pt.conj().T
-        estimator = s.chan_cov @ pt.conj().T @ np.linalg.inv(gram)
+        gram = noise_cov(s) + pt @ chan_cov(s) @ pt.conj().T
+        estimator = chan_cov(s) @ pt.conj().T @ np.linalg.inv(gram)
         seed = 11
         errs = []
         for t in range(_TRIAL_BLOCK + 7):

@@ -82,7 +82,8 @@ class TestPayload:
         assert r["final_mse_dl"] == trace.mse_dl[-1]
         assert r["final_mse_ul"] == trace.mse_ul[-1]
         assert r["stop_reason"] == trace.stop_reason
-        assert r["best_mse"] == min(trace.mse)
+        # the trace is non-increasing, so a best MSE would be the final one
+        assert "best_mse" not in r
         assert r["converged"] == trace.converged
         assert r["outer_iterations"] == trace.outer_iterations
         assert r["max_cross_corr"] == pair.max_cross_corr
@@ -179,6 +180,16 @@ class TestValidation:
         payload["design"]["literal_transpose"] = value
         with pytest.raises(ArchiveError, match="'design.literal_transpose'.*boolean"):
             parse_archive(payload)
+
+    def test_best_mse_still_read(self, designed, tmp_path):
+        # archives written while the result block carried best_mse load
+        payload = make_payload(designed)
+        payload["result"]["best_mse"] = payload["result"]["final_mse"]
+        path = tmp_path / "pair.json"
+        dump_archive(payload, path)
+        arc = read_archive(path)
+        assert arc.result["best_mse"] == designed[1].mse[-1]
+        npt.assert_array_equal(arc.x, designed[0].x)
 
     def test_literal_transpose_may_be_absent(self, designed):
         payload = make_payload(designed)

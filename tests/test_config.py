@@ -128,6 +128,11 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"\[design\] mu must be >= 1"):
             parse_config(MINIMAL + "[design]\nmu = 0\n")
 
+    def test_inner_tol_is_unknown(self):
+        # no part of the designer has an inner tolerance
+        with pytest.raises(ConfigError, match=r"\[design\] unknown key 'inner_tol'"):
+            parse_config(MINIMAL + "[design]\ninner_tol = 1e-8\n")
+
     def test_seed_nonnegative(self):
         with pytest.raises(ConfigError, match=r"\[design\] seed"):
             parse_config(MINIMAL + "[design]\nseed = -1\n")
@@ -136,7 +141,7 @@ class TestRejection:
         "section, key",
         [("scenario", "gamma"), ("scenario", "rho_rt_mag"),
          ("scenario", "rho_mt_phase_pi"), ("design", "p"), ("design", "epsilon"),
-         ("design", "eta"), ("design", "inner_tol"), ("timing", "d_user_m")],
+         ("design", "eta"), ("scenario", "rho_rr_mag"), ("timing", "d_user_m")],
     )
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_number_rejected(self, section, key, value):

@@ -6,7 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import adjoint_embed, alternate_until_stable
+from oracles import (
+    adjoint_embed,
+    alternate_until_stable,
+    chan_cov,
+    dense_v,
+    embed_pilot,
+    surrogate_F,
+)
 from test_estimation import DIM_GRID, RHO_SETS
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot import designer
@@ -22,11 +29,11 @@ from zczpilot.designer import (
     build_sigma_target,
     design_pilots,
     inner_cycle,
+    shift_matrix,
     x_step,
     y_step,
 )
-from zczpilot.estimation import channel_mse_lemma, optimal_V, surrogate_F
-from zczpilot.tensorops import embed_pilot, shift_matrix
+from zczpilot.estimation import channel_mse_lemma, optimal_V
 
 # Tolerance x_step and y_step are held to on re-projection of their own
 # output.
@@ -538,10 +545,11 @@ class TestCurvatureMatrix:
     def test_matches_embedding_oracle(self, link):
         s, v, rng = link
         apply_t, _ = mm_curvature(v, s)
-        w2 = v.v2 @ v.v2.conj().T
+        v2 = dense_v(v).v2
+        w2 = v2 @ v2.conj().T
         for _ in range(4):
             p = crandn(rng, s.b, s.n_t)
-            want = adjoint_embed(w2 @ embed_pilot(p, s.n_r) @ s.chan_cov, s.n_r)
+            want = adjoint_embed(w2 @ embed_pilot(p, s.n_r) @ chan_cov(s), s.n_r)
             npt.assert_allclose(
                 apply_t(p), want, rtol=0, atol=1e-12 * np.abs(want).max()
             )
@@ -559,9 +567,10 @@ def dense_mm_model(v, s):
     """The MM pieces (K, R_tx, G) from the dense V2: K from one GEMM of V2
     against R_rx V2, each regrouped as b x (n_r n), and G the block partial
     trace of V2 V1^H R."""
+    v = dense_v(v)
     v2 = v.v2.reshape(s.b, s.n_r, -1)
     k = v2.reshape(s.b, -1) @ (s.r_rx @ v2).reshape(s.b, -1).conj().T
-    g = adjoint_embed(v.v2 @ v.v1.conj().T @ s.chan_cov, s.n_r)
+    g = adjoint_embed(v.v2 @ v.v1.conj().T @ chan_cov(s), s.n_r)
     return k, s.r_tx, g
 
 

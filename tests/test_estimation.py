@@ -1,29 +1,60 @@
 """MSE objective algebra, auxiliary-variable identities, and the
 training simulator / MMSE estimator pair used for empirical checks."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
 
-from zczpilot import estimation
+from oracles import (
+    AuxiliaryV,
+    build_Q,
+    chan_cov,
+    channel_mse_direct,
+    dense_v,
+    embed_pilot,
+    hermitian_solve,
+    noise_cov,
+    surrogate_F,
+)
+from zczpilot import cli
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot.designer import DesignConfig, design_pilots
 from zczpilot.estimation import (
     _TRIAL_BLOCK,
     _training_draws,
-    AuxiliaryV,
-    build_Q,
-    channel_mse_direct,
     channel_mse_lemma,
     mmse_estimate,
     mmse_squared_errors,
     mse_and_optimal_V,
     optimal_V,
     simulate_training,
-    surrogate_F,
 )
-from zczpilot.tensorops import embed_pilot, hermitian_solve
+
+
+REFERENCE_CONFIG = Path(__file__).parents[1] / "configs" / "mimo4x4_b8.ini"
+
+
+def refuse_kron(a, b):
+    raise AssertionError(f"Kronecker product of {np.shape(a)} and {np.shape(b)}")
+
+
+def record_factor_sizes(monkeypatch):
+    """Record the larger side of every matrix that numpy.linalg factors or
+    solves with, in the returned list."""
+    sizes = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            sizes.append(max(np.shape(a)[-2:]))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "pinv"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    return sizes
 
 
 def crandn(rng, *shape):
@@ -123,7 +154,7 @@ class TestFusedMseAndV:
         p = random_pilot(rng, s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
         assert abs(mse - channel_mse_lemma(p, s)) <= 1e-14 * mse
-        v_ref = optimal_V(p, s)
+        v, v_ref = dense_v(v), dense_v(optimal_V(p, s))
         npt.assert_allclose(v.v1, v_ref.v1, rtol=0, atol=1e-14)
         npt.assert_allclose(v.v2, v_ref.v2, rtol=0, atol=1e-14 * np.abs(v_ref.v2).max())
         # criterion 2's tolerance for the lemma against the information form
@@ -133,9 +164,9 @@ class TestFusedMseAndV:
 def dense_mse_and_v2(p, s):
     """Oracle: the lemma MSE and V2 from one dense (B n_r)^2 Gram solve."""
     pt = embed_pilot(p, s.n_r)
-    w = pt @ s.chan_cov
-    z = hermitian_solve(s.noise_cov + w @ pt.conj().T, w)
-    return float(np.trace(s.chan_cov).real - np.vdot(w, z).real), -z
+    w = pt @ chan_cov(s)
+    z = hermitian_solve(noise_cov(s) + w @ pt.conj().T, w)
+    return float(np.trace(chan_cov(s)).real - np.vdot(w, z).real), -z
 
 
 # Exponential coefficients up to |rho| = 0.95 on every factor.
@@ -161,6 +192,7 @@ class TestFactoredSolve:
         p = random_pilot(rng, s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
         mse_ref, v2_ref = dense_mse_and_v2(p, s)
+        v = dense_v(v)
         npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
         npt.assert_array_equal(v.v1, np.eye(s.n_t * s.n_r))
         assert abs(mse - mse_ref) <= 1e-8 * mse_ref
@@ -183,7 +215,9 @@ class TestFactoredSolve:
         p = random_pilot(np.random.default_rng(1), s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
         mse_ref, v2_ref = dense_mse_and_v2(p, s)
-        npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
+        npt.assert_allclose(
+            dense_v(v).v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max()
+        )
         assert abs(mse - mse_ref) <= 1e-8 * mse_ref
 
     @pytest.mark.parametrize("link", ["downlink", "uplink"])
@@ -200,7 +234,9 @@ class TestFactoredSolve:
         p = random_pilot(np.random.default_rng(3), s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
         mse_ref, v2_ref = dense_mse_and_v2(p, s)
-        npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
+        npt.assert_allclose(
+            dense_v(v).v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max()
+        )
         assert abs(mse - mse_ref) <= 1e-8 * mse_ref
 
     def test_singular_noise_receive_factor_raises(self):
@@ -214,7 +250,7 @@ class TestFactoredSolve:
 
     def test_factors_split_lazily_and_once(self, monkeypatch):
         # the receive eigenbasis is computed on first use and kept, and the
-        # solve never forms a dense covariance
+        # solve never forms a Kronecker product
         factored = []
         cholesky = np.linalg.cholesky
 
@@ -223,36 +259,28 @@ class TestFactoredSolve:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(np, "kron", refuse_kron)
         s = build_scenario(2, 3, 4)
         assert not factored
         for _ in range(3):
             mse_and_optimal_V(np.ones((4, 2)), s)
         assert factored == [(3, 3)]
-        assert "chan_cov" not in vars(s) and "noise_cov" not in vars(s)
 
-    def test_no_factored_matrix_exceeds_training_length(self, monkeypatch):
-        # a 4x4, B = 16 design and a validate call factor nothing of the
-        # (B n_r)-dimensional Gram or noise covariance
-        sizes = []
-
-        def recording(fn):
-            def wrapped(a, *args, **kwargs):
-                sizes.append(max(np.shape(a)[-2:]))
-                return fn(a, *args, **kwargs)
-            return wrapped
-
-        for mod, names in (
-            (np.linalg, ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "pinv")),
-            (scipy.linalg, ("eigh", "cho_factor", "cholesky", "solve")),
-        ):
-            for name in names:
-                monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+    def test_no_factored_matrix_exceeds_training_length(self, monkeypatch, capsys):
+        # a 4x4, B = 16 design and a 4x4, B = 8 validate factor nothing of
+        # the (B n_r)-dimensional Gram or noise covariance, nor, with
+        # n_t n_r = 16 > B = 8, of the channel covariance
+        sizes = record_factor_sizes(monkeypatch)
         dl = build_scenario(4, 4, 16)
         ul = reciprocal_scenario(dl)
         _, trace = design_pilots(dl, ul, DesignConfig(k=2, max_outer=3, seed=0))
         assert trace.outer_iterations == 3
-        mmse_squared_errors(np.ones((16, 4)), dl, range(3))
         assert sizes and max(sizes) <= 16
+        sizes.clear()
+        rc = cli.main(["validate", "--config", str(REFERENCE_CONFIG), "--trials", "50"])
+        capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert sizes and max(sizes) <= 8
 
 
 class TestBlockMatrixQ:
@@ -260,8 +288,8 @@ class TestBlockMatrixQ:
         s = build_scenario(2, 2, 3)
         q = build_Q(np.zeros((3, 2)), s)
         n = s.n_t * s.n_r
-        npt.assert_allclose(q[:n, :n], s.chan_cov, rtol=0, atol=0)
-        npt.assert_allclose(q[n:, n:], s.noise_cov, rtol=0, atol=0)
+        npt.assert_allclose(q[:n, :n], chan_cov(s), rtol=0, atol=0)
+        npt.assert_allclose(q[n:, n:], noise_cov(s), rtol=0, atol=0)
         assert np.abs(q[:n, n:]).max() == 0.0
 
     def test_hermitian(self):
@@ -288,7 +316,7 @@ class TestBlockMatrixQ:
 class TestAuxiliaryVariable:
     def test_zero_pilot_optimum(self):
         s = build_scenario(2, 2, 3)
-        v = optimal_V(np.zeros((3, 2)), s)
+        v = dense_v(optimal_V(np.zeros((3, 2)), s))
         n = s.n_t * s.n_r
         npt.assert_array_equal(v.v1, np.eye(n))
         assert np.abs(v.v2).max() == 0.0
@@ -306,7 +334,7 @@ class TestAuxiliaryVariable:
         rng = np.random.default_rng(9)
         s = build_scenario(2, 2, 4)
         p = random_pilot(rng, s, energy=s.gamma)
-        v = optimal_V(p, s)
+        v = dense_v(optimal_V(p, s))
         base = surrogate_F(v, p, s)
         for _ in range(100):
             delta = 10.0 ** rng.uniform(-4, 0) * crandn(rng, *v.v2.shape)
@@ -350,15 +378,22 @@ class TestSimulator:
         real = simulate_training(p, s, seed=5)
         npt.assert_allclose(real.yrx, real.h @ p.T + real.noise, rtol=0, atol=0)
 
-    def test_shape_checked_without_lifting(self, monkeypatch):
-        def no_lift(*args):
-            raise AssertionError("simulate_training lifted the pilot")
-
-        s = build_scenario(2, 2, 4)
-        monkeypatch.setattr(estimation, "embed_pilot", no_lift)
-        assert simulate_training(np.ones((4, 2)), s, seed=3).yrx.shape == (2, 4)
+    def test_shape_checked_without_lifting(self):
+        # a draw on an 8x8, B = 64 link allocates less than half the
+        # 0.5 MB of the lifted pilot P (x) I, (B n_r) x (n_t n_r) complex
+        # (a first draw on a scalar link takes numpy's one-time set-up)
+        simulate_training(np.ones((2, 1)), build_scenario(1, 1, 2), seed=0)
+        s = build_scenario(8, 8, 64)
+        tracemalloc.start()
+        try:
+            real = simulate_training(np.ones((64, 8)), s, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert real.yrx.shape == (8, 64)
+        assert peak < 64 * 8 * 8 * 8 * 16 / 2
         with pytest.raises(ValueError, match="pilot shape"):
-            simulate_training(np.ones((3, 2)), s, seed=3)
+            simulate_training(np.ones((3, 8)), s, seed=3)
 
     def test_seed_determinism(self):
         s = build_scenario(2, 2, 4)
@@ -375,8 +410,8 @@ class TestSimulator:
         s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
         rng = np.random.default_rng(21)
         white = [rng.standard_normal(k) for k in (6, 6, 12, 12)]
-        h = np.linalg.cholesky(s.chan_cov) @ (white[0] + 1j * white[1])
-        n = np.linalg.cholesky(s.noise_cov) @ (white[2] + 1j * white[3])
+        h = np.linalg.cholesky(chan_cov(s)) @ (white[0] + 1j * white[1])
+        n = np.linalg.cholesky(noise_cov(s)) @ (white[2] + 1j * white[3])
         real = simulate_training(np.ones((4, 2)), s, seed=21)
         npt.assert_allclose(real.h.reshape(-1, order="F"), h / np.sqrt(2.0),
                             rtol=1e-14, atol=1e-15)
@@ -393,7 +428,7 @@ class TestSimulator:
         )
         seeds = [3, 17]
         (_, noise), = _training_draws(s, seeds)
-        f_n = np.linalg.cholesky(s.noise_cov)
+        f_n = np.linalg.cholesky(noise_cov(s))
         n_h, n_m = s.n_t * s.n_r, s.b * s.n_r
         for row, seed in zip(noise, seeds):
             white = np.random.default_rng(seed).standard_normal(2 * (n_h + n_m))
@@ -425,7 +460,7 @@ class TestSimulator:
             v = h.reshape(-1, order="F")
             acc += np.outer(v, v.conj())
         emp = acc / draws
-        assert np.abs(emp - s.chan_cov).max() <= 5e-2
+        assert np.abs(emp - chan_cov(s)).max() <= 5e-2
 
 
 class TestMmseEstimator:
@@ -458,9 +493,9 @@ class TestMmseEstimator:
         rng = np.random.default_rng(12)
         p = random_pilot(rng, s, energy=s.gamma)
         pt = embed_pilot(p, s.n_r)
-        gram = s.noise_cov + pt @ s.chan_cov @ pt.conj().T
+        gram = noise_cov(s) + pt @ chan_cov(s) @ pt.conj().T
         yrx = simulate_training(p, s, seed=4).yrx
-        want = s.chan_cov @ pt.conj().T @ np.linalg.solve(
+        want = chan_cov(s) @ pt.conj().T @ np.linalg.solve(
             gram, yrx.reshape(-1, order="F")
         )
         got = mmse_estimate(yrx, p, s).reshape(-1, order="F")

@@ -1,12 +1,13 @@
-"""Kernel linear-algebra helpers: Kronecker embedding, shifts, Hermitian
-solve, and the block partial trace kept as a test oracle."""
+"""Small linear-algebra kernels: the designer's shift matrices, and the
+dense kernels under the tests' oracles (the Kronecker pilot embedding and
+its adjoint, the block partial trace, and the Hermitian solve)."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import adjoint_embed
-from zczpilot.tensorops import embed_pilot, hermitian_solve, shift_matrix
+from oracles import adjoint_embed, embed_pilot, hermitian_solve
+from zczpilot.designer import shift_matrix
 
 
 def crandn(rng, *shape):
