@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure (validate only), 2 bad
 configuration or input content, 3 solver non-convergence (outputs are
-still written), 4 file system write failure, 5 the designer could not
-produce a pair that meets every bound (nothing is written).
+still written), 4 file system write failure, 5 every montecarlo seed
+failed (nothing is written).
 """
 
 import argparse

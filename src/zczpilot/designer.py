@@ -6,8 +6,8 @@ blocks, and then takes one round (inner_cycle) toward the constraint
 sets, X first and then Y against the new X: per-column power balls, zero
 cross-correlation between the two pilots over a lag window, and the
 convexified low-autocorrelation ellipsoids on the downlink (sensing)
-pilot.  The start is the same round from random targets, with no Y to
-correlate against yet.
+pilot.  The start is iteration 0 of the same loop: the round from random
+targets, taken from the feasible pair of unit impulses X0 and Y0 = 0.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -73,7 +73,9 @@ class DegenerateConstraintWarning(UserWarning):
 
 
 class DesignError(RuntimeError):
-    """The designer cannot produce a pair that meets every bound."""
+    """Every run of a Monte-Carlo design failed (analysis.monte_carlo_design);
+    a single design never raises it, since each round holds a feasible
+    pair."""
 
 
 @dataclass(frozen=True)
@@ -282,9 +284,7 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     the MM majorizer is separable by column, so X does not raise it.  The
     zone is symmetric, so y0 is a candidate of the exact Y step, and Y
     does not raise its majorizer either.  The round is a descent step for
-    every k.  The start has no current pair (x0 None, y0 without columns),
-    holds nothing, and raises a DesignError naming a column that its
-    restoration cannot bring inside the bound.
+    every k.
     """
     x_sigma = np.asarray(x_sigma, dtype=np.complex128)
     p_x = _resolve_p(cfg, p_x)
@@ -295,11 +295,6 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
         x, worst = _restore_sidelobes(x, null, p_x, cfg)
         over = worst > SIDELOBE_DELTA
         for q in np.flatnonzero(over):
-            if x0 is None:
-                raise DesignError(
-                    f"start column {q} cannot be brought inside the sidelobe "
-                    f"bound: residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
-                )
             warnings.warn(
                 f"column {q} keeps its current value: its sidelobe "
                 f"restoration ended at residual {worst[q]:.3g} > "
@@ -307,9 +302,8 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
                 RuntimeWarning,
                 stacklevel=2,
             )
-    if x0 is not None:
-        far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
-        x = np.where(over | far, x0, x)
+    far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
+    x = np.where(over | far, x0, x)
     return x, y_step(y_sigma, x, cfg, p=p_y)
 
 
@@ -485,19 +479,22 @@ def design_pilots(dl, ul, cfg):
     downlink pilot X is B x dl.n_t and the uplink pilot Y is B x ul.n_t.
     For k >= 1 every returned X meets |x_q^H J_m x_q| <= 10^(-1.5)
     ||x_q||^2 (30 dB) for all columns and m = 1..k, besides power <= p,
-    the ellipsoids and the cross-correlation zone.  The start and every
-    outer iteration are one inner_cycle; the start's restoration raises a
-    DesignError naming the column if it cannot reach the bound.  k = 0 has
-    no sidelobe bound and no restoration.  Every round is a descent step
-    (a column that cannot improve keeps its current value), so the total
-    MSE is non-increasing and the returned pair is the last iterate.
-    Stops when an outer iteration moves the total MSE by less than eta,
-    or flags non-convergence at max_outer.
+    the ellipsoids and the cross-correlation zone.  k = 0 has no sidelobe
+    bound and no restoration.
+
+    Every iteration is one inner_cycle from the current pair.  Iteration 0
+    starts from the feasible pair X0 = unit impulses of power p_x (column q
+    at row q mod B, which have no sidelobes) and Y0 = 0, toward seeded
+    random targets; a start column that cannot improve on its impulse
+    keeps it.  Every later iteration goes toward the MM targets of the
+    current pair.  Every round is a descent step (a column that cannot
+    improve keeps its current value), so the total MSE is non-increasing
+    and the returned pair is the last iterate.  Stops when an outer
+    iteration moves the total MSE by less than eta, or flags
+    non-convergence at max_outer.
     """
     if dl.b != ul.b:
         raise ValueError("link scenarios must share the training length")
-    if cfg.k >= dl.b:
-        raise ValueError(f"k={cfg.k} must be smaller than the training length {dl.b}")
     p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
 
     def score(x, y):
@@ -509,60 +506,48 @@ def design_pilots(dl, ul, cfg):
     t0 = time.perf_counter()
     trace = DesignTrace()
     rng = np.random.default_rng(cfg.seed)
+    x_sigma = rng.standard_normal((dl.b, dl.n_t)) + 1j * rng.standard_normal(
+        (dl.b, dl.n_t)
+    )
+    y_sigma = rng.standard_normal((ul.b, ul.n_t)) + 1j * rng.standard_normal(
+        (ul.b, ul.n_t)
+    )
+    x = np.zeros((dl.b, dl.n_t), dtype=np.complex128)
+    x[np.arange(dl.n_t) % dl.b, np.arange(dl.n_t)] = np.sqrt(p_x)
+    y = np.zeros((ul.b, ul.n_t), dtype=np.complex128)
+    mse = np.inf
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # Feasible start: the same round from random targets, against no
-        # Y yet.  X goes into ball ∩ ellipsoids and is restored into the
-        # sidelobe bound, which keeps it a generic point; Y is projected
-        # against that X.  Every constraint the later rounds enforce holds
-        # from iteration 0.
-        x_raw = rng.standard_normal((dl.b, dl.n_t)) + 1j * rng.standard_normal(
-            (dl.b, dl.n_t)
-        )
-        y_raw = rng.standard_normal((ul.b, ul.n_t)) + 1j * rng.standard_normal(
-            (ul.b, ul.n_t)
-        )
-        x, y = inner_cycle(
-            x_raw, y_raw, None, np.zeros((dl.b, 0)), cfg, p_x=p_x, p_y=p_y
-        )
-        mse, links = score(x, y)
-        _record(trace, mse, links, _pair_residuals(x, y, cfg))
-
-        for _ in range(cfg.max_outer):
-            x, y = inner_cycle(
-                build_sigma_target(links[0][1], x, dl),
-                build_sigma_target(links[1][1], y, ul),
-                x,
-                y,
-                cfg,
-                p_x=p_x,
-                p_y=p_y,
-            )
+        for it in range(cfg.max_outer + 1):
+            if it:
+                x_sigma = build_sigma_target(links[0][1], x, dl)
+                y_sigma = build_sigma_target(links[1][1], y, ul)
+            x, y = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y)
             prev = mse
             mse, links = score(x, y)
             _record(trace, mse, links, _pair_residuals(x, y, cfg))
-            trace.outer_iterations += 1
+            trace.outer_iterations = it
             if abs(prev - mse) < cfg.eta:
                 trace.converged = True
                 trace.stop_reason = "eta"
                 break
 
     trace.warnings = list(dict.fromkeys(str(w.message) for w in caught))
-    power, cross, auto = _pair_residuals(x, y, cfg)
     pair = PilotPair(
         x=x,
         y=y,
-        max_column_power=power,
-        max_cross_corr=cross,
-        max_auto_corr=auto,
+        max_column_power=trace.max_power[-1],
+        max_cross_corr=trace.max_cross[-1],
+        max_auto_corr=trace.max_auto[-1],
     )
     # A successful design guarantees the cross-correlation residual; an
     # MSE plateau alone does not count.
-    if trace.converged and cross > cfg.epsilon:
+    if trace.converged and pair.max_cross_corr > cfg.epsilon:
         trace.converged = False
         trace.warnings.append(
-            f"cross-correlation residual {cross:.3g} exceeds epsilon={cfg.epsilon}"
+            f"cross-correlation residual {pair.max_cross_corr:.3g} exceeds "
+            f"epsilon={cfg.epsilon}"
         )
     trace.wall_time = time.perf_counter() - t0
     return pair, trace

@@ -183,23 +183,21 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     bound, at x0's column; and project Y against that X.  Returns (X, Y)
     like inner_cycle.
 
-    The start (x0 None, y0 with no columns) has no Y to alternate with and
-    no X to hold at, so it takes one round with the restoration between
-    the two steps, which is also what the designer's start does; it
-    assumes a restorable start.
+    The start is recognised by a zero y0 (the designer starts from Y = 0):
+    there is no Y to alternate with yet, so X is restored and held right
+    after its first step, which is also what the designer's start does.
     """
     x = designer.x_step(x_sigma, y0, cfg, p=p_x)
-    if x0 is None:
-        x, _ = _restored_against(x, y0, cfg, p_x)
-        return x, designer.y_step(y_sigma, x, cfg, p=p_y)
-    y = designer.y_step(y_sigma, x, cfg, p=p_y)
-    for _ in range(mu - 1):
-        x_new = designer.x_step(x_sigma, y, cfg, p=p_x)
-        y_new = designer.y_step(y_sigma, x_new, cfg, p=p_y)
-        move = max(np.linalg.norm(x_new - x), np.linalg.norm(y_new - y))
-        x, y = x_new, y_new
-        if move <= inner_tol:
-            break
+    y = y0
+    if np.any(y0):
+        y = designer.y_step(y_sigma, x, cfg, p=p_y)
+        for _ in range(mu - 1):
+            x_new = designer.x_step(x_sigma, y, cfg, p=p_x)
+            y_new = designer.y_step(y_sigma, x_new, cfg, p=p_y)
+            move = max(np.linalg.norm(x_new - x), np.linalg.norm(y_new - y))
+            x, y = x_new, y_new
+            if move <= inner_tol:
+                break
     x, over = _restored_against(x, y, cfg, p_x)
     far = np.linalg.norm(x - x_sigma, axis=0) > np.linalg.norm(x0 - x_sigma, axis=0)
     x = np.where(over | far, x0, x)

@@ -167,7 +167,7 @@ class TestMonteCarlo:
 
         def stub(dl, ul, cfg):
             if cfg.seed == 1:
-                raise DesignError("start column 0 cannot be restored")
+                raise np.linalg.LinAlgError("singular noise receive factor")
             if cfg.seed == 2:
                 raise np.linalg.LinAlgError("singular Gram")
             return design_pilots(dl, ul, cfg)
@@ -176,7 +176,7 @@ class TestMonteCarlo:
         dl, ul = scenario
         summary = monte_carlo_design(dl, ul, DesignConfig(k=1, max_outer=5), runs=4)
         assert summary.failures == (
-            (1, "DesignError", "start column 0 cannot be restored"),
+            (1, "LinAlgError", "singular noise receive factor"),
             (2, "LinAlgError", "singular Gram"),
         )
         assert summary.failed_runs == 2
@@ -187,7 +187,7 @@ class TestMonteCarlo:
 
         def stub(dl, ul, cfg):
             if cfg.seed == 0:
-                raise DesignError("start column 0 cannot be restored")
+                raise np.linalg.LinAlgError("singular Gram")
             if cfg.seed == 1:
                 raise TypeError("bad argument")
             return design_pilots(dl, ul, cfg)
@@ -201,12 +201,12 @@ class TestMonteCarlo:
         import zczpilot.analysis as analysis
 
         def stub(dl, ul, cfg):
-            raise DesignError(f"seed {cfg.seed} unrestorable")
+            raise np.linalg.LinAlgError(f"seed {cfg.seed} singular Gram")
 
         monkeypatch.setattr(analysis, "design_pilots", stub)
         dl, ul = scenario
         with pytest.raises(DesignError, match="all 2 design runs failed; seed 0: "
-                           "DesignError: seed 0 unrestorable"):
+                           "LinAlgError: seed 0 singular Gram"):
             monte_carlo_design(dl, ul, DesignConfig(k=1), runs=2)
 
 

@@ -170,19 +170,21 @@ class TestDesign:
             tmp_path, capsys, "mu", (1, 50), 0, "[design] mu must be >= 1"
         )
 
-    def test_design_error_exit_code(self, small_config, tmp_path, capsys,
-                                    monkeypatch):
+    def test_unrestorable_start_still_writes(self, small_config, tmp_path,
+                                             capsys, monkeypatch):
         import zczpilot.designer as designer
 
-        # No Gauss-Newton steps: the seeded start cannot be restored.
+        # No Gauss-Newton steps: the seeded start cannot be restored, so
+        # its column keeps the start impulse and the run goes on.
         monkeypatch.setattr(designer, "_RESTORE_MAX_STEPS", 0)
         out = tmp_path / "run"
         rc = main(["design", "--config", str(small_config), "--out", str(out)])
         err = capsys.readouterr().err
-        assert rc == EXIT_DESIGN
-        assert err.startswith("design error: start column 0 ")
+        assert rc in (EXIT_OK, EXIT_NOCONV)
+        assert err.startswith("warning: column 0 keeps its current value: ")
         assert "Traceback" not in err
-        assert not (out / "pilot_archive.json").exists()
+        assert (out / "pilot_archive.json").exists()
+        assert (out / "design_trace.csv").exists()
 
     def test_deterministic_modulo_timestamp(self, small_config, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -345,13 +347,12 @@ class TestMonteCarlo:
     def test_failed_seed_printed_with_cause(self, small_config, tmp_path, capsys,
                                             monkeypatch):
         import zczpilot.analysis as analysis
-        from zczpilot.designer import DesignError
 
         design = analysis.design_pilots
 
         def stub(dl, ul, cfg):
             if cfg.seed == 1:
-                raise DesignError("start column 0 cannot be restored")
+                raise np.linalg.LinAlgError("singular Gram")
             return design(dl, ul, cfg)
 
         monkeypatch.setattr(analysis, "design_pilots", stub)
@@ -361,10 +362,28 @@ class TestMonteCarlo:
         lines = capsys.readouterr().out.splitlines()
         assert rc == EXIT_NOCONV
         assert "runs: 2  converged: 1  failed: 1" in lines
-        assert "seed 1 failed: DesignError: start column 0 cannot be restored" in lines
+        assert "seed 1 failed: LinAlgError: singular Gram" in lines
         doc = json.loads((out / "mc_summary.json").read_text())
-        assert doc["failures"] == [{"seed": 1, "type": "DesignError",
-                                    "message": "start column 0 cannot be restored"}]
+        assert doc["failures"] == [{"seed": 1, "type": "LinAlgError",
+                                    "message": "singular Gram"}]
+
+    def test_every_seed_failed_exit_code(self, small_config, tmp_path, capsys,
+                                         monkeypatch):
+        import zczpilot.analysis as analysis
+
+        def stub(dl, ul, cfg):
+            raise np.linalg.LinAlgError(f"seed {cfg.seed} singular Gram")
+
+        monkeypatch.setattr(analysis, "design_pilots", stub)
+        out = tmp_path / "mc"
+        rc = main(["montecarlo", "--config", str(small_config),
+                   "--out", str(out), "--runs", "2"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DESIGN
+        assert captured.err == ("design error: all 2 design runs failed; seed 0: "
+                                "LinAlgError: seed 0 singular Gram\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 SIMULATED = re.compile(r"simulated (\d+) trials in \S+ s \(\S+ trials/s\)")

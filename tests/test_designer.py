@@ -364,7 +364,14 @@ class TestInnerCycle:
         cfg = DesignConfig(k=k, p=1.0)
         y0 = y_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
         x_sigma, y_sigma = crandn(rng, 8, 2) * 2.0, crandn(rng, 8, 2)
-        x, y = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
+        x0 = np.zeros_like(x_sigma)
+        if k:
+            # the 2-dimensional zone leaves both restored columns over the
+            # bound, so both keep x0's (zero) column
+            with pytest.warns(RuntimeWarning, match="keeps its current value"):
+                x, y = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        else:
+            x, y = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
         assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
 
@@ -820,13 +827,37 @@ class TestSidelobeBound:
         dl = build_scenario(2, 2, 4)
         design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=0, max_outer=5))
 
-    def test_unrestorable_start_names_column(self, monkeypatch):
-        import zczpilot.designer as designer
-
+    def test_unrestorable_start_keeps_impulses(self, monkeypatch):
+        # No Gauss-Newton steps: the start's random columns stay over the
+        # bound, so iteration 0 holds each at its start impulse of power
+        # p_x (column q at row q), with one warning per held column, and the
+        # run goes on from that feasible pair.
         monkeypatch.setattr(designer, "_RESTORE_MAX_STEPS", 0)
+        rounds = record_rounds(monkeypatch)
         dl = build_scenario(2, 2, 6)
-        with pytest.raises(RuntimeError, match=r"start column \d+ .*residual"):
-            design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=2))
+        cfg = DesignConfig(k=2, max_outer=5)
+        pair, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        args, kwargs, (x, _) = rounds[0]
+        x_sigma, _, x0, y0, _ = args
+        impulses = np.sqrt(dl.gamma / dl.n_t) * np.eye(6, 2)
+        npt.assert_array_equal(x0, impulses)
+        assert not np.any(y0)
+        npt.assert_array_equal(x, impulses)
+        _, worst = _restore_sidelobes(
+            x_step(x_sigma, y0, cfg, p=kwargs["p_x"]), np.eye(6), kwargs["p_x"], cfg
+        )
+        assert (worst > SIDELOBE_DELTA).all()
+        with pytest.warns(RuntimeWarning, match="keeps its current value") as held:
+            inner_cycle(*args, **kwargs)
+        want = [
+            f"column {q} keeps its current value: its sidelobe restoration "
+            f"ended at residual {r:.3g} > {SIDELOBE_DELTA:.3g}"
+            for q, r in enumerate(worst)
+        ]
+        assert [str(w.message) for w in held] == want == trace.warnings[:2]
+        assert trace.outer_iterations == 5
+        assert sidelobe_ratios(pair.x, cfg.k).max() <= SIDELOBE_DELTA
+        assert np.diff(trace.mse).max() <= 0.0
 
     def test_over_bound_restoration_holds_column(self, monkeypatch):
         # the restoration of outer iteration 1 reports column 1 over the
