@@ -124,6 +124,39 @@ class ChannelScenario:
         lam, u = np.linalg.eigh(low_inv @ self.r_rx @ low_inv.conj().T)
         return lam, low_inv.conj().T @ u, u.conj().T @ low.conj().T
 
+    @cached_property
+    def mse_weights(self):
+        """w_i = lam_i^2 ||S^-1[i, :]||^2 from receive_eig: the weight of
+        receive mode i in the lemma MSE and in the MM target."""
+        lam, _, basis_inv = self.receive_eig
+        return lam**2 * np.linalg.norm(basis_inv, axis=1) ** 2
+
+    @cached_property
+    def colouring(self):
+        """The factor pairs ((F_tx, F_rx), (F_time, F_n)) of the channel and
+        the noise covariance, with vec(H) = (F_tx (x) F_rx) w and
+        vec(N) = (F_time (x) F_n) w for white w: each covariance is coloured
+        through its Kronecker factors, since the Cholesky factor of A (x) B
+        is L_A (x) L_B."""
+        return (
+            (_covariance_factor(self.r_tx), _covariance_factor(self.r_rx)),
+            (_covariance_factor(self.m_time), _covariance_factor(self.m_rx)),
+        )
+
+    @cached_property
+    def r_tx_max_eig(self):
+        """lam_max(r_tx), the transmit factor of the MM step size."""
+        return np.linalg.eigvalsh(self.r_tx)[-1]
+
+
+def _covariance_factor(c):
+    """Factor F with F F^H = C; Cholesky when possible, eigen fallback."""
+    try:
+        return np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        w, u = np.linalg.eigh(c)
+        return u * np.sqrt(np.clip(w, 0.0, None))[None, :]
+
 
 def _read_only(c):
     c.setflags(write=False)

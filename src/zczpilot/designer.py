@@ -309,7 +309,8 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
 
 def _mm_model(v, s):
     """Quadratic model pieces (K, A, G) of F(V, .) at fixed V = V*, from
-    the solved blocks Y_i of v (a FactoredV).
+    its solved blocks Y_i, v[i] (mse_and_optimal_V), and the receive
+    eigenvalues lam and MSE weights w of the scenario s.
 
     F(V, P) = <L(P), W2 L(P) R> + 2 Re <L(P), V2 V1^H R> + const with L
     the pilot embedding and W2 = V2 V2^H, so the (self-adjoint, PSD)
@@ -321,15 +322,16 @@ def _mm_model(v, s):
     S^H R_rx S = diag(lam), the cross terms i != j of the partial traces
     vanish, so A = R_tx, K = sum_i lam_i w_i Y_i Y_i^H and
     G = -(sum_i w_i Y_i) R_tx with the MSE weights
-    w_i = lam_i^2 ||S^-1[i, :]||^2 = lam_i (S^-1 R_rx S)_ii.  K is one GEMM
+    w_i = lam_i^2 ||S^-1[i, :]||^2 = lam_i (S^-1 R_rx S)_ii
+    (ChannelScenario.mse_weights).  K is one GEMM
     of the stacked sqrt(lam_i w_i) Y_i, b x (n_r n), against its conjugate
     transpose (a singular R_rx can give a rounding-negative lam_i, clipped
     to 0); V2 and the dense channel covariance are never formed.
     """
-    n_r, b, _ = v.y.shape
-    root = np.sqrt(np.maximum(v.lam * v.weights, 0.0))
-    z = (root[:, None, None] * v.y).transpose(1, 0, 2).reshape(b, -1)
-    g = -(v.weights @ v.y.reshape(n_r, -1)).reshape(b, -1) @ s.r_tx
+    n_r, b, _ = v.shape
+    root = np.sqrt(np.maximum(s.receive_eig[0] * s.mse_weights, 0.0))
+    z = (root[:, None, None] * v).transpose(1, 0, 2).reshape(b, -1)
+    g = -(s.mse_weights @ v.reshape(n_r, -1)).reshape(b, -1) @ s.r_tx
     return z @ z.conj().T, s.r_tx, g
 
 
@@ -339,21 +341,23 @@ def build_sigma_target(v, p_current, s):
     With lam >= opnorm(T), F(V, P) <= F(V, P0) + 2<P-P0, T(P0)+G> +
     lam ||P-P0||^2, whose constrained minimizer is the projection of
     P_sigma = P0 - (T(P0)+G)/lam.  T(P) = K P A is a Kronecker operator
-    with PSD factors, so its norm is exactly lam_max(K) lam_max(A); lam
-    adds a 10% safety margin.  v is the link's FactoredV; zero blocks
-    (V2 = 0) make F constant in P and return P0.
+    with PSD factors, so its norm is exactly lam_max(K) lam_max(A), with
+    lam_max(A) = lam_max(R_tx) cached on the scenario; lam adds a 10%
+    safety margin.  v is the link's V*, its (n_r, B, n_t) solved blocks;
+    zero blocks (V2 = 0) make F constant in P and return P0, without an
+    eigenvalue solve.
     """
     p_current = np.asarray(p_current, dtype=np.complex128)
     if p_current.shape != (s.b, s.n_t):
         raise ValueError(
             f"pilot shape {p_current.shape}, scenario expects {(s.b, s.n_t)}"
         )
-    if v.y.shape != (s.n_r, s.b, s.n_t) or v.weights.shape != (s.n_r,):
+    if v.shape != (s.n_r, s.b, s.n_t):
         raise ValueError("auxiliary variable does not conform with the scenario")
-    if not np.any(v.y):
+    if not np.any(v):
         return p_current.copy()
     k, a, g = _mm_model(v, s)
-    lam = _OPNORM_MARGIN * np.linalg.eigvalsh(k)[-1] * np.linalg.eigvalsh(a)[-1]
+    lam = _OPNORM_MARGIN * np.linalg.eigvalsh(k)[-1] * s.r_tx_max_eig
     if not np.isfinite(lam) or lam <= 0.0:
         return p_current.copy()
     return p_current - (k @ p_current @ a + g) / lam

@@ -13,11 +13,14 @@ M = M_time (x) M_rx, so the (B n_r)-dimensional Gram of that correction
 splits into n_r blocks of size B x B in the joint eigenbasis of the two
 receive factors (ChannelScenario.receive_eig; Kotecha & Sayeed, IEEE TSP
 2004).  The noise receive factor must be positive definite.  Those solved
-blocks are the one form of the minimizer V* of the auxiliary quadratic
-form trace[V^H Q V] (FactoredV): the MSE, the designer's MM target, the
-MMSE estimator and the simulator's error maps are all read from them, and
-the channel and the training noise are coloured through their factors.
-No dense covariance, lifted pilot or dense V* is formed.
+blocks, an (n_r, B, n_t) array, are the one form of the minimizer V* of
+the auxiliary quadratic form trace[V^H Q V]: the MSE, the designer's MM
+target, the MMSE estimator and the simulator's error maps are all read
+from them, with the constants that the scenario keeps (its receive
+eigenbasis, the MSE weights and the colouring factors, each computed on
+first use).  The channel and the training noise are coloured through
+their Kronecker factors.  No dense covariance, lifted pilot or dense V*
+is formed.
 """
 
 from dataclasses import dataclass
@@ -41,21 +44,6 @@ def channel_mse_lemma(p, s):
     return mse_and_optimal_V(p, s)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredV:
-    """V* = [I; -Z] held as the solved Gram blocks of mse_and_optimal_V:
-    y[i] = G_i^-1 Q (n_r x B x n_t), lam, basis = S and basis_inv = S^-1
-    of ChannelScenario.receive_eig, and the MSE weights
-    weights[i] = lam_i^2 ||S^-1[i, :]||^2, with
-    Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :]."""
-
-    y: np.ndarray
-    lam: np.ndarray
-    weights: np.ndarray
-    basis: np.ndarray
-    basis_inv: np.ndarray
-
-
 def mse_and_optimal_V(p, s):
     """Lemma MSE and the minimizer V* from the Kronecker factors of the Gram.
 
@@ -68,12 +56,13 @@ def mse_and_optimal_V(p, s):
     G_i = lam_i A1 + M_time of size B x B, so one batched solve
     Y_i = G_i^-1 Q gives Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
     mse = trace[R] - sum_i w_i Re trace[Q^H Y_i], w_i = lam_i^2
-    ||S^-1[i, :]||^2.  V* is returned as those blocks (FactoredV), from
-    which the designer builds its MM target.  Raises LinAlgError when M_rx
-    or a block is singular.
+    ||S^-1[i, :]||^2 (ChannelScenario.mse_weights).  V* is returned as
+    those blocks, the (n_r, B, n_t) array of the Y_i, from which the
+    designer builds its MM target.  Raises LinAlgError when M_rx or a
+    block is singular.
     """
     p = _checked(p, s)
-    lam, basis, basis_inv = s.receive_eig
+    lam = s.receive_eig[0]
     q = p @ s.r_tx
     blocks = lam[:, None, None] * (q @ p.conj().T)
     blocks += s.m_time
@@ -81,16 +70,17 @@ def mse_and_optimal_V(p, s):
     n_r = y.shape[0]
     # Re trace[Q^H Y_i] for every block i at once.
     fits = (y.reshape(n_r, -1) @ q.conj().ravel()).real
-    weights = lam**2 * np.linalg.norm(basis_inv, axis=1) ** 2
-    mse = float(np.trace(s.r_tx).real * np.trace(s.r_rx).real - weights @ fits)
-    return mse, FactoredV(y, lam, weights, basis, basis_inv)
+    prior = np.trace(s.r_tx).real * np.trace(s.r_rx).real
+    mse = float(prior - s.mse_weights @ fits)
+    return mse, y
 
 
 def optimal_V(p, s):
     """Minimizer of trace[V^H Q V] over V with fixed top block I.
 
-    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its solved blocks (FactoredV);
-    at this point the quadratic form equals the estimation MSE.
+    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its solved blocks Y_i
+    (mse_and_optimal_V); at this point the quadratic form equals the
+    estimation MSE.
     """
     return mse_and_optimal_V(p, s)[1]
 
@@ -102,15 +92,6 @@ class TrainingRealization:
     h: np.ndarray
     noise: np.ndarray
     yrx: np.ndarray
-
-
-def _covariance_factor(c):
-    """Factor F with F F^H = C; Cholesky when possible, eigen fallback."""
-    try:
-        return np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
-        w, u = np.linalg.eigh(c)
-        return u * np.sqrt(np.clip(w, 0.0, None))[None, :]
 
 
 def _circular_gaussian(z):
@@ -141,27 +122,16 @@ def _white_blocks(s, seeds):
         yield white
 
 
-def _colouring(s):
-    """The factor pairs ((F_tx, F_rx), (F_time, F_n)) of the channel and
-    the noise covariance, with vec(H) = (F_tx (x) F_rx) w and
-    vec(N) = (F_time (x) F_n) w for white w: each covariance is coloured
-    through its Kronecker factors, since the Cholesky factor of A (x) B is
-    L_A (x) L_B."""
-    return (
-        (_covariance_factor(s.r_tx), _covariance_factor(s.r_rx)),
-        (_covariance_factor(s.m_time), _covariance_factor(s.m_rx)),
-    )
-
-
 def _training_draws(s, seeds):
     """Yield (h, noise) blocks with row j holding vec(H) ~ CN(0, R) and
-    vec(N) ~ CN(0, M) for the j-th seed of the block (_white_blocks).
+    vec(N) ~ CN(0, M) for the j-th seed of the block (_white_blocks), coloured
+    by ChannelScenario.colouring.
 
     A factor pair (F_a, F_b) acts on the matrix view W of its white
     vector, n_t x n_r for the channel and b x n_r for the noise, as
     F_a W F_b^T.
     """
-    factors = _colouring(s)
+    factors = s.colouring
     n_h = 2 * s.n_t * s.n_r
     for white in _white_blocks(s, seeds):
         n = len(white)
@@ -198,9 +168,9 @@ def mmse_estimate(yrx, p, s):
     yrx = np.asarray(yrx, dtype=np.complex128)
     if yrx.shape != (s.n_r, s.b):
         raise ValueError(f"yrx shape {yrx.shape}, expected {(s.n_r, s.b)}")
-    v = optimal_V(p, s)
-    modes = np.einsum("ib,ibt->it", v.basis.conj().T @ yrx, v.y.conj())
-    return v.basis_inv.conj().T @ (v.lam[:, None] * modes)
+    lam, basis, basis_inv = s.receive_eig
+    modes = np.einsum("ib,ibt->it", basis.conj().T @ yrx, optimal_V(p, s).conj())
+    return basis_inv.conj().T @ (lam[:, None] * modes)
 
 
 def _kron_sum_t(c, d):
@@ -229,13 +199,14 @@ def mmse_squared_errors(p, s, seeds):
     block of seeds costs one real matrix product.
     """
     p = _checked(p, s)
-    mse, v = mse_and_optimal_V(p, s)
-    (f_tx, f_rx), (f_time, f_n) = _colouring(s)
-    yh = v.lam[:, None, None] * v.y.conj().transpose(0, 2, 1)
+    mse, y = mse_and_optimal_V(p, s)
+    lam, basis, basis_inv = s.receive_eig
+    (f_tx, f_rx), (f_time, f_n) = s.colouring
+    yh = lam[:, None, None] * y.conj().transpose(0, 2, 1)
 
     def receive(f):
         # the stack of D_i = S^-H[:, i] S[:, i]^H f
-        return v.basis_inv.conj()[:, :, None] * (v.basis.conj().T @ f)[:, None, :]
+        return basis_inv.conj()[:, :, None] * (basis.conj().T @ f)[:, None, :]
 
     gain_h = _kron_sum_t(
         np.concatenate([yh @ (p @ f_tx), -f_tx[None]]),

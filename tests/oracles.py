@@ -114,15 +114,15 @@ class AuxiliaryV:
         return np.vstack([self.v1, self.v2])
 
 
-def dense_v(v):
-    """The dense V* = [I; V2] of a zczpilot.estimation.FactoredV, with
-    V2 = -sum_i lam_i Y_i (x) S[:, i] S^-1[i, :]."""
+def dense_v(v, s):
+    """The dense V* = [I; V2] of the solved blocks v (mse_and_optimal_V) of
+    scenario s, with V2 = -sum_i lam_i v[i] (x) S[:, i] S^-1[i, :]."""
     # -Z regrouped as rows (b, t) and columns (r, r'): one GEMM of the
     # stacked Y_i against -lam_i S[r, i] S^-1[i, r'].
-    n_r, b, n_t = v.y.shape
-    s, s_inv = v.basis, v.basis_inv
-    mix = -v.lam[:, None, None] * s.T[:, :, None] * s_inv[:, None, :]
-    v2 = v.y.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
+    n_r, b, n_t = v.shape
+    lam, basis, basis_inv = s.receive_eig
+    mix = -lam[:, None, None] * basis.T[:, :, None] * basis_inv[:, None, :]
+    v2 = v.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
     v2 = v2.reshape(b, n_t, n_r, n_r).transpose(0, 2, 1, 3).reshape(b * n_r, -1)
     return AuxiliaryV(v1=np.eye(n_t * n_r, dtype=np.complex128), v2=v2)
 
@@ -130,13 +130,13 @@ def dense_v(v):
 def surrogate_F(v, p, s):
     """Quadratic form F(V, P) = trace[V^H Q(P) V], evaluated blockwise.
 
-    v is an AuxiliaryV, or a FactoredV taken as its dense_v.  Expanded as
+    v is an AuxiliaryV, or solved blocks taken as their dense_v.  Expanded as
     trace[V1^H R V1] + 2 Re trace[V2^H Pt R V1] + trace[V2^H M V2]
     + trace[(Pt^H V2)^H R (Pt^H V2)] so the big block matrix is never
     formed.
     """
     if not isinstance(v, AuxiliaryV):
-        v = dense_v(v)
+        v = dense_v(v, s)
     pt = _lifted(p, s)
     r = chan_cov(s)
     e = pt.conj().T @ v.v2

@@ -552,7 +552,7 @@ class TestCurvatureMatrix:
     def test_matches_embedding_oracle(self, link):
         s, v, rng = link
         apply_t, _ = mm_curvature(v, s)
-        v2 = dense_v(v).v2
+        v2 = dense_v(v, s).v2
         w2 = v2 @ v2.conj().T
         for _ in range(4):
             p = crandn(rng, s.b, s.n_t)
@@ -574,7 +574,7 @@ def dense_mm_model(v, s):
     """The MM pieces (K, R_tx, G) from the dense V2: K from one GEMM of V2
     against R_rx V2, each regrouped as b x (n_r n), and G the block partial
     trace of V2 V1^H R."""
-    v = dense_v(v)
+    v = dense_v(v, s)
     v2 = v.v2.reshape(s.b, s.n_r, -1)
     k = v2.reshape(s.b, -1) @ (s.r_rx @ v2).reshape(s.b, -1).conj().T
     g = adjoint_embed(v.v2 @ v.v1.conj().T @ chan_cov(s), s.n_r)

@@ -154,7 +154,7 @@ class TestFusedMseAndV:
         p = random_pilot(rng, s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
         assert abs(mse - channel_mse_lemma(p, s)) <= 1e-14 * mse
-        v, v_ref = dense_v(v), dense_v(optimal_V(p, s))
+        v, v_ref = dense_v(v, s), dense_v(optimal_V(p, s), s)
         npt.assert_allclose(v.v1, v_ref.v1, rtol=0, atol=1e-14)
         npt.assert_allclose(v.v2, v_ref.v2, rtol=0, atol=1e-14 * np.abs(v_ref.v2).max())
         # criterion 2's tolerance for the lemma against the information form
@@ -192,7 +192,7 @@ class TestFactoredSolve:
         p = random_pilot(rng, s, energy=s.gamma)
         mse, v = mse_and_optimal_V(p, s)
         mse_ref, v2_ref = dense_mse_and_v2(p, s)
-        v = dense_v(v)
+        v = dense_v(v, s)
         npt.assert_allclose(v.v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max())
         npt.assert_array_equal(v.v1, np.eye(s.n_t * s.n_r))
         assert abs(mse - mse_ref) <= 1e-8 * mse_ref
@@ -216,7 +216,7 @@ class TestFactoredSolve:
         mse, v = mse_and_optimal_V(p, s)
         mse_ref, v2_ref = dense_mse_and_v2(p, s)
         npt.assert_allclose(
-            dense_v(v).v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max()
+            dense_v(v, s).v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max()
         )
         assert abs(mse - mse_ref) <= 1e-8 * mse_ref
 
@@ -235,7 +235,7 @@ class TestFactoredSolve:
         mse, v = mse_and_optimal_V(p, s)
         mse_ref, v2_ref = dense_mse_and_v2(p, s)
         npt.assert_allclose(
-            dense_v(v).v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max()
+            dense_v(v, s).v2, v2_ref, rtol=0, atol=1e-10 * np.abs(v2_ref).max()
         )
         assert abs(mse - mse_ref) <= 1e-8 * mse_ref
 
@@ -316,7 +316,7 @@ class TestBlockMatrixQ:
 class TestAuxiliaryVariable:
     def test_zero_pilot_optimum(self):
         s = build_scenario(2, 2, 3)
-        v = dense_v(optimal_V(np.zeros((3, 2)), s))
+        v = dense_v(optimal_V(np.zeros((3, 2)), s), s)
         n = s.n_t * s.n_r
         npt.assert_array_equal(v.v1, np.eye(n))
         assert np.abs(v.v2).max() == 0.0
@@ -334,7 +334,7 @@ class TestAuxiliaryVariable:
         rng = np.random.default_rng(9)
         s = build_scenario(2, 2, 4)
         p = random_pilot(rng, s, energy=s.gamma)
-        v = dense_v(optimal_V(p, s))
+        v = dense_v(optimal_V(p, s), s)
         base = surrogate_F(v, p, s)
         for _ in range(100):
             delta = 10.0 ** rng.uniform(-4, 0) * crandn(rng, *v.v2.shape)
