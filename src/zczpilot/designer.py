@@ -65,6 +65,12 @@ SIDELOBE_DELTA = 10.0 ** (-SIDELOBE_BOUND_DB / 20.0)
 # cannot put the design a hair outside 30 dB.
 _RESTORE_LEVEL = 0.99 * SIDELOBE_DELTA
 _RESTORE_DONE = _RESTORE_LEVEL * (1.0 + 1e-9)
+# A Gauss-Newton step holds every lag within this relative band below the
+# level at the level, with the lags above it.  Counting only the lags above
+# the level lets two lags near it take turns: each step pushes one back
+# and lets the other rise a hair above, and the column chatters for 17-26
+# steps where 3 do.
+_RESTORE_ACTIVE = _RESTORE_LEVEL * (1.0 - 1e-6)
 _RESTORE_MAX_STEPS = 50
 
 
@@ -419,7 +425,8 @@ def _restore_sidelobes(x, null, p, cfg):
     nullspace basis C.  Every column with max_m |h_m| > _RESTORE_DONE,
     h_m = r_m / ||x||^2, then takes Gauss-Newton steps, all together: the
     minimum-norm real step in span(C) that sets the linearized |h_m| of
-    each lag above _RESTORE_LEVEL to the level, from a batched
+    each lag above _RESTORE_ACTIVE (just below _RESTORE_LEVEL) to the
+    level, from a batched
     pseudo-inverse of each column's k x k real Gram.  The final scaling
     into the ball and the ellipsoids keeps the nullspace and every |h_m|.
     Returns the matrix and each column's max_m |h_m|.
@@ -440,12 +447,12 @@ def _restore_sidelobes(x, null, p, cfg):
         jx = shifts @ xl
         jtx = shifts.transpose(0, 2, 1) @ xl
         # Real gradient of |h_m| packed as Re + i Im, so that
-        # d|h_m| = Re(grad^H dx); lags at or below the level get none.
+        # d|h_m| = Re(grad^H dx); lags below the active band get none.
         if cfg.literal_transpose:
             grad = h[:, None] * (jx + jtx).conj()
         else:
             grad = h[:, None] * jtx + h.conj()[:, None] * jx
-        act = mag > _RESTORE_LEVEL
+        act = mag > _RESTORE_ACTIVE
         norm = np.where(act, mag * _column_power(xl), np.inf)[:, None]
         grad = (grad - 2.0 * (mag**2)[:, None] * xl) / norm
         grad = _in_nullspace(null, grad.transpose(2, 1, 0))
