@@ -98,10 +98,9 @@ class MonteCarloSummary:
 def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
     """Re-run the designer on seeds base..base+runs-1 and aggregate traces.
 
-    A run that raises LinAlgError (a singular Gram block or noise receive
-    factor) is recorded as a failure with its cause, and a DesignError
-    names the first cause when every run failed; any other exception is a
-    fault and propagates.
+    A run that raises LinAlgError is recorded as a failure with its cause,
+    and a DesignError names the first cause when every run failed; any
+    other exception is a fault and propagates.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

@@ -133,11 +133,9 @@ class ChannelScenario:
 
     @cached_property
     def colouring(self):
-        """The factor pairs ((F_tx, F_rx), (F_time, F_n)) of the channel and
-        the noise covariance, with vec(H) = (F_tx (x) F_rx) w and
-        vec(N) = (F_time (x) F_n) w for white w: each covariance is coloured
-        through its Kronecker factors, since the Cholesky factor of A (x) B
-        is L_A (x) L_B."""
+        """Factor pairs ((F_tx, F_rx), (F_time, F_n)) with vec(H) =
+        (F_tx (x) F_rx) w and vec(N) = (F_time (x) F_n) w for white w, since
+        the Cholesky factor of A (x) B is L_A (x) L_B."""
         return (
             (_covariance_factor(self.r_tx), _covariance_factor(self.r_rx)),
             (_covariance_factor(self.m_time), _covariance_factor(self.m_rx)),

@@ -65,11 +65,9 @@ SIDELOBE_DELTA = 10.0 ** (-SIDELOBE_BOUND_DB / 20.0)
 # cannot put the design a hair outside 30 dB.
 _RESTORE_LEVEL = 0.99 * SIDELOBE_DELTA
 _RESTORE_DONE = _RESTORE_LEVEL * (1.0 + 1e-9)
-# A Gauss-Newton step holds every lag within this relative band below the
-# level at the level, with the lags above it.  Counting only the lags above
-# the level lets two lags near it take turns: each step pushes one back
-# and lets the other rise a hair above, and the column chatters for 17-26
-# steps where 3 do.
+# Lags within this band below the level are held at it too: with only the
+# lags above it active, two lags near it take turns, each step pushing one
+# back and letting the other rise, for 17-26 steps where 3 do.
 _RESTORE_ACTIVE = _RESTORE_LEVEL * (1.0 - 1e-6)
 _RESTORE_MAX_STEPS = 50
 
@@ -79,9 +77,7 @@ class DegenerateConstraintWarning(UserWarning):
 
 
 class DesignError(RuntimeError):
-    """Every run of a Monte-Carlo design failed (analysis.monte_carlo_design);
-    a single design never raises it, since each round holds a feasible
-    pair."""
+    """Every run of a Monte-Carlo design failed (monte_carlo_design)."""
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ def _nullspace(vectors, b):
     there are no vectors or all of them are zero.  No columns means that
     only the zero vector meets the constraints.
     """
-    if vectors.shape[1] == 0 or not vectors.any():
+    if not vectors.any():
         return np.eye(b, dtype=np.complex128)
     u, sv, _ = np.linalg.svd(vectors)
     return u[:, int(np.count_nonzero(sv > 1e-10 * sv[0])):]
@@ -329,10 +325,10 @@ def _mm_model(v, s):
     vanish, so A = R_tx, K = sum_i lam_i w_i Y_i Y_i^H and
     G = -(sum_i w_i Y_i) R_tx with the MSE weights
     w_i = lam_i^2 ||S^-1[i, :]||^2 = lam_i (S^-1 R_rx S)_ii
-    (ChannelScenario.mse_weights).  K is one GEMM
-    of the stacked sqrt(lam_i w_i) Y_i, b x (n_r n), against its conjugate
-    transpose (a singular R_rx can give a rounding-negative lam_i, clipped
-    to 0); V2 and the dense channel covariance are never formed.
+    (ChannelScenario.mse_weights).  K is one GEMM of the stacked
+    sqrt(lam_i w_i) Y_i, b x (n_r n), against its conjugate transpose (a
+    singular R_rx can give a rounding-negative lam_i, clipped to 0); V2
+    and the dense channel covariance are never formed.
     """
     n_r, b, _ = v.shape
     root = np.sqrt(np.maximum(s.receive_eig[0] * s.mse_weights, 0.0))
@@ -426,8 +422,8 @@ def _restore_sidelobes(x, null, p, cfg):
     h_m = r_m / ||x||^2, then takes Gauss-Newton steps, all together: the
     minimum-norm real step in span(C) that sets the linearized |h_m| of
     each lag above _RESTORE_ACTIVE (just below _RESTORE_LEVEL) to the
-    level, from a batched
-    pseudo-inverse of each column's k x k real Gram.  The final scaling
+    level, from a batched pseudo-inverse of each column's k x k real
+    Gram.  The final scaling
     into the ball and the ellipsoids keeps the nullspace and every |h_m|.
     Returns the matrix and each column's max_m |h_m|.
     """
@@ -490,18 +486,14 @@ def design_pilots(dl, ul, cfg):
     downlink pilot X is B x dl.n_t and the uplink pilot Y is B x ul.n_t.
     For k >= 1 every returned X meets |x_q^H J_m x_q| <= 10^(-1.5)
     ||x_q||^2 (30 dB) for all columns and m = 1..k, besides power <= p,
-    the ellipsoids and the cross-correlation zone.  k = 0 has no sidelobe
-    bound and no restoration.
-
-    Every iteration is one inner_cycle from the current pair.  Iteration 0
-    starts from the feasible pair X0 = unit impulses of power p_x (column q
-    at row q mod B, which have no sidelobes) and Y0 = 0, toward seeded
-    random targets; a start column that cannot improve on its impulse
-    keeps it.  Every later iteration goes toward the MM targets of the
-    current pair.  Every round is a descent step (a column that cannot
-    improve keeps its current value), so the total MSE is non-increasing
-    and the returned pair is the last iterate.  Stops when an outer
-    iteration moves the total MSE by less than eta, or flags
+    the ellipsoids and the cross-correlation zone; k = 0 has no sidelobe
+    bound.  Every iteration is one inner_cycle from the current pair toward
+    its MM targets; iteration 0 goes from the feasible X0 = unit impulses
+    of power p_x (column q at row q mod B; no sidelobes) and Y0 = 0 toward
+    seeded random targets.  A column that cannot improve keeps its current
+    value, so every round is a descent step, the total MSE is
+    non-increasing and the returned pair is the last iterate.  Stops when
+    an outer iteration moves the total MSE by less than eta, or flags
     non-convergence at max_outer.
     """
     if dl.b != ul.b:
@@ -526,7 +518,7 @@ def design_pilots(dl, ul, cfg):
     x = np.zeros((dl.b, dl.n_t), dtype=np.complex128)
     x[np.arange(dl.n_t) % dl.b, np.arange(dl.n_t)] = np.sqrt(p_x)
     y = np.zeros((ul.b, ul.n_t), dtype=np.complex128)
-    mse = np.inf
+    mse = np.inf  # so that iteration 0 cannot stop by eta
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

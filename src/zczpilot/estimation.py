@@ -16,11 +16,9 @@ receive factors (ChannelScenario.receive_eig; Kotecha & Sayeed, IEEE TSP
 blocks, an (n_r, B, n_t) array, are the one form of the minimizer V* of
 the auxiliary quadratic form trace[V^H Q V]: the MSE, the designer's MM
 target, the MMSE estimator and the simulator's error maps are all read
-from them, with the constants that the scenario keeps (its receive
-eigenbasis, the MSE weights and the colouring factors, each computed on
-first use).  The channel and the training noise are coloured through
-their Kronecker factors.  No dense covariance, lifted pilot or dense V*
-is formed.
+from them and the scenario's cached constants, and the channel and the
+training noise are coloured through their factors.  No dense
+covariance, lifted pilot or dense V* is formed.
 """
 
 from dataclasses import dataclass
@@ -70,17 +68,15 @@ def mse_and_optimal_V(p, s):
     n_r = y.shape[0]
     # Re trace[Q^H Y_i] for every block i at once.
     fits = (y.reshape(n_r, -1) @ q.conj().ravel()).real
-    prior = np.trace(s.r_tx).real * np.trace(s.r_rx).real
-    mse = float(prior - s.mse_weights @ fits)
+    mse = float(np.trace(s.r_tx).real * np.trace(s.r_rx).real - s.mse_weights @ fits)
     return mse, y
 
 
 def optimal_V(p, s):
     """Minimizer of trace[V^H Q V] over V with fixed top block I.
 
-    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its solved blocks Y_i
-    (mse_and_optimal_V); at this point the quadratic form equals the
-    estimation MSE.
+    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its n_r solved blocks; at this
+    point the quadratic form equals the estimation MSE.
     """
     return mse_and_optimal_V(p, s)[1]
 
@@ -124,8 +120,7 @@ def _white_blocks(s, seeds):
 
 def _training_draws(s, seeds):
     """Yield (h, noise) blocks with row j holding vec(H) ~ CN(0, R) and
-    vec(N) ~ CN(0, M) for the j-th seed of the block (_white_blocks), coloured
-    by ChannelScenario.colouring.
+    vec(N) ~ CN(0, M) for the j-th seed of the block (_white_blocks).
 
     A factor pair (F_a, F_b) acts on the matrix view W of its white
     vector, n_t x n_r for the channel and b x n_r for the noise, as
