@@ -60,9 +60,9 @@ class ChannelScenario:
     are the sizes of r_tx, r_rx and m_time; m_rx is n_r x n_r.  Each factor
     is kept as a read-only complex copy and must be Hermitian positive
     semidefinite with finite entries (a singular factor is accepted; the
-    estimation layer needs m_rx positive definite).  Scenarios from
-    :func:`build_scenario` have unit-trace factors.  gamma is the training
-    energy budget ||P||_F^2.  rho_rr is the receive-side exponential
+    estimation layer needs m_time and m_rx positive definite).  Scenarios
+    from :func:`build_scenario` have unit-trace factors.  gamma is the
+    training energy budget ||P||_F^2.  rho_rr is the receive-side exponential
     coefficient of a built scenario (None unless given), from which
     reciprocal_scenario builds the uplink noise.  Scenarios compare and
     hash by identity.
@@ -126,10 +126,29 @@ class ChannelScenario:
 
     @cached_property
     def mse_weights(self):
-        """w_i = lam_i^2 ||S^-1[i, :]||^2 from receive_eig: the weight of
-        receive mode i in the lemma MSE and in the MM target."""
+        """t_i = lam_i ||S^-1[i, :]||^2 from receive_eig, the prior trace of
+        receive mode i: its weight in the lemma MSE, and lam_i t_i its
+        weight in the MM target."""
         lam, _, basis_inv = self.receive_eig
-        return lam**2 * np.linalg.norm(basis_inv, axis=1) ** 2
+        return lam * np.linalg.norm(basis_inv, axis=1) ** 2
+
+    @cached_property
+    def transmit_eig(self):
+        """(F, sigma) with r_tx = F F^H, F = V diag(sqrt(sigma)) from
+        r_tx = V diag(sigma) V^H, sigma ascending and clipped at 0."""
+        sigma, vec = np.linalg.eigh(self.r_tx)
+        sigma = np.maximum(sigma, 0.0)
+        return vec * np.sqrt(sigma), sigma
+
+    @cached_property
+    def time_whitener(self):
+        """(L^-1, L^-H) with m_time = L L^H; a LinAlgError names m_time
+        when it is not positive definite."""
+        try:
+            low_inv = np.linalg.inv(np.linalg.cholesky(self.m_time))
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(f"m_time: {err}") from err
+        return low_inv, low_inv.conj().T
 
     @cached_property
     def colouring(self):
@@ -141,10 +160,10 @@ class ChannelScenario:
             (_covariance_factor(self.m_time), _covariance_factor(self.m_rx)),
         )
 
-    @cached_property
+    @property
     def r_tx_max_eig(self):
         """lam_max(r_tx), the transmit factor of the MM step size."""
-        return np.linalg.eigvalsh(self.r_tx)[-1]
+        return self.transmit_eig[1][-1]
 
 
 def _covariance_factor(c):

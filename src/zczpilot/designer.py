@@ -13,9 +13,10 @@ The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
 quadratic is T(P) = K P R_tx with a b x b PSD matrix K, and the step size
 is the exact norm lam_max(K) lam_max(R_tx) of T, with a 10% margin.
-estimation.mse_and_optimal_V scores each iterate from n_r solved blocks
-of size b x b per link and returns V* as those blocks, from which
-_mm_model takes the next MM target: no dense V2 or channel covariance.
+estimation.mse_and_optimal_V scores each iterate and returns V* as the
+factors (Phi, c, Psi) of its solved blocks, from which _curvature takes
+the next MM target: K = Phi core Phi^H has rank <= n_t, so no b x b
+eigenvalue problem, dense V2 or channel covariance is formed.
 
 Both pilots see one zero-correlation zone.  Its constraint vectors come
 from one cached stack of shift matrices (_cross_vectors), and one SVD rank
@@ -309,32 +310,30 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     return x, y_step(y_sigma, x, cfg, p=p_y)
 
 
-def _mm_model(v, s):
-    """Quadratic model pieces (K, A, G) of F(V, .) at fixed V = V*, from
-    its solved blocks Y_i, v[i] (mse_and_optimal_V), and the receive
-    eigenvalues lam and MSE weights w of the scenario s.
+def _curvature(v, s):
+    """Quadratic model pieces (core, D) of F(V, .) at fixed V = V*, from
+    its factors (Phi, c, Psi) (mse_and_optimal_V) and the receive
+    eigenvalues lam and mode traces t of the scenario s.
 
     F(V, P) = <L(P), W2 L(P) R> + 2 Re <L(P), V2 V1^H R> + const with L
     the pilot embedding and W2 = V2 V2^H, so the (self-adjoint, PSD)
     curvature operator is T(P) = adj(W2 L(P) R) and the linear term is
     G = adj(V2 V1^H R), adj the block partial trace.  T is the two-sided
-    product T(P) = K P A.
+    product T(P) = K P R_tx.
 
     With V2 = -sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
     S^H R_rx S = diag(lam), the cross terms i != j of the partial traces
-    vanish, so A = R_tx, K = sum_i lam_i w_i Y_i Y_i^H and
-    G = -(sum_i w_i Y_i) R_tx with the MSE weights
-    w_i = lam_i^2 ||S^-1[i, :]||^2 = lam_i (S^-1 R_rx S)_ii
-    (ChannelScenario.mse_weights).  K is one GEMM of the stacked
-    sqrt(lam_i w_i) Y_i, b x (n_r n), against its conjugate transpose (a
-    singular R_rx can give a rounding-negative lam_i, clipped to 0); V2
-    and the dense channel covariance are never formed.
+    vanish, so K = sum_i lam_i w_i Y_i Y_i^H and G = -(sum_i w_i Y_i) R_tx
+    with w_i = lam_i t_i.  With Y_i = Phi diag(c_i) Psi, K = Phi core Phi^H
+    with core = (sum_i lam_i w_i c_i c_i^T) o (Psi Psi^H), o entrywise,
+    and G = -Phi D R_tx with D = diag(sum_i w_i c_i) Psi (a singular R_rx
+    can give a rounding-negative lam_i w_i, clipped to 0).
     """
-    n_r, b, _ = v.shape
-    root = np.sqrt(np.maximum(s.receive_eig[0] * s.mse_weights, 0.0))
-    z = (root[:, None, None] * v).transpose(1, 0, 2).reshape(b, -1)
-    g = -(s.mse_weights @ v.reshape(n_r, -1)).reshape(b, -1) @ s.r_tx
-    return z @ z.conj().T, s.r_tx, g
+    _, c, psi = v
+    lam = s.receive_eig[0]
+    w = lam * s.mse_weights
+    core = ((c.T * np.maximum(lam * w, 0.0)) @ c) * (psi @ psi.conj().T)
+    return core, (w @ c)[:, None] * psi
 
 
 def build_sigma_target(v, p_current, s):
@@ -342,27 +341,37 @@ def build_sigma_target(v, p_current, s):
 
     With lam >= opnorm(T), F(V, P) <= F(V, P0) + 2<P-P0, T(P0)+G> +
     lam ||P-P0||^2, whose constrained minimizer is the projection of
-    P_sigma = P0 - (T(P0)+G)/lam.  T(P) = K P A is a Kronecker operator
-    with PSD factors, so its norm is exactly lam_max(K) lam_max(A), with
-    lam_max(A) = lam_max(R_tx) cached on the scenario; lam adds a 10%
-    safety margin.  v is the link's V*, its (n_r, B, n_t) solved blocks;
-    zero blocks (V2 = 0) make F constant in P and return P0, without an
-    eigenvalue solve.
+    P_sigma = P0 - (T(P0)+G)/lam.  T(P) = K P R_tx is a Kronecker operator
+    with PSD factors, so its norm is exactly lam_max(K) lam_max(R_tx), with
+    lam_max(R_tx) cached on the scenario; lam adds a 10% safety margin.
+    v is the link's V*, its factors (Phi, c, Psi): K = Phi core Phi^H and
+    G = -Phi D R_tx (_curvature), so T(P0) + G = Phi (core Phi^H P0 - D)
+    R_tx, and with Phi^H Phi = A^H A, lam_max(K) = lam_max(A core A^H),
+    both n_t x n_t.  A comes from the Gram of Phi's columns scaled to unit
+    norm, so that its rounding is relative to each column.  A zero Phi
+    (V2 = 0) makes F constant in P and returns P0, without an eigenvalue
+    solve.
     """
     p_current = np.asarray(p_current, dtype=np.complex128)
     if p_current.shape != (s.b, s.n_t):
         raise ValueError(
             f"pilot shape {p_current.shape}, scenario expects {(s.b, s.n_t)}"
         )
-    if v.shape != (s.n_r, s.b, s.n_t):
+    phi = v[0]
+    if phi.shape != (s.b, s.n_t) or v[1].shape != (s.n_r, s.n_t):
         raise ValueError("auxiliary variable does not conform with the scenario")
-    if not np.any(v):
+    if not phi.any():
         return p_current.copy()
-    k, a, g = _mm_model(v, s)
-    lam = _OPNORM_MARGIN * np.linalg.eigvalsh(k)[-1] * s.r_tx_max_eig
+    core, lin = _curvature(v, s)
+    norms = np.linalg.norm(phi, axis=0) + _TINY
+    unit = phi / norms
+    gram, u = np.linalg.eigh(unit.conj().T @ unit)
+    root = (np.sqrt(np.maximum(gram, 0.0))[:, None] * u.conj().T) * norms
+    lam = np.linalg.eigvalsh(root @ core @ root.conj().T)[-1]
+    lam *= _OPNORM_MARGIN * s.r_tx_max_eig
     if not np.isfinite(lam) or lam <= 0.0:
         return p_current.copy()
-    return p_current - (k @ p_current @ a + g) / lam
+    return p_current - phi @ (core @ (phi.conj().T @ p_current) - lin) @ s.r_tx / lam
 
 
 @dataclass(frozen=True)
@@ -501,7 +510,7 @@ def design_pilots(dl, ul, cfg):
     p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
 
     def score(x, y):
-        """Total MSE of a pair and each link's (mse, V*): one batched solve
+        """Total MSE of a pair and each link's (mse, V*): one factoring
         of the Gram blocks per link, reused for the next MM target."""
         links = (mse_and_optimal_V(x, dl), mse_and_optimal_V(y, ul))
         return links[0][0] + links[1][0], links

@@ -6,19 +6,22 @@ vec(Yrx) = (P (x) I) vec(H) + vec(N), and the Bayesian estimator error is
 
     mse = trace[(R^-1 + Pt^H M^-1 Pt)^-1],    Pt = P (x) I_{n_r}.
 
-The matrix inversion lemma turns this into trace[R] minus a correction
-that never inverts R, so rank-deficient priors are fine.  A scenario holds
-both covariances as Kronecker factors, R = R_tx (x) R_rx and
-M = M_time (x) M_rx, so the (B n_r)-dimensional Gram of that correction
-splits into n_r blocks of size B x B in the joint eigenbasis of the two
-receive factors (ChannelScenario.receive_eig; Kotecha & Sayeed, IEEE TSP
-2004).  The noise receive factor must be positive definite.  Those solved
-blocks, an (n_r, B, n_t) array, are the one form of the minimizer V* of
-the auxiliary quadratic form trace[V^H Q V]: the MSE, the designer's MM
-target, the MMSE estimator and the simulator's error maps are all read
-from them and the scenario's cached constants, and the channel and the
-training noise are coloured through their factors.  No dense
-covariance, lifted pilot or dense V* is formed.
+A scenario holds both covariances as Kronecker factors, R = R_tx (x) R_rx
+and M = M_time (x) M_rx, so the (B n_r)-dimensional Gram M + Pt R Pt^H
+splits into n_r blocks G_i = lam_i P R_tx P^H + M_time in the joint
+eigenbasis of the two receive factors (ChannelScenario.receive_eig).  Each
+block is a rank-n_t update of M_time, so the transmit-eigenmode
+(Woodbury) form of Kronecker MMSE training (Kotecha & Sayeed, IEEE TSP
+2004; Biguesh & Gershman, IEEE TSP 2006) gives all of them from one
+n_t x n_t eigendecomposition per pilot, and the MSE as a sum of
+nonnegative terms: no cancellation against trace[R], no inverse of R
+(rank-deficient priors are fine), and no B x B solve.  M_time and M_rx
+must be positive definite.  The factors (Phi, c, Psi) of the solved
+blocks are the one form of the minimizer V* of the auxiliary quadratic
+form trace[V^H Q V]: the designer's MM target, the MMSE estimator and the
+simulator's error maps are all read from them and the scenario's cached
+constants, and the channel and the training noise are coloured through
+their factors.  No dense covariance, lifted pilot or dense V* is formed.
 """
 
 from dataclasses import dataclass
@@ -34,49 +37,46 @@ def _checked(p, s):
 
 
 def channel_mse_lemma(p, s):
-    """Estimation MSE via the matrix inversion lemma.
-
-    Computes trace[R] - trace[(Pt R)^H (M + Pt R Pt^H)^-1 (Pt R)] through
-    the n_r Gram blocks of :func:`mse_and_optimal_V`; R may be singular.
-    """
+    """Estimation MSE trace[(R^-1 + Pt^H M^-1 Pt)^-1] from the factored
+    Gram blocks of :func:`mse_and_optimal_V`; R may be singular."""
     return mse_and_optimal_V(p, s)[0]
 
 
 def mse_and_optimal_V(p, s):
-    """Lemma MSE and the minimizer V* from the Kronecker factors of the Gram.
+    """Estimation MSE and the minimizer V* from the Kronecker factors.
 
-    With W = Pt R and G = M + W Pt^H, Z = G^-1 W gives both
-    mse = trace[R] - Re trace[W^H Z] and V* = [I; -Z].  For
-    R = R_tx (x) R_rx and M = M_time (x) M_rx, W is Q (x) R_rx with
-    Q = P R_tx, and G = A1 (x) R_rx + M_time (x) M_rx with A1 = Q P^H.  The
-    receive basis S of the scenario (S^H M_rx S = I,
-    S^H R_rx S = diag(lam)) turns G into n_r blocks
-    G_i = lam_i A1 + M_time of size B x B, so one batched solve
-    Y_i = G_i^-1 Q gives Z = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] and
-    mse = trace[R] - sum_i w_i Re trace[Q^H Y_i], w_i = lam_i^2
-    ||S^-1[i, :]||^2 (ChannelScenario.mse_weights).  V* is returned as
-    those blocks, the (n_r, B, n_t) array of the Y_i, from which the
-    designer builds its MM target.  Raises LinAlgError when M_rx or a
-    block is singular.
+    With W = Pt R and G = M + W Pt^H, V* = [I; -G^-1 W].  In the receive
+    basis S (S^H M_rx S = I, S^H R_rx S = diag(lam)), G splits into n_r
+    blocks G_i = lam_i P R_tx P^H + M_time, and
+    G^-1 W = sum_i lam_i Y_i (x) S[:, i] S^-1[i, :] with
+    Y_i = G_i^-1 P R_tx.  With M_time = L L^H, R_tx = F F^H
+    (ChannelScenario.time_whitener, transmit_eig), B = L^-1 P F and
+    B^H B = U diag(d) U^H, Woodbury gives Y_i = Phi diag(c_i) Psi with
+    Phi = L^-H B U, Psi = U^H F^H and c_ij = 1 / (1 + lam_i d_j).  Mode
+    i's error covariance is lam_i F U diag(c_i) U^H F^H, so
+    mse = sum_i t_i sum_j ||F U[:, j]||^2 c_ij with the mode traces
+    t_i = lam_i ||S^-1[i, :]||^2 (ChannelScenario.mse_weights).  V* is
+    returned as (Phi, c, Psi), of shapes (B, n_t), (n_r, n_t) and
+    (n_t, n_t).  Raises LinAlgError when M_time or M_rx is not positive
+    definite.
     """
     p = _checked(p, s)
-    lam = s.receive_eig[0]
-    q = p @ s.r_tx
-    blocks = lam[:, None, None] * (q @ p.conj().T)
-    blocks += s.m_time
-    y = np.linalg.solve(blocks, q)
-    n_r = y.shape[0]
-    # Re trace[Q^H Y_i] for every block i at once.
-    fits = (y.reshape(n_r, -1) @ q.conj().ravel()).real
-    mse = float(np.trace(s.r_tx).real * np.trace(s.r_rx).real - s.mse_weights @ fits)
-    return mse, y
+    f = s.transmit_eig[0]
+    low_inv, low_inv_h = s.time_whitener
+    white = low_inv @ (p @ f)
+    d, u = np.linalg.eigh(white.conj().T @ white)
+    c = 1.0 / (1.0 + s.receive_eig[0][:, None] * d)
+    fu = f @ u
+    mse = float(s.mse_weights @ (c @ (abs(fu) ** 2).sum(axis=0)))
+    return mse, (low_inv_h @ (white @ u), c, fu.conj().T)
 
 
 def optimal_V(p, s):
     """Minimizer of trace[V^H Q V] over V with fixed top block I.
 
-    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its n_r solved blocks; at this
-    point the quadratic form equals the estimation MSE.
+    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its factors (Phi, c, Psi)
+    (mse_and_optimal_V); at this point the quadratic form equals the
+    estimation MSE.
     """
     return mse_and_optimal_V(p, s)[1]
 
@@ -156,16 +156,17 @@ def simulate_training(p, s, seed, noise_scale=1.0):
 def mmse_estimate(yrx, p, s):
     """Bayesian channel estimate vec(H^) = R Pt^H (M + Pt R Pt^H)^-1 vec(Yrx).
 
-    The estimator is Z^H (G and R are Hermitian), applied from the solved
-    blocks of V* (mse_and_optimal_V):
+    The estimator is Z^H (G and R are Hermitian), applied from the factors
+    of V* (mse_and_optimal_V), Y_i = Phi diag(c_i) Psi:
     H^ = S^-H [lam_i (S^H Yrx)[i, :] conj(Y_i)]_i, row i for receive mode i.
     """
     yrx = np.asarray(yrx, dtype=np.complex128)
     if yrx.shape != (s.n_r, s.b):
         raise ValueError(f"yrx shape {yrx.shape}, expected {(s.n_r, s.b)}")
     lam, basis, basis_inv = s.receive_eig
-    modes = np.einsum("ib,ibt->it", basis.conj().T @ yrx, optimal_V(p, s).conj())
-    return basis_inv.conj().T @ (lam[:, None] * modes)
+    phi, c, psi = optimal_V(p, s)
+    modes = ((basis.conj().T @ yrx @ phi.conj()) * (lam[:, None] * c)) @ psi.conj()
+    return basis_inv.conj().T @ modes
 
 
 def _kron_sum_t(c, d):
@@ -189,15 +190,16 @@ def mmse_squared_errors(p, s, seeds):
     Kronecker products over the receive modes i:
     sum_i lam_i (Y_i^H P F_tx) (x) D_i - F_tx (x) F_rx and
     sum_i lam_i (Y_i^H F_time) (x) D_i with D_i = S^-H[:, i] S[:, i]^H F_rx
-    for the channel and with F_n in place of F_rx for the noise.  They are
-    built once per call, from the same block solve as the MSE, and each
-    block of seeds costs one real matrix product.
+    for the channel and with F_n in place of F_rx for the noise, where
+    lam_i Y_i^H = Psi^H diag(lam_i c_i) Phi^H.  They are built once per
+    call, from the same factors as the MSE, and each block of seeds costs
+    one real matrix product.
     """
     p = _checked(p, s)
-    mse, y = mse_and_optimal_V(p, s)
+    mse, (phi, c, psi) = mse_and_optimal_V(p, s)
     lam, basis, basis_inv = s.receive_eig
     (f_tx, f_rx), (f_time, f_n) = s.colouring
-    yh = lam[:, None, None] * y.conj().transpose(0, 2, 1)
+    yh = (psi.conj().T * (lam[:, None] * c)[:, None, :]) @ phi.conj().T
 
     def receive(f):
         # the stack of D_i = S^-H[:, i] S[:, i]^H f

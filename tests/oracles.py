@@ -1,7 +1,8 @@
 """Dense reference forms that the package does not use, kept as the
 tests' oracles: the covariances R = R_tx (x) R_rx and M = M_time (x) M_rx,
 the lifted pilot Pt = P (x) I, the information form of the MSE, the block
-matrix Q, the dense auxiliary variable V* = [I; V2] and the quadratic form
+matrix Q, the solved Gram blocks and the dense auxiliary variable
+V* = [I; V2], the dense MM curvature and the quadratic form
 F(V, P) = trace[V^H Q V]; and the reference iteration and restoration
 of the designer."""
 
@@ -114,23 +115,40 @@ class AuxiliaryV:
         return np.vstack([self.v1, self.v2])
 
 
+def solved_blocks(v):
+    """The n_r solved Gram blocks Y_i = Phi diag(c_i) Psi of the factors
+    v = (Phi, c, Psi) of V* (mse_and_optimal_V), an (n_r, B, n_t) array."""
+    phi, c, psi = v
+    return (phi * c[:, None, :]) @ psi
+
+
 def dense_v(v, s):
-    """The dense V* = [I; V2] of the solved blocks v (mse_and_optimal_V) of
-    scenario s, with V2 = -sum_i lam_i v[i] (x) S[:, i] S^-1[i, :]."""
+    """The dense V* = [I; V2] of the factors v (mse_and_optimal_V) of
+    scenario s, with V2 = -sum_i lam_i Y_i (x) S[:, i] S^-1[i, :]."""
     # -Z regrouped as rows (b, t) and columns (r, r'): one GEMM of the
     # stacked Y_i against -lam_i S[r, i] S^-1[i, r'].
-    n_r, b, n_t = v.shape
+    y = solved_blocks(v)
+    n_r, b, n_t = y.shape
     lam, basis, basis_inv = s.receive_eig
     mix = -lam[:, None, None] * basis.T[:, :, None] * basis_inv[:, None, :]
-    v2 = v.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
+    v2 = y.reshape(n_r, -1).T @ mix.reshape(n_r, -1)
     v2 = v2.reshape(b, n_t, n_r, n_r).transpose(0, 2, 1, 3).reshape(b * n_r, -1)
     return AuxiliaryV(v1=np.eye(n_t * n_r, dtype=np.complex128), v2=v2)
+
+
+def mm_model(v, s):
+    """The MM quadratic pieces (K, R_tx, G) of the designer's factors, with
+    the b x b curvature K = Phi core Phi^H formed densely
+    (designer._curvature), so that T(P) = K P R_tx."""
+    core, lin = designer._curvature(v, s)
+    phi = v[0]
+    return phi @ core @ phi.conj().T, s.r_tx, -phi @ lin @ s.r_tx
 
 
 def surrogate_F(v, p, s):
     """Quadratic form F(V, P) = trace[V^H Q(P) V], evaluated blockwise.
 
-    v is an AuxiliaryV, or solved blocks taken as their dense_v.  Expanded as
+    v is an AuxiliaryV, or the factors of V* taken as their dense_v.  Expanded as
     trace[V1^H R V1] + 2 Re trace[V2^H Pt R V1] + trace[V2^H M V2]
     + trace[(Pt^H V2)^H R (Pt^H V2)] so the big block matrix is never
     formed.

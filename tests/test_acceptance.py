@@ -13,14 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import build_Q, channel_mse_direct, surrogate_F
+from oracles import build_Q, channel_mse_direct, mm_model as _mm_model, surrogate_F
 from zczpilot.analysis import correlation_report, empirical_mse
 from zczpilot.archive import without_timestamp
 from zczpilot.cli import main
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot.designer import (
     DesignConfig,
-    _mm_model,
     build_sigma_target,
     design_pilots,
     shift_matrix,

@@ -226,9 +226,9 @@ class TestDesign:
         ids=["kron-k0", "zone-k2"],
     )
     def test_design_stays_factor_held(self, text, tmp_path, capsys, monkeypatch):
-        # the MM target comes from the solved Gram blocks: a design forms
+        # the MM target comes from the factored Gram blocks: a design forms
         # no Kronecker product (a dense covariance) and factors nothing
-        # larger than a B x B block
+        # larger than the B x B temporal noise factor
         sizes = record_factor_sizes(monkeypatch)
         monkeypatch.setattr(np, "kron", refuse_kron)
         path = tmp_path / "factored.ini"
@@ -445,7 +445,7 @@ class TestValidate:
 
     def test_one_gram_factorization_per_call(self, small_config, capsys,
                                             monkeypatch):
-        # the analytic MSE comes from the solve that builds the estimator
+        # the analytic MSE comes from the factoring that builds the estimator
         solves = []
         fused = estimation.mse_and_optimal_V
 

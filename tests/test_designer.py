@@ -12,9 +12,10 @@ from oracles import (
     chan_cov,
     dense_v,
     embed_pilot,
+    mm_model,
     surrogate_F,
 )
-from test_estimation import DIM_GRID, RHO_SETS
+from test_estimation import DIM_GRID, RHO_SETS, record_factor_sizes
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot import designer
 from zczpilot.designer import (
@@ -359,21 +360,31 @@ class TestInnerCycle:
     @pytest.mark.parametrize("k", [0, 2])
     def test_y_is_y_step_of_new_x(self, k):
         # y0 meets the zone against any X that lies in y0's zone, so it is a
-        # candidate of the Y step whether or not X was restored
+        # candidate of the Y step whether or not X was restored; y0's one
+        # column leaves a 5-dimensional zone, inside which the restoration
+        # meets the bound, so Y is projected against a nonzero X
         rng = np.random.default_rng(14)
         cfg = DesignConfig(k=k, p=1.0)
+        y0 = y_step(crandn(rng, 8, 1), np.zeros((8, 0)), cfg)
+        x_sigma, y_sigma = crandn(rng, 8, 2) * 2.0, crandn(rng, 8, 1)
+        x, y = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
+        assert np.all(np.linalg.norm(x, axis=0) > 0.1)
+        npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
+        assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
+
+    def test_unrestorable_columns_keep_current_value(self):
+        # y0's two columns leave a 2-dimensional zone, in which the
+        # restoration leaves both columns over the bound: both keep x0's
+        # (zero) column under a warning, and Y is projected against that X
+        rng = np.random.default_rng(14)
+        cfg = DesignConfig(k=2, p=1.0)
         y0 = y_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
         x_sigma, y_sigma = crandn(rng, 8, 2) * 2.0, crandn(rng, 8, 2)
         x0 = np.zeros_like(x_sigma)
-        if k:
-            # the 2-dimensional zone leaves both restored columns over the
-            # bound, so both keep x0's (zero) column
-            with pytest.warns(RuntimeWarning, match="keeps its current value"):
-                x, y = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
-        else:
+        with pytest.warns(RuntimeWarning, match="keeps its current value"):
             x, y = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        npt.assert_array_equal(x, x0)
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
-        assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
 
     def test_one_round(self, monkeypatch):
         # one zone projection per block, and one nullspace basis per block:
@@ -455,17 +466,22 @@ class TestInnerCycle:
 
 
 def mm_curvature(v, s):
-    """(apply_t, G) of the MM quadratic: T(P) = K P A from _mm_model."""
-    k, a, g = designer._mm_model(v, s)
+    """(apply_t, G) of the MM quadratic: T(P) = K P A from the designer's
+    factored curvature (oracles.mm_model)."""
+    k, a, g = mm_model(v, s)
     return (lambda q: k @ q @ a), g
 
 
 class TestSigmaTarget:
-    def test_zero_v2_returns_current(self):
+    def test_zero_v2_returns_current(self, monkeypatch):
         rng = np.random.default_rng(0)
         s = build_scenario(2, 2, 4)
         p0 = crandn(rng, 4, 2)
         v = optimal_V(np.zeros((4, 2)), s)  # v2 = 0
+        assert not np.any(v[0])
+        # F is constant in P: no eigenvalue problem is solved
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, None)
         out = build_sigma_target(v, p0, s)
         npt.assert_array_equal(out, p0)
 
@@ -594,14 +610,14 @@ def _link(n_t, n_r, b, link, rho, scale=(1.0, 1.0)):
 
 
 class TestBlockMmModel:
-    """K, G and the step size of the MM target come from the solved Gram
-    blocks; the dense V2 with the block partial trace is their oracle."""
+    """K, G and the step size of the MM target come from the factors of
+    V*; the dense V2 with the block partial trace is their oracle."""
 
     @staticmethod
     def check(s, seed):
         rng = np.random.default_rng(seed)
         v = optimal_V(crandn(rng, s.b, s.n_t), s)
-        k, a, g = designer._mm_model(v, s)
+        k, a, g = mm_model(v, s)
         k_ref, a_ref, g_ref = dense_mm_model(v, s)
         npt.assert_array_equal(a, a_ref)
         for got, want in ((k, k_ref), (g, g_ref)):
@@ -635,36 +651,66 @@ class TestBlockMmModel:
         assert np.sum(np.abs(s.receive_eig[0]) > 1e-12) == 1
         self.check(s, 5)
 
+    @pytest.mark.parametrize("link", ["downlink", "uplink"])
+    def test_singular_transmit_factor(self, link):
+        # a rank-two transmit factor: two transmit modes carry no channel,
+        # so F (r_tx = F F^H) has zero columns
+        s = _link(4, 3, 6, link, "strong")
+        rng = np.random.default_rng(6)
+        u = crandn(rng, s.n_t, 2)
+        s = ChannelScenario(
+            r_tx=u @ u.conj().T, r_rx=s.r_rx, m_time=s.m_time, m_rx=s.m_rx,
+            gamma=s.gamma,
+        )
+        assert np.sum(s.transmit_eig[1] > 1e-12) == 2
+        self.check(s, 7)
+
 
 class TestFactorizationReuse:
-    """design_pilots solves each link's Gram blocks once per iterate: the
+    """design_pilots factors each link's Gram blocks once per iterate: the
     MSE that scores it and the V* of the next MM target come from the
-    same batched solve."""
+    same factors."""
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_one_factorization_per_link_and_iterate(self, k, monkeypatch):
-        import zczpilot.designer as designer
-
-        # n_r differs between the links, so the stack of n_r blocks of
-        # size B x B names the link.
         dl = build_scenario(2, 3, 6)
         ul = reciprocal_scenario(dl)
-        solves = {(s.n_r, s.b, s.b): 0 for s in (dl, ul)}
-        solve = np.linalg.solve
+        factored = {dl: 0, ul: 0}
+        fused = designer.mse_and_optimal_V
 
-        def counting_solve(a, rhs):
-            solves[a.shape] += 1
-            return solve(a, rhs)
+        def counting(p, s):
+            factored[s] += 1
+            return fused(p, s)
 
         restored = count_calls(monkeypatch, "_restore_sidelobes")
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(designer, "mse_and_optimal_V", counting)
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
         assert trace.outer_iterations == 8
         # With k = 2 the start and every iteration restored X, and each
-        # pair was scored once (no extra trial solves).
+        # pair was scored once (no extra trial factorings).
         rounds = trace.outer_iterations + 1
         assert restored["_restore_sidelobes"] == (rounds if k else 0)
-        assert list(solves.values()) == [rounds] * 2
+        assert list(factored.values()) == [rounds] * 2
+
+    def test_per_iterate_factors_are_n_t_sized(self, monkeypatch):
+        # An 8x8, B = 64, k = 0 design: past the zone's nullspace SVD, every
+        # numpy.linalg call of an iterate is on an n_t x n_t matrix, and the
+        # B-sized ones (m_time's Cholesky factor and its inverse) are made
+        # once per scenario, so three iterations make no more of them than
+        # one.
+        names = ("solve", "cholesky", "inv", "eigh", "eigvalsh", "pinv")
+        b_sized = []
+        for max_outer in (1, 3):
+            dl = build_scenario(8, 8, 64)
+            ul = reciprocal_scenario(dl)
+            sizes = record_factor_sizes(monkeypatch, names)
+            cfg = DesignConfig(k=0, eta=1e-12, max_outer=max_outer)
+            _, trace = design_pilots(dl, ul, cfg)
+            monkeypatch.undo()
+            assert trace.outer_iterations == max_outer
+            assert sizes.count(8) >= 4 * (max_outer + 1)
+            b_sized.append([size for size in sizes if size > 8])
+        assert b_sized[0] == b_sized[1] == [64] * 4
 
 
 class TestDesignPilots:

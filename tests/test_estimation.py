@@ -41,9 +41,12 @@ def refuse_kron(a, b):
     raise AssertionError(f"Kronecker product of {np.shape(a)} and {np.shape(b)}")
 
 
-def record_factor_sizes(monkeypatch):
-    """Record the larger side of every matrix that numpy.linalg factors or
-    solves with, in the returned list."""
+LINALG_FACTORS = ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "pinv")
+
+
+def record_factor_sizes(monkeypatch, names=LINALG_FACTORS):
+    """Record the larger side of every matrix that the named numpy.linalg
+    functions factor or solve with, in the returned list."""
     sizes = []
 
     def recording(fn):
@@ -52,7 +55,7 @@ def record_factor_sizes(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for name in ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "pinv"):
+    for name in names:
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     return sizes
 
@@ -104,6 +107,15 @@ class TestMseForms:
         p = np.zeros((4, 2))
         assert channel_mse_lemma(p, s) == pytest.approx(1.0, abs=1e-12)
         assert channel_mse_direct(p, s) == pytest.approx(1.0, rel=1e-6)
+
+    def test_well_trained_link_keeps_its_digits(self):
+        # the MSE is a sum of nonnegative terms, not trace[R] minus a
+        # correction that cancels all but the last few of its digits
+        s = build_scenario(8, 8, 64, gamma=1e6)
+        p = random_pilot(np.random.default_rng(0), s, energy=s.gamma)
+        direct = channel_mse_direct(p, s)
+        assert direct < 1e-4
+        assert abs(channel_mse_lemma(p, s) - direct) <= 1e-13 * direct
 
     @pytest.mark.parametrize("n_t,n_r,b", DIM_GRID)
     def test_direct_equals_lemma(self, n_t, n_r, b):
@@ -177,8 +189,9 @@ RHO_SETS = {
 
 
 class TestFactoredSolve:
-    """mse_and_optimal_V solves n_r blocks of size B x B; the dense Gram
-    solve and the information form are its oracles."""
+    """mse_and_optimal_V reads n_r Gram blocks of size B x B from their
+    Woodbury factors; the dense Gram solve and the information form are
+    its oracles."""
 
     @pytest.mark.parametrize("rho", RHO_SETS)
     @pytest.mark.parametrize("link", ["downlink", "uplink"])
@@ -248,23 +261,47 @@ class TestFactoredSolve:
         with pytest.raises(np.linalg.LinAlgError):
             mse_and_optimal_V(np.ones((3, 2)), s)
 
+    def test_singular_temporal_noise_factor_raises(self):
+        # a singular block could still be solved; the factored form needs
+        # M_time = L L^H and says so
+        s = ChannelScenario(
+            r_tx=np.eye(2) / 2.0, r_rx=np.eye(2) / 2.0,
+            m_time=np.diag([1.0, 1.0, 0.0]), m_rx=np.eye(2) / 2.0,
+            gamma=6.0,
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="m_time: .*positive definite"):
+            mse_and_optimal_V(np.ones((3, 2)), s)
+
     def test_factors_split_lazily_and_once(self, monkeypatch):
-        # the receive eigenbasis is computed on first use and kept, and the
-        # solve never forms a Kronecker product
+        # the receive eigenbasis, the transmit eigenbasis and the temporal
+        # whitener are computed on first use and kept, and the solve never
+        # forms a Kronecker product: past the first call, only the n_t x n_t
+        # Gram of the pilot is factored
         factored = []
-        cholesky = np.linalg.cholesky
 
-        def counting_cholesky(a):
-            factored.append(a.shape)
-            return cholesky(a)
+        def counting(name):
+            fn = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+            def wrapped(a, *args, **kwargs):
+                factored.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("cholesky", "inv", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(np, "kron", refuse_kron)
         s = build_scenario(2, 3, 4)
         assert not factored
-        for _ in range(3):
+        mse_and_optimal_V(np.ones((4, 2)), s)
+        assert sorted(factored) == [
+            ("cholesky", (3, 3)), ("cholesky", (4, 4)),
+            ("eigh", (2, 2)), ("eigh", (2, 2)), ("eigh", (3, 3)),
+            ("inv", (3, 3)), ("inv", (4, 4)),
+        ]
+        factored.clear()
+        for _ in range(2):
             mse_and_optimal_V(np.ones((4, 2)), s)
-        assert factored == [(3, 3)]
+        assert factored == [("eigh", (2, 2))] * 2
 
     def test_no_factored_matrix_exceeds_training_length(self, monkeypatch, capsys):
         # a 4x4, B = 16 design and a 4x4, B = 8 validate factor nothing of
