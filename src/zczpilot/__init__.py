@@ -30,6 +30,7 @@ from .designer import (
     DesignConfig,
     DesignError,
     DesignTrace,
+    HeldColumnWarning,
     PilotPair,
     design_pilots,
     inner_cycle,
@@ -61,6 +62,7 @@ __all__ = [
     "DesignError",
     "DesignTrace",
     "EmpiricalMse",
+    "HeldColumnWarning",
     "MonteCarloSummary",
     "PilotArchive",
     "PilotPair",

@@ -18,14 +18,15 @@ factors (Phi, c, Psi) of its solved blocks, from which _curvature takes
 the next MM target: K = Phi core Phi^H has rank <= n_t, so no b x b
 eigenvalue problem, dense V2 or channel covariance is formed.
 
-Both pilots see one zero-correlation zone.  Its constraint vectors come
-from one cached stack of shift matrices (_cross_vectors), and one SVD rank
-rule turns them into an orthonormal nullspace basis C (_nullspace).  Both
-steps are the same zone projection: C C^H t, then the shrink into the
-ball and, for the downlink, the ellipsoids (_shrink_into_sets).  For the
-uplink (no ellipsoids) that is the exact projection; for the downlink
-with k >= 1 it is a feasible point near the target.  A round builds the
-downlink C once, and the restoration below works inside it.
+Both pilots see one zero-correlation zone.  Its constraint vectors are
+the fixed pilot shifted by each lag, one slice per lag (_shifted), and
+one SVD rank rule turns them into an orthonormal nullspace basis C
+(_nullspace).  Both steps are the same zone projection: C C^H t, then
+the shrink into the ball and, for the downlink, the ellipsoids
+(_shrink_into_sets).  For the uplink (no ellipsoids) that is the exact
+projection; for the downlink with k >= 1 it is a feasible point near the
+target.  A round builds the downlink C once, and the restoration below
+works inside it.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
@@ -46,7 +47,6 @@ iterations for every k.
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +75,10 @@ _RESTORE_MAX_STEPS = 50
 
 class DegenerateConstraintWarning(UserWarning):
     """Cross-correlation constraints admit only the zero column."""
+
+
+class HeldColumnWarning(RuntimeWarning):
+    """A column of X kept its value: its restoration ended over the bound."""
 
 
 class DesignError(RuntimeError):
@@ -129,15 +133,19 @@ def shift_matrix(b, i):
     return np.eye(b, k=i)
 
 
-@lru_cache(maxsize=None)
-def _lag_stack(b, k):
-    """J_0..J_k stacked as a (k+1, b, b) array (treat read-only)."""
-    return np.stack([shift_matrix(b, m) for m in range(k + 1)])
+def _shifted(x, k, back=False):
+    """J_m x for m = 0..k as a (k+1, b, n) stack, J_m^T x with back.
 
-
-def _shift_stack(b, k):
-    """J_1..J_k, the sidelobe lags, as a (k, b, b) view of _lag_stack."""
-    return _lag_stack(b, k)[1:]
+    One slice per lag: J_m x advances the columns by m rows with zero
+    fill, J_m^T x delays them; lags m >= b give zeros."""
+    b = x.shape[0]
+    out = np.zeros((k + 1,) + x.shape, dtype=x.dtype)
+    for m in range(min(k, b - 1) + 1):
+        if back:
+            out[m, m:] = x[: b - m]
+        else:
+            out[m, : b - m] = x[m:]
+    return out
 
 
 def _cross_vectors(fixed, cfg, transpose_shift):
@@ -149,10 +157,8 @@ def _cross_vectors(fixed, cfg, transpose_shift):
     i.e. the conjugated vectors.
     """
     fixed = np.asarray(fixed, dtype=np.complex128)
-    b = fixed.shape[0]
-    lags = _lag_stack(b, cfg.k)[1 if cfg.lags_from_one else 0 :]
-    a = (lags.transpose(0, 2, 1) if transpose_shift else lags) @ fixed
-    a = a.transpose(1, 0, 2).reshape(b, -1)
+    a = _shifted(fixed, cfg.k, transpose_shift)[1 if cfg.lags_from_one else 0 :]
+    a = a.transpose(1, 0, 2).reshape(fixed.shape[0], -1)
     return a.conj() if cfg.literal_transpose else a
 
 
@@ -162,22 +168,22 @@ def _column_power(t):
     )
 
 
-def _autocorr(x, shifts, literal):
-    """r[m, q] = x_q^H J_m x_q (x_q^T J_m x_q under literal) for every column."""
-    return np.einsum("bq,mbc,cq->mq", x if literal else x.conj(), shifts, x)
+def _autocorr(x, k, literal):
+    """r[m-1, q] = x_q^H J_m x_q, m = 1..k (x_q^T J_m x_q under literal)."""
+    return np.einsum("bq,mbq->mq", x if literal else x.conj(), _shifted(x, k)[1:])
 
 
-def _shrink_into_sets(x, shifts, p):
+def _shrink_into_sets(x, k, p):
     """Scale each column of x down until the ball and the ellipsoids hold.
 
     The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(||x||^2 + Re x^H J_m x)
     (J_m is real), so the ellipsoid m holds iff ||x||^2 + Re r_m <= p.  With
-    no shifts (k = 0) this is the shrink into the ball; the initial 0 of the
+    k = 0 this is the shrink into the ball; the initial 0 of the
     reduction is below ||x||^2 and leaves the maximum unchanged.
     """
     n2 = _column_power(x)
     top = np.maximum(
-        n2, (n2 + _autocorr(x, shifts, False).real).max(axis=0, initial=0.0)
+        n2, (n2 + _autocorr(x, k, False).real).max(axis=0, initial=0.0)
     )
     return x * np.sqrt(np.where(top > p, p / np.maximum(top, _TINY), 1.0))
 
@@ -242,9 +248,7 @@ def _project_zone(target, null, p, k):
             stacklevel=3,
         )
         return np.zeros_like(target)
-    return _shrink_into_sets(
-        _in_nullspace(null, target), _shift_stack(target.shape[0], k), p
-    )
+    return _shrink_into_sets(_in_nullspace(null, target), k, p)
 
 
 def x_step(x_target, y_fixed, cfg, p=None):
@@ -279,7 +283,7 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     restored into the sidelobe bound inside the same zone basis
     (_restore_sidelobes; a column already inside takes no step).  A column
     that ends farther from its target than x0's, or over the bound (a
-    RuntimeWarning names it), keeps x0's column.  Y = y_step(y_sigma)
+    HeldColumnWarning names it), keeps x0's column.  Y = y_step(y_sigma)
     against that X.  Returns (X, Y).
 
     x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
@@ -302,7 +306,7 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
                 f"column {q} keeps its current value: its sidelobe "
                 f"restoration ended at residual {worst[q]:.3g} > "
                 f"{SIDELOBE_DELTA:.3g}",
-                RuntimeWarning,
+                HeldColumnWarning,
                 stacklevel=2,
             )
     far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
@@ -416,9 +420,9 @@ def _record(trace, mse, links, residuals):
     trace.max_auto.append(residuals[2])
 
 
-def _sidelobes(x, shifts, literal):
-    """Normalized sidelobes h[m, q] = r_m(x_q) / ||x_q||^2, 0 for zero columns."""
-    r = _autocorr(x, shifts, literal)
+def _sidelobes(x, k, literal):
+    """Normalized sidelobes h[m-1, q] = r_m(x_q) / ||x_q||^2, 0 for zero columns."""
+    r = _autocorr(x, k, literal)
     s = _column_power(x)
     return r / np.where(s > 0.0, s, 1.0)
 
@@ -432,52 +436,44 @@ def _restore_sidelobes(x, null, p, cfg):
     minimum-norm real step in span(C) that sets the linearized |h_m| of
     each lag above _RESTORE_ACTIVE (just below _RESTORE_LEVEL) to the
     level, from a batched pseudo-inverse of each column's k x k real
-    Gram.  The final scaling
-    into the ball and the ellipsoids keeps the nullspace and every |h_m|.
-    Returns the matrix and each column's max_m |h_m|.
+    Gram; under the mask a finished column has no active lag and takes an
+    exact zero step.  The final scaling into the ball and the ellipsoids
+    keeps the nullspace and every |h_m|.  Returns the matrix and each
+    column's max_m |h_m|.
     """
-    shifts = _shift_stack(x.shape[0], cfg.k)
-    x = np.array(_in_nullspace(null, x))  # a copy: columns change in place
-    live = np.arange(x.shape[1])
-    worst = np.zeros(x.shape[1])
+    x = _in_nullspace(null, x)
     for step in range(_RESTORE_MAX_STEPS + 1):
-        xl = x[:, live]
-        h = _sidelobes(xl, shifts, cfg.literal_transpose)
+        h = _sidelobes(x, cfg.k, cfg.literal_transpose)
         mag = np.abs(h)
-        worst[live] = mag.max(axis=0)
-        on = worst[live] > _RESTORE_DONE
+        worst = mag.max(axis=0)
+        on = worst > _RESTORE_DONE
         if step == _RESTORE_MAX_STEPS or not on.any():
             break
-        live, xl, h, mag = live[on], xl[:, on], h[:, on], mag[:, on]
-        jx = shifts @ xl
-        jtx = shifts.transpose(0, 2, 1) @ xl
+        jx, jtx = _shifted(x, cfg.k)[1:], _shifted(x, cfg.k, back=True)[1:]
         # Real gradient of |h_m| packed as Re + i Im, so that
         # d|h_m| = Re(grad^H dx); lags below the active band get none.
         if cfg.literal_transpose:
             grad = h[:, None] * (jx + jtx).conj()
         else:
             grad = h[:, None] * jtx + h.conj()[:, None] * jx
-        act = mag > _RESTORE_ACTIVE
-        norm = np.where(act, mag * _column_power(xl), np.inf)[:, None]
-        grad = (grad - 2.0 * (mag**2)[:, None] * xl) / norm
+        act = (mag > _RESTORE_ACTIVE) & on
+        norm = np.where(act, mag * _column_power(x), np.inf)[:, None]
+        grad = (grad - 2.0 * (mag**2)[:, None] * x) / norm
         grad = _in_nullspace(null, grad.transpose(2, 1, 0))
         gram = np.real(grad.conj().transpose(0, 2, 1) @ grad)
         rhs = np.where(act, _RESTORE_LEVEL - mag, 0.0).T[:, :, None]
-        x[:, live] = xl + (grad @ (np.linalg.pinv(gram) @ rhs))[:, :, 0].T
-    return _shrink_into_sets(x, shifts, p), worst
+        x = x + (grad @ (np.linalg.pinv(gram) @ rhs))[:, :, 0].T
+    return _shrink_into_sets(x, cfg.k, p), worst
 
 
 def _pair_residuals(x, y, cfg):
     """Max power, max |cross-corr| over the lag set and max |autocorr| of x
     at lags 1..k (0 for k = 0).  The cross-correlation is |a^H x_q| over
     the constraint vectors a = J_m y_l that the projections zero."""
-    b = x.shape[0]
     a = _cross_vectors(y, cfg, False)
     max_cross = float(np.abs(a.conj().T @ x).max(initial=0.0))
-    max_auto = 0.0
-    if cfg.k and x.size:
-        h = np.abs(_sidelobes(x, _shift_stack(b, cfg.k), cfg.literal_transpose))
-        max_auto = float((h * _column_power(x)).max())
+    r = _autocorr(x, cfg.k, cfg.literal_transpose)
+    max_auto = float(np.abs(r).max(initial=0.0))
     power = max(float(_column_power(m).max(initial=0.0)) for m in (x, y))
     return power, max_cross, max_auto
 
@@ -530,7 +526,8 @@ def design_pilots(dl, ul, cfg):
     mse = np.inf  # so that iteration 0 cannot stop by eta
 
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        for kind in (HeldColumnWarning, DegenerateConstraintWarning):
+            warnings.simplefilter("always", kind)
         for it in range(cfg.max_outer + 1):
             if it:
                 x_sigma = build_sigma_target(links[0][1], x, dl)

@@ -15,17 +15,18 @@ from oracles import (
     mm_model,
     surrogate_F,
 )
-from test_estimation import DIM_GRID, RHO_SETS, record_factor_sizes
+from test_estimation import DIM_GRID, LINALG_FACTORS, RHO_SETS, record_factor_sizes
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot import designer
 from zczpilot.designer import (
     SIDELOBE_DELTA,
     DegenerateConstraintWarning,
     DesignConfig,
+    HeldColumnWarning,
     _cross_vectors,
     _nullspace,
     _restore_sidelobes,
-    _shift_stack,
+    _shifted,
     _shrink_into_sets,
     build_sigma_target,
     design_pilots,
@@ -163,12 +164,28 @@ def eigen_shrink(x, k, p):
     return x * np.sqrt(scale2)
 
 
+class TestShifted:
+    @pytest.mark.parametrize("back", [False, True], ids=["forward", "back"])
+    @pytest.mark.parametrize("k", [0, 3, 7, 9])
+    def test_matches_shift_matrices(self, k, back):
+        # one slice per lag is the dense J_m x (J_m^T x with back); lags at
+        # or past the training length shift every row out
+        rng = np.random.default_rng(3)
+        b = 8
+        x = crandn(rng, b, 3)
+        out = _shifted(x, k, back)
+        assert out.shape == (k + 1, b, 3)
+        for m in range(k + 1):
+            j = shift_matrix(b, m) if m < b else np.zeros((b, b))
+            npt.assert_array_equal(out[m], (j.T if back else j) @ x)
+
+
 class TestShrink:
     def test_matches_eigendecomposition_form(self):
         rng = np.random.default_rng(10)
         b, k, p = 8, 4, 1.0
         x = crandn(rng, b, 12) * rng.uniform(0.1, 1.5, 12)
-        out = _shrink_into_sets(x, _shift_stack(b, k), p)
+        out = _shrink_into_sets(x, k, p)
         assert not np.array_equal(out, x)
         npt.assert_allclose(out, eigen_shrink(x, k, p), rtol=1e-12, atol=0)
 
@@ -698,7 +715,7 @@ class TestFactorizationReuse:
         # B-sized ones (m_time's Cholesky factor and its inverse) are made
         # once per scenario, so three iterations make no more of them than
         # one.
-        names = ("solve", "cholesky", "inv", "eigh", "eigvalsh", "pinv")
+        names = tuple(name for name in LINALG_FACTORS if name != "svd")
         b_sized = []
         for max_outer in (1, 3):
             dl = build_scenario(8, 8, 64)
@@ -786,6 +803,23 @@ class TestDesignPilots:
         pair, trace = design_pilots(dl, ul, cfg)
         assert np.abs(pair.y).max() == 0.0
         assert any("span" in w for w in trace.warnings)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_warning_inside_design_raises(self, monkeypatch):
+        # the design records its own warnings (held columns, a collapsed
+        # zone) in the trace, and leaves every other one to the caller's
+        # filters: an overflow must not end up as a trace string
+        residuals = designer._pair_residuals
+
+        def overflowing(x, y, cfg):
+            np.exp(np.array(1e3))
+            return residuals(x, y, cfg)
+
+        monkeypatch.setattr(designer, "_pair_residuals", overflowing)
+        dl = build_scenario(2, 2, 4)
+        cfg = DesignConfig(k=1, max_outer=3)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            design_pilots(dl, reciprocal_scenario(dl), cfg)
 
     def test_training_length_mismatch_rejected(self):
         dl = build_scenario(2, 2, 4)
@@ -901,6 +935,7 @@ class TestSidelobeBound:
             for q, r in enumerate(worst)
         ]
         assert [str(w.message) for w in held] == want == trace.warnings[:2]
+        assert {w.category for w in held} == {HeldColumnWarning}
         assert trace.outer_iterations == 5
         assert sidelobe_ratios(pair.x, cfg.k).max() <= SIDELOBE_DELTA
         assert np.diff(trace.mse).max() <= 0.0

@@ -41,7 +41,10 @@ def refuse_kron(a, b):
     raise AssertionError(f"Kronecker product of {np.shape(a)} and {np.shape(b)}")
 
 
-LINALG_FACTORS = ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "pinv")
+LINALG_FACTORS = (
+    "solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "pinv",
+    "qr", "lstsq", "eig", "eigvals", "det", "slogdet", "matrix_rank",
+)
 
 
 def record_factor_sizes(monkeypatch, names=LINALG_FACTORS):
@@ -491,11 +494,14 @@ class TestSimulator:
         s = build_scenario(2, 2, 2)
         p = np.zeros((2, 2))
         draws = 100_000
+        # row j of a block is vec(H) of simulate_training(p, s, seed=j).h
+        assert np.array_equal(
+            next(_training_draws(s, [7]))[0][0],
+            simulate_training(p, s, seed=7).h.reshape(-1, order="F"),
+        )
         acc = np.zeros((4, 4), dtype=complex)
-        for t in range(draws):
-            h = simulate_training(p, s, seed=t, noise_scale=0.0).h
-            v = h.reshape(-1, order="F")
-            acc += np.outer(v, v.conj())
+        for h, _ in _training_draws(s, range(draws)):
+            acc += h.T @ h.conj()
         emp = acc / draws
         assert np.abs(emp - chan_cov(s)).max() <= 5e-2
 
