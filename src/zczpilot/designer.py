@@ -33,15 +33,15 @@ r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
 sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
 m = 1..k, between its two steps: Gauss-Newton minimum-norm steps inside
 the cross-correlation nullspace of the current Y, taken by all violating
-columns together (one batched solve per step), and a power cap restore X
-before Y is projected against it.  A column of X that then ends farther
-from its MM target than the current column, or over the bound, keeps
-the current column, which is feasible.  The MM majorizer is separable by
-column, and the current Y is a candidate of the exact Y step, so every
-round is a descent step and every iterate is feasible (as in the
-constraint-handling MM of Sun, Babu & Palomar, IEEE TSP 2017): the total
-estimation MSE of the two links is non-increasing across outer
-iterations for every k.
+columns together (one lag stack and one batched solve per step), and a
+power cap restore X before Y is projected against it.  A column of X
+that then ends farther from its MM target than the current column, or
+not inside the bound, keeps the current column, which is feasible.  The
+MM majorizer is separable by column, and the current Y is a candidate
+of the exact Y step, so every round is a descent step and every iterate
+is feasible (as in the constraint-handling MM of Sun, Babu & Palomar,
+IEEE TSP 2017): the total estimation MSE of the two links is
+non-increasing across outer iterations for every k.
 """
 
 import time
@@ -163,9 +163,7 @@ def _cross_vectors(fixed, cfg, transpose_shift):
 
 
 def _column_power(t):
-    return np.einsum("ij,ij->j", t.real, t.real) + np.einsum(
-        "ij,ij->j", t.imag, t.imag
-    )
+    return np.einsum("ij,ij->j", t.conj(), t).real
 
 
 def _autocorr(x, k, literal):
@@ -282,8 +280,8 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     X is the zone projection of x_sigma against y0; for k >= 1 it is then
     restored into the sidelobe bound inside the same zone basis
     (_restore_sidelobes; a column already inside takes no step).  A column
-    that ends farther from its target than x0's, or over the bound (a
-    HeldColumnWarning names it), keeps x0's column.  Y = y_step(y_sigma)
+    that ends farther from its target than x0's, or not inside the bound
+    (a HeldColumnWarning names it), keeps x0's column.  Y = y_step(y_sigma)
     against that X.  Returns (X, Y).
 
     x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
@@ -300,7 +298,7 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     over = np.zeros(x.shape[1], dtype=bool)
     if cfg.k:
         x, worst = _restore_sidelobes(x, null, p_x, cfg)
-        over = worst > SIDELOBE_DELTA
+        over = ~(worst <= SIDELOBE_DELTA)
         for q in np.flatnonzero(over):
             warnings.warn(
                 f"column {q} keeps its current value: its sidelobe "
@@ -420,13 +418,6 @@ def _record(trace, mse, links, residuals):
     trace.max_auto.append(residuals[2])
 
 
-def _sidelobes(x, k, literal):
-    """Normalized sidelobes h[m-1, q] = r_m(x_q) / ||x_q||^2, 0 for zero columns."""
-    r = _autocorr(x, k, literal)
-    s = _column_power(x)
-    return r / np.where(s > 0.0, s, 1.0)
-
-
 def _restore_sidelobes(x, null, p, cfg):
     """Move every column of x inside the sidelobe bound, then cap its power.
 
@@ -435,35 +426,43 @@ def _restore_sidelobes(x, null, p, cfg):
     h_m = r_m / ||x||^2, then takes Gauss-Newton steps, all together: the
     minimum-norm real step in span(C) that sets the linearized |h_m| of
     each lag above _RESTORE_ACTIVE (just below _RESTORE_LEVEL) to the
-    level, from a batched pseudo-inverse of each column's k x k real
-    Gram; under the mask a finished column has no active lag and takes an
-    exact zero step.  The final scaling into the ball and the ellipsoids
+    level, from one lag stack and one batched solve of the columns' k x k
+    real Grams, with the identity on inactive lags (zero right side, zero
+    step) and a ridge of 1e-12 / ||x||^2 on active ones.  |h_m| is
+    invariant under complex scaling, so a d-dimensional zone leaves
+    2d - 2 real directions that move it; with more active lags the Gram
+    is singular, and the ridge keeps the step finite.  The final scaling
     keeps the nullspace and every |h_m|.  Returns the matrix and each
     column's max_m |h_m|.
     """
+    k, n = cfg.k, x.shape[1]
     x = _in_nullspace(null, x)
     for step in range(_RESTORE_MAX_STEPS + 1):
-        h = _sidelobes(x, cfg.k, cfg.literal_transpose)
+        # J_m^T x = R J_m R x with R the row flip, so one stack gives both
+        lags = _shifted(np.concatenate([x, x[::-1]], axis=1), k)[1:]
+        jx, jtx = lags[:, :, :n], lags[:, ::-1, n:]
+        s = np.maximum(_column_power(x), _TINY)
+        h = np.einsum("bq,mbq->mq", x if cfg.literal_transpose else x.conj(), jx)
+        h /= s
         mag = np.abs(h)
         worst = mag.max(axis=0)
-        on = worst > _RESTORE_DONE
-        if step == _RESTORE_MAX_STEPS or not on.any():
+        act = (mag > _RESTORE_ACTIVE) & (worst > _RESTORE_DONE)
+        if step == _RESTORE_MAX_STEPS or not act.any():
             break
-        jx, jtx = _shifted(x, cfg.k)[1:], _shifted(x, cfg.k, back=True)[1:]
         # Real gradient of |h_m| packed as Re + i Im, so that
-        # d|h_m| = Re(grad^H dx); lags below the active band get none.
+        # d|h_m| = Re(grad^H dx); inactive lags get none.
         if cfg.literal_transpose:
             grad = h[:, None] * (jx + jtx).conj()
         else:
             grad = h[:, None] * jtx + h.conj()[:, None] * jx
-        act = (mag > _RESTORE_ACTIVE) & on
-        norm = np.where(act, mag * _column_power(x), np.inf)[:, None]
+        norm = np.where(act, mag * s, np.inf)[:, None]
         grad = (grad - 2.0 * (mag**2)[:, None] * x) / norm
         grad = _in_nullspace(null, grad.transpose(2, 1, 0))
         gram = np.real(grad.conj().transpose(0, 2, 1) @ grad)
+        gram += np.where(act, 1e-12 / s, 1.0).T[:, :, None] * np.eye(k)
         rhs = np.where(act, _RESTORE_LEVEL - mag, 0.0).T[:, :, None]
-        x = x + (grad @ (np.linalg.pinv(gram) @ rhs))[:, :, 0].T
-    return _shrink_into_sets(x, cfg.k, p), worst
+        x = x + (grad @ np.linalg.solve(gram, rhs))[:, :, 0].T
+    return _shrink_into_sets(x, k, p), worst
 
 
 def _pair_residuals(x, y, cfg):
@@ -525,8 +524,9 @@ def design_pilots(dl, ul, cfg):
     y = np.zeros((ul.b, ul.n_t), dtype=np.complex128)
     mse = np.inf  # so that iteration 0 cannot stop by eta
 
+    ours = (HeldColumnWarning, DegenerateConstraintWarning)
     with warnings.catch_warnings(record=True) as caught:
-        for kind in (HeldColumnWarning, DegenerateConstraintWarning):
+        for kind in ours:
             warnings.simplefilter("always", kind)
         for it in range(cfg.max_outer + 1):
             if it:
@@ -535,21 +535,21 @@ def design_pilots(dl, ul, cfg):
             x, y = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y)
             prev = mse
             mse, links = score(x, y)
-            _record(trace, mse, links, _pair_residuals(x, y, cfg))
+            residuals = _pair_residuals(x, y, cfg)
+            _record(trace, mse, links, residuals)
             trace.outer_iterations = it
             if abs(prev - mse) < cfg.eta:
                 trace.converged = True
                 trace.stop_reason = "eta"
                 break
 
-    trace.warnings = list(dict.fromkeys(str(w.message) for w in caught))
-    pair = PilotPair(
-        x=x,
-        y=y,
-        max_column_power=trace.max_power[-1],
-        max_cross_corr=trace.max_cross[-1],
-        max_auto_corr=trace.max_auto[-1],
-    )
+    for w in caught:  # any other warning goes on to the caller's filters
+        if issubclass(w.category, ours):
+            trace.warnings.append(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    trace.warnings = list(dict.fromkeys(trace.warnings))
+    pair = PilotPair(x, y, *residuals)
     # A successful design guarantees the cross-correlation residual; an
     # MSE plateau alone does not count.
     if trace.converged and pair.max_cross_corr > cfg.epsilon:

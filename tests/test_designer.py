@@ -2,6 +2,8 @@
 cyclic pilot design loop."""
 
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -28,6 +30,7 @@ from zczpilot.designer import (
     _restore_sidelobes,
     _shifted,
     _shrink_into_sets,
+    _zone_basis,
     build_sigma_target,
     design_pilots,
     inner_cycle,
@@ -344,6 +347,21 @@ class TestInnerCycle:
                 np.linalg.norm(x - x_sigma, axis=0)
                 <= np.linalg.norm(x0 - x_sigma, axis=0) + 1e-12
             )
+
+    def test_one_dimensional_zone_holds_column(self):
+        # every column of a one-dimensional zone is a multiple of one
+        # vector, whose sidelobes no scaling changes: the restoration cannot
+        # move the column, and inner_cycle holds it at x0, finite
+        rng = np.random.default_rng(3)
+        cfg = DesignConfig(k=6, p=1.0)
+        y0 = crandn(rng, 8, 1)
+        null = _zone_basis(y0, 8, cfg, False)
+        assert null.shape[1] == 1
+        x0 = null * 0.5
+        with pytest.warns(HeldColumnWarning, match="column 0 keeps"):
+            x, y = inner_cycle(crandn(rng, 8, 1), y0, x0, y0, cfg, p_x=1.0, p_y=1.0)
+        npt.assert_array_equal(x, x0)
+        assert np.isfinite(y).all()
 
     def test_no_violation_is_plain_x_step(self, monkeypatch):
         # impulses have no sidelobes, and a collapsed Y leaves them in zone:
@@ -821,6 +839,25 @@ class TestDesignPilots:
         with pytest.raises(RuntimeWarning, match="overflow"):
             design_pilots(dl, reciprocal_scenario(dl), cfg)
 
+    def test_numpy_warning_goes_on_to_the_caller(self, monkeypatch):
+        # under a "default" filter the caller sees the overflow once, and
+        # the trace keeps only the design's own warnings
+        residuals = designer._pair_residuals
+
+        def overflowing(x, y, cfg):
+            np.exp(np.array(1e3))
+            return residuals(x, y, cfg)
+
+        monkeypatch.setattr(designer, "_pair_residuals", overflowing)
+        dl = build_scenario(2, 2, 4)
+        cfg = DesignConfig(k=1, max_outer=3)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("default")
+            _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        assert [str(w.message) for w in shown] == ["overflow encountered in exp"]
+        assert {w.category for w in shown} == {RuntimeWarning}
+        assert not any("overflow" in w for w in trace.warnings)
+
     def test_training_length_mismatch_rejected(self):
         dl = build_scenario(2, 2, 4)
         ul = build_scenario(2, 2, 6)
@@ -1053,7 +1090,7 @@ class TestBatchedRestoration:
         # B = 8, k = 4, Y = 0) left over the bound.  Two of its lags end
         # near the level; counted active only above it, they took turns for
         # 24 Gauss-Newton steps.  Held at the level from the band below it,
-        # the column is restored in 3.
+        # the column is restored in 3.  Each step is one batched solve.
         x = np.array([
             -0.01213659947260193 - 0.013723344975859907j,
             0.6055663092296809 - 0.04856712114422433j,
@@ -1066,9 +1103,9 @@ class TestBatchedRestoration:
         ])[:, None]
         cfg = DesignConfig(k=4)
         steps = []
-        pinv = np.linalg.pinv
+        solve = np.linalg.solve
         monkeypatch.setattr(
-            np.linalg, "pinv", lambda a: steps.append(a.shape[0]) or pinv(a)
+            np.linalg, "solve", lambda a, b: steps.append(a.shape[0]) or solve(a, b)
         )
         _, worst = _restore_sidelobes(x, np.eye(8), 8.0, cfg)
         assert worst[0] <= designer._RESTORE_DONE
@@ -1077,6 +1114,45 @@ class TestBatchedRestoration:
         monkeypatch.setattr(designer, "_RESTORE_ACTIVE", designer._RESTORE_LEVEL)
         _restore_sidelobes(x, np.eye(8), 8.0, cfg)
         assert len(steps) >= 17
+
+    def test_singular_gram_takes_a_finite_step(self):
+        # [1, 1] maximizes its lag-1 sidelobe ratio (1/2): the gradient is
+        # exactly zero and the Gram singular, and the step exactly zero
+        x = np.ones((2, 1), dtype=complex)
+        out, worst = _restore_sidelobes(x, np.eye(2), 1e6, DesignConfig(k=1))
+        npt.assert_array_equal(out, x)
+        assert worst[0] == 0.5
+        # in a one-dimensional zone no step changes the ratios (they are
+        # invariant under complex scaling): the columns stay finite and on
+        # the zone's line, over the bound
+        rng = np.random.default_rng(24)
+        cfg = DesignConfig(k=6)
+        null = _zone_basis(crandn(rng, 8, 1), 8, cfg, False)
+        assert null.shape[1] == 1
+        x = null @ crandn(rng, 1, 3)
+        out, worst = _restore_sidelobes(x, null, 1e6, cfg)
+        assert np.isfinite(out).all()
+        npt.assert_allclose(
+            np.abs(null.conj().T @ out)[0], np.linalg.norm(out, axis=0), rtol=1e-12
+        )
+        npt.assert_allclose(worst, sidelobe_ratios(x, cfg.k), rtol=1e-9)
+        assert (worst > SIDELOBE_DELTA).all()
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_steps_use_no_pseudo_inverse_or_svd(self, literal, monkeypatch):
+        rng = np.random.default_rng(23)
+        cfg = DesignConfig(k=3, literal_transpose=literal)
+        null = _nullspace(_cross_vectors(crandn(rng, 10, 1), cfg, False), 10)
+        x = crandn(rng, 10, 4)
+        assert (sidelobe_ratios(x, cfg.k, literal) > SIDELOBE_DELTA).any()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the restoration called pinv or svd")
+
+        for name in ("pinv", "svd"):
+            monkeypatch.setattr(np.linalg, name, fail)
+        _, worst = _restore_sidelobes(x, null, 1e6, cfg)
+        assert worst.max() <= SIDELOBE_DELTA
 
 
 class TestDesignConfig:
