@@ -237,6 +237,11 @@ def _cmd_validate(args):
     seed = _seed_override(args)
     if seed is None:
         seed = rc.design.seed
+    from ._seeding import SEED_END
+
+    if seed + trials >= SEED_END:
+        raise ConfigError(f"validate seed {seed} draws trial seeds {seed + 1} to "
+                          f"{seed + trials}, outside 0 <= seed < 2**64")
 
     rng = np.random.default_rng(seed)
     pilot = rng.standard_normal((dl.b, dl.n_t)) + 1j * rng.standard_normal(

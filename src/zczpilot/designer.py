@@ -431,7 +431,9 @@ def _restore_sidelobes(x, null, p, cfg):
     step) and a ridge of 1e-12 / ||x||^2 on active ones.  |h_m| is
     invariant under complex scaling, so a d-dimensional zone leaves
     2d - 2 real directions that move it; with more active lags the Gram
-    is singular, and the ridge keeps the step finite.  The final scaling
+    is singular, and the ridge keeps the step finite.  A step is cut to
+    the column's length, keeping its direction, so that steps in a small
+    zone cannot grow a column until it overflows.  The final scaling
     keeps the nullspace and every |h_m|.  Returns the matrix and each
     column's max_m |h_m|.
     """
@@ -461,7 +463,9 @@ def _restore_sidelobes(x, null, p, cfg):
         gram = np.real(grad.conj().transpose(0, 2, 1) @ grad)
         gram += np.where(act, 1e-12 / s, 1.0).T[:, :, None] * np.eye(k)
         rhs = np.where(act, _RESTORE_LEVEL - mag, 0.0).T[:, :, None]
-        x = x + (grad @ np.linalg.solve(gram, rhs))[:, :, 0].T
+        dx = (grad @ np.linalg.solve(gram, rhs))[:, :, 0].T
+        # where(||dx||^2 > s, s / ||dx||^2, 1), dividing by no zero step
+        x = x + dx * np.sqrt(s / np.maximum(_column_power(dx), s))
     return _shrink_into_sets(x, k, p), worst
 
 

@@ -22,6 +22,9 @@ form trace[V^H Q V]: the designer's MM target, the MMSE estimator and the
 simulator's error maps are all read from them and the scenario's cached
 constants, and the channel and the training noise are coloured through
 their factors.  No dense covariance, lifted pilot or dense V* is formed.
+Every simulated trial draws from its own seed's stream, that of
+np.random.default_rng(seed), with the seed hashing done for many seeds
+in one vectorized pass (zczpilot._seeding).
 """
 
 from dataclasses import dataclass
@@ -100,7 +103,7 @@ def _circular_gaussian(z):
 # errors are held at once, so this bounds the simulator's memory for any
 # trial count: the white draws of 64 trials on an 8x8, B = 64 link are
 # 0.6 MB.  Larger blocks are no faster, since a trial's cost is mostly
-# its generator's set-up.
+# building its generator and drawing from it.
 _TRIAL_BLOCK = 64
 
 
@@ -108,13 +111,22 @@ def _white_blocks(s, seeds):
     """Yield the real white draws of each block of seeds, row j for the
     j-th seed of the block: the real then imaginary parts of the channel's
     white vector, then those of the noise's, from the seed's own
-    generator, so a seed reproduces its realization in any block."""
+    generator, so a seed reproduces its realization in any block.
+
+    Each generator is the stream of np.random.default_rng(seed), with the
+    SeedSequence hash of its seed taken for many seeds at once
+    (zczpilot._seeding); seeds are integers in [0, 2**64), and one outside
+    raises ValueError.  numpy.random is imported here, on the first draw,
+    because building a scenario does not need it.
+    """
+    from ._seeding import generators
+
     width = 2 * (s.n_t + s.b) * s.n_r
+    gens = generators(seeds)
     for start in range(0, len(seeds), _TRIAL_BLOCK):
-        block = seeds[start:start + _TRIAL_BLOCK]
-        white = np.empty((len(block), width))
-        for row, seed in zip(white, block):
-            np.random.default_rng(seed).standard_normal(out=row)
+        white = np.empty((min(_TRIAL_BLOCK, len(seeds) - start), width))
+        for row, gen in zip(white, gens):
+            gen.standard_normal(out=row)
         yield white
 
 
@@ -142,7 +154,8 @@ def _training_draws(s, seeds):
 def simulate_training(p, s, seed, noise_scale=1.0):
     """Draw H ~ CN(0, R), N ~ CN(0, M) and form Yrx = H P^T + noise_scale*N.
 
-    The channel is drawn before the noise from a single generator, so a
+    The channel is drawn before the noise from a single generator, that
+    of np.random.default_rng(seed) for an integer 0 <= seed < 2**64, so a
     fixed seed reproduces the realization bit for bit.  noise_scale=0
     gives the noiseless received block exactly.
     """

@@ -422,6 +422,18 @@ class TestInputRejection:
         assert rc == EXIT_CONFIG
         assert err == "error: --seed must be >= 0, got -1\n"
 
+    def test_validate_seeds_past_2_64(self, small_config, capsys):
+        # trial t draws from seed + 1 + t, and the simulator's seeds end
+        # below 2**64
+        last = 2**64 - 11
+        args = ["validate", "--config", str(small_config), "--trials", "10"]
+        assert main(args + ["--seed", str(last)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(args + ["--seed", str(last + 1)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: validate seed {last + 1} draws trial seeds {last + 2} "
+                       f"to {2**64}, outside 0 <= seed < 2**64\n")
+
 
 class TestValidate:
     def test_passes_on_reference_statistics(self, small_config, capsys):

@@ -1010,7 +1010,7 @@ def restore_column_loop(x, null, k, literal):
     """Reference restoration of one column: Gauss-Newton into
     |r_m(x)| <= _RESTORE_LEVEL ||x||^2 with one least-squares solve per
     step on the lags above _RESTORE_ACTIVE, the band just below the level,
-    no power cap."""
+    each step cut to the column's length, no power cap."""
     shifts = np.stack([shift_matrix(x.size, m) for m in range(1, k + 1)])
     proj = null @ null.conj().T
     for _ in range(designer._RESTORE_MAX_STEPS):
@@ -1028,7 +1028,8 @@ def restore_column_loop(x, null, k, literal):
             grad = ha * jtx[act] + ha.conj() * jx[act]
         grad = proj @ ((grad - 2.0 * ma**2 * x) / (ma * s)).T
         gram = np.real(grad.conj().T @ grad)
-        x = x + grad @ np.linalg.lstsq(gram, designer._RESTORE_LEVEL - ma[:, 0])[0]
+        dx = grad @ np.linalg.lstsq(gram, designer._RESTORE_LEVEL - ma[:, 0])[0]
+        x = x + dx * (np.sqrt(s) / max(np.linalg.norm(dx), np.sqrt(s)))
     return x
 
 
@@ -1137,6 +1138,30 @@ class TestBatchedRestoration:
         )
         npt.assert_allclose(worst, sidelobe_ratios(x, cfg.k), rtol=1e-9)
         assert (worst > SIDELOBE_DELTA).all()
+
+    def test_steps_stay_finite_in_small_zones(self):
+        # Small-integer columns in the full zone or in zones of 2-4
+        # dimensions.  With steps longer than the column, four of these
+        # inputs (all in 2-dimensional zones) grew a column until it
+        # overflowed, with overflow and invalid-value warnings on the way.
+        rng = np.random.default_rng(0)
+        nonfinite = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(1000):
+                b = int(rng.integers(3, 12))
+                k = int(rng.integers(1, min(4, b - 1) + 1))
+                n = int(rng.integers(1, 3))
+                x = rng.integers(-2, 3, (b, n)) + 1j * rng.integers(-1, 2, (b, n))
+                if rng.random() < 0.5:
+                    null = np.eye(b, dtype=complex)
+                else:
+                    d = int(rng.integers(2, min(4, b - 1) + 1))
+                    vectors = rng.integers(-1, 2, (b, b - d)).astype(complex)
+                    null = _nullspace(vectors, b)
+                out, _ = _restore_sidelobes(x, null, 1e6, DesignConfig(k=k))
+                nonfinite += not np.isfinite(out).all()
+        assert nonfinite == 0
 
     @pytest.mark.parametrize("literal", [False, True])
     def test_steps_use_no_pseudo_inverse_or_svd(self, literal, monkeypatch):
