@@ -2,17 +2,18 @@
 
 The file stores both matrices split into real/imaginary parts (JSON has
 no complex type), the design parameters needed to reproduce or analyze
-the pair, and the residuals at the solution.  Floats go through Python's
-repr, so a write/read/write cycle is byte-identical and values survive
-the round trip bit-exactly.  `created_utc` is the single field that
-varies between otherwise identical runs; `without_timestamp` strips it
-for comparisons.
+the pair (the DesignConfig fields in their order, with the resolved
+per-link power bounds p_x and p_y in place of p), and the residuals at
+the solution.  Floats go through Python's repr, so a write/read/write
+cycle is byte-identical and values survive the round trip bit-exactly.
+`created_utc` is the single field that varies between otherwise
+identical runs; `without_timestamp` strips it for comparisons.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,15 +44,9 @@ def archive_payload(pair, trace, cfg, p_x, p_y, config_sha256=""):
         "config_sha256": config_sha256,
         "dims": {"b": b, "n_t": n_t, "n_r": pair.y.shape[1]},
         "design": {
-            "k": cfg.k,
+            **{k: v for k, v in asdict(cfg).items() if k != "p"},
             "p_x": float(p_x),
             "p_y": float(p_y),
-            "epsilon": cfg.epsilon,
-            "eta": cfg.eta,
-            "max_outer": cfg.max_outer,
-            "seed": cfg.seed,
-            "lags_from_one": cfg.lags_from_one,
-            "literal_transpose": cfg.literal_transpose,
         },
         "result": {
             "final_mse": float(trace.mse[-1]),

@@ -7,6 +7,9 @@ Subcommands:
   range       sensing range / feasibility from the timing section
   validate    Monte Carlo check of the analytic MSE
 
+design and montecarlo share their options and their set-up; analyze and
+montecarlo write their CSV or JSON report through one writer.
+
 Exit codes: 0 success, 1 validation failure (validate only), 2 bad
 configuration or input content, 3 solver non-convergence (outputs are
 still written), 4 file system write failure, 5 every montecarlo seed
@@ -14,6 +17,7 @@ failed (nothing is written).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -50,51 +54,48 @@ EXIT_IO = 4
 EXIT_DESIGN = 5
 
 
-def _seed_override(args):
-    """The --seed option, or None when it is not given."""
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    return seed
+def _seed(args, default):
+    """The --seed option, or default when it is not given."""
+    if args.seed is None:
+        return default
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
 
 
-def _apply_design_overrides(rc, args):
-    import dataclasses
-
-    design = rc.design
-    updates = {}
-    seed = _seed_override(args)
-    if seed is not None:
-        updates["seed"] = seed
-    if getattr(args, "lags_from_one", False):
-        updates["lags_from_one"] = True
-    if getattr(args, "literal_transpose", False):
-        updates["literal_transpose"] = True
-    if updates:
-        design = dataclasses.replace(design, **updates)
-    return design
+def _design_setup(args):
+    """Config, design knobs with the command-line overrides, and both links."""
+    rc = load_config(args.config)
+    design = dataclasses.replace(
+        rc.design,
+        seed=_seed(args, rc.design.seed),
+        lags_from_one=rc.design.lags_from_one or args.lags_from_one,
+        literal_transpose=rc.design.literal_transpose or args.literal_transpose,
+    )
+    dl = rc.downlink()
+    return rc, design, dl, reciprocal_scenario(dl)
 
 
-def _out_dir(rc, args):
-    out = getattr(args, "out", None)
-    path = Path(out) if out else Path(rc.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _fmt_choice(rc, args):
-    return getattr(args, "format", None) or rc.fmt
+def _write_report(out, stem, fmt, write_csv, doc):
+    """Write out/<stem>.csv through write_csv(path), or out/<stem>.json
+    holding doc(); out is created here.  Returns the written path."""
+    out.mkdir(parents=True, exist_ok=True)
+    target = out / f"{stem}.{fmt}"
+    if fmt == "csv":
+        atomic_write(target, write_csv)
+    else:
+        text = json.dumps(doc(), indent=2) + "\n"
+        atomic_write(target, lambda p: Path(p).write_text(text))
+    return target
 
 
 def _cmd_design(args):
-    rc = load_config(args.config)
-    design = _apply_design_overrides(rc, args)
-    dl = rc.downlink()
-    ul = reciprocal_scenario(dl)
+    rc, design, dl, ul = _design_setup(args)
     pair, trace = design_pilots(dl, ul, design)
     p_x, p_y = column_power_bound(design, dl), column_power_bound(design, ul)
 
-    out = _out_dir(rc, args)
+    out = Path(args.out or rc.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     payload = archive_payload(pair, trace, design, p_x, p_y, config_sha256=rc.sha256)
     dump_archive(payload, out / "pilot_archive.json")
     atomic_write(out / "design_trace.csv", lambda p: write_trace_csv(trace, p))
@@ -126,65 +127,45 @@ def _cmd_analyze(args):
         arch.x, arch.y, max_lag=max_lag, literal_transpose=literal
     )
 
-    fmt = args.format or "csv"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            target = out / "correlation.csv"
-            atomic_write(target, lambda p: write_correlation_csv(report, p))
-        else:
-            target = out / "correlation.json"
-            text = json.dumps(
-                {"max_lag": max_lag, "literal_transpose": literal,
-                 "rows": correlation_rows(report)},
-                indent=2,
-            )
-            atomic_write(target, lambda p: Path(p).write_text(text + "\n"))
+        target = _write_report(
+            Path(args.out), "correlation", args.format or "csv",
+            lambda p: write_correlation_csv(report, p),
+            lambda: {"max_lag": max_lag, "literal_transpose": literal,
+                     "rows": correlation_rows(report)},
+        )
         print(f"wrote {target}")
 
-    peak_auto = float(report.autocorr_db[:, report.lags != 0].max()) if max_lag else None
-    peak_cross = float(report.crosscorr_db.max()) if report.crosscorr.size else None
-    print(f"lags: -{max_lag}..{max_lag}")
-    if peak_auto is not None:
+    print(f"lags: {-max_lag}..{max_lag}")
+    if max_lag:
+        peak_auto = report.autocorr_db[:, report.lags != 0].max()
         print(f"peak off-zero autocorrelation: {peak_auto:.2f} dB")
-    if peak_cross is not None:
-        print(f"peak cross-correlation: {peak_cross:.2f} dB")
+    if report.crosscorr.size:
+        print(f"peak cross-correlation: {report.crosscorr_db.max():.2f} dB")
     return EXIT_OK
 
 
 def _cmd_montecarlo(args):
-    rc = load_config(args.config)
-    design = _apply_design_overrides(rc, args)
-    dl = rc.downlink()
-    ul = reciprocal_scenario(dl)
+    rc, design, dl, ul = _design_setup(args)
     runs = args.runs if args.runs is not None else 50
     if runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {runs}")
-    summary = monte_carlo_design(dl, ul, design, runs, base_seed=design.seed)
-
-    out = _out_dir(rc, args)
-    fmt = _fmt_choice(rc, args)
-    if fmt == "csv":
-        target = out / "mc_summary.csv"
-        atomic_write(target, lambda p: write_montecarlo_csv(summary, p))
-    else:
-        target = out / "mc_summary.json"
-        text = json.dumps(
-            {"iterations": summary.iterations.tolist(),
-             "mse_mean": summary.mse_mean.tolist(),
-             "mse_std": summary.mse_std.tolist(),
-             "final_mse": summary.final_mse.tolist(),
-             "seeds": summary.seeds.tolist(),
-             "converged_runs": summary.converged_runs,
-             "failed_runs": summary.failed_runs,
-             "failures": [
-                 {"seed": seed, "type": kind, "message": message}
-                 for seed, kind, message in summary.failures
-             ]},
-            indent=2,
-        )
-        atomic_write(target, lambda p: Path(p).write_text(text + "\n"))
+    summary = monte_carlo_design(dl, ul, design, runs)
+    target = _write_report(
+        Path(args.out or rc.out_dir), "mc_summary", args.format or rc.fmt,
+        lambda p: write_montecarlo_csv(summary, p),
+        lambda: {"iterations": summary.iterations.tolist(),
+                 "mse_mean": summary.mse_mean.tolist(),
+                 "mse_std": summary.mse_std.tolist(),
+                 "final_mse": summary.final_mse.tolist(),
+                 "seeds": summary.seeds.tolist(),
+                 "converged_runs": summary.converged_runs,
+                 "failed_runs": summary.failed_runs,
+                 "failures": [
+                     {"seed": seed, "type": kind, "message": message}
+                     for seed, kind, message in summary.failures
+                 ]},
+    )
 
     total = len(summary.seeds)
     print(f"runs: {total}  converged: {summary.converged_runs}  "
@@ -234,9 +215,7 @@ def _cmd_validate(args):
     trials = args.trials if args.trials is not None else 10000
     if trials < 2:
         raise ConfigError(f"--trials must be >= 2, got {trials}")
-    seed = _seed_override(args)
-    if seed is None:
-        seed = rc.design.seed
+    seed = _seed(args, rc.design.seed)
     from ._seeding import SEED_END
 
     if seed + trials >= SEED_END:
@@ -275,14 +254,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("design", help="design a pilot pair and archive it")
-    d.add_argument("--config", required=True, help="INI configuration file")
-    d.add_argument("--out", help="output directory (default from [output])")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="INI configuration file")
+    common.add_argument("--out", help="output directory (default from [output])")
+    common.add_argument("--lags-from-one", action="store_true",
+                        help="exclude lag 0 from the cross-correlation zone")
+    common.add_argument("--literal-transpose", action="store_true",
+                        help="use unconjugated transposes in the correlations")
+
+    d = sub.add_parser("design", parents=[common],
+                       help="design a pilot pair and archive it")
     d.add_argument("--seed", type=int, help="override the design seed")
-    d.add_argument("--lags-from-one", action="store_true",
-                   help="exclude lag 0 from the cross-correlation zone")
-    d.add_argument("--literal-transpose", action="store_true",
-                   help="use unconjugated transposes in the correlations")
     d.set_defaults(func=_cmd_design)
 
     a = sub.add_parser("analyze", help="correlation report for an archive")
@@ -294,14 +276,11 @@ def build_parser():
                    help="force unconjugated transposes regardless of archive")
     a.set_defaults(func=_cmd_analyze)
 
-    m = sub.add_parser("montecarlo", help="designer statistics over many seeds")
-    m.add_argument("--config", required=True)
+    m = sub.add_parser("montecarlo", parents=[common],
+                       help="designer statistics over many seeds")
     m.add_argument("--runs", type=int, help="number of seeds (default 50)")
     m.add_argument("--seed", type=int, help="first seed of the block")
-    m.add_argument("--out")
     m.add_argument("--format", choices=["csv", "json"])
-    m.add_argument("--lags-from-one", action="store_true")
-    m.add_argument("--literal-transpose", action="store_true")
     m.set_defaults(func=_cmd_montecarlo)
 
     r = sub.add_parser("range", help="sensing range and feasibility")

@@ -2,9 +2,12 @@
 
 Sections: [scenario] (antenna counts, training length, correlation
 coefficients, energy budget), [design] (designer knobs), [timing]
-(sensing geometry) and [output] (directory, format).  Unknown sections or
-keys are rejected with their location; values are validated on parse so
-commands never start work on a bad configuration.
+(sensing geometry) and [output] (directory, format).  The [design] keys
+are the DesignConfig fields and each [timing] key maps to one
+TimingScenario field; those dataclasses hold the defaults and the range
+checks.  Unknown sections or keys are rejected with their location;
+values are validated on parse so commands never start work on a bad
+configuration.
 """
 
 import configparser
@@ -39,16 +42,21 @@ _SCENARIO_KEYS = {
 # checked so that they still load; the designer takes one inner round and
 # ignores it.
 _DESIGN_KEYS = {f.name for f in fields(DesignConfig)} | {"mu"}
-_TIMING_KEYS = {
-    "d_user_m", "d_object_m", "symbol_time_s", "processing_symbols",
-    "propagation_mps", "modulation_symbols",
+# [timing] key -> TimingScenario field, which holds the default.  The two
+# required keys come first, so a missing one is reported before the rest.
+_TIMING_FIELDS = {
+    "d_user_m": "d_user",
+    "symbol_time_s": "symbol_time",
+    "processing_symbols": "t_pr",
+    "propagation_mps": "nu",
+    "modulation_symbols": "t_mod",
+    "d_object_m": "d_object",
 }
-_OUTPUT_KEYS = {"directory", "format"}
 _SECTIONS = {
-    "scenario": set(_SCENARIO_KEYS),
+    "scenario": _SCENARIO_KEYS,
     "design": _DESIGN_KEYS,
-    "timing": _TIMING_KEYS,
-    "output": _OUTPUT_KEYS,
+    "timing": _TIMING_FIELDS,
+    "output": {"directory", "format"},
 }
 
 
@@ -85,10 +93,8 @@ class RunConfig:
 
 
 def _parse(cp, section, key, conv, kind, default):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key).strip()
-    if raw == "":
+    raw = cp.get(section, key, fallback="").strip()
+    if not raw:
         return default
     try:
         value = conv(raw)
@@ -149,14 +155,12 @@ def parse_config(text, sha256=""):
 
     # DesignConfig holds the defaults; each field's type picks its parser
     # (p, the one optional field, is a float).
-    defaults = DesignConfig()
     design = {}
     for f in fields(DesignConfig):
         conv, kind = {bool: (_boolean, "boolean"), int: (int, "integer")}.get(
             f.type, (float, "number")
         )
-        default = getattr(defaults, f.name)
-        design[f.name] = _parse(cp, "design", f.name, conv, kind, default)
+        design[f.name] = _parse(cp, "design", f.name, conv, kind, f.default)
     if _parse(cp, "design", "mu", int, "integer", 1) < 1:
         raise ConfigError("[design] mu must be >= 1")
     try:
@@ -168,45 +172,25 @@ def parse_config(text, sha256=""):
 
     timing = None
     if cp.has_section("timing"):
-        d_user = _parse(cp, "timing", "d_user_m", float, "number", None)
-        symbol_time = _parse(cp, "timing", "symbol_time_s", float, "number", None)
-        if d_user is None or symbol_time is None:
-            raise ConfigError("[timing] requires d_user_m and symbol_time_s")
+        given = {}
+        for key, name in _TIMING_FIELDS.items():
+            value = _parse(cp, "timing", key, float, "number", None)
+            if value is not None:
+                given[name] = value
+            elif name in ("d_user", "symbol_time"):
+                raise ConfigError("[timing] requires d_user_m and symbol_time_s")
         try:
-            timing = TimingScenario(
-                d_user=d_user,
-                symbol_time=symbol_time,
-                t_pr=_parse(cp, "timing", "processing_symbols", float, "number", 1.0),
-                k=design.k,
-                nu=_parse(cp, "timing", "propagation_mps", float, "number", 3.0e8),
-                t_mod=_parse(cp, "timing", "modulation_symbols", float, "number", 0.0),
-                d_object=_parse(cp, "timing", "d_object_m", float, "number", None),
-            )
+            timing = TimingScenario(k=design.k, **given)
         except ValueError as err:
             raise ConfigError(f"[timing] {err}") from None
 
-    fmt = "csv"
-    out_dir = "out"
-    if cp.has_section("output"):
-        fmt = cp.get("output", "format", fallback="csv").strip() or "csv"
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"[output] format: expected csv or json, got {fmt!r}")
-        out_dir = cp.get("output", "directory", fallback="out").strip() or "out"
+    fmt = _parse(cp, "output", "format", str, "text", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"[output] format: expected csv or json, got {fmt!r}")
+    out_dir = _parse(cp, "output", "directory", str, "text", "out")
 
-    return RunConfig(
-        n_t=n_t,
-        n_r=n_r,
-        b=b,
-        rho_rt=rhos["rho_rt"],
-        rho_rr=rhos["rho_rr"],
-        rho_mt=rhos["rho_mt"],
-        gamma=gamma,
-        design=design,
-        timing=timing,
-        out_dir=out_dir,
-        fmt=fmt,
-        sha256=sha256,
-    )
+    return RunConfig(n_t=n_t, n_r=n_r, b=b, **rhos, gamma=gamma, design=design,
+                     timing=timing, out_dir=out_dir, fmt=fmt, sha256=sha256)
 
 
 def load_config(path):

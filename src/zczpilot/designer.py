@@ -95,6 +95,9 @@ class DesignConfig:
     lags_from_one).  p is the per-column power bound; leave
     None to derive gamma/n_columns per link.  literal_transpose switches
     correlations from the conjugated form x^H J y to the plain transpose.
+    epsilon bounds the absolute cross residual max |x_q^H J_m y_l| over
+    the zone (max_cross_corr, not divided by the lag-0 power): a design
+    whose MSE settles counts as converged only when it is <= epsilon.
     """
 
     k: int = 4

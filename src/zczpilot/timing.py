@@ -38,6 +38,8 @@ class TimingScenario:
             raise ValueError("propagation speed must be positive and finite")
         if not 0 <= self.t_pr < math.inf:
             raise ValueError("t_pr must be >= 0 and finite")
+        if not 0 <= self.t_mod < math.inf:
+            raise ValueError("t_mod must be >= 0 and finite")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.d_object is not None and not 0 < self.d_object < math.inf:

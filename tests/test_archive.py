@@ -2,6 +2,7 @@
 validation of foreign files."""
 
 import json
+from dataclasses import fields
 from datetime import datetime
 
 import numpy as np
@@ -74,6 +75,8 @@ class TestPayload:
         assert d["epsilon"] == cfg.epsilon
         assert d["seed"] == cfg.seed
         assert d["lags_from_one"] is False
+        names = [f.name for f in fields(DesignConfig) if f.name != "p"]
+        assert list(d) == names + ["p_x", "p_y"]
 
     def test_result_block_mirrors_trace(self, designed):
         pair, trace, _, _ = designed

@@ -207,6 +207,17 @@ class TestDesign:
         arc = read_archive(out / "pilot_archive.json")
         assert arc.design["seed"] == 9
 
+    def test_override_flags_recorded(self, small_config, tmp_path, capsys):
+        out = tmp_path / "flagged"
+        rc = main(["design", "--config", str(small_config), "--out", str(out),
+                   "--lags-from-one", "--literal-transpose", "--seed", "3"])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        design = read_archive(out / "pilot_archive.json").design
+        assert design["lags_from_one"] is True
+        assert design["literal_transpose"] is True
+        assert design["seed"] == 3
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tight.ini"
         path.write_text(SMALL.replace("max_outer = 300", "max_outer = 5"))
@@ -272,6 +283,10 @@ class TestAnalyze:
             rows = list(csv.reader(fh))
         # header + (auto + cross) * (2B-1) lags for 1x1 pilots
         assert len(rows) == 1 + 7 + 7
+        rc = main(["analyze", str(archive_dir / "pilot_archive.json"),
+                   "--max-lag", "0"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "lags: 0..0"
 
     def test_json_report(self, archive_dir, tmp_path, capsys):
         out = tmp_path / "report"
@@ -367,6 +382,26 @@ class TestMonteCarlo:
         assert doc["failures"] == [{"seed": 1, "type": "LinAlgError",
                                     "message": "singular Gram"}]
 
+    def test_override_flags_reach_each_design(self, small_config, tmp_path,
+                                              capsys, monkeypatch):
+        import zczpilot.analysis as analysis
+
+        design = analysis.design_pilots
+        seen = []
+
+        def stub(dl, ul, cfg):
+            seen.append(cfg)
+            return design(dl, ul, cfg)
+
+        monkeypatch.setattr(analysis, "design_pilots", stub)
+        rc = main(["montecarlo", "--config", str(small_config),
+                   "--out", str(tmp_path / "mc"), "--lags-from-one",
+                   "--literal-transpose", "--seed", "5", "--runs", "2"])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        assert [cfg.seed for cfg in seen] == [5, 6]
+        assert all(cfg.lags_from_one and cfg.literal_transpose for cfg in seen)
+
     def test_every_seed_failed_exit_code(self, small_config, tmp_path, capsys,
                                          monkeypatch):
         import zczpilot.analysis as analysis
@@ -421,6 +456,14 @@ class TestInputRejection:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err == "error: --seed must be >= 0, got -1\n"
+
+    def test_negative_modulation_time(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMALL + "modulation_symbols = -5\n")
+        rc = main(["range", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: [timing] ") and err.count("\n") == 1
 
     def test_validate_seeds_past_2_64(self, small_config, capsys):
         # trial t draws from seed + 1 + t, and the simulator's seeds end
