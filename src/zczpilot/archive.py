@@ -136,7 +136,7 @@ def parse_archive(payload):
         raise ArchiveError(f"field 'format': expected {ARCHIVE_FORMAT!r}, got {fmt!r}")
     dims = _require(payload, "dims", dict)
     for key in ("b", "n_t", "n_r"):
-        if not isinstance(dims.get(key), int) or dims[key] < 1:
+        if type(dims.get(key)) is not int or dims[key] < 1:  # bool is no count
             raise ArchiveError(f"field 'dims.{key}': expected a positive integer")
     design = _require(payload, "design", dict)
     if not isinstance(design.get("literal_transpose", False), bool):

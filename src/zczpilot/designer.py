@@ -18,23 +18,24 @@ factors (Phi, c, Psi) of its solved blocks, from which _curvature takes
 the next MM target: K = Phi core Phi^H has rank <= n_t, so no b x b
 eigenvalue problem, dense V2 or channel covariance is formed.
 
-Both pilots see one zero-correlation zone.  Its constraint vectors are
-the fixed pilot shifted by each lag, one slice per lag (_shifted), and
-one SVD rank rule turns them into an orthonormal nullspace basis C
-(_nullspace).  Both steps are the same zone projection: C C^H t, then
-the shrink into the ball and, for the downlink, the ellipsoids
-(_shrink_into_sets).  For the uplink (no ellipsoids) that is the exact
-projection; for the downlink with k >= 1 it is a feasible point near the
-target.  A round builds the downlink C once, and the restoration below
-works inside it.
+Both pilots see one zero-correlation zone, the orthogonal complement of
+its constraint vectors: the fixed pilot shifted by each lag, one slice
+per lag (_shifted).  One thin SVD and a rank rule turn them into an
+orthonormal basis U of their span (_zone_basis); U without columns is
+the unconstrained zone.  Both steps are the same zone projection:
+t - U U^H t (_in_zone), then the shrink into the ball and, for the
+downlink, the ellipsoids (_shrink_into_sets).  For the uplink (no
+ellipsoids) that is the exact projection; for the downlink with k >= 1
+it is a feasible point near the target.  A round builds the downlink U
+once, and the restoration below works inside its zone.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
 sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
 m = 1..k, between its two steps: Gauss-Newton minimum-norm steps inside
-the cross-correlation nullspace of the current Y, taken by all violating
-columns together (one lag stack and one batched solve per step), and a
-power cap restore X before Y is projected against it.  A column of X
+the zone of the current Y, taken by all violating columns together (one
+lag stack and one batched solve per step), and a power cap restore X
+before Y is projected against it.  A column of X
 that then ends farther from its MM target than the current column, or
 not inside the bound, keeps the current column, which is feasible.  The
 MM majorizer is separable by column, and the current Y is a candidate
@@ -95,9 +96,10 @@ class DesignConfig:
     lags_from_one).  p is the per-column power bound; leave
     None to derive gamma/n_columns per link.  literal_transpose switches
     correlations from the conjugated form x^H J y to the plain transpose.
-    epsilon bounds the absolute cross residual max |x_q^H J_m y_l| over
-    the zone (max_cross_corr, not divided by the lag-0 power): a design
-    whose MSE settles counts as converged only when it is <= epsilon.
+    epsilon bounds the cross residual max |x_q^H J_m y_l| over the zone
+    (max_cross_corr) over the largest lag-0 power max_q ||x_q||^2, as in
+    acceptance criterion 5b: a design whose MSE settles counts as
+    converged only when that ratio is <= epsilon (a zero X never does).
     """
 
     k: int = 4
@@ -174,43 +176,28 @@ def _autocorr(x, k, literal):
     return np.einsum("bq,mbq->mq", x if literal else x.conj(), _shifted(x, k)[1:])
 
 
-def _shrink_into_sets(x, k, p):
-    """Scale each column of x down until the ball and the ellipsoids hold.
+def _cap_into_sets(x, n2, r, p):
+    """Scale each column of x down until the ball and the ellipsoids hold,
+    from its power n2 = ||x||^2 and its sidelobes r_m = x^H J_m x, m = 1..k.
 
-    The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(||x||^2 + Re x^H J_m x)
-    (J_m is real), so the ellipsoid m holds iff ||x||^2 + Re r_m <= p.  With
-    k = 0 this is the shrink into the ball; the initial 0 of the
-    reduction is below ||x||^2 and leaves the maximum unchanged.
+    The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(n2 + Re r_m) (J_m
+    is real), so the ellipsoid m holds iff n2 + Re r_m <= p.  With k = 0
+    this is the cap to the ball (the reduction's initial 0 is below n2).
     """
-    n2 = _column_power(x)
-    top = np.maximum(
-        n2, (n2 + _autocorr(x, k, False).real).max(axis=0, initial=0.0)
-    )
+    top = np.maximum(n2, (n2 + r.real).max(axis=0, initial=0.0))
     return x * np.sqrt(np.where(top > p, p / np.maximum(top, _TINY), 1.0))
 
 
-def _nullspace(vectors, b):
-    """Orthonormal basis C of span(vectors)^perp.
-
-    The trailing left singular vectors of one full SVD, past the rank
-    counted at 1e-10 times the largest singular value; the identity when
-    there are no vectors or all of them are zero.  No columns means that
-    only the zero vector meets the constraints.
-    """
-    if not vectors.any():
-        return np.eye(b, dtype=np.complex128)
-    u, sv, _ = np.linalg.svd(vectors)
-    return u[:, int(np.count_nonzero(sv > 1e-10 * sv[0])):]
+def _shrink_into_sets(x, k, p):
+    """Measure each column's power and sidelobes, then cap (_cap_into_sets)."""
+    return _cap_into_sets(x, _column_power(x), _autocorr(x, k, False), p)
 
 
-def _in_nullspace(null, t):
-    """C C^H t, the projection of t's columns onto span(C).
-
-    C = I (no constraint) returns t itself, so an unconstrained step keeps
-    its values and memory layout, and with them the summation order of
-    the BLAS calls that follow.
-    """
-    return t if null.shape[1] == null.shape[0] else null @ (null.conj().T @ t)
+def _in_zone(span, t):
+    """t - U U^H t, t's columns projected onto the zone of basis U.  U
+    without columns returns t itself, so an unconstrained step keeps its
+    values and layout, and the summation order of the BLAS calls after."""
+    return t - span @ (span.conj().T @ t) if span.shape[1] else t
 
 
 def _resolve_p(cfg, p):
@@ -223,25 +210,31 @@ def _resolve_p(cfg, p):
 
 
 def _zone_basis(fixed, b, cfg, transpose_shift):
-    """Orthonormal basis C of the zone against `fixed`: the nullspace of
-    its cross vectors (_cross_vectors) in C^b."""
+    """Orthonormal basis U of the span of the cross vectors against `fixed`
+    (_cross_vectors), whose orthogonal complement in C^b is the zone: one
+    thin SVD's left singular vectors to the rank counted at 1e-10 times the
+    largest singular value.  No columns when every vector is zero (the
+    zone is C^b); b columns when the zone is {0}."""
     if cfg.k >= b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
-    fixed = np.asarray(fixed, dtype=np.complex128).reshape(b, -1)
-    return _nullspace(_cross_vectors(fixed, cfg, transpose_shift), b)
+    a = _cross_vectors(np.reshape(fixed, (b, -1)), cfg, transpose_shift)
+    if not a.any():
+        return np.zeros((b, 0), dtype=np.complex128)
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : np.count_nonzero(sv > 1e-10 * sv[0])]
 
 
-def _project_zone(target, null, p, k):
+def _project_zone(target, span, p, k):
     """Move each target column into {||t||^2 <= p} ∩ {t^H (J_m^T + J_m +
-    2I) t <= 2p, m = 1..k} ∩ span(null), null a zone basis C.
+    2I) t <= 2p, m = 1..k} ∩ span(U)^perp, U a zone basis (_zone_basis).
 
-    The columns are projected onto the zone (C C^H t) and then shrunk
+    The columns are projected onto the zone (t - U U^H t) and then shrunk
     into the ball and the ellipsoids (_shrink_into_sets).  With k = 0
     this is the exact projection; with k >= 1 it is a feasible point, not
-    the nearest one.  If C has no columns only t = 0 is feasible; the
+    the nearest one.  If U has b columns only t = 0 is feasible; the
     columns are then zeroed under a DegenerateConstraintWarning.
     """
-    if not null.shape[1]:
+    if span.shape[1] == span.shape[0]:
         warnings.warn(
             "cross-correlation constraints span the whole space; "
             "returning zero columns",
@@ -249,7 +242,7 @@ def _project_zone(target, null, p, k):
             stacklevel=3,
         )
         return np.zeros_like(target)
-    return _shrink_into_sets(_in_nullspace(null, target), k, p)
+    return _shrink_into_sets(_in_zone(span, target), k, p)
 
 
 def x_step(x_target, y_fixed, cfg, p=None):
@@ -261,8 +254,8 @@ def x_step(x_target, y_fixed, cfg, p=None):
     and the ellipsoids.
     """
     x_target = np.asarray(x_target, dtype=np.complex128)
-    null = _zone_basis(y_fixed, x_target.shape[0], cfg, False)
-    return _project_zone(x_target, null, _resolve_p(cfg, p), cfg.k)
+    span = _zone_basis(y_fixed, x_target.shape[0], cfg, False)
+    return _project_zone(x_target, span, _resolve_p(cfg, p), cfg.k)
 
 
 def y_step(y_target, x_fixed, cfg, p=None):
@@ -273,8 +266,8 @@ def y_step(y_target, x_fixed, cfg, p=None):
     shifts J_m^T x_q as cross vectors.
     """
     y_target = np.asarray(y_target, dtype=np.complex128)
-    null = _zone_basis(x_fixed, y_target.shape[0], cfg, True)
-    return _project_zone(y_target, null, _resolve_p(cfg, p), 0)
+    span = _zone_basis(x_fixed, y_target.shape[0], cfg, True)
+    return _project_zone(y_target, span, _resolve_p(cfg, p), 0)
 
 
 def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
@@ -296,11 +289,11 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     """
     x_sigma = np.asarray(x_sigma, dtype=np.complex128)
     p_x = _resolve_p(cfg, p_x)
-    null = _zone_basis(y0, x_sigma.shape[0], cfg, False)
-    x = _project_zone(x_sigma, null, p_x, cfg.k)
+    span = _zone_basis(y0, x_sigma.shape[0], cfg, False)
+    x = _project_zone(x_sigma, span, p_x, cfg.k)
     over = np.zeros(x.shape[1], dtype=bool)
     if cfg.k:
-        x, worst = _restore_sidelobes(x, null, p_x, cfg)
+        x, worst = _restore_sidelobes(x, span, p_x, cfg)
         over = ~(worst <= SIDELOBE_DELTA)
         for q in np.flatnonzero(over):
             warnings.warn(
@@ -421,34 +414,35 @@ def _record(trace, mse, links, residuals):
     trace.max_auto.append(residuals[2])
 
 
-def _restore_sidelobes(x, null, p, cfg):
+def _restore_sidelobes(x, span, p, cfg):
     """Move every column of x inside the sidelobe bound, then cap its power.
 
-    Columns are projected onto span(null), null the cross-correlation
-    nullspace basis C.  Every column with max_m |h_m| > _RESTORE_DONE,
-    h_m = r_m / ||x||^2, then takes Gauss-Newton steps, all together: the
-    minimum-norm real step in span(C) that sets the linearized |h_m| of
-    each lag above _RESTORE_ACTIVE (just below _RESTORE_LEVEL) to the
-    level, from one lag stack and one batched solve of the columns' k x k
-    real Grams, with the identity on inactive lags (zero right side, zero
-    step) and a ridge of 1e-12 / ||x||^2 on active ones.  |h_m| is
-    invariant under complex scaling, so a d-dimensional zone leaves
-    2d - 2 real directions that move it; with more active lags the Gram
-    is singular, and the ridge keeps the step finite.  A step is cut to
-    the column's length, keeping its direction, so that steps in a small
-    zone cannot grow a column until it overflows.  The final scaling
-    keeps the nullspace and every |h_m|.  Returns the matrix and each
-    column's max_m |h_m|.
+    Columns are projected onto the zone of the basis U = span.  Every column
+    with max_m |h_m| > _RESTORE_DONE, h_m = r_m / ||x||^2, then takes
+    Gauss-Newton steps, all together: the minimum-norm real step in the zone
+    that sets the linearized |h_m| of each lag above _RESTORE_ACTIVE (just
+    below _RESTORE_LEVEL) to the level, from one lag stack and one batched
+    solve of the columns' k x k real Grams, with the identity on inactive
+    lags (zero right side, zero step) and a ridge of 1e-12 / ||x||^2 on
+    active ones.  |h_m| is invariant under complex scaling, so a
+    d-dimensional zone leaves 2d - 2 real directions that move it; with more
+    active lags the Gram is singular, and the ridge keeps the step finite.
+    The step is projected onto the zone, and cut to the column's length,
+    keeping its direction, so that steps in a small zone cannot grow a
+    column until it overflows.  The final cap (_cap_into_sets) reads the
+    last pass's measures and keeps the zone and every |h_m|.  Returns the
+    matrix and each column's max_m |h_m|.
     """
     k, n = cfg.k, x.shape[1]
-    x = _in_nullspace(null, x)
+    x = _in_zone(span, x)
     for step in range(_RESTORE_MAX_STEPS + 1):
         # J_m^T x = R J_m R x with R the row flip, so one stack gives both
         lags = _shifted(np.concatenate([x, x[::-1]], axis=1), k)[1:]
         jx, jtx = lags[:, :, :n], lags[:, ::-1, n:]
-        s = np.maximum(_column_power(x), _TINY)
-        h = np.einsum("bq,mbq->mq", x if cfg.literal_transpose else x.conj(), jx)
-        h /= s
+        n2 = _column_power(x)
+        s = np.maximum(n2, _TINY)
+        r = np.einsum("bq,mbq->mq", x if cfg.literal_transpose else x.conj(), jx)
+        h = r / s
         mag = np.abs(h)
         worst = mag.max(axis=0)
         act = (mag > _RESTORE_ACTIVE) & (worst > _RESTORE_DONE)
@@ -462,14 +456,17 @@ def _restore_sidelobes(x, null, p, cfg):
             grad = h[:, None] * jtx + h.conj()[:, None] * jx
         norm = np.where(act, mag * s, np.inf)[:, None]
         grad = (grad - 2.0 * (mag**2)[:, None] * x) / norm
-        grad = _in_nullspace(null, grad.transpose(2, 1, 0))
+        grad = _in_zone(span, grad.transpose(2, 1, 0))
         gram = np.real(grad.conj().transpose(0, 2, 1) @ grad)
         gram += np.where(act, 1e-12 / s, 1.0).T[:, :, None] * np.eye(k)
         rhs = np.where(act, _RESTORE_LEVEL - mag, 0.0).T[:, :, None]
-        dx = (grad @ np.linalg.solve(gram, rhs))[:, :, 0].T
+        # projected again, since the ridge can blow up rounding off the zone
+        dx = _in_zone(span, (grad @ np.linalg.solve(gram, rhs))[:, :, 0].T)
         # where(||dx||^2 > s, s / ||dx||^2, 1), dividing by no zero step
         x = x + dx * np.sqrt(s / np.maximum(_column_power(dx), s))
-    return _shrink_into_sets(x, k, p), worst
+    if cfg.literal_transpose:  # the ellipsoids take x^H J_m x either way
+        r = np.einsum("bq,mbq->mq", x.conj(), jx)
+    return _cap_into_sets(x, n2, r, p), worst
 
 
 def _pair_residuals(x, y, cfg):
@@ -557,13 +554,15 @@ def design_pilots(dl, ul, cfg):
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     trace.warnings = list(dict.fromkeys(trace.warnings))
     pair = PilotPair(x, y, *residuals)
-    # A successful design guarantees the cross-correlation residual; an
-    # MSE plateau alone does not count.
-    if trace.converged and pair.max_cross_corr > cfg.epsilon:
+    # A successful design guarantees the cross-correlation residual relative
+    # to the largest lag-0 power; an MSE plateau alone does not count.
+    lag0 = float(np.max(np.sum(np.abs(x) ** 2, axis=0)))
+    ratio = pair.max_cross_corr / lag0 if lag0 else np.inf
+    if trace.converged and not ratio <= cfg.epsilon:
         trace.converged = False
         trace.warnings.append(
-            f"cross-correlation residual {pair.max_cross_corr:.3g} exceeds "
-            f"epsilon={cfg.epsilon}"
+            f"cross-correlation residual {ratio:.3g} of the lag-0 power "
+            f"exceeds epsilon={cfg.epsilon}"
         )
     trace.wall_time = time.perf_counter() - t0
     return pair, trace

@@ -3,8 +3,8 @@ tests' oracles: the covariances R = R_tx (x) R_rx and M = M_time (x) M_rx,
 the lifted pilot Pt = P (x) I, the information form of the MSE, the block
 matrix Q, the solved Gram blocks and the dense auxiliary variable
 V* = [I; V2], the dense MM curvature and the quadratic form
-F(V, P) = trace[V^H Q V]; and the reference iteration and restoration
-of the designer."""
+F(V, P) = trace[V^H Q V]; the full-SVD zone bases; and the reference
+iteration and restoration of the designer."""
 
 from dataclasses import dataclass
 
@@ -179,14 +179,28 @@ def adjoint_embed(z, n_r):
     return np.einsum("irjr->ij", z.reshape(b, n_r, n_t, n_r))
 
 
+def zone_bases(vectors, b):
+    """Orthonormal bases (U, C) of span(vectors) and of its orthogonal
+    complement in C^b, the zone: the leading and trailing left singular
+    vectors of one full SVD, split at the rank counted at 1e-10 times the
+    largest singular value.  With no vectors, or only zero ones, U has no
+    columns and C is the identity; C without columns means that only the
+    zero vector lies in the zone."""
+    if not vectors.any():
+        return np.zeros((b, 0), dtype=np.complex128), np.eye(b, dtype=np.complex128)
+    u, sv, _ = np.linalg.svd(vectors)
+    rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
+    return u[:, :rank], u[:, rank:]
+
+
 def _restored_against(x, y, cfg, p):
     """X restored into the sidelobe bound inside the cross-correlation
-    nullspace of y, with the columns left over the bound; for k = 0, X and
+    zone of y, with the columns left over the bound; for k = 0, X and
     no such column."""
     if not cfg.k:
         return x, np.zeros(x.shape[1], dtype=bool)
-    null = designer._nullspace(designer._cross_vectors(y, cfg, False), x.shape[0])
-    x, worst = designer._restore_sidelobes(x, null, designer._resolve_p(cfg, p), cfg)
+    span = designer._zone_basis(y, x.shape[0], cfg, False)
+    x, worst = designer._restore_sidelobes(x, span, designer._resolve_p(cfg, p), cfg)
     return x, worst > designer.SIDELOBE_DELTA
 
 
@@ -196,7 +210,7 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     drop-in for zczpilot.designer.inner_cycle: alternate x_step/y_step
     toward the targets for at most mu rounds, stopping once a round moves
     the pair by at most inner_tol; then, for k >= 1, restore X inside the
-    cross-correlation nullspace of the final Y; hold every column of X
+    cross-correlation zone of the final Y; hold every column of X
     that ends farther from its target than x0's, or over the sidelobe
     bound, at x0's column; and project Y against that X.  Returns (X, Y)
     like inner_cycle.

@@ -151,6 +151,10 @@ class TestValidation:
         payload["dims"] = {"b": 4, "n_t": 0, "n_r": 2}
         with pytest.raises(ArchiveError, match=r"dims\.n_t"):
             parse_archive(payload)
+        # a JSON boolean is a Python int, and true == 1
+        payload["dims"] = {"b": True, "n_t": True, "n_r": True}
+        with pytest.raises(ArchiveError, match=r"dims\.b': expected a positive integer"):
+            parse_archive(payload)
 
     def test_row_count_mismatch(self, designed):
         payload = make_payload(designed)

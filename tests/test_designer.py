@@ -16,6 +16,7 @@ from oracles import (
     embed_pilot,
     mm_model,
     surrogate_F,
+    zone_bases,
 )
 from test_estimation import DIM_GRID, LINALG_FACTORS, RHO_SETS, record_factor_sizes
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
@@ -26,7 +27,7 @@ from zczpilot.designer import (
     DesignConfig,
     HeldColumnWarning,
     _cross_vectors,
-    _nullspace,
+    _in_zone,
     _restore_sidelobes,
     _shifted,
     _shrink_into_sets,
@@ -183,6 +184,42 @@ class TestShifted:
             npt.assert_array_equal(out[m], (j.T if back else j) @ x)
 
 
+class TestZoneBasis:
+    @pytest.mark.parametrize("lags_from_one", [False, True])
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_projection_matches_pseudo_inverse(self, k, literal, lags_from_one):
+        # t - U U^H t is (I - A A^+) t for the cross vectors A of either
+        # step, on random, repeated (rank-deficient), zero and empty fixed
+        # blocks; the zone collapses exactly when A has rank b
+        rng = np.random.default_rng(30)
+        b = 6
+        cfg = DesignConfig(k=k, literal_transpose=literal, lags_from_one=lags_from_one)
+        f = crandn(rng, b, 1)
+        blocks = [f, crandn(rng, b, 3), np.hstack([f, 2j * f, f]),
+                  np.zeros((b, 2)), np.zeros((b, 0))]
+        for fixed in blocks:
+            for transpose_shift in (False, True):
+                a = _cross_vectors(fixed, cfg, transpose_shift)
+                rank = np.linalg.matrix_rank(a) if a.size else 0
+                t = crandn(rng, b, 3)
+                span = _zone_basis(fixed, b, cfg, transpose_shift)
+                assert span.shape == (b, rank)
+                want = t - a @ (np.linalg.pinv(a, rcond=1e-10) @ t)
+                npt.assert_allclose(_in_zone(span, t), want, rtol=0, atol=1e-12)
+                if not a.any():
+                    assert _in_zone(span, t) is t
+                step = y_step if transpose_shift else x_step
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always", DegenerateConstraintWarning)
+                    out = step(t, fixed, cfg, p=1e6)
+                collapsed = [w.category for w in seen] == [DegenerateConstraintWarning]
+                assert collapsed == (rank == b)
+                assert not seen or collapsed
+                if collapsed:
+                    assert not out.any()
+
+
 class TestShrink:
     def test_matches_eigendecomposition_form(self):
         rng = np.random.default_rng(10)
@@ -198,14 +235,14 @@ class TestShrink:
         rng = np.random.default_rng(11)
         b, k, p = 8, 4, 1.0
         cfg = DesignConfig(k=k, p=p, literal_transpose=literal)
-        null = np.eye(b, dtype=complex)
+        span = np.zeros((b, 0), dtype=complex)
         # columns restored without a power cap meet the restoration level,
         # so after rescaling the second call only shrinks them
-        x, worst = _restore_sidelobes(crandn(rng, b, 8), null, 1e6, cfg)
+        x, worst = _restore_sidelobes(crandn(rng, b, 8), span, 1e6, cfg)
         x = x[:, worst <= designer._RESTORE_DONE]
         assert x.shape[1] >= 4
         x *= rng.uniform(0.5, 2.0, x.shape[1]) / np.linalg.norm(x, axis=0)
-        out, _ = _restore_sidelobes(x, null, p, cfg)
+        out, _ = _restore_sidelobes(x, span, p, cfg)
         assert not np.array_equal(out, x)
         npt.assert_allclose(out, eigen_shrink(x, k, p), rtol=1e-12, atol=0)
 
@@ -335,7 +372,7 @@ class TestInnerCycle:
             cfg = DesignConfig(k=k, p=1.0)
             x0 = x_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
             if k:
-                x0, worst = _restore_sidelobes(x0, np.eye(8), cfg.p, cfg)
+                x0, worst = _restore_sidelobes(x0, np.zeros((8, 0)), cfg.p, cfg)
                 assert worst.max() <= SIDELOBE_DELTA
             y0 = y_step(crandn(rng, 8, 2), x0, cfg)
             x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
@@ -355,7 +392,7 @@ class TestInnerCycle:
         rng = np.random.default_rng(3)
         cfg = DesignConfig(k=6, p=1.0)
         y0 = crandn(rng, 8, 1)
-        null = _zone_basis(y0, 8, cfg, False)
+        _, null = zone_bases(_cross_vectors(y0, cfg, False), 8)
         assert null.shape[1] == 1
         x0 = null * 0.5
         with pytest.warns(HeldColumnWarning, match="column 0 keeps"):
@@ -422,25 +459,25 @@ class TestInnerCycle:
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
     def test_one_round(self, monkeypatch):
-        # one zone projection per block, and one nullspace basis per block:
+        # one zone projection per block, and one zone basis per block:
         # the X step's basis is the restoration's too
-        calls = count_calls(monkeypatch, "_project_zone", "_nullspace", "y_step")
+        calls = count_calls(monkeypatch, "_project_zone", "_zone_basis", "y_step")
         rng = np.random.default_rng(0)
         cfg = DesignConfig(k=1, p=1.0)
         y0 = np.zeros((8, 2), dtype=complex)
         x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
         x, y = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
-        assert calls == {"_project_zone": 2, "_nullspace": 2, "y_step": 1}
+        assert calls == {"_project_zone": 2, "_zone_basis": 2, "y_step": 1}
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
         # A design: the start's round, then one per outer iteration.
-        calls.update(_project_zone=0, _nullspace=0, y_step=0)
+        calls.update(_project_zone=0, _zone_basis=0, y_step=0)
         dl = build_scenario(4, 4, 16)
         _, trace = design_pilots(
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
         )
         rounds = trace.outer_iterations + 1
-        assert calls == {"_project_zone": 2 * rounds, "_nullspace": 2 * rounds,
+        assert calls == {"_project_zone": 2 * rounds, "_zone_basis": 2 * rounds,
                          "y_step": rounds}
 
     def test_farther_column_keeps_current_value(self, monkeypatch):
@@ -450,8 +487,8 @@ class TestInnerCycle:
         # held X, and the run goes on.
         project = designer._project_zone
 
-        def negated(target, null, p, k):
-            out = project(target, null, p, k)
+        def negated(target, span, p, k):
+            out = project(target, span, p, k)
             if k:
                 out[:, 0] *= -1.0
             return out
@@ -888,6 +925,39 @@ class TestStopReason:
         assert trace.stop_reason == "max_outer"
         assert trace.outer_iterations == cfg.max_outer
 
+    @pytest.mark.parametrize("scale, converged", [(0.5, True), (2.0, False)])
+    def test_epsilon_bounds_residual_over_lag0(self, monkeypatch, scale, converged):
+        # p = 0.25 keeps every lag-0 power <= 0.25, so a cross residual of
+        # 2 epsilon lag0 is still below epsilon: only its ratio to the
+        # largest lag-0 power (criterion 5b) says that it misses the bound
+        residuals = designer._pair_residuals
+
+        def forced(x, y, cfg):
+            power, _, auto = residuals(x, y, cfg)
+            lag0 = np.max(np.sum(np.abs(x) ** 2, axis=0))
+            return power, scale * cfg.epsilon * lag0, auto
+
+        monkeypatch.setattr(designer, "_pair_residuals", forced)
+        dl = build_scenario(2, 2, 4)
+        cfg = DesignConfig(k=1, p=0.25, eta=1e3, max_outer=5)
+        pair, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        assert trace.stop_reason == "eta"
+        assert pair.max_cross_corr < cfg.epsilon
+        assert trace.converged == converged
+        assert any("exceeds epsilon" in w for w in trace.warnings) != converged
+
+    def test_zero_x_not_converged(self, monkeypatch):
+        # a zero X has no lag-0 power to hold the residual against
+        monkeypatch.setattr(
+            designer, "inner_cycle",
+            lambda x_sigma, y_sigma, x0, y0, cfg, p_x, p_y: (0 * x0, 0 * y0),
+        )
+        dl = build_scenario(2, 2, 4)
+        pair, trace = design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=1))
+        assert trace.stop_reason == "eta"
+        assert pair.max_cross_corr == 0.0
+        assert not trace.converged
+
 def sidelobe_ratios(x, k, literal=False):
     """max over lags 1..k of |r_m(x_q)| / ||x_q||^2, one value per column."""
     from zczpilot.analysis import correlation_report
@@ -928,8 +998,8 @@ class TestSidelobeBound:
         rng = np.random.default_rng(9)
         cfg = DesignConfig(k=2, p=2.0)
         y = crandn(rng, 8, 1)
-        null = _nullspace(_cross_vectors(y, cfg, False), 8)
-        x, worst = _restore_sidelobes(crandn(rng, 8, 3) * 3.0, null, cfg.p, cfg)
+        span = _zone_basis(y, 8, cfg, False)
+        x, worst = _restore_sidelobes(crandn(rng, 8, 3) * 3.0, span, cfg.p, cfg)
         assert worst.max() <= SIDELOBE_DELTA
         assert sidelobe_ratios(x, cfg.k).max() <= SIDELOBE_DELTA
         assert cross_residual(x, y, cfg.k) <= 1e-12
@@ -961,7 +1031,8 @@ class TestSidelobeBound:
         assert not np.any(y0)
         npt.assert_array_equal(x, impulses)
         _, worst = _restore_sidelobes(
-            x_step(x_sigma, y0, cfg, p=kwargs["p_x"]), np.eye(6), kwargs["p_x"], cfg
+            x_step(x_sigma, y0, cfg, p=kwargs["p_x"]), np.zeros((6, 0)),
+            kwargs["p_x"], cfg
         )
         assert (worst > SIDELOBE_DELTA).all()
         with pytest.warns(RuntimeWarning, match="keeps its current value") as held:
@@ -1039,9 +1110,9 @@ class TestBatchedRestoration:
         rng = np.random.default_rng(20)
         b, n = 10, 6
         cfg = DesignConfig(k=3, literal_transpose=literal)
-        null = _nullspace(_cross_vectors(crandn(rng, b, 1), cfg, False), b)
+        span, null = zone_bases(_cross_vectors(crandn(rng, b, 1), cfg, False), b)
         x = null @ crandn(rng, null.shape[1], n)
-        out, _ = _restore_sidelobes(x, null, 1e6, cfg)
+        out, _ = _restore_sidelobes(x, span, 1e6, cfg)
         for q in range(n):
             ref = restore_column_loop(x[:, q], null, cfg.k, literal)
             # the two sidelobe formulas round differently, so a column that
@@ -1059,14 +1130,14 @@ class TestBatchedRestoration:
         b, n = 12, 8
         cfg = DesignConfig(k=3, p=2.0, literal_transpose=literal)
         y = crandn(rng, b, 1)
-        null = _nullspace(_cross_vectors(y, cfg, False), b)
-        assert 0 < null.shape[1] < b
+        span = _zone_basis(y, b, cfg, False)
+        assert 0 < span.shape[1] < b
         x = crandn(rng, b, n)
         assert (sidelobe_ratios(x, cfg.k, literal) > SIDELOBE_DELTA).sum() >= n - 1
-        out, worst = _restore_sidelobes(x, null, cfg.p, cfg)
+        out, worst = _restore_sidelobes(x, span, cfg.p, cfg)
         assert worst.max() <= SIDELOBE_DELTA
         for q in range(n):
-            col, w = _restore_sidelobes(x[:, [q]], null, cfg.p, cfg)
+            col, w = _restore_sidelobes(x[:, [q]], span, cfg.p, cfg)
             npt.assert_allclose(out[:, q], col[:, 0], rtol=0, atol=1e-12)
             assert worst[q] == pytest.approx(w[0], rel=1e-12)
 
@@ -1074,11 +1145,11 @@ class TestBatchedRestoration:
         rng = np.random.default_rng(22)
         b = 8
         cfg = DesignConfig(k=4)
-        null = np.eye(b, dtype=complex)
-        inside, w = _restore_sidelobes(crandn(rng, b, 1), null, 1e6, cfg)
+        span = np.zeros((b, 0), dtype=complex)
+        inside, w = _restore_sidelobes(crandn(rng, b, 1), span, 1e6, cfg)
         assert designer._RESTORE_LEVEL < w[0] <= designer._RESTORE_DONE
         x = np.concatenate([crandn(rng, b, 2), inside, crandn(rng, b, 2)], axis=1)
-        out, worst = _restore_sidelobes(x, null, 1e6, cfg)
+        out, worst = _restore_sidelobes(x, span, 1e6, cfg)
         npt.assert_array_equal(out[:, 2], x[:, 2])
         assert worst[2] == w[0]
         others = [0, 1, 3, 4]
@@ -1108,19 +1179,19 @@ class TestBatchedRestoration:
         monkeypatch.setattr(
             np.linalg, "solve", lambda a, b: steps.append(a.shape[0]) or solve(a, b)
         )
-        _, worst = _restore_sidelobes(x, np.eye(8), 8.0, cfg)
+        _, worst = _restore_sidelobes(x, np.zeros((8, 0)), 8.0, cfg)
         assert worst[0] <= designer._RESTORE_DONE
         assert len(steps) <= 5
         steps.clear()
         monkeypatch.setattr(designer, "_RESTORE_ACTIVE", designer._RESTORE_LEVEL)
-        _restore_sidelobes(x, np.eye(8), 8.0, cfg)
+        _restore_sidelobes(x, np.zeros((8, 0)), 8.0, cfg)
         assert len(steps) >= 17
 
     def test_singular_gram_takes_a_finite_step(self):
         # [1, 1] maximizes its lag-1 sidelobe ratio (1/2): the gradient is
         # exactly zero and the Gram singular, and the step exactly zero
         x = np.ones((2, 1), dtype=complex)
-        out, worst = _restore_sidelobes(x, np.eye(2), 1e6, DesignConfig(k=1))
+        out, worst = _restore_sidelobes(x, np.zeros((2, 0)), 1e6, DesignConfig(k=1))
         npt.assert_array_equal(out, x)
         assert worst[0] == 0.5
         # in a one-dimensional zone no step changes the ratios (they are
@@ -1128,10 +1199,10 @@ class TestBatchedRestoration:
         # the zone's line, over the bound
         rng = np.random.default_rng(24)
         cfg = DesignConfig(k=6)
-        null = _zone_basis(crandn(rng, 8, 1), 8, cfg, False)
+        span, null = zone_bases(_cross_vectors(crandn(rng, 8, 1), cfg, False), 8)
         assert null.shape[1] == 1
         x = null @ crandn(rng, 1, 3)
-        out, worst = _restore_sidelobes(x, null, 1e6, cfg)
+        out, worst = _restore_sidelobes(x, span, 1e6, cfg)
         assert np.isfinite(out).all()
         npt.assert_allclose(
             np.abs(null.conj().T @ out)[0], np.linalg.norm(out, axis=0), rtol=1e-12
@@ -1154,12 +1225,12 @@ class TestBatchedRestoration:
                 n = int(rng.integers(1, 3))
                 x = rng.integers(-2, 3, (b, n)) + 1j * rng.integers(-1, 2, (b, n))
                 if rng.random() < 0.5:
-                    null = np.eye(b, dtype=complex)
+                    span = np.zeros((b, 0), dtype=complex)
                 else:
                     d = int(rng.integers(2, min(4, b - 1) + 1))
                     vectors = rng.integers(-1, 2, (b, b - d)).astype(complex)
-                    null = _nullspace(vectors, b)
-                out, _ = _restore_sidelobes(x, null, 1e6, DesignConfig(k=k))
+                    span, _ = zone_bases(vectors, b)
+                out, _ = _restore_sidelobes(x, span, 1e6, DesignConfig(k=k))
                 nonfinite += not np.isfinite(out).all()
         assert nonfinite == 0
 
@@ -1167,7 +1238,7 @@ class TestBatchedRestoration:
     def test_steps_use_no_pseudo_inverse_or_svd(self, literal, monkeypatch):
         rng = np.random.default_rng(23)
         cfg = DesignConfig(k=3, literal_transpose=literal)
-        null = _nullspace(_cross_vectors(crandn(rng, 10, 1), cfg, False), 10)
+        span = _zone_basis(crandn(rng, 10, 1), 10, cfg, False)
         x = crandn(rng, 10, 4)
         assert (sidelobe_ratios(x, cfg.k, literal) > SIDELOBE_DELTA).any()
 
@@ -1176,7 +1247,7 @@ class TestBatchedRestoration:
 
         for name in ("pinv", "svd"):
             monkeypatch.setattr(np.linalg, name, fail)
-        _, worst = _restore_sidelobes(x, null, 1e6, cfg)
+        _, worst = _restore_sidelobes(x, span, 1e6, cfg)
         assert worst.max() <= SIDELOBE_DELTA
 
 
