@@ -417,9 +417,9 @@ def _record(trace, mse, links, residuals):
 def _restore_sidelobes(x, span, p, cfg):
     """Move every column of x inside the sidelobe bound, then cap its power.
 
-    Columns are projected onto the zone of the basis U = span.  Every column
-    with max_m |h_m| > _RESTORE_DONE, h_m = r_m / ||x||^2, then takes
-    Gauss-Newton steps, all together: the minimum-norm real step in the zone
+    x must lie in the zone of the basis U = span, as from _project_zone.
+    Every column with max_m |h_m| > _RESTORE_DONE, h_m = r_m / ||x||^2,
+    takes Gauss-Newton steps, all together: the minimum-norm real step in the zone
     that sets the linearized |h_m| of each lag above _RESTORE_ACTIVE (just
     below _RESTORE_LEVEL) to the level, from one lag stack and one batched
     solve of the columns' k x k real Grams, with the identity on inactive
@@ -434,7 +434,6 @@ def _restore_sidelobes(x, span, p, cfg):
     matrix and each column's max_m |h_m|.
     """
     k, n = cfg.k, x.shape[1]
-    x = _in_zone(span, x)
     for step in range(_RESTORE_MAX_STEPS + 1):
         # J_m^T x = R J_m R x with R the row flip, so one stack gives both
         lags = _shifted(np.concatenate([x, x[::-1]], axis=1), k)[1:]

@@ -21,7 +21,9 @@ blocks are the one form of the minimizer V* of the auxiliary quadratic
 form trace[V^H Q V]: the designer's MM target, the MMSE estimator and the
 simulator's error maps are all read from them and the scenario's cached
 constants, and the channel and the training noise are coloured through
-their factors.  No dense covariance, lifted pilot or dense V* is formed.
+their factors.  Receive mode i enters the estimator through a rank-one
+S^-H[:, i] S[:, i]^H, so the error maps are one small mode core times the
+whitened pilot.  No dense covariance, lifted pilot or dense V* is formed.
 Every simulated trial draws from its own seed's stream, that of
 np.random.default_rng(seed), with the seed hashing done for many seeds
 in one vectorized pass (zczpilot._seeding).
@@ -182,52 +184,46 @@ def mmse_estimate(yrx, p, s):
     return basis_inv.conj().T @ modes
 
 
-def _kron_sum_t(c, d):
-    """(sum_i c[i] (x) d[i])^T for stacks c (m x q) and d (n x n): one
-    GEMM over i, regrouped to rows (q, n) and columns (m, n)."""
-    k, m, q = c.shape
-    n = d.shape[1]
-    out = c.reshape(k, -1).T @ d.reshape(k, -1)
-    return out.reshape(m, q, n, n).transpose(1, 3, 0, 2).reshape(q * n, m * n)
-
-
 def mmse_squared_errors(p, s, seeds):
     """The lemma MSE of p and ||H^ - H||_F^2 of the MMSE estimate for each
     seed's training draw.
 
     Draw for draw the same as simulate_training followed by mmse_estimate
     per seed, to rounding.  The error E (Pt vec(H) + vec(N)) - vec(H) of
-    the estimator E = Z^H is linear in the white draws,
-    (E Pt - I)(F_tx (x) F_rx) w_h + E (F_time (x) F_n) w_n, and with
-    E = sum_i lam_i Y_i^H (x) S^-H[:, i] S[:, i]^H both maps are sums of
-    Kronecker products over the receive modes i:
-    sum_i lam_i (Y_i^H P F_tx) (x) D_i - F_tx (x) F_rx and
-    sum_i lam_i (Y_i^H F_time) (x) D_i with D_i = S^-H[:, i] S[:, i]^H F_rx
-    for the channel and with F_n in place of F_rx for the noise, where
-    lam_i Y_i^H = Psi^H diag(lam_i c_i) Phi^H.  They are built once per
-    call, from the same factors as the MSE, and each block of seeds costs
-    one real matrix product.
+    E = Z^H = sum_i lam_i Y_i^H (x) S^-H[:, i] S[:, i]^H is linear in the
+    white draws, (E Pt - I)(F_tx (x) F_rx) w_h + E (F_time (x) F_n) w_n.
+    Each mode's S^-H[:, i] S[:, i]^H has rank one, so both maps come from
+    the mode core M[i, (j, t, a)] = lam_i c_ij Psi^H[t, j] S^-H[a, i] and
+    T_F[j, (c, t, a)] = sum_i (S^H F)[i, c] M[i, (j, t, a)]: transposed to
+    rows (input) by columns (error), they are G_n = (Phi^H F_time)^T T_Fn
+    and G_h = (Phi^H P F_tx)^T T_Frx - F_tx^T (x) F_rx^T.  The map
+    [G_h; i G_h; G_n; i G_n] / sqrt(2) is built once per call, its rows in
+    the layout of the white draws, and each block of seeds costs one real
+    product with its float64 view (its columns interleave the error's real
+    and imaginary parts, which the squared norm does not mind).
     """
     p = _checked(p, s)
     mse, (phi, c, psi) = mse_and_optimal_V(p, s)
     lam, basis, basis_inv = s.receive_eig
     (f_tx, f_rx), (f_time, f_n) = s.colouring
-    yh = (psi.conj().T * (lam[:, None] * c)[:, None, :]) @ phi.conj().T
-
-    def receive(f):
-        # the stack of D_i = S^-H[:, i] S[:, i]^H f
-        return basis_inv.conj()[:, :, None] * (basis.conj().T @ f)[:, None, :]
-
-    gain_h = _kron_sum_t(
-        np.concatenate([yh @ (p @ f_tx), -f_tx[None]]),
-        np.concatenate([receive(f_rx), f_rx[None]]),
-    )
-    gain_n = _kron_sum_t(yh @ f_time, receive(f_n))
-    # Rows in the layout of the white draws: real, imaginary parts of the
-    # channel's, then of the noise's; columns the real, imaginary parts of
-    # the error.
-    gain = np.vstack([gain_h, 1j * gain_h, gain_n, 1j * gain_n])
-    gain = np.hstack([gain.real, gain.imag]) / np.sqrt(2.0)
+    n_t, n_r = s.n_t, s.n_r
+    n_h, n_n = n_t * n_r, s.b * n_r
+    # M / sqrt(2), since w = (real + i imag) / sqrt(2) (_circular_gaussian)
+    core = ((np.sqrt(0.5) * lam[:, None] * c)[:, :, None, None]
+            * psi.conj()[None, :, :, None]
+            * basis_inv.conj()[:, None, None, :]).reshape(n_r, -1)
+    gain = np.empty((2 * (n_h + n_n), n_h), dtype=np.complex128)
+    g_h, ig_h, g_n, ig_n = np.split(gain, [n_h, 2 * n_h, 2 * n_h + n_n])
+    for g, left, f in ((g_h, phi.conj().T @ (p @ f_tx), f_rx),
+                       (g_n, phi.conj().T @ f_time, f_n)):
+        t = ((basis.conj().T @ f).T @ core).reshape(n_r, n_t, -1)
+        np.matmul(left.T, t.transpose(1, 0, 2).reshape(n_t, -1),
+                  out=g.reshape(left.shape[1], -1))
+    g_h.reshape(n_t, n_r, n_t, n_r)[...] -= (
+        np.sqrt(0.5) * f_tx.T[:, None, :, None] * f_rx.T[None, :, None, :])
+    np.multiply(g_h, 1j, out=ig_h)
+    np.multiply(g_n, 1j, out=ig_n)
+    gain = gain.view(np.float64)
     errs = np.empty(len(seeds))
     done = 0
     for white in _white_blocks(s, seeds):

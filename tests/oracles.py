@@ -200,7 +200,9 @@ def _restored_against(x, y, cfg, p):
     if not cfg.k:
         return x, np.zeros(x.shape[1], dtype=bool)
     span = designer._zone_basis(y, x.shape[0], cfg, False)
-    x, worst = designer._restore_sidelobes(x, span, designer._resolve_p(cfg, p), cfg)
+    x, worst = designer._restore_sidelobes(
+        designer._in_zone(span, x), span, designer._resolve_p(cfg, p), cfg
+    )
     return x, worst > designer.SIDELOBE_DELTA
 
 

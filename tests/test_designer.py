@@ -999,7 +999,9 @@ class TestSidelobeBound:
         cfg = DesignConfig(k=2, p=2.0)
         y = crandn(rng, 8, 1)
         span = _zone_basis(y, 8, cfg, False)
-        x, worst = _restore_sidelobes(crandn(rng, 8, 3) * 3.0, span, cfg.p, cfg)
+        x, worst = _restore_sidelobes(
+            _in_zone(span, crandn(rng, 8, 3) * 3.0), span, cfg.p, cfg
+        )
         assert worst.max() <= SIDELOBE_DELTA
         assert sidelobe_ratios(x, cfg.k).max() <= SIDELOBE_DELTA
         assert cross_residual(x, y, cfg.k) <= 1e-12
@@ -1132,7 +1134,7 @@ class TestBatchedRestoration:
         y = crandn(rng, b, 1)
         span = _zone_basis(y, b, cfg, False)
         assert 0 < span.shape[1] < b
-        x = crandn(rng, b, n)
+        x = _in_zone(span, crandn(rng, b, n))
         assert (sidelobe_ratios(x, cfg.k, literal) > SIDELOBE_DELTA).sum() >= n - 1
         out, worst = _restore_sidelobes(x, span, cfg.p, cfg)
         assert worst.max() <= SIDELOBE_DELTA
@@ -1230,7 +1232,9 @@ class TestBatchedRestoration:
                     d = int(rng.integers(2, min(4, b - 1) + 1))
                     vectors = rng.integers(-1, 2, (b, b - d)).astype(complex)
                     span, _ = zone_bases(vectors, b)
-                out, _ = _restore_sidelobes(x, span, 1e6, DesignConfig(k=k))
+                out, _ = _restore_sidelobes(
+                    _in_zone(span, x), span, 1e6, DesignConfig(k=k)
+                )
                 nonfinite += not np.isfinite(out).all()
         assert nonfinite == 0
 
@@ -1239,7 +1243,7 @@ class TestBatchedRestoration:
         rng = np.random.default_rng(23)
         cfg = DesignConfig(k=3, literal_transpose=literal)
         span = _zone_basis(crandn(rng, 10, 1), 10, cfg, False)
-        x = crandn(rng, 10, 4)
+        x = _in_zone(span, crandn(rng, 10, 4))
         assert (sidelobe_ratios(x, cfg.k, literal) > SIDELOBE_DELTA).any()
 
         def fail(*args, **kwargs):

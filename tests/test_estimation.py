@@ -2,6 +2,7 @@
 training simulator / MMSE estimator pair used for empirical checks."""
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,12 @@ from oracles import (
     surrogate_F,
 )
 from zczpilot import cli
-from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
+from zczpilot.covariance import (
+    ChannelScenario,
+    build_scenario,
+    exponential_covariance,
+    reciprocal_scenario,
+)
 from zczpilot.designer import DesignConfig, design_pilots
 from zczpilot.estimation import (
     _TRIAL_BLOCK,
@@ -555,12 +561,40 @@ class TestMmseEstimator:
         assert np.isfinite(est).all()
 
 
-class TestSquaredErrors:
-    def test_matches_simulator_and_estimator_per_seed(self):
-        rng = np.random.default_rng(13)
+def singular_factor(n):
+    """Rank n - 1 exponential factor: its last row and column are zero, so
+    Cholesky fails and the colouring takes the eigen fallback."""
+    c = np.zeros((n, n), dtype=complex)
+    c[:-1, :-1] = exponential_covariance(n - 1, 0.6 - 0.3j)
+    return c
+
+
+def squared_error_case(name):
+    """(scenario, seeds) of a TestSquaredErrors case."""
+    if name == "n_t2-n_r3-b4":
         s = build_scenario(2, 3, 4, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j)
-        p = random_pilot(rng, s, energy=s.gamma)
-        seeds = [9, 2, 40]
+        return s, [9, 2, 40]
+    if name == "n_t4-n_r2-b6":
+        # the uplink: its noise receive factor is not its channel's
+        return reciprocal_scenario(build_scenario(2, 4, 6, rho_mt=0.1 - 0.6j)), [0, 7]
+    if name == "n_t3-n_r3-b2":
+        return build_scenario(3, 3, 2, rho_rt=0.5 + 0.3j), [3, 11]
+    if name.startswith("singular-"):
+        factor = {name.removeprefix("singular-"): singular_factor(3)}
+        return replace(build_scenario(3, 3, 5, rho_mt=0.1 - 0.6j), **factor), [1, 4, 8]
+    assert name == "across-blocks"
+    return build_scenario(2, 2, 4), list(range(5, 5 + _TRIAL_BLOCK + 3))
+
+
+class TestSquaredErrors:
+    # n_t < n_r, n_t > n_r, b < n_t, each singular channel factor (the
+    # eigen fallback of the colouring) and seeds across a block boundary
+    @pytest.mark.parametrize("case", ["n_t2-n_r3-b4", "n_t4-n_r2-b6", "n_t3-n_r3-b2",
+                                      "singular-r_tx", "singular-r_rx",
+                                      "across-blocks"])
+    def test_matches_simulator_and_estimator_per_seed(self, case):
+        s, seeds = squared_error_case(case)
+        p = random_pilot(np.random.default_rng(13), s, energy=s.gamma)
         want = []
         for seed in seeds:
             real = simulate_training(p, s, seed)
@@ -568,6 +602,21 @@ class TestSquaredErrors:
         mse, errs = mmse_squared_errors(p, s, seeds)
         npt.assert_allclose(errs, want, rtol=1e-12)
         assert mse == channel_mse_lemma(p, s)
+
+    def test_peak_memory_on_kron_scenario(self):
+        # the benchmark's 8x8, B = 64 link: the complex error map is 1.2 MB
+        # and a block of 64 white draws 0.6 MB, with no second copy of the map
+        s = build_scenario(8, 8, 64)
+        p = random_pilot(np.random.default_rng(4), s, energy=s.gamma)
+        seeds = range(_TRIAL_BLOCK)
+        mmse_squared_errors(p, s, seeds)
+        tracemalloc.start()
+        try:
+            mmse_squared_errors(p, s, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_pilot_shape_checked(self):
         s = build_scenario(2, 2, 4)
