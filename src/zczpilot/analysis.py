@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .designer import DesignError, design_pilots, shift_matrix
+from .designer import TRACE_COLUMNS, DesignError, design_pilots, shift_matrix
 from .estimation import mmse_squared_errors
 
 DB_FLOOR = -300.0
@@ -180,40 +180,32 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def write_correlation_csv(report, path):
     """Emit correlation_rows as kind,q,l,lag,re,im,mag_db (17 digits;
     l is empty on auto rows)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "q", "l", "lag", "re", "im", "mag_db"])
-        for r in correlation_rows(report):
-            w.writerow(
-                [r["kind"], r["q"], "" if r["l"] is None else r["l"], r["lag"],
-                 _fmt(r["re"]), _fmt(r["im"]), _fmt(r["mag_db"])]
-            )
+    _write_csv(path, ["kind", "q", "l", "lag", "re", "im", "mag_db"], (
+        [r["kind"], r["q"], "" if r["l"] is None else r["l"], r["lag"],
+         _fmt(r["re"]), _fmt(r["im"]), _fmt(r["mag_db"])]
+        for r in correlation_rows(report)))
 
 
 def write_montecarlo_csv(summary, path):
     """Emit per-iteration mean/std MSE as iteration,mean_mse,std_mse."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "mean_mse", "std_mse"])
-        for i in range(summary.iterations.size):
-            w.writerow(
-                [int(summary.iterations[i]), _fmt(summary.mse_mean[i]),
-                 _fmt(summary.mse_std[i])]
-            )
+    rows = zip(summary.iterations, summary.mse_mean, summary.mse_std)
+    _write_csv(path, ["iteration", "mean_mse", "std_mse"],
+               ([int(i), _fmt(m), _fmt(sd)] for i, m, sd in rows))
 
 
 def write_trace_csv(trace, path):
-    """Emit designer progress as
-    iteration,mse,max_cross,max_auto,max_power,mse_dl,mse_ul."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        cols = ["mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul"]
-        w.writerow(["iteration", *cols])
-        for i in range(len(trace.mse)):
-            w.writerow([i, *(_fmt(getattr(trace, c)[i]) for c in cols)])
+    """Emit designer progress as iteration, then the TRACE_COLUMNS lists."""
+    cols = zip(*(getattr(trace, c) for c in TRACE_COLUMNS))
+    _write_csv(path, ["iteration", *TRACE_COLUMNS],
+               ([i, *map(_fmt, row)] for i, row in enumerate(cols)))
 
 
 def correlation_rows(report):

@@ -111,6 +111,13 @@ def _require(payload, field, kind):
     return value
 
 
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _matrix(payload, re_field, im_field, rows, cols):
     re = _require(payload, re_field, list)
     im = _require(payload, im_field, list)
@@ -124,7 +131,7 @@ def _matrix(payload, re_field, im_field, rows, cols):
                 )
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
                 raise ArchiveError(f"field {name!r}: row {i} has a non-numeric entry")
-            if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            if not all(map(_finite, row)):
                 raise ArchiveError(f"field {name!r}: row {i} has a non-finite entry")
     return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 

@@ -20,11 +20,12 @@ eigenvalue problem, dense V2 or channel covariance is formed.
 
 Both pilots see one zero-correlation zone, the orthogonal complement of
 its constraint vectors: the fixed pilot shifted by each lag, one slice
-per lag (_shifted).  One thin SVD and a rank rule turn them into an
-orthonormal basis U of their span (_zone_basis); U without columns is
-the unconstrained zone.  Both steps are the same zone projection:
-t - U U^H t (_in_zone), then the shrink into the ball and, for the
-downlink, the ellipsoids (_shrink_into_sets).  For the uplink (no
+per lag (_shifted; the uplink's J_m^T x is R J_m R x, R the row flip).
+One thin SVD and a rank rule turn them into an orthonormal basis U of
+their span (_zone_basis), which warns when U has rank b.  Both steps are
+the same zone projection t - U U^H t (_in_zone: t itself for U without
+columns, zero for U of rank b), then the shrink into the ball and, for
+the downlink, the ellipsoids (_shrink_into_sets).  For the uplink (no
 ellipsoids) that is the exact projection; for the downlink with k >= 1
 it is a feasible point near the target.  A round builds the downlink U
 once, and the restoration below works inside its zone.
@@ -35,14 +36,14 @@ sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
 m = 1..k, between its two steps: Gauss-Newton minimum-norm steps inside
 the zone of the current Y, taken by all violating columns together (one
 lag stack and one batched solve per step), and a power cap restore X
-before Y is projected against it.  A column of X
-that then ends farther from its MM target than the current column, or
-not inside the bound, keeps the current column, which is feasible.  The
-MM majorizer is separable by column, and the current Y is a candidate
-of the exact Y step, so every round is a descent step and every iterate
-is feasible (as in the constraint-handling MM of Sun, Babu & Palomar,
-IEEE TSP 2017): the total estimation MSE of the two links is
-non-increasing across outer iterations for every k.
+before Y is projected against it.  A column of X that then ends farther
+from its MM target than the current column, or not inside the bound,
+keeps the current column, which is feasible.  The MM majorizer is
+separable by column, and the current Y is a candidate of the exact Y
+step, so every round is a descent step and every iterate is feasible (as
+in the constraint-handling MM of Sun, Babu & Palomar, IEEE TSP 2017):
+the total estimation MSE of the two links is non-increasing across outer
+iterations for every k.
 """
 
 import time
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import mse_and_optimal_V
+from .estimation import _checked, mse_and_optimal_V
 
 _TINY = 1e-300
 
@@ -138,18 +139,14 @@ def shift_matrix(b, i):
     return np.eye(b, k=i)
 
 
-def _shifted(x, k, back=False):
-    """J_m x for m = 0..k as a (k+1, b, n) stack, J_m^T x with back.
-
-    One slice per lag: J_m x advances the columns by m rows with zero
-    fill, J_m^T x delays them; lags m >= b give zeros."""
+def _shifted(x, k):
+    """J_m x for m = 0..k as a (k+1, b, n) stack, one slice per lag: J_m x
+    advances the columns by m rows with zero fill; lags m >= b give zeros.
+    J_m^T x, which delays them, is R J_m R x with R the row flip."""
     b = x.shape[0]
     out = np.zeros((k + 1,) + x.shape, dtype=x.dtype)
     for m in range(min(k, b - 1) + 1):
-        if back:
-            out[m, m:] = x[: b - m]
-        else:
-            out[m, : b - m] = x[m:]
+        out[m, : b - m] = x[m:]
     return out
 
 
@@ -157,12 +154,13 @@ def _cross_vectors(fixed, cfg, transpose_shift):
     """Constraint vectors a with a^H x = 0 zeroing correlation against `fixed`.
 
     For the downlink step the vectors are J_m y_l; for the uplink step
-    J_m^T x_q; m runs over 0..k, or 1..k with lags_from_one, lag-major.
-    Under the literal-transpose convention the constraint is on x^T J y,
-    i.e. the conjugated vectors.
+    J_m^T x_q = R J_m R x_q (R the row flip, _shifted); m runs over 0..k,
+    or 1..k with lags_from_one, lag-major.  Under the literal-transpose
+    convention the constraint is on x^T J y, i.e. the conjugated vectors.
     """
     fixed = np.asarray(fixed, dtype=np.complex128)
-    a = _shifted(fixed, cfg.k, transpose_shift)[1 if cfg.lags_from_one else 0 :]
+    flip = slice(None, None, -1) if transpose_shift else slice(None)
+    a = _shifted(fixed[flip], cfg.k)[1 if cfg.lags_from_one else 0 :, flip]
     a = a.transpose(1, 0, 2).reshape(fixed.shape[0], -1)
     return a.conj() if cfg.literal_transpose else a
 
@@ -196,8 +194,13 @@ def _shrink_into_sets(x, k, p):
 def _in_zone(span, t):
     """t - U U^H t, t's columns projected onto the zone of basis U.  U
     without columns returns t itself, so an unconstrained step keeps its
-    values and layout, and the summation order of the BLAS calls after."""
-    return t - span @ (span.conj().T @ t) if span.shape[1] else t
+    values and layout, and the summation order of the BLAS calls after;
+    U of rank b (the zone is {0}) returns zero columns."""
+    if not span.shape[1]:
+        return t
+    if span.shape[1] == span.shape[0]:
+        return np.zeros_like(t)
+    return t - span @ (span.conj().T @ t)
 
 
 def _resolve_p(cfg, p):
@@ -214,48 +217,33 @@ def _zone_basis(fixed, b, cfg, transpose_shift):
     (_cross_vectors), whose orthogonal complement in C^b is the zone: one
     thin SVD's left singular vectors to the rank counted at 1e-10 times the
     largest singular value.  No columns when every vector is zero (the
-    zone is C^b); b columns when the zone is {0}."""
+    zone is C^b); b columns when the zone is {0}, under a
+    DegenerateConstraintWarning, as only zero columns are then feasible."""
     if cfg.k >= b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
     a = _cross_vectors(np.reshape(fixed, (b, -1)), cfg, transpose_shift)
     if not a.any():
         return np.zeros((b, 0), dtype=np.complex128)
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : np.count_nonzero(sv > 1e-10 * sv[0])]
-
-
-def _project_zone(target, span, p, k):
-    """Move each target column into {||t||^2 <= p} ∩ {t^H (J_m^T + J_m +
-    2I) t <= 2p, m = 1..k} ∩ span(U)^perp, U a zone basis (_zone_basis).
-
-    The columns are projected onto the zone (t - U U^H t) and then shrunk
-    into the ball and the ellipsoids (_shrink_into_sets).  With k = 0
-    this is the exact projection; with k >= 1 it is a feasible point, not
-    the nearest one.  If U has b columns only t = 0 is feasible; the
-    columns are then zeroed under a DegenerateConstraintWarning.
-    """
-    if span.shape[1] == span.shape[0]:
-        warnings.warn(
-            "cross-correlation constraints span the whole space; "
-            "returning zero columns",
-            DegenerateConstraintWarning,
-            stacklevel=3,
-        )
-        return np.zeros_like(target)
-    return _shrink_into_sets(_in_zone(span, target), k, p)
+    rank = np.count_nonzero(sv > 1e-10 * sv[0])
+    if rank == b:
+        warnings.warn("cross-correlation constraints span the whole space; "
+                      "returning zero columns", DegenerateConstraintWarning,
+                      stacklevel=3)
+    return u[:, :rank]
 
 
 def x_step(x_target, y_fixed, cfg, p=None):
     """Move each target column into the downlink constraint set.
 
     The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
-    columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}
-    (_project_zone): the zone projection, then the shrink into the ball
-    and the ellipsoids.
+    columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}:
+    the zone projection (_in_zone), then the shrink into the ball and the
+    ellipsoids (_shrink_into_sets), a feasible point for k >= 1.
     """
     x_target = np.asarray(x_target, dtype=np.complex128)
     span = _zone_basis(y_fixed, x_target.shape[0], cfg, False)
-    return _project_zone(x_target, span, _resolve_p(cfg, p), cfg.k)
+    return _shrink_into_sets(_in_zone(span, x_target), cfg.k, _resolve_p(cfg, p))
 
 
 def y_step(y_target, x_fixed, cfg, p=None):
@@ -267,7 +255,7 @@ def y_step(y_target, x_fixed, cfg, p=None):
     """
     y_target = np.asarray(y_target, dtype=np.complex128)
     span = _zone_basis(x_fixed, y_target.shape[0], cfg, True)
-    return _project_zone(y_target, span, _resolve_p(cfg, p), 0)
+    return _shrink_into_sets(_in_zone(span, y_target), 0, _resolve_p(cfg, p))
 
 
 def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
@@ -290,7 +278,7 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     x_sigma = np.asarray(x_sigma, dtype=np.complex128)
     p_x = _resolve_p(cfg, p_x)
     span = _zone_basis(y0, x_sigma.shape[0], cfg, False)
-    x = _project_zone(x_sigma, span, p_x, cfg.k)
+    x = _shrink_into_sets(_in_zone(span, x_sigma), cfg.k, p_x)
     over = np.zeros(x.shape[1], dtype=bool)
     if cfg.k:
         x, worst = _restore_sidelobes(x, span, p_x, cfg)
@@ -350,11 +338,7 @@ def build_sigma_target(v, p_current, s):
     (V2 = 0) makes F constant in P and returns P0, without an eigenvalue
     solve.
     """
-    p_current = np.asarray(p_current, dtype=np.complex128)
-    if p_current.shape != (s.b, s.n_t):
-        raise ValueError(
-            f"pilot shape {p_current.shape}, scenario expects {(s.b, s.n_t)}"
-        )
+    p_current = _checked(p_current, s)
     phi = v[0]
     if phi.shape != (s.b, s.n_t) or v[1].shape != (s.n_r, s.n_t):
         raise ValueError("auxiliary variable does not conform with the scenario")
@@ -383,6 +367,10 @@ class PilotPair:
     max_auto_corr: float
 
 
+# The per-iterate lists of a DesignTrace, in the trace CSV's column order.
+TRACE_COLUMNS = ("mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul")
+
+
 @dataclass
 class DesignTrace:
     """Per-outer-iteration progress (entry 0 is the initialization); the
@@ -403,35 +391,25 @@ class DesignTrace:
     warnings: list[str] = field(default_factory=list)
 
 
-def _record(trace, mse, links, residuals):
-    """Append an iterate's total and per-link MSE (the links of a score)
-    and its residuals (_pair_residuals) to the trace."""
-    trace.mse.append(mse)
-    trace.mse_dl.append(links[0][0])
-    trace.mse_ul.append(links[1][0])
-    trace.max_power.append(residuals[0])
-    trace.max_cross.append(residuals[1])
-    trace.max_auto.append(residuals[2])
-
-
 def _restore_sidelobes(x, span, p, cfg):
     """Move every column of x inside the sidelobe bound, then cap its power.
 
-    x must lie in the zone of the basis U = span, as from _project_zone.
-    Every column with max_m |h_m| > _RESTORE_DONE, h_m = r_m / ||x||^2,
-    takes Gauss-Newton steps, all together: the minimum-norm real step in the zone
-    that sets the linearized |h_m| of each lag above _RESTORE_ACTIVE (just
-    below _RESTORE_LEVEL) to the level, from one lag stack and one batched
-    solve of the columns' k x k real Grams, with the identity on inactive
-    lags (zero right side, zero step) and a ridge of 1e-12 / ||x||^2 on
-    active ones.  |h_m| is invariant under complex scaling, so a
-    d-dimensional zone leaves 2d - 2 real directions that move it; with more
-    active lags the Gram is singular, and the ridge keeps the step finite.
-    The step is projected onto the zone, and cut to the column's length,
-    keeping its direction, so that steps in a small zone cannot grow a
-    column until it overflows.  The final cap (_cap_into_sets) reads the
-    last pass's measures and keeps the zone and every |h_m|.  Returns the
-    matrix and each column's max_m |h_m|.
+    x must lie in the zone of the basis U = span, as inner_cycle's zone
+    projection (_in_zone) leaves it.  Every column with max_m |h_m| >
+    _RESTORE_DONE, h_m = r_m / ||x||^2, takes Gauss-Newton steps, all
+    together: the minimum-norm real step in the zone that sets the
+    linearized |h_m| of each lag above _RESTORE_ACTIVE (just below
+    _RESTORE_LEVEL) to the level, from one lag stack and one batched solve
+    of the columns' k x k real Grams, with the identity on inactive lags
+    (zero right side, zero step) and a ridge of 1e-12 / ||x||^2 on active
+    ones.  |h_m| is invariant under complex scaling, so a d-dimensional zone
+    leaves 2d - 2 real directions that move it; with more active lags the
+    Gram is singular, and the ridge keeps the step finite.  The step is
+    projected onto the zone, and cut to the column's length, keeping its
+    direction, so that steps in a small zone cannot grow a column until it
+    overflows.  The final cap (_cap_into_sets) reads the last pass's
+    measures and keeps the zone and every |h_m|.  Returns the matrix and each
+    column's max_m |h_m|.
     """
     k, n = cfg.k, x.shape[1]
     for step in range(_RESTORE_MAX_STEPS + 1):
@@ -538,8 +516,10 @@ def design_pilots(dl, ul, cfg):
             x, y = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y)
             prev = mse
             mse, links = score(x, y)
-            residuals = _pair_residuals(x, y, cfg)
-            _record(trace, mse, links, residuals)
+            power, cross, auto = residuals = _pair_residuals(x, y, cfg)
+            row = (mse, cross, auto, power, links[0][0], links[1][0])
+            for name, value in zip(TRACE_COLUMNS, row):
+                getattr(trace, name).append(value)
             trace.outer_iterations = it
             if abs(prev - mse) < cfg.eta:
                 trace.converged = True

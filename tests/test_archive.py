@@ -181,6 +181,19 @@ class TestValidation:
         with pytest.raises(ArchiveError, match="'y_re': row 0 has a non-finite"):
             parse_archive(payload)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_too_large_for_a_float(self, designed, tmp_path, sign):
+        # JSON integers have no bound: one past the float range is as
+        # non-finite as inf, while one inside it reads as its float
+        payload = make_payload(designed)
+        payload["y_re"][0][1] = sign * 10**400
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArchiveError, match="'y_re': row 0 has a non-finite"):
+            read_archive(path)
+        payload["y_re"][0][1] = sign * 10**300
+        assert parse_archive(payload).y[0, 1].real == sign * 1e300
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_literal_transpose_must_be_boolean(self, designed, value):
         payload = make_payload(designed)

@@ -125,12 +125,16 @@ class TestDesign:
         assert rc == EXIT_OK
         assert "final mse:" in captured.out
         assert "downlink mse:" in captured.out and "uplink mse:" in captured.out
-        assert "converged: True\nstop reason: eta\n" in captured.out
+        timed = re.search(r"^converged: True\nstop reason: eta\ndesign time: (\S+) s$",
+                          captured.out, re.M)
+        assert timed and float(timed.group(1)) > 0
 
         arc = read_archive(out / "pilot_archive.json")
         assert arc.dims == {"b": 4, "n_t": 1, "n_r": 1}
         assert arc.design["k"] == 1
         assert arc.result["converged"] is True
+        # the time varies between runs, so the archive does not hold it
+        assert not [key for key in arc.result if "time" in key]
 
         with open(out / "design_trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -314,6 +318,20 @@ class TestAnalyze:
         rc = main(["analyze", str(path), "--out", str(tmp_path / "report")])
         assert rc == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self, archive_dir, tmp_path, capsys):
+        # a bad input (exit 2), not a traceback and the exit 1 of a failed
+        # validate
+        doc = json.loads((archive_dir / "pilot_archive.json").read_text())
+        doc["x_re"][0][0] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(path), "--out", str(tmp_path / "report")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: field 'x_re': row 0 has a non-finite entry\n"
+        )
+        assert not (tmp_path / "report").exists()
 
     def test_string_literal_transpose_rejected(self, archive_dir, tmp_path, capsys):
         doc = json.loads((archive_dir / "pilot_archive.json").read_text())

@@ -172,12 +172,14 @@ class TestShifted:
     @pytest.mark.parametrize("back", [False, True], ids=["forward", "back"])
     @pytest.mark.parametrize("k", [0, 3, 7, 9])
     def test_matches_shift_matrices(self, k, back):
-        # one slice per lag is the dense J_m x (J_m^T x with back); lags at
-        # or past the training length shift every row out
+        # one slice per lag is the dense J_m x; lags at or past the training
+        # length shift every row out.  Back is the row-flip identity that
+        # the uplink's cross vectors and the restoration use: R J_m R x =
+        # J_m^T x with R the row flip
         rng = np.random.default_rng(3)
         b = 8
         x = crandn(rng, b, 3)
-        out = _shifted(x, k, back)
+        out = _shifted(x[::-1], k)[:, ::-1] if back else _shifted(x, k)
         assert out.shape == (k + 1, b, 3)
         for m in range(k + 1):
             j = shift_matrix(b, m) if m < b else np.zeros((b, b))
@@ -191,7 +193,8 @@ class TestZoneBasis:
     def test_projection_matches_pseudo_inverse(self, k, literal, lags_from_one):
         # t - U U^H t is (I - A A^+) t for the cross vectors A of either
         # step, on random, repeated (rank-deficient), zero and empty fixed
-        # blocks; the zone collapses exactly when A has rank b
+        # blocks; the zone collapses exactly when A has rank b, and then
+        # the basis warns and the projection and the step give zero columns
         rng = np.random.default_rng(30)
         b = 6
         cfg = DesignConfig(k=k, literal_transpose=literal, lags_from_one=lags_from_one)
@@ -203,20 +206,21 @@ class TestZoneBasis:
                 a = _cross_vectors(fixed, cfg, transpose_shift)
                 rank = np.linalg.matrix_rank(a) if a.size else 0
                 t = crandn(rng, b, 3)
-                span = _zone_basis(fixed, b, cfg, transpose_shift)
+                step = y_step if transpose_shift else x_step
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always", DegenerateConstraintWarning)
+                    span = _zone_basis(fixed, b, cfg, transpose_shift)
+                    out = step(t, fixed, cfg, p=1e6)
+                collapsed = rank == b
+                expected = [DegenerateConstraintWarning] * 2 if collapsed else []
+                assert [w.category for w in seen] == expected
                 assert span.shape == (b, rank)
                 want = t - a @ (np.linalg.pinv(a, rcond=1e-10) @ t)
                 npt.assert_allclose(_in_zone(span, t), want, rtol=0, atol=1e-12)
                 if not a.any():
                     assert _in_zone(span, t) is t
-                step = y_step if transpose_shift else x_step
-                with warnings.catch_warnings(record=True) as seen:
-                    warnings.simplefilter("always", DegenerateConstraintWarning)
-                    out = step(t, fixed, cfg, p=1e6)
-                collapsed = [w.category for w in seen] == [DegenerateConstraintWarning]
-                assert collapsed == (rank == b)
-                assert not seen or collapsed
                 if collapsed:
+                    assert not _in_zone(span, t).any()
                     assert not out.any()
 
 
@@ -459,41 +463,41 @@ class TestInnerCycle:
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
     def test_one_round(self, monkeypatch):
-        # one zone projection per block, and one zone basis per block:
-        # the X step's basis is the restoration's too
-        calls = count_calls(monkeypatch, "_project_zone", "_zone_basis", "y_step")
+        # one zone projection and shrink per block, and one zone basis per
+        # block: the X step's basis is the restoration's too
+        calls = count_calls(monkeypatch, "_shrink_into_sets", "_zone_basis", "y_step")
         rng = np.random.default_rng(0)
         cfg = DesignConfig(k=1, p=1.0)
         y0 = np.zeros((8, 2), dtype=complex)
         x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
         x, y = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
-        assert calls == {"_project_zone": 2, "_zone_basis": 2, "y_step": 1}
+        assert calls == {"_shrink_into_sets": 2, "_zone_basis": 2, "y_step": 1}
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
         # A design: the start's round, then one per outer iteration.
-        calls.update(_project_zone=0, _zone_basis=0, y_step=0)
+        calls.update(_shrink_into_sets=0, _zone_basis=0, y_step=0)
         dl = build_scenario(4, 4, 16)
         _, trace = design_pilots(
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
         )
         rounds = trace.outer_iterations + 1
-        assert calls == {"_project_zone": 2 * rounds, "_zone_basis": 2 * rounds,
+        assert calls == {"_shrink_into_sets": 2 * rounds, "_zone_basis": 2 * rounds,
                          "y_step": rounds}
 
     def test_farther_column_keeps_current_value(self, monkeypatch):
-        # Every downlink zone projection negates column 0.  The sets are
-        # symmetric, so the column stays feasible, but it ends far from its
-        # target: each round holds x0's column and projects Y against the
-        # held X, and the run goes on.
-        project = designer._project_zone
+        # Every downlink zone projection and shrink negates column 0.  The
+        # sets are symmetric, so the column stays feasible, but it ends far
+        # from its target: each round holds x0's column and projects Y
+        # against the held X, and the run goes on.
+        shrink = designer._shrink_into_sets
 
-        def negated(target, span, p, k):
-            out = project(target, span, p, k)
+        def negated(x, k, p):
+            out = shrink(x, k, p)
             if k:
                 out[:, 0] *= -1.0
             return out
 
-        monkeypatch.setattr(designer, "_project_zone", negated)
+        monkeypatch.setattr(designer, "_shrink_into_sets", negated)
         rounds = record_rounds(monkeypatch)
         dl = build_scenario(2, 2, 8)
         cfg = DesignConfig(k=2, max_outer=4)
@@ -1289,3 +1293,39 @@ class TestDesignConfig:
         assert not hasattr(cfg, "inner_tol") and not hasattr(cfg, "mu")
         assert not cfg.lags_from_one
         assert not cfg.literal_transpose
+
+
+class TestWorkloadTrajectories:
+    # Seed 0 of the three benchmark workloads, built from their settings:
+    # the shipped reference (4x4, B = 8, gamma = 32, k = 4), the zone that
+    # keeps both links (B = 16, k = 2) and the large Kronecker case (8x8,
+    # B = 64, k = 0, eta = 1e-9, max_outer = 40).  The MSE at iterations
+    # 0, 1, 10 and the last pins each trajectory; a change that means to
+    # move one updates it here.
+    DEGENERATE = ("cross-correlation constraints span the whole space; "
+                  "returning zero columns")
+
+    @pytest.mark.parametrize(
+        "dims, cfg, mse, warned",
+        [
+            ((4, 4, 8, 32.0), DesignConfig(k=4),
+             (1.0260113550234549, 1.0256854186235507, 1.0233367076750137,
+              1.015661082217893), [DEGENERATE]),
+            ((4, 4, 16, 32.0), DesignConfig(k=2),
+             (0.02831625760088829, 0.028222033178110555, 0.02743018041513442,
+              0.020472983644358428), []),
+            ((8, 8, 64, None), DesignConfig(k=0, eta=1e-9, max_outer=40),
+             (0.0009709616111532183, 0.0009708796707632893,
+              0.0009701436907592162, 0.0009677095207030674), []),
+        ],
+        ids=["ref-4x4-b8-k4", "zcz-4x4-b16-k2", "kron-8x8-b64-k0"],
+    )
+    def test_seed_zero(self, dims, cfg, mse, warned):
+        n_t, n_r, b, gamma = dims
+        dl = build_scenario(n_t, n_r, b, gamma=gamma)
+        _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        assert trace.outer_iterations == cfg.max_outer
+        assert trace.stop_reason == "max_outer" and not trace.converged
+        assert trace.warnings == warned
+        npt.assert_allclose([trace.mse[i] for i in (0, 1, 10, -1)], mse,
+                            rtol=1e-9, atol=0)
