@@ -10,8 +10,8 @@ The constants and the order of the steps are numpy's SeedSequence with
 its default pool of four words (numpy/random/bit_generator.pyx:
 hashmix, mix, mix_entropy and generate_state).  A seed below 2**32 has
 one entropy word, and the pool hashes each missing word as 0, so its high
-word 0 hashes the same.  Seeds outside [0, SEED_END) raise ValueError
-rather than give a different stream.
+word 0 hashes the same.  checked_seed is the seed rule of every draw: a
+seed outside [0, SEED_END) raises ValueError, not a different stream.
 """
 
 import operator
@@ -60,13 +60,21 @@ def _mix(x, y):
     return out ^ (out >> _SHIFT)
 
 
+def checked_seed(seed):
+    """seed as an int; TypeError when it is not an integer, ValueError
+    when it is outside 0 <= seed < 2**64."""
+    seed = operator.index(seed)
+    if not 0 <= seed < SEED_END:
+        raise ValueError(f"seed {seed} is outside 0 <= seed < 2**64")
+    return seed
+
+
 def pcg64_words(seeds):
     """SeedSequence(seed).generate_state(4, np.uint64) for each seed, as
     the C-contiguous rows of an (n, 4) uint64 array."""
     seeds = [operator.index(seed) for seed in seeds]
     for seed in (min(seeds, default=0), max(seeds, default=0)):
-        if not 0 <= seed < SEED_END:
-            raise ValueError(f"seed {seed} is outside 0 <= seed < 2**64")
+        checked_seed(seed)
     seeds = np.array(seeds, dtype=np.uint64)
     # the entropy words: low, high, and the missing words as 0
     pool = np.zeros((_POOL, len(seeds)), dtype=np.uint32)

@@ -95,8 +95,8 @@ class MonteCarloSummary:
         return len(self.failures)
 
 
-def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
-    """Re-run the designer on seeds base..base+runs-1 and aggregate traces.
+def monte_carlo_design(dl, ul, cfg, runs):
+    """Re-run the designer on the runs seeds from cfg.seed up and aggregate traces.
 
     A run that raises LinAlgError is recorded as a failure with its cause,
     and a DesignError names the first cause when every run failed; any
@@ -104,10 +104,8 @@ def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    base = cfg.seed if base_seed is None else base_seed
-    seeds = np.arange(base, base + runs)
+    seeds = np.arange(cfg.seed, cfg.seed + runs)
     traces = []
-    finals = []
     converged = 0
     failures = []
     for seed in seeds:
@@ -117,7 +115,6 @@ def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
             failures.append((int(seed), type(exc).__name__, str(exc)))
             continue
         traces.append(trace.mse)
-        finals.append(trace.mse[-1])
         converged += trace.converged
     if not traces:
         seed, kind, message = failures[0]
@@ -135,7 +132,7 @@ def monte_carlo_design(dl, ul, cfg, runs, base_seed=None):
         iterations=np.arange(length),
         mse_mean=np.mean(padded, axis=0),
         mse_std=std,
-        final_mse=np.asarray(finals),
+        final_mse=padded[:, -1],
         seeds=seeds,
         converged_runs=converged,
         failures=tuple(failures),

@@ -11,7 +11,8 @@ design and montecarlo share their options and their set-up; analyze and
 montecarlo write their CSV or JSON report through one writer.
 
 Exit codes: 0 success, 1 validation failure (validate only), 2 bad
-configuration or input content, 3 solver non-convergence (outputs are
+configuration or input content (also a noise covariance of the config
+that cannot be factored), 3 solver non-convergence (outputs are
 still written), 4 file system write failure, 5 every montecarlo seed
 failed (nothing is written).
 """
@@ -305,7 +306,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ArchiveError) as err:
+    except (ConfigError, ArchiveError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -117,9 +117,12 @@ class ChannelScenario:
         The generalized eigendecomposition of the receive factors of the
         channel and the noise, which diagonalizes both at once: with
         m_rx = L L^H and L^-1 r_rx L^-H = U diag(lam) U^H, S = L^-H U.
-        Raises LinAlgError when m_rx is not positive definite.
+        A LinAlgError names m_rx when it is not positive definite.
         """
-        low = np.linalg.cholesky(self.m_rx)
+        try:
+            low = np.linalg.cholesky(self.m_rx)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(f"m_rx: {err}") from err
         low_inv = np.linalg.inv(low)
         lam, u = np.linalg.eigh(low_inv @ self.r_rx @ low_inv.conj().T)
         return lam, low_inv.conj().T @ u, u.conj().T @ low.conj().T

@@ -25,8 +25,10 @@ their factors.  Receive mode i enters the estimator through a rank-one
 S^-H[:, i] S[:, i]^H, so the error maps are one small mode core times the
 whitened pilot.  No dense covariance, lifted pilot or dense V* is formed.
 Every simulated trial draws from its own seed's stream, that of
-np.random.default_rng(seed), with the seed hashing done for many seeds
-in one vectorized pass (zczpilot._seeding).
+np.random.default_rng(seed): simulate_training takes it from
+default_rng, and mmse_squared_errors hashes its seeds in blocks
+(zczpilot._seeding).  numpy.random is imported on the first draw, since
+building a scenario does not need it.
 """
 
 from dataclasses import dataclass
@@ -95,76 +97,39 @@ class TrainingRealization:
     yrx: np.ndarray
 
 
-def _circular_gaussian(z):
-    """CN(0, I) rows from N(0, 1) rows laid out as [real parts, imaginary parts]."""
-    k = z.shape[-1] // 2
-    return (z[:, :k] + 1j * z[:, k:]) / np.sqrt(2.0)
-
-
-# Seeds per block of _white_blocks.  A block's white draws and estimation
-# errors are held at once, so this bounds the simulator's memory for any
-# trial count: the white draws of 64 trials on an 8x8, B = 64 link are
-# 0.6 MB.  Larger blocks are no faster, since a trial's cost is mostly
-# building its generator and drawing from it.
+# Seeds per block of mmse_squared_errors.  A block's white draws and
+# estimation errors are held at once, so this bounds the simulator's
+# memory for any trial count: the white draws of 64 trials on an 8x8,
+# B = 64 link are 0.6 MB.  Larger blocks are no faster, since a trial's
+# cost is mostly building its generator and drawing from it.
 _TRIAL_BLOCK = 64
-
-
-def _white_blocks(s, seeds):
-    """Yield the real white draws of each block of seeds, row j for the
-    j-th seed of the block: the real then imaginary parts of the channel's
-    white vector, then those of the noise's, from the seed's own
-    generator, so a seed reproduces its realization in any block.
-
-    Each generator is the stream of np.random.default_rng(seed), with the
-    SeedSequence hash of its seed taken for many seeds at once
-    (zczpilot._seeding); seeds are integers in [0, 2**64), and one outside
-    raises ValueError.  numpy.random is imported here, on the first draw,
-    because building a scenario does not need it.
-    """
-    from ._seeding import generators
-
-    width = 2 * (s.n_t + s.b) * s.n_r
-    gens = generators(seeds)
-    for start in range(0, len(seeds), _TRIAL_BLOCK):
-        white = np.empty((min(_TRIAL_BLOCK, len(seeds) - start), width))
-        for row, gen in zip(white, gens):
-            gen.standard_normal(out=row)
-        yield white
-
-
-def _training_draws(s, seeds):
-    """Yield (h, noise) blocks with row j holding vec(H) ~ CN(0, R) and
-    vec(N) ~ CN(0, M) for the j-th seed of the block (_white_blocks).
-
-    A factor pair (F_a, F_b) acts on the matrix view W of its white
-    vector, n_t x n_r for the channel and b x n_r for the noise, as
-    F_a W F_b^T.
-    """
-    factors = s.colouring
-    n_h = 2 * s.n_t * s.n_r
-    for white in _white_blocks(s, seeds):
-        n = len(white)
-        views = (
-            _circular_gaussian(white[:, :n_h]).reshape(n, s.n_t, s.n_r),
-            _circular_gaussian(white[:, n_h:]).reshape(n, s.b, s.n_r),
-        )
-        h, noise = ((f_a @ w @ f_b.T).reshape(n, -1)
-                    for (f_a, f_b), w in zip(factors, views))
-        yield h, noise
 
 
 def simulate_training(p, s, seed, noise_scale=1.0):
     """Draw H ~ CN(0, R), N ~ CN(0, M) and form Yrx = H P^T + noise_scale*N.
 
-    The channel is drawn before the noise from a single generator, that
-    of np.random.default_rng(seed) for an integer 0 <= seed < 2**64, so a
-    fixed seed reproduces the realization bit for bit.  noise_scale=0
-    gives the noiseless received block exactly.
+    One row of N(0, 1) draws from np.random.default_rng(seed), for an
+    integer 0 <= seed < 2**64, holds the real then imaginary parts of the
+    channel's white vector, then those of the noise's, so a fixed seed
+    reproduces the realization bit for bit.  A factor pair (F_a, F_b) of
+    s.colouring acts on the matrix view W of its white vector, n_t x n_r
+    for the channel and b x n_r for the noise, as F_a W F_b^T, the
+    transpose of H or N.  noise_scale=0 gives the noiseless received
+    block exactly.
     """
+    from ._seeding import checked_seed
+
     p = _checked(p, s)
-    h_vec, n_vec = next(_training_draws(s, [seed]))
-    h = h_vec[0].reshape((s.n_r, s.n_t), order="F")
-    noise = noise_scale * n_vec[0].reshape((s.n_r, s.b), order="F")
+    n_h = s.n_t * s.n_r
+    white = np.random.default_rng(checked_seed(seed)).standard_normal(
+        2 * (n_h + s.b * s.n_r))
+    draws = []
+    for (f_a, f_b), w in zip(s.colouring, (white[:2 * n_h], white[2 * n_h:])):
+        k = len(w) // 2
+        w = ((w[:k] + 1j * w[k:]) / np.sqrt(2.0)).reshape(len(f_a), -1)
+        draws.append((f_a @ w @ f_b.T).T)
+    h, noise = draws
+    noise = noise_scale * noise
     return TrainingRealization(h=h, noise=noise, yrx=h @ p.T + noise)
 
 
@@ -200,15 +165,19 @@ def mmse_squared_errors(p, s, seeds):
     [G_h; i G_h; G_n; i G_n] / sqrt(2) is built once per call, its rows in
     the layout of the white draws, and each block of seeds costs one real
     product with its float64 view (its columns interleave the error's real
-    and imaginary parts, which the squared norm does not mind).
+    and imaginary parts, which the squared norm does not mind).  Row j of a
+    block is simulate_training's white row for the block's j-th seed, so a
+    seed reproduces its draw in any block.
     """
+    from ._seeding import generators
+
     p = _checked(p, s)
     mse, (phi, c, psi) = mse_and_optimal_V(p, s)
     lam, basis, basis_inv = s.receive_eig
     (f_tx, f_rx), (f_time, f_n) = s.colouring
     n_t, n_r = s.n_t, s.n_r
     n_h, n_n = n_t * n_r, s.b * n_r
-    # M / sqrt(2), since w = (real + i imag) / sqrt(2) (_circular_gaussian)
+    # M / sqrt(2), since w = (real + i imag) / sqrt(2) (simulate_training)
     core = ((np.sqrt(0.5) * lam[:, None] * c)[:, :, None, None]
             * psi.conj()[None, :, :, None]
             * basis_inv.conj()[:, None, None, :]).reshape(n_r, -1)
@@ -224,10 +193,12 @@ def mmse_squared_errors(p, s, seeds):
     np.multiply(g_h, 1j, out=ig_h)
     np.multiply(g_n, 1j, out=ig_n)
     gain = gain.view(np.float64)
+    gens = generators(seeds)
     errs = np.empty(len(seeds))
-    done = 0
-    for white in _white_blocks(s, seeds):
+    for start in range(0, len(seeds), _TRIAL_BLOCK):
+        white = np.empty((min(_TRIAL_BLOCK, len(seeds) - start), len(gain)))
+        for row, gen in zip(white, gens):
+            gen.standard_normal(out=row)
         err = white @ gain
-        errs[done:done + len(err)] = np.einsum("ij,ij->i", err, err)
-        done += len(err)
+        errs[start:start + len(err)] = np.einsum("ij,ij->i", err, err)
     return mse, errs

@@ -483,6 +483,27 @@ class TestInputRejection:
         assert rc == EXIT_CONFIG
         assert err.startswith("error: [timing] ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["design", "validate", "montecarlo"])
+    def test_unfactorable_temporal_noise_factor(self, tmp_path, capsys, command):
+        # the parser takes |rho_mt| just below 1, but M_time then has no
+        # Cholesky factor; montecarlo records the cause for every seed
+        shipped = Path(__file__).parents[1] / "configs" / "mimo4x4_b8.ini"
+        path = tmp_path / "near_one.ini"
+        path.write_text(shipped.read_text().replace(
+            "rho_mt_mag = 0.8", "rho_mt_mag = 0.999999999999999"))
+        out = ["--out", str(tmp_path / "out")]
+        extra = {"design": out, "validate": [], "montecarlo": out + ["--runs", "2"]}
+        rc = main([command, "--config", str(path), *extra[command]])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "positive definite" in err
+        if command == "montecarlo":
+            assert rc == EXIT_DESIGN
+            assert err.startswith("design error: all 2 design runs failed; seed 0: "
+                                  "LinAlgError: m_time: ")
+        else:
+            assert rc == EXIT_CONFIG
+            assert err.startswith("error: m_time: ")
+
     def test_validate_seeds_past_2_64(self, small_config, capsys):
         # trial t draws from seed + 1 + t, and the simulator's seeds end
         # below 2**64

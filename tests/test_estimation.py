@@ -30,7 +30,6 @@ from zczpilot.covariance import (
 from zczpilot.designer import DesignConfig, design_pilots
 from zczpilot.estimation import (
     _TRIAL_BLOCK,
-    _training_draws,
     channel_mse_lemma,
     mmse_estimate,
     mmse_squared_errors,
@@ -267,7 +266,7 @@ class TestFactoredSolve:
             m_time=np.eye(3) / 3.0, m_rx=np.diag([1.0, 0.0]),
             gamma=6.0,
         )
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="m_rx: .*positive definite"):
             mse_and_optimal_V(np.ones((3, 2)), s)
 
     def test_singular_temporal_noise_factor_raises(self):
@@ -472,44 +471,27 @@ class TestSimulator:
             r_tx=s.r_tx, r_rx=s.r_rx, m_time=0.3 * s.m_time, m_rx=s.m_rx,
             gamma=s.gamma,
         )
-        seeds = [3, 17]
-        (_, noise), = _training_draws(s, seeds)
         f_n = np.linalg.cholesky(noise_cov(s))
         n_h, n_m = s.n_t * s.n_r, s.b * s.n_r
-        for row, seed in zip(noise, seeds):
+        for seed in (3, 17):
             white = np.random.default_rng(seed).standard_normal(2 * (n_h + n_m))
             w = white[2 * n_h:2 * n_h + n_m] + 1j * white[2 * n_h + n_m:]
-            npt.assert_allclose(row, f_n @ w / np.sqrt(2.0), rtol=1e-13, atol=1e-15)
+            noise = simulate_training(np.ones((s.b, s.n_t)), s, seed).noise
+            npt.assert_allclose(noise.reshape(-1, order="F"), f_n @ w / np.sqrt(2.0),
+                                rtol=1e-13, atol=1e-15)
 
-    def test_seed_reproduces_its_draw_in_any_block(self):
-        s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
-        p = np.ones((4, 2))
-        seeds = range(5, 5 + _TRIAL_BLOCK + 3)
-        blocks = list(_training_draws(s, seeds))
-        assert [len(h) for h, _ in blocks] == [_TRIAL_BLOCK, 3]
-        h_rows = np.vstack([h for h, _ in blocks])
-        n_rows = np.vstack([n for _, n in blocks])
-        for j in (0, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 2):
-            real = simulate_training(p, s, seeds[j])
-            npt.assert_allclose(h_rows[j], real.h.reshape(-1, order="F"),
-                                rtol=1e-14, atol=1e-15)
-            npt.assert_allclose(n_rows[j], real.noise.reshape(-1, order="F"),
-                                rtol=1e-14, atol=1e-15)
-
-    def test_channel_law(self):
-        s = build_scenario(2, 2, 2)
-        p = np.zeros((2, 2))
-        draws = 100_000
-        # row j of a block is vec(H) of simulate_training(p, s, seed=j).h
-        assert np.array_equal(
-            next(_training_draws(s, [7]))[0][0],
-            simulate_training(p, s, seed=7).h.reshape(-1, order="F"),
-        )
-        acc = np.zeros((4, 4), dtype=complex)
-        for h, _ in _training_draws(s, range(draws)):
-            acc += h.T @ h.conj()
-        emp = acc / draws
-        assert np.abs(emp - chan_cov(s)).max() <= 5e-2
+    @pytest.mark.parametrize("case", ["positive-definite", "singular-r_tx",
+                                      "singular-r_rx"])
+    def test_colouring_factors_give_the_covariances(self, case):
+        # with test_draw_order, which pins the draws to the dense Cholesky
+        # factor, this fixes the law of the draws exactly: vec(H) and vec(N)
+        # are (F_a (x) F_b) w for white w
+        s = build_scenario(3, 3, 5, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
+        if case != "positive-definite":
+            s = replace(s, **{case.removeprefix("singular-"): singular_factor(3)})
+        for (f_a, f_b), cov in zip(s.colouring, (chan_cov(s), noise_cov(s))):
+            f = np.kron(f_a, f_b)
+            npt.assert_allclose(f @ f.conj().T, cov, rtol=1e-13, atol=1e-15)
 
 
 class TestMmseEstimator:
@@ -573,7 +555,8 @@ def squared_error_case(name):
     """(scenario, seeds) of a TestSquaredErrors case."""
     if name == "n_t2-n_r3-b4":
         s = build_scenario(2, 3, 4, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j)
-        return s, [9, 2, 40]
+        # 2**40 + 3 hashes two entropy words
+        return s, [9, 2, 40, 2**40 + 3]
     if name == "n_t4-n_r2-b6":
         # the uplink: its noise receive factor is not its channel's
         return reciprocal_scenario(build_scenario(2, 4, 6, rho_mt=0.1 - 0.6j)), [0, 7]
@@ -602,6 +585,16 @@ class TestSquaredErrors:
         mse, errs = mmse_squared_errors(p, s, seeds)
         npt.assert_allclose(errs, want, rtol=1e-12)
         assert mse == channel_mse_lemma(p, s)
+
+    def test_seed_reproduces_its_draw_in_any_block(self):
+        # a seed's error is the same at any place in a block as alone
+        s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
+        p = random_pilot(np.random.default_rng(6), s, energy=s.gamma)
+        seeds = range(5, 5 + _TRIAL_BLOCK + 3)
+        _, errs = mmse_squared_errors(p, s, seeds)
+        for j in (0, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 2):
+            _, alone = mmse_squared_errors(p, s, [seeds[j]])
+            npt.assert_allclose(errs[j], alone[0], rtol=1e-13)
 
     def test_peak_memory_on_kron_scenario(self):
         # the benchmark's 8x8, B = 64 link: the complex error map is 1.2 MB

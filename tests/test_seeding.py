@@ -81,6 +81,8 @@ class TestSeedingOracle:
         with pytest.raises(ValueError, match=r"seed -1 is outside"):
             simulate_training(p, s, -1)
         with pytest.raises(ValueError, match=r"seed 18446744073709551616 is outside"):
+            simulate_training(p, s, 2**64)
+        with pytest.raises(ValueError, match=r"seed 18446744073709551616 is outside"):
             empirical_mse(p, s, 4, seed=2**64 - 3)
         with pytest.raises(TypeError):
             simulate_training(p, s, 1.5)
