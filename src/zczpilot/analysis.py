@@ -79,14 +79,15 @@ class MonteCarloSummary:
     Shorter traces are padded with their final value before averaging, so
     mse_mean[j] is the mean over runs of the MSE at outer iteration j
     (iteration 0 is the initialization).  failures holds one
-    (seed, exception type name, message) row per failed run.
+    (seed, exception type name, message) row per failed run.  seeds are
+    the design seeds in order, as exact ints.
     """
 
     iterations: np.ndarray
     mse_mean: np.ndarray
     mse_std: np.ndarray
     final_mse: np.ndarray
-    seeds: np.ndarray
+    seeds: tuple[int, ...]
     converged_runs: int
     failures: tuple[tuple[int, str, str], ...]
 
@@ -104,15 +105,15 @@ def monte_carlo_design(dl, ul, cfg, runs):
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    seeds = np.arange(cfg.seed, cfg.seed + runs)
+    seeds = tuple(range(cfg.seed, cfg.seed + runs))
     traces = []
     converged = 0
     failures = []
     for seed in seeds:
         try:
-            _, trace = design_pilots(dl, ul, dc_replace(cfg, seed=int(seed)))
+            _, trace = design_pilots(dl, ul, dc_replace(cfg, seed=seed))
         except np.linalg.LinAlgError as exc:
-            failures.append((int(seed), type(exc).__name__, str(exc)))
+            failures.append((seed, type(exc).__name__, str(exc)))
             continue
         traces.append(trace.mse)
         converged += trace.converged
@@ -155,15 +156,16 @@ class EmpiricalMse:
 def empirical_mse(p, s, trials, seed=0):
     """Average ||H_hat - H||_F^2 over seeded training simulations.
 
-    Trial t uses seed + t, so batches can be split and merged.  The Gram
-    and the covariances are factored once per call and the trials run in
-    blocks (see :func:`mmse_squared_errors`).  With a single trial the
-    standard error is undefined and reported as 0 with
-    stderr_defined=False.
+    The trials draw consecutive rows of np.random.default_rng(seed) (a
+    Generator continues its own stream), so a run with more trials
+    extends one with fewer.  The Gram and the covariances are factored
+    once per call and the trials run in blocks (see
+    :func:`mmse_squared_errors`).  With a single trial the standard error
+    is undefined and reported as 0 with stderr_defined=False.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    analytic, errs = mmse_squared_errors(p, s, range(seed, seed + trials))
+    analytic, errs = mmse_squared_errors(p, s, trials, seed)
     mean = float(np.mean(errs))
     if trials == 1:
         return EmpiricalMse(mean=mean, stderr=0.0, trials=1, stderr_defined=False,

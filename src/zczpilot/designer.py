@@ -46,6 +46,7 @@ the total estimation MSE of the two links is non-increasing across outer
 iterations for every k.
 """
 
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -92,11 +93,14 @@ class DesignConfig:
     """Designer knobs.
 
     k is the correlation zone depth (lags 1..k of every downlink column's
-    autocorrelation are held 30 dB below lag 0, SIDELOBE_BOUND_DB;
-    cross-correlation is zeroed on lags 0..k, or 1..k with
-    lags_from_one).  p is the per-column power bound; leave
-    None to derive gamma/n_columns per link.  literal_transpose switches
-    correlations from the conjugated form x^H J y to the plain transpose.
+    autocorrelation are held 30 dB below lag 0, SIDELOBE_BOUND_DB).  The
+    zone is one-sided: it zeroes x_q^H J_m y_l for m = 0..k, or 1..k with
+    lags_from_one, where J_m advances y_l by m samples (shift_matrix), and
+    leaves the negative lags unconstrained.  p is the per-column power
+    bound; leave None to derive gamma/n_columns per link.  seed is stored
+    as an exact int (operator.index), which the archive writes as a JSON
+    integer.  literal_transpose switches correlations from the conjugated
+    form x^H J y to the plain transpose.
     epsilon bounds the cross residual max |x_q^H J_m y_l| over the zone
     (max_cross_corr) over the largest lag-0 power max_q ||x_q||^2, as in
     acceptance criterion 5b: a design whose MSE settles counts as
@@ -121,6 +125,7 @@ class DesignConfig:
             raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -24,10 +24,9 @@ constants, and the channel and the training noise are coloured through
 their factors.  Receive mode i enters the estimator through a rank-one
 S^-H[:, i] S[:, i]^H, so the error maps are one small mode core times the
 whitened pilot.  No dense covariance, lifted pilot or dense V* is formed.
-Every simulated trial draws from its own seed's stream, that of
-np.random.default_rng(seed): simulate_training takes it from
-default_rng, and mmse_squared_errors hashes its seeds in blocks
-(zczpilot._seeding).  numpy.random is imported on the first draw, since
+A simulated trial draws one row of np.random.default_rng(seed), and a
+call of mmse_squared_errors draws its trials as consecutive rows of one
+such generator.  numpy.random is imported on the first draw, since
 building a scenario does not need it.
 """
 
@@ -97,32 +96,28 @@ class TrainingRealization:
     yrx: np.ndarray
 
 
-# Seeds per block of mmse_squared_errors.  A block's white draws and
+# Trials per block of mmse_squared_errors.  A block's white draws and
 # estimation errors are held at once, so this bounds the simulator's
 # memory for any trial count: the white draws of 64 trials on an 8x8,
-# B = 64 link are 0.6 MB.  Larger blocks are no faster, since a trial's
-# cost is mostly building its generator and drawing from it.
+# B = 64 link are 0.6 MB.
 _TRIAL_BLOCK = 64
 
 
 def simulate_training(p, s, seed, noise_scale=1.0):
     """Draw H ~ CN(0, R), N ~ CN(0, M) and form Yrx = H P^T + noise_scale*N.
 
-    One row of N(0, 1) draws from np.random.default_rng(seed), for an
-    integer 0 <= seed < 2**64, holds the real then imaginary parts of the
-    channel's white vector, then those of the noise's, so a fixed seed
-    reproduces the realization bit for bit.  A factor pair (F_a, F_b) of
+    One row of N(0, 1) draws from np.random.default_rng(seed) holds the
+    real then imaginary parts of the channel's white vector, then those of
+    the noise's, so a fixed seed reproduces the realization bit for bit,
+    and a Generator gives its next row.  A factor pair (F_a, F_b) of
     s.colouring acts on the matrix view W of its white vector, n_t x n_r
     for the channel and b x n_r for the noise, as F_a W F_b^T, the
     transpose of H or N.  noise_scale=0 gives the noiseless received
     block exactly.
     """
-    from ._seeding import checked_seed
-
     p = _checked(p, s)
     n_h = s.n_t * s.n_r
-    white = np.random.default_rng(checked_seed(seed)).standard_normal(
-        2 * (n_h + s.b * s.n_r))
+    white = np.random.default_rng(seed).standard_normal(2 * (n_h + s.b * s.n_r))
     draws = []
     for (f_a, f_b), w in zip(s.colouring, (white[:2 * n_h], white[2 * n_h:])):
         k = len(w) // 2
@@ -149,12 +144,13 @@ def mmse_estimate(yrx, p, s):
     return basis_inv.conj().T @ modes
 
 
-def mmse_squared_errors(p, s, seeds):
+def mmse_squared_errors(p, s, trials, seed):
     """The lemma MSE of p and ||H^ - H||_F^2 of the MMSE estimate for each
-    seed's training draw.
+    of trials training draws from one np.random.default_rng(seed).
 
     Draw for draw the same as simulate_training followed by mmse_estimate
-    per seed, to rounding.  The error E (Pt vec(H) + vec(N)) - vec(H) of
+    per trial on that one generator, to rounding.  The error
+    E (Pt vec(H) + vec(N)) - vec(H) of
     E = Z^H = sum_i lam_i Y_i^H (x) S^-H[:, i] S[:, i]^H is linear in the
     white draws, (E Pt - I)(F_tx (x) F_rx) w_h + E (F_time (x) F_n) w_n.
     Each mode's S^-H[:, i] S[:, i]^H has rank one, so both maps come from
@@ -163,14 +159,12 @@ def mmse_squared_errors(p, s, seeds):
     rows (input) by columns (error), they are G_n = (Phi^H F_time)^T T_Fn
     and G_h = (Phi^H P F_tx)^T T_Frx - F_tx^T (x) F_rx^T.  The map
     [G_h; i G_h; G_n; i G_n] / sqrt(2) is built once per call, its rows in
-    the layout of the white draws, and each block of seeds costs one real
+    the layout of the white draws, and each block of trials costs one real
     product with its float64 view (its columns interleave the error's real
-    and imaginary parts, which the squared norm does not mind).  Row j of a
-    block is simulate_training's white row for the block's j-th seed, so a
-    seed reproduces its draw in any block.
+    and imaginary parts, which the squared norm does not mind).  Row t of
+    the draws is simulate_training's white row for trial t, so a call with
+    more trials extends one with fewer.
     """
-    from ._seeding import generators
-
     p = _checked(p, s)
     mse, (phi, c, psi) = mse_and_optimal_V(p, s)
     lam, basis, basis_inv = s.receive_eig
@@ -193,12 +187,10 @@ def mmse_squared_errors(p, s, seeds):
     np.multiply(g_h, 1j, out=ig_h)
     np.multiply(g_n, 1j, out=ig_n)
     gain = gain.view(np.float64)
-    gens = generators(seeds)
-    errs = np.empty(len(seeds))
-    for start in range(0, len(seeds), _TRIAL_BLOCK):
-        white = np.empty((min(_TRIAL_BLOCK, len(seeds) - start), len(gain)))
-        for row, gen in zip(white, gens):
-            gen.standard_normal(out=row)
-        err = white @ gain
+    rng = np.random.default_rng(seed)
+    white = np.empty((min(_TRIAL_BLOCK, trials), len(gain)))
+    errs = np.empty(trials)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        err = rng.standard_normal(out=white[:trials - start]) @ gain
         errs[start:start + len(err)] = np.einsum("ij,ij->i", err, err)
     return mse, errs

@@ -120,6 +120,15 @@ class TestRoundTrip:
         dump_archive(make_payload(designed), path)
         assert path.read_bytes().endswith(b"\n")
 
+    def test_numpy_integer_seed_archived_as_an_int(self, designed, tmp_path):
+        pair, trace, _, p = designed
+        cfg = DesignConfig(k=1, max_outer=8, seed=np.arange(4)[3])
+        path = tmp_path / "pair.json"
+        dump_archive(archive_payload(pair, trace, cfg, p, p), path)
+        assert json.loads(path.read_text())["design"]["seed"] == 3
+        with pytest.raises(TypeError):
+            DesignConfig(seed=3.0)
+
     def test_metadata_carried_through(self, designed, tmp_path):
         path = tmp_path / "pair.json"
         dump_archive(make_payload(designed, sha="deadbeef"), path)

@@ -372,6 +372,19 @@ class TestMonteCarlo:
         assert doc["converged_runs"] == 2
         assert len(doc["mse_mean"]) == len(doc["mse_std"])
 
+    def test_json_seeds_across_2_63_are_exact_integers(self, small_config, tmp_path,
+                                                       capsys):
+        out = tmp_path / "mc"
+        first = 2**63 - 1
+        rc = main(["montecarlo", "--config", str(small_config), "--out", str(out),
+                   "--runs", "3", "--seed", str(first), "--format", "json"])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        text = (out / "mc_summary.json").read_text()
+        seeds = [first, first + 1, first + 2]
+        assert json.loads(text)["seeds"] == seeds
+        assert all(str(seed) in text for seed in seeds)
+
     def test_zero_runs_rejected(self, small_config, capsys):
         rc = main(["montecarlo", "--config", str(small_config), "--runs", "0"])
         assert rc == EXIT_CONFIG
@@ -503,18 +516,6 @@ class TestInputRejection:
         else:
             assert rc == EXIT_CONFIG
             assert err.startswith("error: m_time: ")
-
-    def test_validate_seeds_past_2_64(self, small_config, capsys):
-        # trial t draws from seed + 1 + t, and the simulator's seeds end
-        # below 2**64
-        last = 2**64 - 11
-        args = ["validate", "--config", str(small_config), "--trials", "10"]
-        assert main(args + ["--seed", str(last)]) == EXIT_OK
-        capsys.readouterr()
-        assert main(args + ["--seed", str(last + 1)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == (f"error: validate seed {last + 1} draws trial seeds {last + 2} "
-                       f"to {2**64}, outside 0 <= seed < 2**64\n")
 
 
 class TestValidate:

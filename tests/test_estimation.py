@@ -1,6 +1,8 @@
 """MSE objective algebra, auxiliary-variable identities, and the
 training simulator / MMSE estimator pair used for empirical checks."""
 
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +41,8 @@ from zczpilot.estimation import (
 )
 
 
-REFERENCE_CONFIG = Path(__file__).parents[1] / "configs" / "mimo4x4_b8.ini"
+ROOT = Path(__file__).parents[1]
+REFERENCE_CONFIG = ROOT / "configs" / "mimo4x4_b8.ini"
 
 
 def refuse_kron(a, b):
@@ -408,6 +411,21 @@ class TestAuxiliaryVariable:
             AuxiliaryV(v1=np.eye(3), v2=np.zeros((8, 4)))
 
 
+def assert_coloured_draw(seed):
+    """simulate_training(seed) is the row of default_rng(seed), coloured by
+    the dense Cholesky factors of the covariances."""
+    s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
+    rng = np.random.default_rng(seed)
+    white = [rng.standard_normal(k) for k in (6, 6, 12, 12)]
+    h = np.linalg.cholesky(chan_cov(s)) @ (white[0] + 1j * white[1])
+    n = np.linalg.cholesky(noise_cov(s)) @ (white[2] + 1j * white[3])
+    real = simulate_training(np.ones((4, 2)), s, seed=seed)
+    npt.assert_allclose(real.h.reshape(-1, order="F"), h / np.sqrt(2.0),
+                        rtol=1e-14, atol=1e-15)
+    npt.assert_allclose(real.noise.reshape(-1, order="F"), n / np.sqrt(2.0),
+                        rtol=1e-14, atol=1e-15)
+
+
 class TestSimulator:
     def test_noiseless_flag(self):
         rng = np.random.default_rng(2)
@@ -450,18 +468,13 @@ class TestSimulator:
         npt.assert_array_equal(a.yrx, b.yrx)
 
     def test_draw_order(self):
-        # one generator per seed: channel real, channel imaginary, noise
-        # real, noise imaginary, each coloured by its Cholesky factor
-        s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
-        rng = np.random.default_rng(21)
-        white = [rng.standard_normal(k) for k in (6, 6, 12, 12)]
-        h = np.linalg.cholesky(chan_cov(s)) @ (white[0] + 1j * white[1])
-        n = np.linalg.cholesky(noise_cov(s)) @ (white[2] + 1j * white[3])
-        real = simulate_training(np.ones((4, 2)), s, seed=21)
-        npt.assert_allclose(real.h.reshape(-1, order="F"), h / np.sqrt(2.0),
-                            rtol=1e-14, atol=1e-15)
-        npt.assert_allclose(real.noise.reshape(-1, order="F"), n / np.sqrt(2.0),
-                            rtol=1e-14, atol=1e-15)
+        # one row of default_rng(seed): channel real, channel imaginary,
+        # noise real, noise imaginary, each coloured by its Cholesky factor
+        assert_coloured_draw(21)
+
+    def test_seed_past_2_64(self):
+        # seeds follow numpy's own rule: any integer >= 0 seeds default_rng
+        assert_coloured_draw(2**64)
 
     def test_noise_coloured_by_dense_factor_off_unit_trace(self):
         # the factor-wise colouring L_time W L_rx^T equals the Cholesky
@@ -552,60 +565,60 @@ def singular_factor(n):
 
 
 def squared_error_case(name):
-    """(scenario, seeds) of a TestSquaredErrors case."""
+    """(scenario, trials, seed) of a TestSquaredErrors case."""
     if name == "n_t2-n_r3-b4":
         s = build_scenario(2, 3, 4, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j)
-        # 2**40 + 3 hashes two entropy words
-        return s, [9, 2, 40, 2**40 + 3]
+        return s, 4, 9
     if name == "n_t4-n_r2-b6":
         # the uplink: its noise receive factor is not its channel's
-        return reciprocal_scenario(build_scenario(2, 4, 6, rho_mt=0.1 - 0.6j)), [0, 7]
+        return reciprocal_scenario(build_scenario(2, 4, 6, rho_mt=0.1 - 0.6j)), 2, 0
     if name == "n_t3-n_r3-b2":
-        return build_scenario(3, 3, 2, rho_rt=0.5 + 0.3j), [3, 11]
+        return build_scenario(3, 3, 2, rho_rt=0.5 + 0.3j), 2, 3
     if name.startswith("singular-"):
         factor = {name.removeprefix("singular-"): singular_factor(3)}
-        return replace(build_scenario(3, 3, 5, rho_mt=0.1 - 0.6j), **factor), [1, 4, 8]
+        return replace(build_scenario(3, 3, 5, rho_mt=0.1 - 0.6j), **factor), 3, 1
     assert name == "across-blocks"
-    return build_scenario(2, 2, 4), list(range(5, 5 + _TRIAL_BLOCK + 3))
+    return build_scenario(2, 2, 4), _TRIAL_BLOCK + 3, 5
 
 
 class TestSquaredErrors:
     # n_t < n_r, n_t > n_r, b < n_t, each singular channel factor (the
-    # eigen fallback of the colouring) and seeds across a block boundary
+    # eigen fallback of the colouring) and trials across a block boundary
     @pytest.mark.parametrize("case", ["n_t2-n_r3-b4", "n_t4-n_r2-b6", "n_t3-n_r3-b2",
                                       "singular-r_tx", "singular-r_rx",
                                       "across-blocks"])
     def test_matches_simulator_and_estimator_per_seed(self, case):
-        s, seeds = squared_error_case(case)
+        # trial t is the t-th simulate_training row of one generator
+        s, trials, seed = squared_error_case(case)
         p = random_pilot(np.random.default_rng(13), s, energy=s.gamma)
+        gen = np.random.default_rng(seed)
         want = []
-        for seed in seeds:
-            real = simulate_training(p, s, seed)
+        for _ in range(trials):
+            real = simulate_training(p, s, gen)
             want.append(np.linalg.norm(mmse_estimate(real.yrx, p, s) - real.h) ** 2)
-        mse, errs = mmse_squared_errors(p, s, seeds)
+        mse, errs = mmse_squared_errors(p, s, trials, seed)
         npt.assert_allclose(errs, want, rtol=1e-12)
         assert mse == channel_mse_lemma(p, s)
 
-    def test_seed_reproduces_its_draw_in_any_block(self):
-        # a seed's error is the same at any place in a block as alone
+    def test_more_trials_extend_fewer(self):
+        # a call draws the first rows of a longer call's stream, whether or
+        # not it ends inside a block
         s = build_scenario(2, 3, 4, rho_rt=0.5 + 0.3j, rho_mt=0.1 - 0.6j)
         p = random_pilot(np.random.default_rng(6), s, energy=s.gamma)
-        seeds = range(5, 5 + _TRIAL_BLOCK + 3)
-        _, errs = mmse_squared_errors(p, s, seeds)
-        for j in (0, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 2):
-            _, alone = mmse_squared_errors(p, s, [seeds[j]])
-            npt.assert_allclose(errs[j], alone[0], rtol=1e-13)
+        _, errs = mmse_squared_errors(p, s, 2 * _TRIAL_BLOCK - 19, 5)
+        for n1 in (1, _TRIAL_BLOCK, _TRIAL_BLOCK + 5):
+            _, first = mmse_squared_errors(p, s, n1, 5)
+            npt.assert_allclose(first, errs[:n1], rtol=1e-13)
 
     def test_peak_memory_on_kron_scenario(self):
         # the benchmark's 8x8, B = 64 link: the complex error map is 1.2 MB
         # and a block of 64 white draws 0.6 MB, with no second copy of the map
         s = build_scenario(8, 8, 64)
         p = random_pilot(np.random.default_rng(4), s, energy=s.gamma)
-        seeds = range(_TRIAL_BLOCK)
-        mmse_squared_errors(p, s, seeds)
+        mmse_squared_errors(p, s, _TRIAL_BLOCK, 0)
         tracemalloc.start()
         try:
-            mmse_squared_errors(p, s, seeds)
+            mmse_squared_errors(p, s, _TRIAL_BLOCK, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -614,4 +627,28 @@ class TestSquaredErrors:
     def test_pilot_shape_checked(self):
         s = build_scenario(2, 2, 4)
         with pytest.raises(ValueError):
-            mmse_squared_errors(np.ones((3, 2)), s, [0])
+            mmse_squared_errors(np.ones((3, 2)), s, 1, 0)
+
+
+def test_setup_does_not_import_numpy_random():
+    # Building the scenarios needs no generator; numpy.random loads on the
+    # first draw (and costs about 13 ms of a set-up).
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy\n"
+        "bare = 'numpy.random' in sys.modules\n"
+        "import zczpilot\n"
+        "from zczpilot.config import load_config\n"
+        "from zczpilot.covariance import reciprocal_scenario\n"
+        "reciprocal_scenario(load_config(sys.argv[2]).downlink())\n"
+        "print(bare, 'numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(REFERENCE_CONFIG)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    bare, loaded = out.stdout.split()
+    if bare == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert loaded == "False"
