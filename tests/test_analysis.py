@@ -248,6 +248,16 @@ class TestEmpiricalMse:
         assert out.stderr_defined
         assert gap <= 3.0 * out.stderr
 
+    def test_batches_split_and_merge(self):
+        s = build_scenario(1, 1, 2)
+        p = np.ones((2, 1), dtype=complex)
+        whole = empirical_mse(p, s, trials=40, seed=0)
+        gen = np.random.default_rng(0)
+        first = empirical_mse(p, s, trials=25, seed=gen)
+        second = empirical_mse(p, s, trials=15, seed=gen)
+        merged = (25 * first.mean + 15 * second.mean) / 40
+        assert whole.mean == pytest.approx(merged, rel=1e-12)
+
     def test_more_pilot_energy_reduces_error(self):
         s = build_scenario(2, 2, 4)
         rng = np.random.default_rng(1)
