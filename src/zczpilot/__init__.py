@@ -26,11 +26,9 @@ from .covariance import (
     reciprocal_scenario,
 )
 from .designer import (
-    DegenerateConstraintWarning,
     DesignConfig,
     DesignError,
     DesignTrace,
-    HeldColumnWarning,
     PilotPair,
     design_pilots,
     inner_cycle,
@@ -57,12 +55,10 @@ __all__ = [
     "ChannelScenario",
     "ConfigError",
     "CorrelationReport",
-    "DegenerateConstraintWarning",
     "DesignConfig",
     "DesignError",
     "DesignTrace",
     "EmpiricalMse",
-    "HeldColumnWarning",
     "MonteCarloSummary",
     "PilotArchive",
     "PilotPair",

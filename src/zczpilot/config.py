@@ -49,7 +49,6 @@ _TIMING_FIELDS = {
     "symbol_time_s": "symbol_time",
     "processing_symbols": "t_pr",
     "propagation_mps": "nu",
-    "modulation_symbols": "t_mod",
     "d_object_m": "d_object",
 }
 _SECTIONS = {

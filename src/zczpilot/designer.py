@@ -22,13 +22,14 @@ Both pilots see one zero-correlation zone, the orthogonal complement of
 its constraint vectors: the fixed pilot shifted by each lag, one slice
 per lag (_shifted; the uplink's J_m^T x is R J_m R x, R the row flip).
 One thin SVD and a rank rule turn them into an orthonormal basis U of
-their span (_zone_basis), which warns when U has rank b.  Both steps are
-the same zone projection t - U U^H t (_in_zone: t itself for U without
-columns, zero for U of rank b), then the shrink into the ball and, for
-the downlink, the ellipsoids (_shrink_into_sets).  For the uplink (no
-ellipsoids) that is the exact projection; for the downlink with k >= 1
-it is a feasible point near the target.  A round builds the downlink U
-once, and the restoration below works inside its zone.
+their span (_zone_basis); U of rank b means the zone is {0}, which the
+round notes.  Both steps are the same zone projection t - U U^H t
+(_in_zone: t itself for U without columns, zero for U of rank b), then
+the shrink into the ball and, for the downlink, the ellipsoids
+(_shrink_into_sets).  For the uplink (no ellipsoids) that is the exact
+projection; for the downlink with k >= 1 it is a feasible point near the
+target.  A round builds the downlink U once, and the restoration below
+works inside its zone.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
@@ -48,7 +49,6 @@ iterations for every k.
 
 import operator
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,13 +75,9 @@ _RESTORE_DONE = _RESTORE_LEVEL * (1.0 + 1e-9)
 _RESTORE_ACTIVE = _RESTORE_LEVEL * (1.0 - 1e-6)
 _RESTORE_MAX_STEPS = 50
 
-
-class DegenerateConstraintWarning(UserWarning):
-    """Cross-correlation constraints admit only the zero column."""
-
-
-class HeldColumnWarning(RuntimeWarning):
-    """A column of X kept its value: its restoration ended over the bound."""
+# A round's note for a link whose zone is {0}: only zero columns are feasible.
+_COLLAPSE_NOTE = ("{} cross-correlation constraints span the whole space; "
+                  "returning zero columns")
 
 
 class DesignError(RuntimeError):
@@ -222,20 +218,15 @@ def _zone_basis(fixed, b, cfg, transpose_shift):
     (_cross_vectors), whose orthogonal complement in C^b is the zone: one
     thin SVD's left singular vectors to the rank counted at 1e-10 times the
     largest singular value.  No columns when every vector is zero (the
-    zone is C^b); b columns when the zone is {0}, under a
-    DegenerateConstraintWarning, as only zero columns are then feasible."""
+    zone is C^b); b columns when the zone is {0}, as only zero columns
+    are then feasible."""
     if cfg.k >= b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
     a = _cross_vectors(np.reshape(fixed, (b, -1)), cfg, transpose_shift)
     if not a.any():
         return np.zeros((b, 0), dtype=np.complex128)
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    rank = np.count_nonzero(sv > 1e-10 * sv[0])
-    if rank == b:
-        warnings.warn("cross-correlation constraints span the whole space; "
-                      "returning zero columns", DegenerateConstraintWarning,
-                      stacklevel=3)
-    return u[:, :rank]
+    return u[:, : np.count_nonzero(sv > 1e-10 * sv[0])]
 
 
 def x_step(x_target, y_fixed, cfg, p=None):
@@ -256,11 +247,15 @@ def y_step(y_target, x_fixed, cfg, p=None):
 
     The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
     lags}: the k = 0 case of the downlink step, with the transposed
-    shifts J_m^T x_q as cross vectors.
+    shifts J_m^T x_q as cross vectors.  A zero target, the MM target of a
+    zero pilot, is its own projection and builds no zone.
     """
     y_target = np.asarray(y_target, dtype=np.complex128)
+    p = _resolve_p(cfg, p)
+    if not y_target.any() and cfg.k < len(y_target):  # else _zone_basis raises
+        return np.zeros_like(y_target)
     span = _zone_basis(x_fixed, y_target.shape[0], cfg, True)
-    return _shrink_into_sets(_in_zone(span, y_target), 0, _resolve_p(cfg, p))
+    return _shrink_into_sets(_in_zone(span, y_target), 0, p)
 
 
 def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
@@ -269,9 +264,11 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     X is the zone projection of x_sigma against y0; for k >= 1 it is then
     restored into the sidelobe bound inside the same zone basis
     (_restore_sidelobes; a column already inside takes no step).  A column
-    that ends farther from its target than x0's, or not inside the bound
-    (a HeldColumnWarning names it), keeps x0's column.  Y = y_step(y_sigma)
-    against that X.  Returns (X, Y).
+    that ends farther from its target than x0's, or not inside the bound,
+    keeps x0's column.  Y = y_step(y_sigma) against that X.  Returns
+    (X, Y, notes), one string per event of the round: a downlink zone of
+    {0}, each column held for the bound with its residual, and an uplink
+    whose nonzero target was projected to zero (its zone is {0}).
 
     x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
     column of X does too, and none is farther from its target than x0's:
@@ -282,23 +279,23 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     """
     x_sigma = np.asarray(x_sigma, dtype=np.complex128)
     p_x = _resolve_p(cfg, p_x)
-    span = _zone_basis(y0, x_sigma.shape[0], cfg, False)
+    b = x_sigma.shape[0]
+    span = _zone_basis(y0, b, cfg, False)
+    notes = [_COLLAPSE_NOTE.format("downlink")] if span.shape[1] == b else []
     x = _shrink_into_sets(_in_zone(span, x_sigma), cfg.k, p_x)
     over = np.zeros(x.shape[1], dtype=bool)
     if cfg.k:
         x, worst = _restore_sidelobes(x, span, p_x, cfg)
         over = ~(worst <= SIDELOBE_DELTA)
-        for q in np.flatnonzero(over):
-            warnings.warn(
-                f"column {q} keeps its current value: its sidelobe "
-                f"restoration ended at residual {worst[q]:.3g} > "
-                f"{SIDELOBE_DELTA:.3g}",
-                HeldColumnWarning,
-                stacklevel=2,
-            )
+        notes += [f"column {q} keeps its current value: its sidelobe restoration "
+                  f"ended at residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
+                  for q in np.flatnonzero(over)]
     far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
     x = np.where(over | far, x0, x)
-    return x, y_step(y_sigma, x, cfg, p=p_y)
+    y = y_step(y_sigma, x, cfg, p=p_y)
+    if np.any(y_sigma) and not y.any():
+        notes.append(_COLLAPSE_NOTE.format("uplink"))
+    return x, y, notes
 
 
 def _curvature(v, s):
@@ -381,7 +378,10 @@ class DesignTrace:
     """Per-outer-iteration progress (entry 0 is the initialization); the
     total MSE is mse = mse_dl + mse_ul, the two links' estimation MSE.
     stop_reason says what ended the outer loop: "eta" (the MSE moved by
-    less than eta) or "max_outer"."""
+    less than eta) or "max_outer".  warnings holds each distinct note of
+    the rounds (inner_cycle) once, as "iteration i: note" for the first
+    iteration i that made it, and then a converged design's cross
+    residual over epsilon, if any."""
 
     mse: list[float] = field(default_factory=list)
     mse_dl: list[float] = field(default_factory=list)
@@ -509,34 +509,28 @@ def design_pilots(dl, ul, cfg):
     x[np.arange(dl.n_t) % dl.b, np.arange(dl.n_t)] = np.sqrt(p_x)
     y = np.zeros((ul.b, ul.n_t), dtype=np.complex128)
     mse = np.inf  # so that iteration 0 cannot stop by eta
+    first = {}  # each distinct note -> the first iteration that made it
 
-    ours = (HeldColumnWarning, DegenerateConstraintWarning)
-    with warnings.catch_warnings(record=True) as caught:
-        for kind in ours:
-            warnings.simplefilter("always", kind)
-        for it in range(cfg.max_outer + 1):
-            if it:
-                x_sigma = build_sigma_target(links[0][1], x, dl)
-                y_sigma = build_sigma_target(links[1][1], y, ul)
-            x, y = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y)
-            prev = mse
-            mse, links = score(x, y)
-            power, cross, auto = residuals = _pair_residuals(x, y, cfg)
-            row = (mse, cross, auto, power, links[0][0], links[1][0])
-            for name, value in zip(TRACE_COLUMNS, row):
-                getattr(trace, name).append(value)
-            trace.outer_iterations = it
-            if abs(prev - mse) < cfg.eta:
-                trace.converged = True
-                trace.stop_reason = "eta"
-                break
+    for it in range(cfg.max_outer + 1):
+        if it:
+            x_sigma = build_sigma_target(links[0][1], x, dl)
+            y_sigma = build_sigma_target(links[1][1], y, ul)
+        x, y, notes = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y)
+        for note in notes:
+            first.setdefault(note, it)
+        prev = mse
+        mse, links = score(x, y)
+        power, cross, auto = residuals = _pair_residuals(x, y, cfg)
+        row = (mse, cross, auto, power, links[0][0], links[1][0])
+        for name, value in zip(TRACE_COLUMNS, row):
+            getattr(trace, name).append(value)
+        trace.outer_iterations = it
+        if abs(prev - mse) < cfg.eta:
+            trace.converged = True
+            trace.stop_reason = "eta"
+            break
 
-    for w in caught:  # any other warning goes on to the caller's filters
-        if issubclass(w.category, ours):
-            trace.warnings.append(str(w.message))
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    trace.warnings = list(dict.fromkeys(trace.warnings))
+    trace.warnings = [f"iteration {i}: {note}" for note, i in first.items()]
     pair = PilotPair(x, y, *residuals)
     # A successful design guarantees the cross-correlation residual relative
     # to the largest lag-0 power; an MSE plateau alone does not count.

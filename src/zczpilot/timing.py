@@ -16,8 +16,7 @@ _SLACK_TOL = 1e-12
 class TimingScenario:
     """Link geometry and symbol-time bookkeeping (distances in meters).
 
-    t_pr and k are in symbol units; t_mod is carried along for reports
-    but does not enter the feasibility bound.
+    t_pr and k are in symbol units.
     """
 
     d_user: float
@@ -25,7 +24,6 @@ class TimingScenario:
     t_pr: float = 1.0
     k: int = 4
     nu: float = 3.0e8
-    t_mod: float = 0.0
     d_object: float | None = None
 
     def __post_init__(self):
@@ -38,8 +36,6 @@ class TimingScenario:
             raise ValueError("propagation speed must be positive and finite")
         if not 0 <= self.t_pr < math.inf:
             raise ValueError("t_pr must be >= 0 and finite")
-        if not 0 <= self.t_mod < math.inf:
-            raise ValueError("t_mod must be >= 0 and finite")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.d_object is not None and not 0 < self.d_object < math.inf:

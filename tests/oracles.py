@@ -195,15 +195,14 @@ def zone_bases(vectors, b):
 
 def _restored_against(x, y, cfg, p):
     """X restored into the sidelobe bound inside the cross-correlation
-    zone of y, with the columns left over the bound; for k = 0, X and
-    no such column."""
+    zone of y, with each column's worst sidelobe ratio; for k = 0, X and
+    zero ratios."""
     if not cfg.k:
-        return x, np.zeros(x.shape[1], dtype=bool)
+        return x, np.zeros(x.shape[1])
     span = designer._zone_basis(y, x.shape[0], cfg, False)
-    x, worst = designer._restore_sidelobes(
+    return designer._restore_sidelobes(
         designer._in_zone(span, x), span, designer._resolve_p(cfg, p), cfg
     )
-    return x, worst > designer.SIDELOBE_DELTA
 
 
 def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
@@ -214,8 +213,10 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     the pair by at most inner_tol; then, for k >= 1, restore X inside the
     cross-correlation zone of the final Y; hold every column of X
     that ends farther from its target than x0's, or over the sidelobe
-    bound, at x0's column; and project Y against that X.  Returns (X, Y)
-    like inner_cycle.
+    bound, at x0's column; and project Y against that X.  Returns
+    (X, Y, notes) like inner_cycle, with its note texts: a downlink zone
+    of {0} against the final Y, each held column with its residual, and a
+    nonzero Y target projected to zero.
 
     The start is recognised by a zero y0 (the designer starts from Y = 0):
     there is no Y to alternate with yet, so X is restored and held right
@@ -232,7 +233,21 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
             x, y = x_new, y_new
             if move <= inner_tol:
                 break
-    x, over = _restored_against(x, y, cfg, p_x)
+    x, worst = _restored_against(x, y, cfg, p_x)
+    over = worst > designer.SIDELOBE_DELTA
+    collapsed = ("{} cross-correlation constraints span the whole space; "
+                 "returning zero columns")
+    b = x.shape[0]
+    span = designer._zone_basis(y, b, cfg, False)
+    notes = [collapsed.format("downlink")] if span.shape[1] == b else []
+    notes += [
+        f"column {q} keeps its current value: its sidelobe restoration "
+        f"ended at residual {worst[q]:.3g} > {designer.SIDELOBE_DELTA:.3g}"
+        for q in np.flatnonzero(over)
+    ]
     far = np.linalg.norm(x - x_sigma, axis=0) > np.linalg.norm(x0 - x_sigma, axis=0)
     x = np.where(over | far, x0, x)
-    return x, designer.y_step(y_sigma, x, cfg, p=p_y)
+    y = designer.y_step(y_sigma, x, cfg, p=p_y)
+    if np.any(y_sigma) and not y.any():
+        notes.append(collapsed.format("uplink"))
+    return x, y, notes

@@ -2,7 +2,10 @@
 cyclic pilot design loop."""
 
 
+import dataclasses
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -23,9 +26,7 @@ from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scen
 from zczpilot import designer
 from zczpilot.designer import (
     SIDELOBE_DELTA,
-    DegenerateConstraintWarning,
     DesignConfig,
-    HeldColumnWarning,
     _cross_vectors,
     _in_zone,
     _restore_sidelobes,
@@ -44,6 +45,16 @@ from zczpilot.estimation import channel_mse_lemma, optimal_V
 # Tolerance x_step and y_step are held to on re-projection of their own
 # output.
 INNER_TOL = 1e-8
+
+# The round's note for a link whose zone is {0}.
+COLLAPSED = ("{} cross-correlation constraints span the whole space; "
+             "returning zero columns")
+
+
+def held_note(q, residual):
+    """The round's note for column q of X held over the sidelobe bound."""
+    return (f"column {q} keeps its current value: its sidelobe restoration "
+            f"ended at residual {residual:.3g} > {SIDELOBE_DELTA:.3g}")
 
 
 def crandn(rng, *shape):
@@ -132,13 +143,20 @@ class TestXStep:
         assert cross_residual(out, y, cfg.k, literal=True) <= 1e-10
 
     def test_degenerate_constraints_zero_with_warning(self):
+        # the step returns zero columns without raising a warning; the
+        # round against that Y notes the collapse as its warning
         rng = np.random.default_rng(6)
         cfg = DesignConfig(k=2, p=1.0)
         b = 3
         y = crandn(rng, b, 1)
-        with pytest.warns(DegenerateConstraintWarning):
-            out = x_step(crandn(rng, b, 2), y, cfg)
+        t = crandn(rng, b, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = x_step(t, y, cfg)
+            x, _, notes = inner_cycle(t, crandn(rng, b, 1), np.zeros_like(t), y, cfg)
         assert np.abs(out).max() == 0.0
+        assert not x.any()
+        assert notes == [COLLAPSED.format("downlink")]
 
     def test_lag_window_too_deep_rejected(self):
         cfg = DesignConfig(k=4, p=1.0)
@@ -194,7 +212,8 @@ class TestZoneBasis:
         # t - U U^H t is (I - A A^+) t for the cross vectors A of either
         # step, on random, repeated (rank-deficient), zero and empty fixed
         # blocks; the zone collapses exactly when A has rank b, and then
-        # the basis warns and the projection and the step give zero columns
+        # the basis has b columns and the projection and the step give zero
+        # columns, without a warning
         rng = np.random.default_rng(30)
         b = 6
         cfg = DesignConfig(k=k, literal_transpose=literal, lags_from_one=lags_from_one)
@@ -207,13 +226,11 @@ class TestZoneBasis:
                 rank = np.linalg.matrix_rank(a) if a.size else 0
                 t = crandn(rng, b, 3)
                 step = y_step if transpose_shift else x_step
-                with warnings.catch_warnings(record=True) as seen:
-                    warnings.simplefilter("always", DegenerateConstraintWarning)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
                     span = _zone_basis(fixed, b, cfg, transpose_shift)
                     out = step(t, fixed, cfg, p=1e6)
                 collapsed = rank == b
-                expected = [DegenerateConstraintWarning] * 2 if collapsed else []
-                assert [w.category for w in seen] == expected
                 assert span.shape == (b, rank)
                 want = t - a @ (np.linalg.pinv(a, rcond=1e-10) @ t)
                 npt.assert_allclose(_in_zone(span, t), want, rtol=0, atol=1e-12)
@@ -287,12 +304,41 @@ class TestYStep:
         assert np.linalg.norm(again - out) <= 2.0 * INNER_TOL
 
     def test_degenerate_constraints_zero_with_warning(self):
+        # the step returns zero columns without raising a warning; a round
+        # whose X spans C^4 with its shifts notes the collapse as its warning
         rng = np.random.default_rng(5)
         cfg = DesignConfig(k=3, p=1.0)
         x = crandn(rng, 4, 2)  # 8 constraint vectors in C^4
-        with pytest.warns(DegenerateConstraintWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = y_step(crandn(rng, 4, 2), x, cfg)
         assert np.abs(out).max() == 0.0
+        cfg = DesignConfig(k=1, p=1.0)
+        x_sigma, y_sigma = 0.5 * crandn(rng, 4, 2), crandn(rng, 4, 1)
+        x0, y0 = np.zeros_like(x_sigma), np.zeros_like(y_sigma)
+        x, y, notes = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        assert _zone_basis(x, 4, cfg, True).shape[1] == 4
+        assert not y.any()
+        assert notes == [COLLAPSED.format("uplink")]
+        # a zero target is the fixed point of a zero pilot, not a collapse
+        assert inner_cycle(x_sigma, y0, x0, y0, cfg)[2] == []
+
+    def test_zero_target_builds_no_zone(self, monkeypatch):
+        # a zero pilot's MM target is zero (its V* is zero), and a zero
+        # target is its own projection: no zone basis is built for it
+        calls = count_calls(monkeypatch, "_zone_basis")
+        cfg = DesignConfig(k=3, p=1.0)
+        x = crandn(np.random.default_rng(8), 8, 2)
+        target = np.zeros((8, 3))
+        out = y_step(target, x, cfg)
+        assert out.dtype == np.complex128 and out.shape == (8, 3)
+        assert not out.any()
+        assert calls == {"_zone_basis": 0}
+        npt.assert_array_equal(out, _in_zone(_zone_basis(x, 8, cfg, True), target))
+        with pytest.raises(ValueError, match="no per-column power bound"):
+            y_step(target, x, DesignConfig(k=3))
+        with pytest.raises(ValueError, match="smaller than the training length"):
+            y_step(target, x, DesignConfig(k=8, p=1.0))
 
 
 def count_calls(monkeypatch, *names):
@@ -335,7 +381,8 @@ class TestInnerCycle:
         x_sigma[0, 0] = np.sqrt(p)
         y_sigma[4, 0] = np.sqrt(p)
         x0, y0 = np.zeros_like(x_sigma), np.zeros_like(y_sigma)
-        x, y = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        x, y, notes = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        assert notes == []
         npt.assert_allclose(x, x_sigma, atol=1e-9)
         npt.assert_allclose(y, y_sigma, atol=1e-9)
         npt.assert_array_equal(x, x_step(x_sigma, y0, cfg))
@@ -380,7 +427,7 @@ class TestInnerCycle:
                 assert worst.max() <= SIDELOBE_DELTA
             y0 = y_step(crandn(rng, 8, 2), x0, cfg)
             x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
-            x, y = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+            x, y, _ = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
             assert np.linalg.norm(x - x_sigma) <= np.linalg.norm(x0 - x_sigma) + 1e-12
             assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
             assert cross_residual(x, y, cfg.k) <= 1e-12
@@ -399,8 +446,9 @@ class TestInnerCycle:
         _, null = zone_bases(_cross_vectors(y0, cfg, False), 8)
         assert null.shape[1] == 1
         x0 = null * 0.5
-        with pytest.warns(HeldColumnWarning, match="column 0 keeps"):
-            x, y = inner_cycle(crandn(rng, 8, 1), y0, x0, y0, cfg, p_x=1.0, p_y=1.0)
+        x, y, notes = inner_cycle(crandn(rng, 8, 1), y0, x0, y0, cfg, p_x=1.0, p_y=1.0)
+        (note,) = notes
+        assert note.startswith("column 0 keeps its current value: ")
         npt.assert_array_equal(x, x0)
         assert np.isfinite(y).all()
 
@@ -413,8 +461,9 @@ class TestInnerCycle:
         x_sigma[1, 0], x_sigma[5, 1] = 0.5, 2.0j
         y0 = np.zeros((8, 1), dtype=complex)
         y_sigma = crandn(np.random.default_rng(0), 8, 1)
-        x, _ = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
+        x, _, notes = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
         npt.assert_array_equal(x, x_step(x_sigma, y0, cfg))
+        assert notes == []
         assert calls == {"_restore_sidelobes": 1}
 
     @pytest.mark.parametrize("literal", [False, True])
@@ -427,7 +476,7 @@ class TestInnerCycle:
             SIDELOBE_DELTA
         )
         x0 = np.zeros_like(x_sigma)
-        x, y = inner_cycle(x_sigma, crandn(rng, 8, 1), x0, y0, cfg)
+        x, y, _ = inner_cycle(x_sigma, crandn(rng, 8, 1), x0, y0, cfg)
         assert sidelobe_ratios(x, cfg.k, literal).max() <= SIDELOBE_DELTA
         assert cross_residual(x, y0, cfg.k, literal) <= 1e-12
         assert cross_residual(x, y, cfg.k, literal) <= 1e-12
@@ -443,7 +492,8 @@ class TestInnerCycle:
         cfg = DesignConfig(k=k, p=1.0)
         y0 = y_step(crandn(rng, 8, 1), np.zeros((8, 0)), cfg)
         x_sigma, y_sigma = crandn(rng, 8, 2) * 2.0, crandn(rng, 8, 1)
-        x, y = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
+        x, y, notes = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
+        assert notes == []
         assert np.all(np.linalg.norm(x, axis=0) > 0.1)
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
         assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
@@ -451,14 +501,18 @@ class TestInnerCycle:
     def test_unrestorable_columns_keep_current_value(self):
         # y0's two columns leave a 2-dimensional zone, in which the
         # restoration leaves both columns over the bound: both keep x0's
-        # (zero) column under a warning, and Y is projected against that X
+        # (zero) column, each named with its residual in a note, and Y is
+        # projected against that X
         rng = np.random.default_rng(14)
         cfg = DesignConfig(k=2, p=1.0)
         y0 = y_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
         x_sigma, y_sigma = crandn(rng, 8, 2) * 2.0, crandn(rng, 8, 2)
         x0 = np.zeros_like(x_sigma)
-        with pytest.warns(RuntimeWarning, match="keeps its current value"):
-            x, y = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        x, y, notes = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+        span = _zone_basis(y0, 8, cfg, False)
+        _, worst = _restore_sidelobes(x_step(x_sigma, y0, cfg), span, cfg.p, cfg)
+        assert (worst > SIDELOBE_DELTA).all()
+        assert notes == [held_note(q, r) for q, r in enumerate(worst)]
         npt.assert_array_equal(x, x0)
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
@@ -470,7 +524,7 @@ class TestInnerCycle:
         cfg = DesignConfig(k=1, p=1.0)
         y0 = np.zeros((8, 2), dtype=complex)
         x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
-        x, y = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
+        x, y, _ = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
         assert calls == {"_shrink_into_sets": 2, "_zone_basis": 2, "y_step": 1}
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
@@ -504,7 +558,7 @@ class TestInnerCycle:
         _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
         assert trace.outer_iterations == 4 and trace.stop_reason == "max_outer"
         assert len(rounds) == 5
-        for (x_sigma, y_sigma, x0, _, _), kwargs, (x, y) in rounds[1:]:
+        for (x_sigma, y_sigma, x0, _, _), kwargs, (x, y, _) in rounds[1:]:
             npt.assert_array_equal(x[:, 0], x0[:, 0])
             npt.assert_array_equal(y, y_step(y_sigma, x, cfg, p=kwargs["p_y"]))
         assert trace.mse[-1] < trace.mse[0]
@@ -861,13 +915,13 @@ class TestDesignPilots:
         cfg = DesignConfig(k=4, max_outer=3, seed=0)
         pair, trace = design_pilots(dl, ul, cfg)
         assert np.abs(pair.y).max() == 0.0
-        assert any("span" in w for w in trace.warnings)
+        assert trace.warnings == ["iteration 0: " + COLLAPSED.format("uplink")]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numpy_warning_inside_design_raises(self, monkeypatch):
-        # the design records its own warnings (held columns, a collapsed
-        # zone) in the trace, and leaves every other one to the caller's
-        # filters: an overflow must not end up as a trace string
+        # the design returns its own events (held columns, a collapsed
+        # zone) as trace records and catches no warning: an overflow
+        # reaches the caller's filters and must not end up as a trace string
         residuals = designer._pair_residuals
 
         def overflowing(x, y, cfg):
@@ -882,7 +936,7 @@ class TestDesignPilots:
 
     def test_numpy_warning_goes_on_to_the_caller(self, monkeypatch):
         # under a "default" filter the caller sees the overflow once, and
-        # the trace keeps only the design's own warnings
+        # the trace keeps only the design's own records
         residuals = designer._pair_residuals
 
         def overflowing(x, y, cfg):
@@ -898,6 +952,38 @@ class TestDesignPilots:
         assert [str(w.message) for w in shown] == ["overflow encountered in exp"]
         assert {w.category for w in shown} == {RuntimeWarning}
         assert not any("overflow" in w for w in trace.warnings)
+
+    def test_designs_in_threads_leave_the_warning_state_alone(self):
+        # four reference designs (uplink collapse at iteration 0) run in
+        # threads return what they return one at a time, records included;
+        # the process's filters stay as they were, and a later warning
+        # still reaches the handler that was installed before them
+        dl = build_scenario(4, 4, 8, gamma=32.0)
+        ul = reciprocal_scenario(dl)
+
+        def run(seed):
+            pair, trace = design_pilots(dl, ul, DesignConfig(k=4, max_outer=30, seed=seed))
+            return pair.x, pair.y, dataclasses.replace(trace, wall_time=0.0)
+
+        serial = [run(seed) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            sys.setswitchinterval(1e-5)  # switch threads often
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    threaded = list(pool.map(run, range(4), timeout=120))
+            finally:
+                sys.setswitchinterval(interval)
+            assert warnings.filters == filters
+            warnings.warn("after the designs")
+        assert [str(w.message) for w in shown] == ["after the designs"]
+        for (x, y, trace), (x_t, y_t, trace_t) in zip(serial, threaded):
+            assert trace.warnings == ["iteration 0: " + COLLAPSED.format("uplink")]
+            assert trace_t == trace
+            npt.assert_array_equal(x_t, x)
+            npt.assert_array_equal(y_t, y)
 
     def test_training_length_mismatch_rejected(self):
         dl = build_scenario(2, 2, 4)
@@ -954,7 +1040,7 @@ class TestStopReason:
         # a zero X has no lag-0 power to hold the residual against
         monkeypatch.setattr(
             designer, "inner_cycle",
-            lambda x_sigma, y_sigma, x0, y0, cfg, p_x, p_y: (0 * x0, 0 * y0),
+            lambda x_sigma, y_sigma, x0, y0, cfg, p_x, p_y: (0 * x0, 0 * y0, []),
         )
         dl = build_scenario(2, 2, 4)
         pair, trace = design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=1))
@@ -1023,14 +1109,15 @@ class TestSidelobeBound:
     def test_unrestorable_start_keeps_impulses(self, monkeypatch):
         # No Gauss-Newton steps: the start's random columns stay over the
         # bound, so iteration 0 holds each at its start impulse of power
-        # p_x (column q at row q), with one warning per held column, and the
-        # run goes on from that feasible pair.
+        # p_x (column q at row q), with one note per held column, which the
+        # trace records at iteration 0, and the run goes on from that
+        # feasible pair.
         monkeypatch.setattr(designer, "_RESTORE_MAX_STEPS", 0)
         rounds = record_rounds(monkeypatch)
         dl = build_scenario(2, 2, 6)
         cfg = DesignConfig(k=2, max_outer=5)
         pair, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
-        args, kwargs, (x, _) = rounds[0]
+        args, kwargs, (x, _, notes) = rounds[0]
         x_sigma, _, x0, y0, _ = args
         impulses = np.sqrt(dl.gamma / dl.n_t) * np.eye(6, 2)
         npt.assert_array_equal(x0, impulses)
@@ -1041,23 +1128,18 @@ class TestSidelobeBound:
             kwargs["p_x"], cfg
         )
         assert (worst > SIDELOBE_DELTA).all()
-        with pytest.warns(RuntimeWarning, match="keeps its current value") as held:
-            inner_cycle(*args, **kwargs)
-        want = [
-            f"column {q} keeps its current value: its sidelobe restoration "
-            f"ended at residual {r:.3g} > {SIDELOBE_DELTA:.3g}"
-            for q, r in enumerate(worst)
-        ]
-        assert [str(w.message) for w in held] == want == trace.warnings[:2]
-        assert {w.category for w in held} == {HeldColumnWarning}
+        want = [held_note(q, r) for q, r in enumerate(worst)]
+        assert notes == want
+        assert trace.warnings[:2] == [f"iteration 0: {note}" for note in want]
         assert trace.outer_iterations == 5
         assert sidelobe_ratios(pair.x, cfg.k).max() <= SIDELOBE_DELTA
         assert np.diff(trace.mse).max() <= 0.0
 
     def test_over_bound_restoration_holds_column(self, monkeypatch):
         # the restoration of outer iteration 1 reports column 1 over the
-        # bound: that column keeps its value, a warning names it with its
-        # residual, and the run goes on
+        # bound: that column keeps its value, a note names it with its
+        # residual and the trace records it at iteration 1, and the run
+        # goes on
         restore = designer._restore_sidelobes
         seen = []
 
@@ -1076,11 +1158,12 @@ class TestSidelobeBound:
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
         )
         assert trace.outer_iterations == 5 and trace.stop_reason == "max_outer"
-        (_, _, x0, _, _), _, (x, _) = rounds[1]
+        (_, _, x0, _, _), _, (x, _, notes) = rounds[1]
         npt.assert_array_equal(x[:, 1], x0[:, 1])
         assert not np.array_equal(x[:, 0], x0[:, 0])
+        assert notes == [held_note(1, 0.04)]
         (warning,) = [w for w in trace.warnings if "column 1" in w]
-        assert "residual 0.04 >" in warning
+        assert warning == f"iteration 1: {held_note(1, 0.04)}"
         assert np.diff(trace.mse).max() <= 0.0
 
 def restore_column_loop(x, null, k, literal):
@@ -1302,8 +1385,9 @@ class TestWorkloadTrajectories:
     # B = 64, k = 0, eta = 1e-9, max_outer = 40).  The MSE at iterations
     # 0, 1, 10 and the last pins each trajectory; a change that means to
     # move one updates it here.
-    DEGENERATE = ("cross-correlation constraints span the whole space; "
-                  "returning zero columns")
+    # ref's uplink zone is {0} against iteration 0's X: Y is zero from
+    # then on, and a zero Y is its own MM target, so no later round notes it
+    DEGENERATE = "iteration 0: " + COLLAPSED.format("uplink")
 
     @pytest.mark.parametrize(
         "dims, cfg, mse, warned",

@@ -154,14 +154,3 @@ class TestScenarioValidation:
         base[field] = value
         with pytest.raises(ValueError, match=f"{named} must be .*finite"):
             TimingScenario(**base)
-
-    @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
-    def test_modulation_time_checked(self, value):
-        with pytest.raises(ValueError, match="t_mod must be >= 0 and finite"):
-            TimingScenario(d_user=100.0, symbol_time=1e-6, t_mod=value)
-
-    def test_modulation_time_carried(self):
-        s = reference_scenario(t_mod=3.0)
-        assert s.t_mod == 3.0
-        # does not move the feasibility bound
-        assert max_object_range(s) == max_object_range(reference_scenario())
