@@ -27,7 +27,6 @@ from .covariance import (
 )
 from .designer import (
     DesignConfig,
-    DesignError,
     DesignTrace,
     PilotPair,
     design_pilots,
@@ -56,7 +55,6 @@ __all__ = [
     "ConfigError",
     "CorrelationReport",
     "DesignConfig",
-    "DesignError",
     "DesignTrace",
     "EmpiricalMse",
     "MonteCarloSummary",

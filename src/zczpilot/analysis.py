@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .designer import TRACE_COLUMNS, DesignError, design_pilots, shift_matrix
+from .designer import TRACE_COLUMNS, design_pilots, shift_matrix
 from .estimation import mmse_squared_errors
 
 DB_FLOOR = -300.0
@@ -79,8 +79,9 @@ class MonteCarloSummary:
     Shorter traces are padded with their final value before averaging, so
     mse_mean[j] is the mean over runs of the MSE at outer iteration j
     (iteration 0 is the initialization).  failures holds one
-    (seed, exception type name, message) row per failed run.  seeds are
-    the design seeds in order, as exact ints.
+    (seed, exception type name, message) row per failed run; at least one
+    run succeeded, as monte_carlo_design raises otherwise.  seeds are the
+    design seeds in order, as exact ints.
     """
 
     iterations: np.ndarray
@@ -99,9 +100,11 @@ class MonteCarloSummary:
 def monte_carlo_design(dl, ul, cfg, runs):
     """Re-run the designer on the runs seeds from cfg.seed up and aggregate traces.
 
-    A run that raises LinAlgError is recorded as a failure with its cause,
-    and a DesignError names the first cause when every run failed; any
-    other exception is a fault and propagates.
+    A run that raises LinAlgError is recorded as a failure with its cause.
+    When every run failed, the first run's LinAlgError itself is raised
+    again, with its chain (a scenario whose noise factor cannot be
+    factored fails every seed alike); any other exception is a fault and
+    propagates.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -113,15 +116,14 @@ def monte_carlo_design(dl, ul, cfg, runs):
         try:
             _, trace = design_pilots(dl, ul, dc_replace(cfg, seed=seed))
         except np.linalg.LinAlgError as exc:
+            if not failures:
+                first_error = exc
             failures.append((seed, type(exc).__name__, str(exc)))
             continue
         traces.append(trace.mse)
         converged += trace.converged
     if not traces:
-        seed, kind, message = failures[0]
-        raise DesignError(
-            f"all {runs} design runs failed; seed {seed}: {kind}: {message}"
-        )
+        raise first_error
     length = max(len(t) for t in traces)
     padded = np.array([t + [t[-1]] * (length - len(t)) for t in traces])
     std = (

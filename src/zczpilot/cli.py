@@ -12,9 +12,9 @@ montecarlo write their CSV or JSON report through one writer.
 
 Exit codes: 0 success, 1 validation failure (validate only), 2 bad
 configuration or input content (also a noise covariance of the config
-that cannot be factored), 3 solver non-convergence (outputs are
-still written), 4 file system write failure, 5 every montecarlo seed
-failed (nothing is written).
+that cannot be factored; montecarlo then writes nothing), 3 solver
+non-convergence (outputs are still written), 4 file system write
+failure.
 """
 
 import argparse
@@ -44,7 +44,7 @@ from .archive import (
 )
 from .config import ConfigError, load_config
 from .covariance import reciprocal_scenario
-from .designer import DesignError, column_power_bound, design_pilots
+from .designer import column_power_bound, design_pilots
 from .timing import delay_symbols, is_sensing_feasible, max_object_range
 
 EXIT_OK = 0
@@ -52,7 +52,6 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_IO = 4
-EXIT_DESIGN = 5
 
 
 def _seed(args, default):
@@ -306,9 +305,6 @@ def main(argv=None):
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO
-    except DesignError as err:
-        print(f"design error: {err}", file=sys.stderr)
-        return EXIT_DESIGN
 
 
 if __name__ == "__main__":

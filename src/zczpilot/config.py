@@ -36,7 +36,7 @@ _SCENARIO_KEYS = {
     "rho_rr_phase_pi": "receive-side correlation phase, units of pi",
     "rho_mt_mag": "temporal noise correlation magnitude",
     "rho_mt_phase_pi": "temporal noise correlation phase, units of pi",
-    "gamma": "training energy budget (default b*n_t)",
+    "gamma": "downlink training energy budget (default b*n_t; the uplink's b*n_r)",
 }
 # mu (the inner-round cap), which existing configs set, is accepted and
 # checked so that they still load; the designer takes one inner round and

@@ -80,10 +80,6 @@ _COLLAPSE_NOTE = ("{} cross-correlation constraints span the whole space; "
                   "returning zero columns")
 
 
-class DesignError(RuntimeError):
-    """Every run of a Monte-Carlo design failed (monte_carlo_design)."""
-
-
 @dataclass(frozen=True)
 class DesignConfig:
     """Designer knobs.
@@ -93,10 +89,11 @@ class DesignConfig:
     zone is one-sided: it zeroes x_q^H J_m y_l for m = 0..k, or 1..k with
     lags_from_one, where J_m advances y_l by m samples (shift_matrix), and
     leaves the negative lags unconstrained.  p is the per-column power
-    bound; leave None to derive gamma/n_columns per link.  seed is stored
-    as an exact int (operator.index), which the archive writes as a JSON
-    integer.  literal_transpose switches correlations from the conjugated
-    form x^H J y to the plain transpose.
+    bound; leave None to derive gamma/n_columns per link.  k, max_outer
+    and seed are stored as exact ints (operator.index: a float raises
+    TypeError), which the archive writes as JSON integers.
+    literal_transpose switches correlations from the conjugated form
+    x^H J y to the plain transpose.
     epsilon bounds the cross residual max |x_q^H J_m y_l| over the zone
     (max_cross_corr) over the largest lag-0 power max_q ||x_q||^2, as in
     acceptance criterion 5b: a design whose MSE settles counts as
@@ -113,6 +110,8 @@ class DesignConfig:
     literal_transpose: bool = False
 
     def __post_init__(self):
+        for name in ("k", "max_outer", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.p is not None and not 0 < self.p < np.inf:
@@ -121,7 +120,6 @@ class DesignConfig:
             raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -219,10 +217,13 @@ def _zone_basis(fixed, b, cfg, transpose_shift):
     thin SVD's left singular vectors to the rank counted at 1e-10 times the
     largest singular value.  No columns when every vector is zero (the
     zone is C^b); b columns when the zone is {0}, as only zero columns
-    are then feasible."""
+    are then feasible.  fixed must be a matrix of b rows, the target's."""
     if cfg.k >= b:
         raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
-    a = _cross_vectors(np.reshape(fixed, (b, -1)), cfg, transpose_shift)
+    if np.ndim(fixed) != 2 or len(fixed) != b:
+        raise ValueError(f"fixed pilot of shape {np.shape(fixed)} does not share "
+                         f"the training length of a target of {b} rows")
+    a = _cross_vectors(fixed, cfg, transpose_shift)
     if not a.any():
         return np.zeros((b, 0), dtype=np.complex128)
     u, sv, _ = np.linalg.svd(a, full_matrices=False)

@@ -20,7 +20,7 @@ from zczpilot.analysis import (
     write_trace_csv,
 )
 from zczpilot.covariance import build_scenario, reciprocal_scenario
-from zczpilot.designer import DesignConfig, DesignError, design_pilots, shift_matrix
+from zczpilot.designer import DesignConfig, design_pilots, shift_matrix
 from zczpilot.estimation import _TRIAL_BLOCK, channel_mse_lemma, simulate_training
 
 
@@ -216,16 +216,26 @@ class TestMonteCarlo:
             monte_carlo_design(dl, ul, DesignConfig(k=1, max_outer=5), runs=3)
 
     def test_all_failed_names_a_cause(self, scenario, monkeypatch):
+        # the first run's own exception comes back, with its chain
         import zczpilot.analysis as analysis
+        raised = []
 
         def stub(dl, ul, cfg):
-            raise np.linalg.LinAlgError(f"seed {cfg.seed} singular Gram")
+            try:
+                raise ValueError(f"factor of seed {cfg.seed}")
+            except ValueError as err:
+                exc = np.linalg.LinAlgError(f"seed {cfg.seed} singular Gram")
+                raised.append(exc)
+                raise exc from err
 
         monkeypatch.setattr(analysis, "design_pilots", stub)
         dl, ul = scenario
-        with pytest.raises(DesignError, match="all 2 design runs failed; seed 0: "
-                           "LinAlgError: seed 0 singular Gram"):
+        with pytest.raises(np.linalg.LinAlgError) as info:
             monte_carlo_design(dl, ul, DesignConfig(k=1), runs=2)
+        assert len(raised) == 2
+        assert info.value is raised[0]
+        assert str(info.value) == "seed 0 singular Gram"
+        assert str(info.value.__cause__) == "factor of seed 0"
 
 
 class TestEmpiricalMse:

@@ -17,7 +17,6 @@ from zczpilot import estimation
 from zczpilot.archive import read_archive, without_timestamp
 from zczpilot.cli import (
     EXIT_CONFIG,
-    EXIT_DESIGN,
     EXIT_NOCONV,
     EXIT_OK,
     build_parser,
@@ -446,9 +445,8 @@ class TestMonteCarlo:
         rc = main(["montecarlo", "--config", str(small_config),
                    "--out", str(out), "--runs", "2"])
         captured = capsys.readouterr()
-        assert rc == EXIT_DESIGN
-        assert captured.err == ("design error: all 2 design runs failed; seed 0: "
-                                "LinAlgError: seed 0 singular Gram\n")
+        assert rc == EXIT_CONFIG
+        assert captured.err == "error: seed 0 singular Gram\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -501,23 +499,24 @@ class TestInputRejection:
     @pytest.mark.parametrize("command", ["design", "validate", "montecarlo"])
     def test_unfactorable_temporal_noise_factor(self, tmp_path, capsys, command):
         # the parser takes |rho_mt| just below 1, but M_time then has no
-        # Cholesky factor; montecarlo records the cause for every seed
+        # Cholesky factor: every command prints the same one line, and
+        # montecarlo, whose every seed fails alike, writes nothing
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            np.linalg.cholesky(np.ones((2, 2)))
         shipped = Path(__file__).parents[1] / "configs" / "mimo4x4_b8.ini"
         path = tmp_path / "near_one.ini"
         path.write_text(shipped.read_text().replace(
             "rho_mt_mag = 0.8", "rho_mt_mag = 0.999999999999999"))
-        out = ["--out", str(tmp_path / "out")]
-        extra = {"design": out, "validate": [], "montecarlo": out + ["--runs", "2"]}
+        out = tmp_path / "out"
+        extra = {"design": ["--out", str(out)], "validate": [],
+                 "montecarlo": ["--out", str(out), "--runs", "2"]}
         rc = main([command, "--config", str(path), *extra[command]])
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "positive definite" in err
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.err == f"error: m_time: {info.value}\n"
+        assert "positive definite" in captured.err
         if command == "montecarlo":
-            assert rc == EXIT_DESIGN
-            assert err.startswith("design error: all 2 design runs failed; seed 0: "
-                                  "LinAlgError: m_time: ")
-        else:
-            assert rc == EXIT_CONFIG
-            assert err.startswith("error: m_time: ")
+            assert captured.out == "" and not out.exists()
 
 
 class TestValidate:

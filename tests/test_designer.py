@@ -3,6 +3,7 @@ cyclic pilot design loop."""
 
 
 import dataclasses
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -239,6 +240,24 @@ class TestZoneBasis:
                 if collapsed:
                     assert not _in_zone(span, t).any()
                     assert not out.any()
+
+    @pytest.mark.parametrize("fixed_shape", [(4, 4), (8,), (2, 8, 1)])
+    @pytest.mark.parametrize("step", ["x_step", "y_step", "inner_cycle"])
+    def test_fixed_block_of_another_length_rejected(self, step, fixed_shape):
+        # a fixed block must be a matrix with the target's b rows; one whose
+        # size merely divides by b is not re-read as b rows
+        rng = np.random.default_rng(31)
+        cfg = DesignConfig(k=1)
+        target, fixed = crandn(rng, 8, 2), crandn(rng, *fixed_shape)
+        calls = {
+            "x_step": lambda: x_step(target, fixed, cfg, p=1.0),
+            "y_step": lambda: y_step(target, fixed, cfg, p=1.0),
+            "inner_cycle": lambda: inner_cycle(target, target, np.zeros((8, 2)),
+                                               fixed, cfg, p_x=1.0, p_y=1.0),
+        }
+        shape = re.escape(str(fixed_shape))
+        with pytest.raises(ValueError, match=f"shape {shape} .* 8 rows"):
+            calls[step]()
 
 
 class TestShrink:
@@ -1365,6 +1384,16 @@ class TestDesignConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DesignConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"k": 2.5}, {"max_outer": 3.5}, {"k": 2.0}])
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            DesignConfig(**kwargs)
+
+    def test_integer_fields_stored_as_ints(self):
+        cfg = DesignConfig(k=np.int64(2), max_outer=np.uint8(7), seed=np.int32(3))
+        assert (cfg.k, cfg.max_outer, cfg.seed) == (2, 7, 3)
+        assert all(type(v) is int for v in (cfg.k, cfg.max_outer, cfg.seed))
 
     def test_defaults(self):
         cfg = DesignConfig()
