@@ -8,6 +8,7 @@ empirical_mse validates the analytic MSE expression by simulation.
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -44,14 +45,16 @@ class CorrelationReport:
 
 
 def correlation_report(x, y, max_lag=None, literal_transpose=False):
-    """Correlation series of the pilot pair for |lag| <= max_lag (< B)."""
+    """Correlation series of the pilot pair for |lag| <= max_lag (< B).
+
+    max_lag is an integer (operator.index: a float raises TypeError).
+    """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("pilot matrices must share the training length")
     b = x.shape[0]
-    if max_lag is None:
-        max_lag = b - 1
+    max_lag = b - 1 if max_lag is None else operator.index(max_lag)
     if not 0 <= max_lag < b:
         raise ValueError(f"max_lag must be in [0, {b - 1}], got {max_lag}")
     lags = np.arange(-max_lag, max_lag + 1)

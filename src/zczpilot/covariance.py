@@ -163,11 +163,6 @@ class ChannelScenario:
             (_covariance_factor(self.m_time), _covariance_factor(self.m_rx)),
         )
 
-    @property
-    def r_tx_max_eig(self):
-        """lam_max(r_tx), the transmit factor of the MM step size."""
-        return self.transmit_eig[1][-1]
-
 
 def _covariance_factor(c):
     """Factor F with F F^H = C; Cholesky when possible, eigen fallback."""

@@ -12,7 +12,7 @@ targets, taken from the feasible pair of unit impulses X0 and Y0 = 0.
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
 quadratic is T(P) = K P R_tx with a b x b PSD matrix K, and the step size
-is the exact norm lam_max(K) lam_max(R_tx) of T, with a 10% margin.
+is the exact norm lam_max(K) lam_max(R_tx) of T.
 estimation.mse_and_optimal_V scores each iterate and returns V* as the
 factors (Phi, c, Psi) of its solved blocks, from which _curvature takes
 the next MM target: K = Phi core Phi^H has rank <= n_t, so no b x b
@@ -56,9 +56,6 @@ import numpy as np
 from .estimation import _checked, mse_and_optimal_V
 
 _TINY = 1e-300
-
-# Safety margin of the MM step size over the operator norm of the curvature.
-_OPNORM_MARGIN = 1.1
 
 # Sensing-pilot sidelobe bound: |x_q^H J_m x_q| <= SIDELOBE_DELTA ||x_q||^2
 # for m = 1..k, i.e. lags 1..k at least 30 dB below lag 0.
@@ -211,18 +208,24 @@ def _resolve_p(cfg, p):
     return float(p)
 
 
+def _check_fixed(fixed, b, cfg):
+    """Raise ValueError unless k < b and fixed is a matrix of b rows, the
+    target's."""
+    if cfg.k >= b:
+        raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
+    if np.ndim(fixed) != 2 or len(fixed) != b:
+        raise ValueError(f"fixed pilot of shape {np.shape(fixed)} does not share "
+                         f"the training length of a target of {b} rows")
+
+
 def _zone_basis(fixed, b, cfg, transpose_shift):
     """Orthonormal basis U of the span of the cross vectors against `fixed`
     (_cross_vectors), whose orthogonal complement in C^b is the zone: one
     thin SVD's left singular vectors to the rank counted at 1e-10 times the
     largest singular value.  No columns when every vector is zero (the
     zone is C^b); b columns when the zone is {0}, as only zero columns
-    are then feasible.  fixed must be a matrix of b rows, the target's."""
-    if cfg.k >= b:
-        raise ValueError(f"k={cfg.k} must be smaller than the training length {b}")
-    if np.ndim(fixed) != 2 or len(fixed) != b:
-        raise ValueError(f"fixed pilot of shape {np.shape(fixed)} does not share "
-                         f"the training length of a target of {b} rows")
+    are then feasible.  fixed must be a matrix of b rows (_check_fixed)."""
+    _check_fixed(fixed, b, cfg)
     a = _cross_vectors(fixed, cfg, transpose_shift)
     if not a.any():
         return np.zeros((b, 0), dtype=np.complex128)
@@ -249,11 +252,13 @@ def y_step(y_target, x_fixed, cfg, p=None):
     The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
     lags}: the k = 0 case of the downlink step, with the transposed
     shifts J_m^T x_q as cross vectors.  A zero target, the MM target of a
-    zero pilot, is its own projection and builds no zone.
+    zero pilot, is its own projection and builds no zone; its fixed block
+    is checked all the same.
     """
     y_target = np.asarray(y_target, dtype=np.complex128)
     p = _resolve_p(cfg, p)
-    if not y_target.any() and cfg.k < len(y_target):  # else _zone_basis raises
+    if not y_target.any():
+        _check_fixed(x_fixed, len(y_target), cfg)
         return np.zeros_like(y_target)
     span = _zone_basis(x_fixed, y_target.shape[0], cfg, True)
     return _shrink_into_sets(_in_zone(span, y_target), 0, p)
@@ -269,7 +274,8 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     keeps x0's column.  Y = y_step(y_sigma) against that X.  Returns
     (X, Y, notes), one string per event of the round: a downlink zone of
     {0}, each column held for the bound with its residual, and an uplink
-    whose nonzero target was projected to zero (its zone is {0}).
+    whose nonzero target was projected to zero (its zone is {0}).  x0 must
+    have x_sigma's shape; a ValueError names both otherwise.
 
     x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
     column of X does too, and none is farther from its target than x0's:
@@ -279,6 +285,9 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     every k.
     """
     x_sigma = np.asarray(x_sigma, dtype=np.complex128)
+    if np.shape(x0) != x_sigma.shape:
+        raise ValueError(f"current pilot of shape {np.shape(x0)} does not match "
+                         f"its target of shape {x_sigma.shape}")
     p_x = _resolve_p(cfg, p_x)
     b = x_sigma.shape[0]
     span = _zone_basis(y0, b, cfg, False)
@@ -331,8 +340,8 @@ def build_sigma_target(v, p_current, s):
     With lam >= opnorm(T), F(V, P) <= F(V, P0) + 2<P-P0, T(P0)+G> +
     lam ||P-P0||^2, whose constrained minimizer is the projection of
     P_sigma = P0 - (T(P0)+G)/lam.  T(P) = K P R_tx is a Kronecker operator
-    with PSD factors, so its norm is exactly lam_max(K) lam_max(R_tx), with
-    lam_max(R_tx) cached on the scenario; lam adds a 10% safety margin.
+    with PSD factors, so lam is its norm lam_max(K) lam_max(R_tx), the
+    smallest valid one and so the longest step.
     v is the link's V*, its factors (Phi, c, Psi): K = Phi core Phi^H and
     G = -Phi D R_tx (_curvature), so T(P0) + G = Phi (core Phi^H P0 - D)
     R_tx, and with Phi^H Phi = A^H A, lam_max(K) = lam_max(A core A^H),
@@ -352,8 +361,7 @@ def build_sigma_target(v, p_current, s):
     unit = phi / norms
     gram, u = np.linalg.eigh(unit.conj().T @ unit)
     root = (np.sqrt(np.maximum(gram, 0.0))[:, None] * u.conj().T) * norms
-    lam = np.linalg.eigvalsh(root @ core @ root.conj().T)[-1]
-    lam *= _OPNORM_MARGIN * s.r_tx_max_eig
+    lam = np.linalg.eigvalsh(root @ core @ root.conj().T)[-1] * s.transmit_eig[1][-1]
     if not np.isfinite(lam) or lam <= 0.0:
         return p_current.copy()
     return p_current - phi @ (core @ (phi.conj().T @ p_current) - lin) @ s.r_tx / lam

@@ -98,6 +98,15 @@ class TestCorrelationReport:
         with pytest.raises(ValueError):
             correlation_report(x, x, max_lag=bad)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(1.0)])
+    def test_max_lag_must_be_an_integer(self, bad):
+        # a float lag would label shifts it does not take
+        x = np.zeros((4, 1), dtype=complex)
+        with pytest.raises(TypeError):
+            correlation_report(x, x, max_lag=bad)
+        rep = correlation_report(x, x, max_lag=np.int64(2))
+        npt.assert_array_equal(rep.lags, [-2, -1, 0, 1, 2])
+
     def test_training_length_mismatch(self):
         with pytest.raises(ValueError):
             correlation_report(np.zeros((4, 1)), np.zeros((5, 1)))
