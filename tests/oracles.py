@@ -195,10 +195,10 @@ def zone_bases(vectors, b):
 
 def _restored_against(x, y, cfg, p):
     """X restored into the sidelobe bound inside the cross-correlation
-    zone of y, with each column's worst sidelobe ratio; for k = 0, X and
-    zero ratios."""
+    zone of y, with each column's worst sidelobe ratio and the number of
+    restoration steps; for k = 0, X, zero ratios and no steps."""
     if not cfg.k:
-        return x, np.zeros(x.shape[1])
+        return x, np.zeros(x.shape[1]), 0
     span = designer._zone_basis(y, x.shape[0], cfg, False)
     return designer._restore_sidelobes(
         designer._in_zone(span, x), span, designer._resolve_p(cfg, p), cfg
@@ -214,9 +214,10 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     cross-correlation zone of the final Y; hold every column of X
     that ends farther from its target than x0's, or over the sidelobe
     bound, at x0's column; and project Y against that X.  Returns
-    (X, Y, notes) like inner_cycle, with its note texts: a downlink zone
-    of {0} against the final Y, each held column with its residual, and a
-    nonzero Y target projected to zero.
+    (X, Y, notes, steps) like inner_cycle, with its note texts: a downlink
+    zone of {0} against the final Y, each held column with its residual,
+    and a nonzero Y target projected to zero; steps counts the solves of
+    the one restoration.
 
     The start is recognised by a zero y0 (the designer starts from Y = 0):
     there is no Y to alternate with yet, so X is restored and held right
@@ -233,7 +234,7 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
             x, y = x_new, y_new
             if move <= inner_tol:
                 break
-    x, worst = _restored_against(x, y, cfg, p_x)
+    x, worst, steps = _restored_against(x, y, cfg, p_x)
     over = worst > designer.SIDELOBE_DELTA
     collapsed = ("{} cross-correlation constraints span the whole space; "
                  "returning zero columns")
@@ -250,4 +251,4 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     y = designer.y_step(y_sigma, x, cfg, p=p_y)
     if np.any(y_sigma) and not y.any():
         notes.append(collapsed.format("uplink"))
-    return x, y, notes
+    return x, y, notes, steps

@@ -138,7 +138,8 @@ class TestDesign:
         with open(out / "design_trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [
-            "iteration", "mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul"
+            "iteration", "mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul",
+            "restore_steps",
         ]
         assert len(rows) - 1 == arc.result["outer_iterations"] + 1
         assert float(rows[-1][1]) == arc.result["final_mse"]
