@@ -469,7 +469,8 @@ class TestInnerCycle:
         _, null = zone_bases(_cross_vectors(y0, cfg, False), 8)
         assert null.shape[1] == 1
         x0 = null * 0.5
-        x, y, notes, _ = inner_cycle(crandn(rng, 8, 1), y0, x0, y0, cfg, p_x=1.0, p_y=1.0)
+        x, y, notes, _ = inner_cycle(crandn(rng, 8, 1), y0, x0, y0, cfg,
+                                     p_x=1.0, p_y=1.0)
         (note,) = notes
         assert note.startswith("column 0 keeps its current value: ")
         npt.assert_array_equal(x, x0)
@@ -1470,14 +1471,16 @@ class TestWorkloadTrajectories:
 
     @pytest.mark.parametrize(
         "dims, cfg",
-        [((4, 4, 8, 32.0), DesignConfig(k=4)), ((4, 4, 16, 32.0), DesignConfig(k=2))],
-        ids=["ref-4x4-b8-k4", "zcz-4x4-b16-k2"],
+        [((4, 4, 8, 32.0), DesignConfig(k=4)), ((4, 4, 16, 32.0), DesignConfig(k=2)),
+         ((8, 8, 64, None), DesignConfig(k=0, eta=1e-9, max_outer=40))],
+        ids=["ref-4x4-b8-k4", "zcz-4x4-b16-k2", "kron-8x8-b64-k0"],
     )
     def test_restoration_solves_per_round(self, dims, cfg, monkeypatch):
         # The restoration stops a tenth of the way into its margin, after
         # 1.37 (ref) and 1.56 (zcz) Gauss-Newton solves per round; a stop
         # just above the level, level * (1 + 1e-9), took 3.04 and 2.96.
-        # The trace's restore_steps counts the same solves.
+        # kron (k = 0) never restores.  The trace's restore_steps counts
+        # the same solves, one entry per iteration.
         solves = []
         solve = np.linalg.solve
         monkeypatch.setattr(
@@ -1486,5 +1489,6 @@ class TestWorkloadTrajectories:
         n_t, n_r, b, gamma = dims
         dl = build_scenario(n_t, n_r, b, gamma=gamma)
         _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        assert len(trace.restore_steps) == trace.outer_iterations + 1
         assert sum(trace.restore_steps) == len(solves)
-        assert len(solves) <= 2.0 * (trace.outer_iterations + 1)
+        assert len(solves) <= (2.0 * len(trace.restore_steps) if cfg.k else 0)
