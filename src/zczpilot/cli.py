@@ -107,6 +107,8 @@ def _cmd_design(args):
     print(f"converged: {trace.converged}")
     print(f"stop reason: {trace.stop_reason}")
     print(f"design time: {trace.wall_time:.3g} s")
+    print("time by phase: " + ", ".join(
+        f"{phase} {sec:.3g} s" for phase, sec in trace.phase_seconds.items()))
     print(f"max column power: {pair.max_column_power:.12g}")
     print(f"max cross-correlation: {pair.max_cross_corr:.6g}")
     print(f"max autocorrelation (lags 1..k): {pair.max_auto_corr:.6g}")

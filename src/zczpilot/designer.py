@@ -23,23 +23,23 @@ its constraint vectors: the fixed pilot shifted by each lag, one slice
 per lag (_shifted; the uplink's J_m^T x is R J_m R x, R the row flip).
 One thin SVD and a rank rule turn them into an orthonormal basis U of
 their span (_zone_basis); U of rank b means the zone is {0}, which the
-round notes.  Both steps are the same zone projection t - U U^H t
-(_in_zone: t itself for U without columns, zero for U of rank b), then
-the shrink into the ball and, for the downlink, the ellipsoids
-(_shrink_into_sets).  For the uplink (no ellipsoids) that is the exact
-projection; for the downlink with k >= 1 it is a feasible point near the
-target.  A round builds the downlink U once, and the restoration below
-works inside its zone.
+round notes.  Both steps start with the same zone projection t - U U^H t
+(_in_zone: t itself for U without columns, zero for U of rank b).  The
+uplink, and the downlink for k = 0, then cap each column to the ball
+(_shrink_into_sets), the exact projection.  For k >= 1 the downlink's
+projection goes straight into the restoration below, inside the same
+zone, whose final cap into the ball and the ellipsoids is its only one:
+a feasible point near the target.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
 sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
 m = 1..k, between its two steps: Gauss-Newton minimum-norm steps inside
 the zone of the current Y, taken by all violating columns together (one
-lag stack and one batched solve per step), and a power cap restore X
-before Y is projected against it.  A column of X that then ends farther
-from its MM target than the current column, or not inside the bound,
-keeps the current column, which is feasible.  The MM majorizer is
+batched solve per step), and a power cap restore X before Y is
+projected against it.  A column of X that then ends farther from its MM
+target than the current column, or not inside the bound, keeps the
+current column, which is feasible.  The MM majorizer is
 separable by column, and the current Y is a candidate of the exact Y
 step, so every round is a descent step and every iterate is feasible (as
 in the constraint-handling MM of Sun, Babu & Palomar, IEEE TSP 2017):
@@ -177,16 +177,17 @@ def _cap_into_sets(x, n2, r, p):
     from its power n2 = ||x||^2 and its sidelobes r_m = x^H J_m x, m = 1..k.
 
     The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(n2 + Re r_m) (J_m
-    is real), so the ellipsoid m holds iff n2 + Re r_m <= p.  With k = 0
-    this is the cap to the ball (the reduction's initial 0 is below n2).
+    is real), so the ellipsoid m holds iff n2 + Re r_m <= p.  r = None
+    (k = 0) is the plain cap to the ball.
     """
-    top = np.maximum(n2, (n2 + r.real).max(axis=0, initial=0.0))
+    top = n2 if r is None else np.maximum(n2, (n2 + r.real).max(axis=0))
     return x * np.sqrt(np.where(top > p, p / np.maximum(top, _TINY), 1.0))
 
 
 def _shrink_into_sets(x, k, p):
-    """Measure each column's power and sidelobes, then cap (_cap_into_sets)."""
-    return _cap_into_sets(x, _column_power(x), _autocorr(x, k, False), p)
+    """Measure each column's power and, for k >= 1, its sidelobes, then cap
+    (_cap_into_sets); k = 0 builds no sidelobe stack."""
+    return _cap_into_sets(x, _column_power(x), _autocorr(x, k, False) if k else None, p)
 
 
 def _in_zone(span, t):
@@ -269,11 +270,12 @@ def y_step(y_target, x_fixed, cfg, p=None):
 def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     """One round toward the MM targets from the current pair (x0, y0).
 
-    X is the zone projection of x_sigma against y0; for k >= 1 it is then
-    restored into the sidelobe bound inside the same zone basis
-    (_restore_sidelobes; a column already inside takes no step).  A column
-    that ends farther from its target than x0's, or not inside the bound,
-    keeps x0's column.  Y = y_step(y_sigma) against that X.  Returns
+    X is the zone projection of x_sigma against y0, capped to the ball for
+    k = 0; for k >= 1 it goes uncapped into the sidelobe restoration inside
+    the same zone basis (_restore_sidelobes; a column already inside takes
+    no step), whose last cap is X's only one.  A column that ends farther
+    from its target than x0's, or not inside the bound, keeps x0's
+    column.  Y = y_step(y_sigma) against that X.  Returns
     (X, Y, notes, steps): notes has one string per event of the round (a
     downlink zone of {0}, each column held for the bound with its residual,
     and an uplink whose nonzero target was projected to zero, its zone {0}),
@@ -295,12 +297,13 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     b = x_sigma.shape[0]
     span = _zone_basis(y0, b, cfg, False)
     notes = [_COLLAPSE_NOTE.format("downlink")] if span.shape[1] == b else []
-    x = _shrink_into_sets(_in_zone(span, x_sigma), cfg.k, p_x)
-    over = np.zeros(x.shape[1], dtype=bool)
-    steps = 0
+    x = _in_zone(span, x_sigma)
     if cfg.k:
         x, worst, steps = _restore_sidelobes(x, span, p_x, cfg)
-        over = ~(worst <= SIDELOBE_DELTA)
+    else:
+        x, worst, steps = _shrink_into_sets(x, 0, p_x), np.zeros(x.shape[1]), 0
+    over = ~(worst <= SIDELOBE_DELTA)
+    if over.any():
         notes += [f"column {q} keeps its current value: its sidelobe restoration "
                   f"ended at residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
                   for q in np.flatnonzero(over)]
@@ -396,7 +399,9 @@ class DesignTrace:
     less than eta) or "max_outer".  warnings holds each distinct note of
     the rounds (inner_cycle) once, as "iteration i: note" for the first
     iteration i that made it, and then a converged design's cross
-    residual over epsilon, if any."""
+    residual over epsilon, if any.  phase_seconds sums the seconds of the
+    rounds, MM targets, scoring and residuals over the run; the archive,
+    the trace CSV and trace equality leave it out."""
 
     mse: list[float] = field(default_factory=list)
     mse_dl: list[float] = field(default_factory=list)
@@ -410,6 +415,8 @@ class DesignTrace:
     outer_iterations: int = 0
     wall_time: float = 0.0
     warnings: list[str] = field(default_factory=list)
+    phase_seconds: dict[str, float] = field(compare=False, default_factory=lambda: (
+        dict.fromkeys(("rounds", "targets", "scoring", "residuals"), 0.0)))
 
 
 def _restore_sidelobes(x, span, p, cfg):
@@ -421,32 +428,35 @@ def _restore_sidelobes(x, span, p, cfg):
     into the bound, takes Gauss-Newton steps, all together, at most
     _RESTORE_MAX_STEPS: the minimum-norm real step in the zone that sets
     the linearized |h_m| of each lag above _RESTORE_ACTIVE (just below
-    _RESTORE_LEVEL) to the level, from one lag stack and one batched solve
-    of the columns' k x k real Grams, with the identity on inactive lags
-    (zero right side, zero step) and a ridge of 1e-12 / ||x||^2 on active
-    ones.  |h_m| is invariant under complex scaling, so a d-dimensional zone
-    leaves 2d - 2 real directions that move it; with more active lags the
-    Gram is singular, and the ridge keeps the step finite.  The step is
-    projected onto the zone, and cut to the column's length, keeping its
-    direction, so that steps in a small zone cannot grow a column until it
-    overflows.  The final cap (_cap_into_sets) reads the last pass's
-    measures and keeps the zone and every |h_m|.  Returns the matrix, each
-    column's max_m |h_m| and the number of steps (batched solves).
+    _RESTORE_LEVEL) to the level, from one batched solve of the columns'
+    k x k real Grams, with the identity on inactive lags (zero right side,
+    zero step) and a ridge of 1e-12 / ||x||^2 on active ones, both added
+    in place on the diagonals.  |h_m| is invariant under complex scaling,
+    so a d-dimensional zone leaves 2d - 2 real directions that move it;
+    with more active lags the Gram is singular, and the ridge keeps the
+    step finite.  The step is projected onto the zone, and cut to the
+    column's length, keeping its direction, so that steps in a small zone
+    cannot grow a column until it overflows.  Each pass measures ||x||^2
+    and r_m from one stack of J_m x, m = 0..k, and one that steps builds
+    J_m^T x too.  Steps and stops read only |h_m|, and a step scales with
+    x, so the restoration is scale-equivariant: its final cap
+    (_cap_into_sets), from the last pass's measures, is the only cap a
+    column needs, and keeps the zone and every |h_m|.  Returns the matrix,
+    each column's max_m |h_m| and the number of steps (batched solves).
     """
-    k, n = cfg.k, x.shape[1]
+    k, diag = cfg.k, np.arange(cfg.k)
     for step in range(_RESTORE_MAX_STEPS + 1):
-        # J_m^T x = R J_m R x with R the row flip, so one stack gives both
-        lags = _shifted(np.concatenate([x, x[::-1]], axis=1), k)[1:]
-        jx, jtx = lags[:, :, :n], lags[:, ::-1, n:]
-        n2 = _column_power(x)
+        lags = _shifted(x, k)
+        r = np.einsum("bq,mbq->mq", x.conj(), lags)  # lag 0 is ||x||^2
+        n2, jx = r[0].real, lags[1:]
         s = np.maximum(n2, _TINY)
-        r = np.einsum("bq,mbq->mq", x if cfg.literal_transpose else x.conj(), jx)
-        h = r / s
+        h = (np.einsum("bq,mbq->mq", x, jx) if cfg.literal_transpose else r[1:]) / s
         mag = np.abs(h)
         worst = mag.max(axis=0)
         act = (mag > _RESTORE_ACTIVE) & (worst > _RESTORE_DONE)
         if step == _RESTORE_MAX_STEPS or not act.any():
             break
+        jtx = _shifted(x[::-1], k)[1:, ::-1]  # J_m^T x = R J_m R x, R the row flip
         # Real gradient of |h_m| packed as Re + i Im, so that
         # d|h_m| = Re(grad^H dx); inactive lags get none.
         if cfg.literal_transpose:
@@ -457,15 +467,14 @@ def _restore_sidelobes(x, span, p, cfg):
         grad = (grad - 2.0 * (mag**2)[:, None] * x) / norm
         grad = _in_zone(span, grad.transpose(2, 1, 0))
         gram = np.real(grad.conj().transpose(0, 2, 1) @ grad)
-        gram += np.where(act, 1e-12 / s, 1.0).T[:, :, None] * np.eye(k)
+        gram[:, diag, diag] += np.where(act, 1e-12 / s, 1.0).T
         rhs = np.where(act, _RESTORE_LEVEL - mag, 0.0).T[:, :, None]
         # projected again, since the ridge can blow up rounding off the zone
         dx = _in_zone(span, (grad @ np.linalg.solve(gram, rhs))[:, :, 0].T)
         # where(||dx||^2 > s, s / ||dx||^2, 1), dividing by no zero step
         x = x + dx * np.sqrt(s / np.maximum(_column_power(dx), s))
-    if cfg.literal_transpose:  # the ellipsoids take x^H J_m x either way
-        r = np.einsum("bq,mbq->mq", x.conj(), jx)
-    return _cap_into_sets(x, n2, r, p), worst, step
+    # the ellipsoids take x^H J_m x under either convention
+    return _cap_into_sets(x, n2, r[1:], p), worst, step
 
 
 def _pair_residuals(x, y, cfg):
@@ -529,16 +538,24 @@ def design_pilots(dl, ul, cfg):
     first = {}  # each distinct note -> the first iteration that made it
 
     for it in range(cfg.max_outer + 1):
+        marks = [time.perf_counter()]
         if it:
             x_sigma = build_sigma_target(links[0][1], x, dl)
             y_sigma = build_sigma_target(links[1][1], y, ul)
+        marks.append(time.perf_counter())
         x, y, notes, steps = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x,
                                          p_y=p_y)
-        for note in notes:
-            first.setdefault(note, it)
+        marks.append(time.perf_counter())
         prev = mse
         mse, links = score(x, y)
+        marks.append(time.perf_counter())
         power, cross, auto = residuals = _pair_residuals(x, y, cfg)
+        marks.append(time.perf_counter())
+        for phase, start, end in zip(("targets", "rounds", "scoring", "residuals"),
+                                     marks, marks[1:]):
+            trace.phase_seconds[phase] += end - start
+        for note in notes:
+            first.setdefault(note, it)
         row = (mse, cross, auto, power, links[0][0], links[1][0], steps)
         for name, value in zip(TRACE_COLUMNS, row):
             getattr(trace, name).append(value)

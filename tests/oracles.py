@@ -210,8 +210,8 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     """Reference outer iteration in the order the designer once took, a
     drop-in for zczpilot.designer.inner_cycle: alternate x_step/y_step
     toward the targets for at most mu rounds, stopping once a round moves
-    the pair by at most inner_tol; then, for k >= 1, restore X inside the
-    cross-correlation zone of the final Y; hold every column of X
+    the pair by at most inner_tol; then, for k >= 1, restore X from the
+    zone projection of x_sigma against the final Y; hold every column of X
     that ends farther from its target than x0's, or over the sidelobe
     bound, at x0's column; and project Y against that X.  Returns
     (X, Y, notes, steps) like inner_cycle, with its note texts: a downlink
@@ -234,7 +234,9 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
             x, y = x_new, y_new
             if move <= inner_tol:
                 break
-    x, worst, steps = _restored_against(x, y, cfg, p_x)
+    # at k >= 1 the restoration starts from the zone projection of x_sigma
+    # against the final Y, without x_step's cap: its last cap is the only one
+    x, worst, steps = _restored_against(x_sigma if cfg.k else x, y, cfg, p_x)
     over = worst > designer.SIDELOBE_DELTA
     collapsed = ("{} cross-correlation constraints span the whole space; "
                  "returning zero columns")

@@ -223,9 +223,27 @@ class TestDesign:
         assert design["literal_transpose"] is True
         assert design["seed"] == 3
 
+    def test_time_by_phase(self, small_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["design", "--config", str(small_config), "--out", str(out)])
+        line = re.search(r"^design time: \S+ s\ntime by phase: (.+)$",
+                         capsys.readouterr().out, re.M)
+        assert line
+        phases = [re.fullmatch(r"(\w+) (\S+) s", part).groups()
+                  for part in line.group(1).split(", ")]
+        assert [name for name, _ in phases] == ["rounds", "targets", "scoring",
+                                                "residuals"]
+        assert all(float(sec) >= 0.0 for _, sec in phases)
+        # a measurement, like the design time: neither file holds it
+        for name in ("pilot_archive.json", "design_trace.csv"):
+            assert "phase" not in (out / name).read_text()
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tight.ini"
-        path.write_text(SMALL.replace("max_outer = 300", "max_outer = 5"))
+        # an eta that five rounds cannot meet: SMALL's own 1e-4 stops after
+        # one round, as its design converges there
+        path.write_text(SMALL.replace("max_outer = 300", "max_outer = 5")
+                        .replace("eta = 1e-4", "eta = 1e-12"))
         out = tmp_path / "run"
         rc = main(["design", "--config", str(path), "--out", str(out)])
         capsys.readouterr()

@@ -28,6 +28,7 @@ from zczpilot import designer
 from zczpilot.designer import (
     SIDELOBE_DELTA,
     DesignConfig,
+    _column_power,
     _cross_vectors,
     _in_zone,
     _restore_sidelobes,
@@ -552,15 +553,17 @@ class TestInnerCycle:
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
     def test_one_round(self, monkeypatch):
-        # one zone projection and shrink per block, and one zone basis per
-        # block: the X step's basis is the restoration's too
+        # one zone projection per block and one zone basis per block: the X
+        # step's basis is the restoration's too.  At k >= 1 X goes from its
+        # zone projection straight into the restoration, whose last cap is
+        # its only one, so the one shrink of a round is Y's ball cap.
         calls = count_calls(monkeypatch, "_shrink_into_sets", "_zone_basis", "y_step")
         rng = np.random.default_rng(0)
         cfg = DesignConfig(k=1, p=1.0)
         y0 = np.zeros((8, 2), dtype=complex)
         x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
         x, y, _, _ = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
-        assert calls == {"_shrink_into_sets": 2, "_zone_basis": 2, "y_step": 1}
+        assert calls == {"_shrink_into_sets": 1, "_zone_basis": 2, "y_step": 1}
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
         # A design: the start's round, then one per outer iteration.
@@ -570,23 +573,22 @@ class TestInnerCycle:
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
         )
         rounds = trace.outer_iterations + 1
-        assert calls == {"_shrink_into_sets": 2 * rounds, "_zone_basis": 2 * rounds,
+        assert calls == {"_shrink_into_sets": rounds, "_zone_basis": 2 * rounds,
                          "y_step": rounds}
 
     def test_farther_column_keeps_current_value(self, monkeypatch):
-        # Every downlink zone projection and shrink negates column 0.  The
-        # sets are symmetric, so the column stays feasible, but it ends far
-        # from its target: each round holds x0's column and projects Y
-        # against the held X, and the run goes on.
-        shrink = designer._shrink_into_sets
+        # Every sidelobe restoration negates column 0.  The sets are
+        # symmetric, so the column stays feasible, but it ends far from its
+        # target: each round holds x0's column and projects Y against the
+        # held X, and the run goes on.
+        restore = designer._restore_sidelobes
 
-        def negated(x, k, p):
-            out = shrink(x, k, p)
-            if k:
-                out[:, 0] *= -1.0
-            return out
+        def negated(x, span, p, cfg):
+            out, worst, steps = restore(x, span, p, cfg)
+            out[:, 0] *= -1.0
+            return out, worst, steps
 
-        monkeypatch.setattr(designer, "_shrink_into_sets", negated)
+        monkeypatch.setattr(designer, "_restore_sidelobes", negated)
         rounds = record_rounds(monkeypatch)
         dl = build_scenario(2, 2, 8)
         cfg = DesignConfig(k=2, max_outer=4)
@@ -880,6 +882,16 @@ class TestFactorizationReuse:
 
 
 class TestDesignPilots:
+    def test_phase_seconds(self):
+        # the four phases of the loop, each summed over the run, fit in it
+        dl = build_scenario(4, 4, 16)
+        _, trace = design_pilots(dl, reciprocal_scenario(dl),
+                                 DesignConfig(k=2, max_outer=5))
+        assert list(trace.phase_seconds) == ["rounds", "targets", "scoring",
+                                             "residuals"]
+        assert all(sec >= 0.0 for sec in trace.phase_seconds.values())
+        assert sum(trace.phase_seconds.values()) <= trace.wall_time
+
     def test_unconstrained_improves_on_initialization(self):
         dl = build_scenario(4, 4, 8)
         ul = reciprocal_scenario(dl)
@@ -1387,6 +1399,29 @@ class TestBatchedRestoration:
         assert worst.max() <= SIDELOBE_DELTA
 
 
+class TestRestorationScaling:
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("b, k", [(8, 2), (8, 4), (16, 2), (16, 4)])
+    def test_scale_equivariant(self, b, k, literal):
+        # Every Gauss-Newton step and stop reads only |h_m| = |r_m| / ||x||^2
+        # and moves x by a step that scales with it, so the restoration of
+        # a x is a times that of x until its last cap, which takes both to
+        # one point: a cap of the zone projection before it is redundant.
+        rng = np.random.default_rng(100 * b + 10 * k + literal)
+        cfg = DesignConfig(k=k, literal_transpose=literal)
+        span = np.linalg.qr(crandn(rng, b, 2))[0]  # a zone of dimension b - 2
+        x = _in_zone(span, crandn(rng, b, 6))
+        p = 1e-6 * _column_power(x).min()  # a cap that binds on every column
+        out, worst, steps = _restore_sidelobes(x, span, p, cfg)
+        assert steps >= 1
+        assert (_column_power(out) <= p * (1 + 1e-12)).all()
+        for a in (3.0, 1e3):
+            out_a, worst_a, steps_a = _restore_sidelobes(a * x, span, p, cfg)
+            npt.assert_allclose(out_a, out, rtol=1e-12, atol=1e-12 * np.abs(out).max())
+            npt.assert_allclose(worst_a, worst, rtol=1e-12)
+            assert steps_a == steps
+
+
 class TestDesignConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -1448,11 +1483,11 @@ class TestWorkloadTrajectories:
         "dims, cfg, mse, warned",
         [
             ((4, 4, 8, 32.0), DesignConfig(k=4),
-             (1.026011355757212, 1.025653438359375, 1.0231390864925165,
-              1.0150443358378705), [DEGENERATE]),
+             (1.0255462532049002, 1.025228373508377, 1.0229791411678608,
+              1.0149096957458095), [DEGENERATE]),
             ((4, 4, 16, 32.0), DesignConfig(k=2),
-             (0.028316257808610162, 0.028212718588121584, 0.027347628409698357,
-              0.02011990377668286), []),
+             (0.02813041887897948, 0.028035314032516745, 0.027244471811974952,
+              0.020089233341182948), []),
             ((8, 8, 64, None), DesignConfig(k=0, eta=1e-9, max_outer=40),
              (0.0009709616111532183, 0.0009708714784540272,
               0.000970062078731099, 0.000967387157933936), []),
@@ -1477,7 +1512,7 @@ class TestWorkloadTrajectories:
     )
     def test_restoration_solves_per_round(self, dims, cfg, monkeypatch):
         # The restoration stops a tenth of the way into its margin, after
-        # 1.37 (ref) and 1.56 (zcz) Gauss-Newton solves per round; a stop
+        # 1.71 (ref) and 1.56 (zcz) Gauss-Newton solves per round; a stop
         # just above the level, level * (1 + 1e-9), took 3.04 and 2.96.
         # kron (k = 0) never restores.  The trace's restore_steps counts
         # the same solves, one entry per iteration.
