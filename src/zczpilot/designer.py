@@ -6,8 +6,8 @@ blocks, and then takes one round (inner_cycle) toward the constraint
 sets, X first and then Y against the new X: per-column power balls, zero
 cross-correlation between the two pilots over a lag window, and the
 convexified low-autocorrelation ellipsoids on the downlink (sensing)
-pilot.  The start is iteration 0 of the same loop: the round from random
-targets, taken from the feasible pair of unit impulses X0 and Y0 = 0.
+pilot.  _start builds the start, unit impulses X0, Y0 = 0 and seeded
+random targets, and _descend runs the rounds from any feasible pair.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -29,7 +29,9 @@ uplink, and the downlink for k = 0, then cap each column to the ball
 (_shrink_into_sets), the exact projection.  For k >= 1 the downlink's
 projection goes straight into the restoration below, inside the same
 zone, whose final cap into the ball and the ellipsoids is its only one:
-a feasible point near the target.
+a feasible point near the target, and a design's only X step.  x_step
+is the projection that acceptance criteria 6 and 7 and tests/oracles.py
+alternate_until_stable check, and _shrink_into_sets' only k >= 1 caller.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
@@ -186,7 +188,8 @@ def _cap_into_sets(x, n2, r, p):
 
 def _shrink_into_sets(x, k, p):
     """Measure each column's power and, for k >= 1, its sidelobes, then cap
-    (_cap_into_sets); k = 0 builds no sidelobe stack."""
+    (_cap_into_sets); k = 0 builds no sidelobe stack.  Only x_step reaches
+    the k >= 1 branch: a design caps X in _restore_sidelobes."""
     return _cap_into_sets(x, _column_power(x), _autocorr(x, k, False) if k else None, p)
 
 
@@ -242,7 +245,9 @@ def x_step(x_target, y_fixed, cfg, p=None):
     The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
     columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}:
     the zone projection (_in_zone), then the shrink into the ball and the
-    ellipsoids (_shrink_into_sets), a feasible point for k >= 1.
+    ellipsoids (_shrink_into_sets), a feasible point for k >= 1.  It is the
+    projection that acceptance criteria 6 and 7 and tests/oracles.py
+    alternate_until_stable check; a design's X step is inner_cycle's.
     """
     x_target = np.asarray(x_target, dtype=np.complex128)
     span = _zone_basis(y_fixed, x_target.shape[0], cfg, False)
@@ -495,45 +500,21 @@ def column_power_bound(cfg, s):
     return cfg.p if cfg.p is not None else s.gamma / s.n_t
 
 
-def design_pilots(dl, ul, cfg):
-    """Run the full cyclic design; returns (PilotPair, DesignTrace).
-
-    dl/ul are the two link scenarios sharing the training length B; the
-    downlink pilot X is B x dl.n_t and the uplink pilot Y is B x ul.n_t.
-    For k >= 1 every returned X meets |x_q^H J_m x_q| <= 10^(-1.5)
-    ||x_q||^2 (30 dB) for all columns and m = 1..k, besides power <= p,
-    the ellipsoids and the cross-correlation zone; k = 0 has no sidelobe
-    bound.  Every iteration is one inner_cycle from the current pair toward
-    its MM targets; iteration 0 goes from the feasible X0 = unit impulses
-    of power p_x (column q at row q mod B; no sidelobes) and Y0 = 0 toward
-    seeded random targets.  A column that cannot improve keeps its current
-    value, so every round is a descent step, the total MSE is
-    non-increasing and the returned pair is the last iterate.  Stops when
-    an outer iteration moves the total MSE by less than eta, or flags
-    non-convergence at max_outer.
-    """
-    if dl.b != ul.b:
-        raise ValueError("link scenarios must share the training length")
-    p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
-
-    def score(x, y):
-        """Total MSE of a pair and each link's (mse, V*): one factoring
-        of the Gram blocks per link, reused for the next MM target."""
-        links = (mse_and_optimal_V(x, dl), mse_and_optimal_V(y, ul))
-        return links[0][0] + links[1][0], links
-
-    t0 = time.perf_counter()
-    trace = DesignTrace()
+def _start(dl, ul, cfg, p_x):
+    """The start (x, y, x_sigma, y_sigma): impulses of power p_x (column q at
+    row q mod B), Y0 = 0, and seeded targets: dl re, dl im, ul re, ul im."""
     rng = np.random.default_rng(cfg.seed)
-    x_sigma = rng.standard_normal((dl.b, dl.n_t)) + 1j * rng.standard_normal(
-        (dl.b, dl.n_t)
-    )
-    y_sigma = rng.standard_normal((ul.b, ul.n_t)) + 1j * rng.standard_normal(
-        (ul.b, ul.n_t)
-    )
+    x_sigma, y_sigma = (rng.standard_normal((s.b, s.n_t))
+                        + 1j * rng.standard_normal((s.b, s.n_t)) for s in (dl, ul))
     x = np.zeros((dl.b, dl.n_t), dtype=np.complex128)
     x[np.arange(dl.n_t) % dl.b, np.arange(dl.n_t)] = np.sqrt(p_x)
-    y = np.zeros((ul.b, ul.n_t), dtype=np.complex128)
+    return x, np.zeros((ul.b, ul.n_t), dtype=np.complex128), x_sigma, y_sigma
+
+
+def _descend(dl, ul, cfg, x, y, x_sigma, y_sigma, p_x, p_y):
+    """Rounds from a feasible pair (x, y) and its iteration-0 targets, as
+    design_pilots says; returns (PilotPair, DesignTrace) but no wall time."""
+    trace = DesignTrace()
     mse = np.inf  # so that iteration 0 cannot stop by eta
     first = {}  # each distinct note -> the first iteration that made it
 
@@ -543,11 +524,11 @@ def design_pilots(dl, ul, cfg):
             x_sigma = build_sigma_target(links[0][1], x, dl)
             y_sigma = build_sigma_target(links[1][1], y, ul)
         marks.append(time.perf_counter())
-        x, y, notes, steps = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x,
-                                         p_y=p_y)
+        x, y, notes, steps = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y)
         marks.append(time.perf_counter())
         prev = mse
-        mse, links = score(x, y)
+        links = mse_and_optimal_V(x, dl), mse_and_optimal_V(y, ul)
+        mse = links[0][0] + links[1][0]
         marks.append(time.perf_counter())
         power, cross, auto = residuals = _pair_residuals(x, y, cfg)
         marks.append(time.perf_counter())
@@ -561,21 +542,41 @@ def design_pilots(dl, ul, cfg):
             getattr(trace, name).append(value)
         trace.outer_iterations = it
         if abs(prev - mse) < cfg.eta:
-            trace.converged = True
-            trace.stop_reason = "eta"
+            trace.converged, trace.stop_reason = True, "eta"
             break
 
     trace.warnings = [f"iteration {i}: {note}" for note, i in first.items()]
-    pair = PilotPair(x, y, *residuals)
     # A successful design guarantees the cross-correlation residual relative
     # to the largest lag-0 power; an MSE plateau alone does not count.
     lag0 = float(np.max(np.sum(np.abs(x) ** 2, axis=0)))
-    ratio = pair.max_cross_corr / lag0 if lag0 else np.inf
+    ratio = cross / lag0 if lag0 else np.inf
     if trace.converged and not ratio <= cfg.epsilon:
         trace.converged = False
-        trace.warnings.append(
-            f"cross-correlation residual {ratio:.3g} of the lag-0 power "
-            f"exceeds epsilon={cfg.epsilon}"
-        )
+        trace.warnings.append(f"cross-correlation residual {ratio:.3g} of the "
+                              f"lag-0 power exceeds epsilon={cfg.epsilon}")
+    return PilotPair(x, y, *residuals), trace
+
+
+def design_pilots(dl, ul, cfg):
+    """Run the full cyclic design; returns (PilotPair, DesignTrace).
+
+    dl/ul are the two link scenarios sharing the training length B; the
+    downlink pilot X is B x dl.n_t and the uplink pilot Y is B x ul.n_t.
+    For k >= 1 every returned X meets |x_q^H J_m x_q| <= 10^(-1.5)
+    ||x_q||^2 (30 dB) for all columns and m = 1..k, besides power <= p,
+    the ellipsoids and the cross-correlation zone; k = 0 has no sidelobe
+    bound.  Every iteration is one inner_cycle from the current pair toward
+    its MM targets (_descend); iteration 0 goes from the start (_start)
+    toward seeded random targets.  A column that cannot improve keeps its
+    current value, so every round is a descent step, the total MSE is
+    non-increasing and the returned pair is the last iterate.  Stops when
+    an outer iteration moves the total MSE by less than eta, or flags
+    non-convergence at max_outer.
+    """
+    if dl.b != ul.b:
+        raise ValueError("link scenarios must share the training length")
+    p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
+    t0 = time.perf_counter()
+    pair, trace = _descend(dl, ul, cfg, *_start(dl, ul, cfg, p_x), p_x, p_y)
     trace.wall_time = time.perf_counter() - t0
     return pair, trace

@@ -108,8 +108,8 @@ class TrainingRealization:
 _TRIAL_BLOCK = 64
 
 
-def simulate_training(p, s, seed, noise_scale=1.0):
-    """Draw H ~ CN(0, R), N ~ CN(0, M) and form Yrx = H P^T + noise_scale*N.
+def simulate_training(p, s, seed):
+    """Draw H ~ CN(0, R), N ~ CN(0, M) and form Yrx = H P^T + N.
 
     One row of N(0, 1) draws from np.random.default_rng(seed) holds the
     real then imaginary parts of the channel's white vector, then those of
@@ -117,8 +117,7 @@ def simulate_training(p, s, seed, noise_scale=1.0):
     and a Generator gives its next row.  A factor pair (F_a, F_b) of
     s.colouring acts on the matrix view W of its white vector, n_t x n_r
     for the channel and b x n_r for the noise, as F_a W F_b^T, the
-    transpose of H or N.  noise_scale=0 gives the noiseless received
-    block exactly.
+    transpose of H or N.
     """
     p = _checked(p, s)
     n_h = s.n_t * s.n_r
@@ -129,7 +128,6 @@ def simulate_training(p, s, seed, noise_scale=1.0):
         w = ((w[:k] + 1j * w[k:]) / np.sqrt(2.0)).reshape(len(f_a), -1)
         draws.append((f_a @ w @ f_b.T).T)
     h, noise = draws
-    noise = noise_scale * noise
     return TrainingRealization(h=h, noise=noise, yrx=h @ p.T + noise)
 
 
