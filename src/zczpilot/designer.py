@@ -6,8 +6,10 @@ blocks, and then takes one round (inner_cycle) toward the constraint
 sets, X first and then Y against the new X: per-column power balls, zero
 cross-correlation between the two pilots over a lag window, and the
 convexified low-autocorrelation ellipsoids on the downlink (sensing)
-pilot.  _start builds the start, unit impulses X0, Y0 = 0 and seeded
-random targets, and _descend runs the rounds from any feasible pair.
+pilot.  _start builds the start (k >= 1: phased impulses of Y and X on
+disjoint rows, which no lag of the zone correlates, so that both links
+train; k = 0: unit impulses, Y0 = 0 and seeded random targets), and
+_descend runs the rounds from any feasible pair.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -449,7 +451,7 @@ def _restore_sidelobes(x, span, p, cfg):
     column needs, and keeps the zone and every |h_m|.  Returns the matrix,
     each column's max_m |h_m| and the number of steps (batched solves).
     """
-    k, diag = cfg.k, np.arange(cfg.k)
+    k = cfg.k
     for step in range(_RESTORE_MAX_STEPS + 1):
         lags = _shifted(x, k)
         r = np.einsum("bq,mbq->mq", x.conj(), lags)  # lag 0 is ||x||^2
@@ -471,8 +473,8 @@ def _restore_sidelobes(x, span, p, cfg):
         norm = np.where(act, mag * s, np.inf)[:, None]
         grad = (grad - 2.0 * (mag**2)[:, None] * x) / norm
         grad = _in_zone(span, grad.transpose(2, 1, 0))
-        gram = np.real(grad.conj().transpose(0, 2, 1) @ grad)
-        gram[:, diag, diag] += np.where(act, 1e-12 / s, 1.0).T
+        gram = (grad.conj().transpose(0, 2, 1) @ grad).real.copy()
+        gram.reshape(len(gram), -1)[:, :: k + 1] += np.where(act, 1e-12 / s, 1.0).T
         rhs = np.where(act, _RESTORE_LEVEL - mag, 0.0).T[:, :, None]
         # projected again, since the ridge can blow up rounding off the zone
         dx = _in_zone(span, (grad @ np.linalg.solve(gram, rhs))[:, :, 0].T)
@@ -500,15 +502,27 @@ def column_power_bound(cfg, s):
     return cfg.p if cfg.p is not None else s.gamma / s.n_t
 
 
-def _start(dl, ul, cfg, p_x):
-    """The start (x, y, x_sigma, y_sigma): impulses of power p_x (column q at
-    row q mod B), Y0 = 0, and seeded targets: dl re, dl im, ul re, ul im."""
+def _start(dl, ul, cfg, p_x, p_y):
+    """The start (x, y, x_sigma, y_sigma).  k = 0: impulses of power p_x
+    (column q at row q mod B), Y0 = 0 and seeded targets: dl re, dl im,
+    ul re, ul im.  k >= 1: the guard-free row split, s_y = B // 2: X
+    column q an impulse of power p_x at row s_y + q mod (B - s_y), Y
+    column l one of power p_y at row l mod s_y, each with a seeded phase
+    (X's drawn first), and each block's own MM target."""
     rng = np.random.default_rng(cfg.seed)
-    x_sigma, y_sigma = (rng.standard_normal((s.b, s.n_t))
-                        + 1j * rng.standard_normal((s.b, s.n_t)) for s in (dl, ul))
     x = np.zeros((dl.b, dl.n_t), dtype=np.complex128)
-    x[np.arange(dl.n_t) % dl.b, np.arange(dl.n_t)] = np.sqrt(p_x)
-    return x, np.zeros((ul.b, ul.n_t), dtype=np.complex128), x_sigma, y_sigma
+    y = np.zeros((ul.b, ul.n_t), dtype=np.complex128)
+    xq, yl = np.arange(dl.n_t), np.arange(ul.n_t)
+    if not cfg.k:
+        x[xq % dl.b, xq] = np.sqrt(p_x)
+        return x, y, *(rng.standard_normal((s.b, s.n_t))
+                       + 1j * rng.standard_normal((s.b, s.n_t)) for s in (dl, ul))
+    _check_fixed(x, dl.b, cfg)  # k < B, so both blocks get rows
+    s_y, phase = dl.b // 2, np.exp(2j * np.pi * rng.random(dl.n_t + ul.n_t))
+    x[s_y + xq % (dl.b - s_y), xq] = np.sqrt(p_x) * phase[: dl.n_t]
+    y[yl % s_y, yl] = np.sqrt(p_y) * phase[dl.n_t :]
+    return x, y, *(build_sigma_target(mse_and_optimal_V(m, s)[1], m, s)
+                   for m, s in ((x, dl), (y, ul)))
 
 
 def _descend(dl, ul, cfg, x, y, x_sigma, y_sigma, p_x, p_y):
@@ -566,17 +580,18 @@ def design_pilots(dl, ul, cfg):
     ||x_q||^2 (30 dB) for all columns and m = 1..k, besides power <= p,
     the ellipsoids and the cross-correlation zone; k = 0 has no sidelobe
     bound.  Every iteration is one inner_cycle from the current pair toward
-    its MM targets (_descend); iteration 0 goes from the start (_start)
-    toward seeded random targets.  A column that cannot improve keeps its
-    current value, so every round is a descent step, the total MSE is
-    non-increasing and the returned pair is the last iterate.  Stops when
-    an outer iteration moves the total MSE by less than eta, or flags
-    non-convergence at max_outer.
+    its MM targets (_descend); iteration 0 goes from the start (_start):
+    for k >= 1 the row split, Y above X, toward its own MM targets, so
+    that Y != 0; for k = 0 impulses and Y = 0 toward seeded random
+    targets.  A column that cannot improve keeps its current value, so
+    every round is a descent step, the total MSE is non-increasing and the
+    returned pair is the last iterate.  Stops when an outer iteration moves
+    the total MSE by less than eta, or flags non-convergence at max_outer.
     """
     if dl.b != ul.b:
         raise ValueError("link scenarios must share the training length")
     p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
     t0 = time.perf_counter()
-    pair, trace = _descend(dl, ul, cfg, *_start(dl, ul, cfg, p_x), p_x, p_y)
+    pair, trace = _descend(dl, ul, cfg, *_start(dl, ul, cfg, p_x, p_y), p_x, p_y)
     trace.wall_time = time.perf_counter() - t0
     return pair, trace

@@ -188,6 +188,17 @@ def test_criterion_5b_cross_correlation_zone(reference_runs, capsys):
     assert ok
 
 
+def test_reference_uplinks_train(reference_runs):
+    # 5b holds with both links active: the row-split start gives every
+    # seed a nonzero Y whose uplink MSE ends below the prior trace(R),
+    # the MSE of a zero pilot
+    runs, _, _ = reference_runs
+    ul = reciprocal_scenario(build_scenario(4, 4, 8))
+    prior = channel_mse_lemma(np.zeros((ul.b, ul.n_t)), ul)
+    assert [seed for seed, (pair, trace) in enumerate(runs)
+            if not (pair.y.any() and trace.mse_ul[-1] < prior)] == []
+
+
 def test_criterion_5c_autocorrelation_suppression(reference_runs, capsys):
     runs, _, cfg = reference_runs
     hits = 0

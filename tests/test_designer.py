@@ -3,6 +3,7 @@ cyclic pilot design loop."""
 
 
 import dataclasses
+import inspect
 import re
 import sys
 import warnings
@@ -385,14 +386,18 @@ def count_calls(monkeypatch, *names):
 
 
 def record_rounds(monkeypatch):
-    """Wrap designer.inner_cycle so that each call's positional arguments,
-    keyword arguments and result are kept, in call order."""
+    """Wrap designer.inner_cycle so that each call's arguments, by name
+    whether passed by position or keyword (defaults filled in), and its
+    result are kept, in call order."""
     rounds = []
     cycle = designer.inner_cycle
+    signature = inspect.signature(cycle)
 
     def recorded(*args, **kwargs):
-        rounds.append((args, kwargs, cycle(*args, **kwargs)))
-        return rounds[-1][2]
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        rounds.append((bound.arguments, cycle(*args, **kwargs)))
+        return rounds[-1][1]
 
     monkeypatch.setattr(designer, "inner_cycle", recorded)
     return rounds
@@ -598,9 +603,9 @@ class TestInnerCycle:
         _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
         assert trace.outer_iterations == 4 and trace.stop_reason == "max_outer"
         assert len(rounds) == 5
-        for (x_sigma, y_sigma, x0, _, _), kwargs, (x, y, _, _) in rounds[1:]:
-            npt.assert_array_equal(x[:, 0], x0[:, 0])
-            npt.assert_array_equal(y, y_step(y_sigma, x, cfg, p=kwargs["p_y"]))
+        for args, (x, y, _, _) in rounds[1:]:
+            npt.assert_array_equal(x[:, 0], args["x0"][:, 0])
+            npt.assert_array_equal(y, y_step(args["y_sigma"], x, cfg, p=args["p_y"]))
         assert trace.mse[-1] < trace.mse[0]
         assert np.diff(trace.mse).max() <= 0.0
 
@@ -617,17 +622,24 @@ class TestInnerCycle:
         assert calls == dict.fromkeys(calls, rounds)
 
     def test_design_matches_alternation_until_stable(self, monkeypatch):
-        # zcz-sized (4x4, B = 16, k = 2): both links stay active, so the
-        # reference alternation runs a second, confirming round, and
-        # restores X against the Y it ends with.
+        # zcz-sized (4x4, B = 16, k = 2), from the generic (k = 0) start:
+        # both links stay active, so the reference alternation runs a
+        # second, confirming round, and restores X against the Y it ends
+        # with.  The round matches it only while that confirming round
+        # settles; from the design's row split the alternation runs all
+        # its 50 rounds without settling, and the traces part by 2.3e-5
+        # relative within 20 iterations.
         dl = build_scenario(4, 4, 16)
         ul = reciprocal_scenario(dl)
         cfg = DesignConfig(k=2, max_outer=20, seed=0)
-        _, one = design_pilots(dl, ul, cfg)
+        p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
+        start = _start(dl, ul, dataclasses.replace(cfg, k=0), p_x, p_y)
+        _, one = _descend(dl, ul, cfg, *start, p_x, p_y)
         calls = count_calls(monkeypatch, "x_step")
         monkeypatch.setattr(designer, "inner_cycle", alternate_until_stable)
-        _, ref = design_pilots(dl, ul, cfg)
-        assert calls["x_step"] > ref.outer_iterations + 1
+        _, ref = _descend(dl, ul, cfg, *start, p_x, p_y)
+        rounds = ref.outer_iterations + 1
+        assert rounds < calls["x_step"] <= 2 * rounds
         assert one.outer_iterations == ref.outer_iterations
         assert one.converged == ref.converged
         assert one.stop_reason == ref.stop_reason
@@ -858,10 +870,11 @@ class TestFactorizationReuse:
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
         assert trace.outer_iterations == 8
         # With k = 2 the start and every iteration restored X, and each
-        # pair was scored once (no extra trial factorings).
+        # pair was scored once (no extra trial factorings); the k >= 1
+        # start takes one more V* per link, for its own MM targets.
         rounds = trace.outer_iterations + 1
         assert restored["_restore_sidelobes"] == (rounds if k else 0)
-        assert list(factored.values()) == [rounds] * 2
+        assert list(factored.values()) == [rounds + (k > 0)] * 2
 
     def test_per_iterate_factors_are_n_t_sized(self, monkeypatch):
         # An 8x8, B = 64, k = 0 design: past the zone's nullspace SVD, every
@@ -961,12 +974,19 @@ class TestDesignPilots:
         assert abs(report_auto - pair.max_auto_corr) <= 1e-12
 
     def test_degenerate_uplink_recorded(self):
-        dl = build_scenario(4, 4, 8)
+        # k = 0 with n_t = B = 4: iteration 0's X spans C^4, so the uplink
+        # zone is {0}.  The reference (B = 8, k = 4) starts from the row
+        # split, which gives Y rows of its own: no collapse.
+        dl = build_scenario(4, 4, 4)
         ul = reciprocal_scenario(dl)
-        cfg = DesignConfig(k=4, max_outer=3, seed=0)
+        cfg = DesignConfig(k=0, max_outer=3, seed=0)
         pair, trace = design_pilots(dl, ul, cfg)
         assert np.abs(pair.y).max() == 0.0
         assert trace.warnings == ["iteration 0: " + COLLAPSED.format("uplink")]
+        dl = build_scenario(4, 4, 8, gamma=32.0)
+        pair, trace = design_pilots(dl, reciprocal_scenario(dl),
+                                    DesignConfig(k=4, max_outer=3, seed=0))
+        assert pair.y.any() and trace.warnings == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numpy_warning_inside_design_raises(self, monkeypatch):
@@ -1005,15 +1025,17 @@ class TestDesignPilots:
         assert not any("overflow" in w for w in trace.warnings)
 
     def test_designs_in_threads_leave_the_warning_state_alone(self):
-        # four reference designs (uplink collapse at iteration 0) run in
-        # threads return what they return one at a time, records included;
-        # the process's filters stay as they were, and a later warning
-        # still reaches the handler that was installed before them
-        dl = build_scenario(4, 4, 8, gamma=32.0)
+        # four k = 0 designs with n_t = B = 4 (uplink collapse at
+        # iteration 0) run in threads return what they return one at a
+        # time, records included; the process's filters stay as they were,
+        # and a later warning still reaches the handler that was installed
+        # before them
+        dl = build_scenario(4, 4, 4, gamma=32.0)
         ul = reciprocal_scenario(dl)
 
         def run(seed):
-            pair, trace = design_pilots(dl, ul, DesignConfig(k=4, max_outer=30, seed=seed))
+            cfg = DesignConfig(k=0, max_outer=30, seed=seed)
+            pair, trace = design_pilots(dl, ul, cfg)
             return pair.x, pair.y, dataclasses.replace(trace, wall_time=0.0)
 
         serial = [run(seed) for seed in range(4)]
@@ -1047,6 +1069,10 @@ class TestDesignPilots:
         ul = reciprocal_scenario(dl)
         with pytest.raises(ValueError):
             design_pilots(dl, ul, DesignConfig(k=4))
+        # B = 1 leaves the row split no rows for Y: the start says why
+        dl = build_scenario(1, 1, 1)
+        with pytest.raises(ValueError, match="smaller than the training length"):
+            design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=1))
 
 
 class TestStopReason:
@@ -1158,26 +1184,28 @@ class TestSidelobeBound:
         design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=0, max_outer=5))
 
     def test_unrestorable_start_keeps_impulses(self, monkeypatch):
-        # No Gauss-Newton steps: the start's random columns stay over the
-        # bound, so iteration 0 holds each at its start impulse of power
-        # p_x (column q at row q), with one note per held column, which the
-        # trace records at iteration 0, and the run goes on from that
-        # feasible pair.
+        # No Gauss-Newton steps, and random iteration-0 targets for X in
+        # place of the start's own MM targets (which meet the bound): the
+        # targets' zone projections stay over the bound, so iteration 0
+        # holds each column at its start impulse of power p_x (column q at
+        # row s_y + q = 3 + q, with its seeded phase), with one note per
+        # held column, which the trace records at iteration 0, and the run
+        # goes on from that feasible pair.
         monkeypatch.setattr(designer, "_RESTORE_MAX_STEPS", 0)
         rounds = record_rounds(monkeypatch)
         dl = build_scenario(2, 2, 6)
+        ul = reciprocal_scenario(dl)
         cfg = DesignConfig(k=2, max_outer=5)
-        pair, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
-        args, kwargs, (x, _, notes, _) = rounds[0]
-        x_sigma, _, x0, y0, _ = args
-        impulses = np.sqrt(dl.gamma / dl.n_t) * np.eye(6, 2)
-        npt.assert_array_equal(x0, impulses)
-        assert not np.any(y0)
-        npt.assert_array_equal(x, impulses)
-        _, worst, _ = _restore_sidelobes(
-            x_step(x_sigma, y0, cfg, p=kwargs["p_x"]), np.zeros((6, 0)),
-            kwargs["p_x"], cfg
-        )
+        p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
+        x0, y0, _, y_sigma = _start(dl, ul, cfg, p_x, p_y)
+        x_sigma = crandn(np.random.default_rng(3), 6, 2)
+        pair, trace = _descend(dl, ul, cfg, x0, y0, x_sigma, y_sigma, p_x, p_y)
+        args, (x, _, notes, _) = rounds[0]
+        npt.assert_array_equal(args["x0"], x0)
+        npt.assert_allclose(np.abs(x0), np.sqrt(p_x) * np.eye(6, 2, -3), rtol=1e-15)
+        npt.assert_array_equal(x, x0)
+        span = _zone_basis(y0, 6, cfg, False)
+        _, worst, _ = _restore_sidelobes(_in_zone(span, x_sigma), span, p_x, cfg)
         assert (worst > SIDELOBE_DELTA).all()
         want = [held_note(q, r) for q, r in enumerate(worst)]
         assert notes == want
@@ -1209,9 +1237,9 @@ class TestSidelobeBound:
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
         )
         assert trace.outer_iterations == 5 and trace.stop_reason == "max_outer"
-        (_, _, x0, _, _), _, (x, _, notes, _) = rounds[1]
-        npt.assert_array_equal(x[:, 1], x0[:, 1])
-        assert not np.array_equal(x[:, 0], x0[:, 0])
+        args, (x, _, notes, _) = rounds[1]
+        npt.assert_array_equal(x[:, 1], args["x0"][:, 1])
+        assert not np.array_equal(x[:, 0], args["x0"][:, 0])
         assert notes == [held_note(1, 0.04)]
         (warning,) = [w for w in trace.warnings if "column 1" in w]
         assert warning == f"iteration 1: {held_note(1, 0.04)}"
@@ -1476,34 +1504,33 @@ class TestWorkloadTrajectories:
     # the shipped reference (4x4, B = 8, gamma = 32, k = 4), the zone that
     # keeps both links (B = 16, k = 2) and the large Kronecker case (8x8,
     # B = 64, k = 0, eta = 1e-9, max_outer = 40).  The MSE at iterations
-    # 0, 1, 10 and the last pins each trajectory; a change that means to
-    # move one updates it here.
-    # ref's uplink zone is {0} against iteration 0's X: Y is zero from
-    # then on, and a zero Y is its own MM target, so no later round notes it
-    DEGENERATE = "iteration 0: " + COLLAPSED.format("uplink")
+    # 0, 1, 10 and the last, and the stop, pin each trajectory; a change
+    # that means to move one updates it here.  ref and zcz start from the
+    # row split, which keeps both links active, and stop by eta; kron
+    # (k = 0) starts from the generic impulses and runs to max_outer.
 
     @pytest.mark.parametrize(
-        "dims, cfg, mse, warned",
+        "dims, cfg, mse, stop",
         [
             ((4, 4, 8, 32.0), DesignConfig(k=4),
-             (1.0255462532049002, 1.025228373508377, 1.0229791411678608,
-              1.0149096957458095), [DEGENERATE]),
+             (0.03897336944197968, 0.03891525896419892, 0.0384940641706268,
+              0.03731845282593288), (80, "eta")),
             ((4, 4, 16, 32.0), DesignConfig(k=2),
-             (0.02813041887897948, 0.028035314032516745, 0.027244471811974952,
-              0.020089233341182948), []),
+             (0.01603636376913512, 0.015981637728308982, 0.015527809427913201,
+              0.01234045204690461), (162, "eta")),
             ((8, 8, 64, None), DesignConfig(k=0, eta=1e-9, max_outer=40),
              (0.0009709616111532183, 0.0009708714784540272,
-              0.000970062078731099, 0.000967387157933936), []),
+              0.000970062078731099, 0.000967387157933936), (40, "max_outer")),
         ],
         ids=["ref-4x4-b8-k4", "zcz-4x4-b16-k2", "kron-8x8-b64-k0"],
     )
-    def test_seed_zero(self, dims, cfg, mse, warned):
+    def test_seed_zero(self, dims, cfg, mse, stop):
         n_t, n_r, b, gamma = dims
         dl = build_scenario(n_t, n_r, b, gamma=gamma)
-        _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
-        assert trace.outer_iterations == cfg.max_outer
-        assert trace.stop_reason == "max_outer" and not trace.converged
-        assert trace.warnings == warned
+        pair, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        assert (trace.outer_iterations, trace.stop_reason) == stop
+        assert trace.converged == (stop[1] == "eta")
+        assert trace.warnings == [] and pair.y.any()
         npt.assert_allclose([trace.mse[i] for i in (0, 1, 10, -1)], mse,
                             rtol=1e-9, atol=0)
 
@@ -1515,8 +1542,8 @@ class TestWorkloadTrajectories:
     )
     def test_restoration_solves_per_round(self, dims, cfg, monkeypatch):
         # The restoration stops a tenth of the way into its margin, after
-        # 1.71 (ref) and 1.56 (zcz) Gauss-Newton solves per round; a stop
-        # just above the level, level * (1 + 1e-9), took 3.04 and 2.96.
+        # 0.91 (ref) and 0.88 (zcz) Gauss-Newton solves per round; a stop
+        # just above the level, level * (1 + 1e-9), takes 1.69 and 0.96.
         # kron (k = 0) never restores.  The trace's restore_steps counts
         # the same solves, one entry per iteration.
         solves = []
@@ -1533,9 +1560,10 @@ class TestWorkloadTrajectories:
 
 
 def split_start(dl, ul, cfg, s_y):
-    """A feasible start other than the design's: Y's unit impulses on rows
-    [0, s_y) and X's on rows [s_y, B), so that no lag m >= 0 correlates
-    them, and iteration-0 targets that are each block's own MM target."""
+    """The design's k >= 1 start at any s_y and without its phases: Y's
+    impulses on rows [0, s_y) and X's on rows [s_y, B), so that no lag
+    m >= 0 correlates them, and iteration-0 targets that are each block's
+    own MM target."""
     p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
     x = np.zeros((dl.b, dl.n_t), dtype=np.complex128)
     x[s_y + np.arange(dl.n_t) % (dl.b - s_y), np.arange(dl.n_t)] = np.sqrt(p_x)
@@ -1551,11 +1579,29 @@ class TestStartAndDescend:
     # draws and the impulse pair, and the rounds run from any feasible pair
 
     def test_start_is_seeded_impulses(self):
+        # k >= 1, B = 4: the row split at s_y = 2, X's 3 columns on rows
+        # 2, 3, 2 and Y's 3 on rows 0, 1, 0, each with a phase drawn from
+        # default_rng(seed).random, X's first, and each block aimed at its
+        # own MM target
+        dl = build_scenario(3, 3, 4)
+        ul = reciprocal_scenario(dl)
+        x, y, x_sigma, y_sigma = _start(dl, ul, DesignConfig(k=1, seed=5), 0.7, 0.3)
+        rng = np.random.default_rng(5)
+        for block, sigma, s, p, rows in ((x, x_sigma, dl, 0.7, [2, 3, 2]),
+                                         (y, y_sigma, ul, 0.3, [0, 1, 0])):
+            want = np.zeros((4, 3), dtype=np.complex128)
+            want[rows, [0, 1, 2]] = np.sqrt(p) * np.exp(2j * np.pi * rng.random(3))
+            npt.assert_allclose(block, want, rtol=1e-15, atol=0.0)
+            npt.assert_array_equal(
+                sigma, build_sigma_target(mse_and_optimal_V(block, s)[1], block, s))
+        assert x.dtype == y.dtype == np.complex128
+
+    def test_k0_start_is_generic(self):
         # 3 columns on B = 2 rows put column 2 back on row 0; the uplink
         # has 2 columns, so a swapped draw order changes the shapes drawn
         dl = build_scenario(3, 2, 2)
         ul = reciprocal_scenario(dl)
-        x, y, x_sigma, y_sigma = _start(dl, ul, DesignConfig(k=1, seed=5), 0.7)
+        x, y, x_sigma, y_sigma = _start(dl, ul, DesignConfig(k=0, seed=5), 0.7, 0.3)
         rng = np.random.default_rng(5)
         draws = [rng.standard_normal(shape)
                  for shape in ((2, 3), (2, 3), (2, 2), (2, 2))]
@@ -1570,9 +1616,9 @@ class TestStartAndDescend:
     @pytest.mark.parametrize("b, k, s_y", [(8, 4, 4), (16, 2, 9)],
                              ids=["ref-4x4-b8-k4", "zcz-4x4-b16-k2"])
     def test_descend_from_split_start(self, b, k, s_y):
-        # ref stops by eta after 21 rounds at 0.0430 (the design's start
-        # gives 1.0203 at this max_outer, its uplink collapsed); zcz reaches
-        # 0.0151 in 30 rounds against the design's 0.0258
+        # ref stops by eta after 21 rounds at 0.0430 (the generic k = 0
+        # start gives 1.0203 at this max_outer, its uplink collapsed); zcz
+        # reaches 0.0151 in 30 rounds against the generic start's 0.0258
         dl = build_scenario(4, 4, b, gamma=32.0)
         ul = reciprocal_scenario(dl)
         cfg = DesignConfig(k=k, max_outer=30)
@@ -1582,7 +1628,9 @@ class TestStartAndDescend:
             assert trace.stop_reason == "eta" and trace.converged
             assert trace.mse[-1] < 0.05
         else:
-            assert trace.mse[-1] < design_pilots(dl, ul, cfg)[1].mse[-1]
+            generic = _start(dl, ul, dataclasses.replace(cfg, k=0), *start[-2:])
+            _, from_generic = _descend(dl, ul, cfg, *generic, *start[-2:])
+            assert trace.mse[-1] < from_generic.mse[-1]
         assert pair.y.any() and trace.mse_ul[-1] < 0.1
         assert len(trace.mse) == trace.outer_iterations + 1
         assert np.diff(trace.mse).max() <= 0.0

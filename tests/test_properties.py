@@ -1,13 +1,14 @@
 """Properties of every design over seeded random scenarios.
 
-The acceptance criteria run on the shipped scenario, where the uplink
-pilot collapses to Y = 0, and the pinned trajectories on three more.  This
-suite draws SCENARIOS scenarios from one seeded generator (sizes, energy
-budget, complex correlations, both correlation conventions) and runs
-ROUNDS outer iterations of each, then checks the guarantees of
-design_pilots on every one: the descent, the power of every iterate, the
-feasibility of the final pair and the form of the trace's notes.  The
-seed and the size stay fixed: a failing draw is a fault of the designer.
+The acceptance criteria run on the shipped scenario, and the pinned
+trajectories on three more.  This suite draws SCENARIOS scenarios from
+one seeded generator (sizes, energy budget, complex correlations, both
+correlation conventions) and runs ROUNDS outer iterations of each, then
+checks the guarantees of design_pilots on every one: the descent, the
+power of every iterate, the feasibility of the final pair, the form of
+the trace's notes and, for k >= 1 (the row-split start), an uplink pilot
+Y that is not zero.  The seed and the size stay fixed: a failing draw is
+a fault of the designer.
 """
 
 import re
@@ -128,9 +129,12 @@ def test_only_iteration_notes(designs):
 
 
 def test_collapsed_uplinks_counted(designs, capsys):
-    # counted, not asserted: a design whose uplink zone collapses ends
-    # with Y = 0
+    # a k >= 1 design starts from the row split, which gives Y rows of its
+    # own, and must end with Y != 0; at k = 0 the generic start can
+    # collapse the uplink zone, and those are counted
     collapsed = sum(not pair.y.any() for _, _, _, pair, _ in designs)
     with capsys.disabled():
         print(f"\n[INFO] random scenarios: {collapsed} of {len(designs)} "
               f"designs end with Y = 0")
+    assert failing(designs, lambda dl, ul, cfg, pair, trace:
+                   cfg.k == 0 or pair.y.any()) == []
