@@ -104,6 +104,8 @@ def _cmd_design(args):
     print(f"downlink mse: {trace.mse_dl[-1]:.12g}")
     print(f"uplink mse: {trace.mse_ul[-1]:.12g}")
     print(f"outer iterations: {trace.outer_iterations}")
+    print(f"extrapolations: {sum(trace.extrapolated)} accepted, "
+          f"{trace.rejected_extrapolations} rejected")
     print(f"converged: {trace.converged}")
     print(f"stop reason: {trace.stop_reason}")
     print(f"design time: {trace.wall_time:.3g} s")

@@ -424,10 +424,11 @@ class TestCsvEmitters:
         header, rows = read_csv_rows(path)
         assert header == [
             "iteration", "mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul",
-            "restore_steps",
+            "restore_steps", "extrapolated",
         ]
         assert len(rows) == len(trace.mse)
         assert [int(r[7]) for r in rows] == trace.restore_steps
+        assert [int(r[8]) for r in rows] == trace.extrapolated
         assert float(rows[-1][5]) == trace.mse_dl[-1]
         assert float(rows[-1][6]) == trace.mse_ul[-1]
         assert float(rows[0][1]) == trace.mse[0]

@@ -127,6 +127,10 @@ class TestDesign:
         timed = re.search(r"^converged: True\nstop reason: eta\ndesign time: (\S+) s$",
                           captured.out, re.M)
         assert timed and float(timed.group(1)) > 0
+        counts = re.search(r"^outer iterations: (\d+)\n"
+                           r"extrapolations: (\d+) accepted, (\d+) rejected$",
+                           captured.out, re.M)
+        assert counts
 
         arc = read_archive(out / "pilot_archive.json")
         assert arc.dims == {"b": 4, "n_t": 1, "n_r": 1}
@@ -139,10 +143,14 @@ class TestDesign:
             rows = list(csv.reader(fh))
         assert rows[0] == [
             "iteration", "mse", "max_cross", "max_auto", "max_power", "mse_dl", "mse_ul",
-            "restore_steps",
+            "restore_steps", "extrapolated",
         ]
         assert len(rows) - 1 == arc.result["outer_iterations"] + 1
         assert float(rows[-1][1]) == arc.result["final_mse"]
+        # the accepted extrapolations are the trace's; the rejected ones,
+        # like the phase seconds, are kept out of both files
+        assert sum(int(r[8]) for r in rows[1:]) == int(counts.group(2))
+        assert "rejected" not in (out / "pilot_archive.json").read_text()
 
     @staticmethod
     def assert_key_is_inert(tmp_path, capsys, key, values, bad, error):

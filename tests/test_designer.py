@@ -351,6 +351,28 @@ class TestYStep:
         # a zero target is the fixed point of a zero pilot, not a collapse
         assert inner_cycle(x_sigma, y0, x0, y0, cfg)[2] == []
 
+    def test_move_keeps_the_residual_current_meets(self):
+        # X's two columns e0 and e0 + 1e-13 e5 give constraint directions
+        # e0 and e5, the second at 5e-14 of the largest singular value: the
+        # projection of a target drops it (the 1e-10 rule) and keeps the
+        # target's e5, a residual of 1e-13; the move from a current Y that
+        # meets the zone keeps current's e5 (zero) and so its residual
+        cfg = DesignConfig(k=0, p=10.0)
+        x = np.zeros((8, 2), dtype=complex)
+        x[0], x[5, 1] = 1.0, 1e-13
+        current = np.zeros((8, 1), dtype=complex)
+        current[1] = 0.5
+        target = np.zeros((8, 1), dtype=complex)
+        target[1] = target[5] = 1.0
+        projected = y_step(target, x, cfg)
+        moved = y_step(target, x, cfg, current=current)
+        assert cross_residual(x, projected, 0) == pytest.approx(1e-13, rel=1e-6)
+        assert cross_residual(x, moved, 0) <= 1e-16
+        npt.assert_allclose(moved[:, 0], np.eye(8)[1], rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(moved - target) <= np.linalg.norm(current - target)
+        with pytest.raises(ValueError, match=re.escape("shape (8, 2) does not match")):
+            y_step(target, x, cfg, current=np.zeros((8, 2)))
+
     def test_zero_target_builds_no_zone(self, monkeypatch):
         # a zero pilot's MM target is zero (its V* is zero), and a zero
         # target is its own projection: no zone basis is built for it
@@ -531,7 +553,8 @@ class TestInnerCycle:
         # y0 meets the zone against any X that lies in y0's zone, so it is a
         # candidate of the Y step whether or not X was restored; y0's one
         # column leaves a 5-dimensional zone, inside which the restoration
-        # meets the bound, so Y is projected against a nonzero X
+        # meets the bound, so Y is projected against a nonzero X.  For
+        # k >= 1 it is the move from y0 that is projected.
         rng = np.random.default_rng(14)
         cfg = DesignConfig(k=k, p=1.0)
         y0 = y_step(crandn(rng, 8, 1), np.zeros((8, 0)), cfg)
@@ -539,7 +562,7 @@ class TestInnerCycle:
         x, y, notes, _ = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
         assert notes == []
         assert np.all(np.linalg.norm(x, axis=0) > 0.1)
-        npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
+        npt.assert_array_equal(y, y_step(y_sigma, x, cfg, current=y0 if k else None))
         assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
 
     def test_unrestorable_columns_keep_current_value(self):
@@ -574,21 +597,20 @@ class TestInnerCycle:
         assert calls == {"_shrink_into_sets": 1, "_zone_basis": 2, "y_step": 1}
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
-        # A design: the start's round, then one per outer iteration.
+        # A design: the start's round, then max_outer more, each an MM or
+        # an extrapolation round.
         calls.update(_shrink_into_sets=0, _zone_basis=0, y_step=0)
+        rounds = count_calls(monkeypatch, "inner_cycle")
         dl = build_scenario(4, 4, 16)
-        _, trace = design_pilots(
-            dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
-        )
-        rounds = trace.outer_iterations + 1
-        assert calls == {"_shrink_into_sets": rounds, "_zone_basis": 2 * rounds,
-                         "y_step": rounds}
+        design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5))
+        assert rounds == {"inner_cycle": 6}
+        assert calls == {"_shrink_into_sets": 6, "_zone_basis": 12, "y_step": 6}
 
     def test_farther_column_keeps_current_value(self, monkeypatch):
         # Every sidelobe restoration negates column 0.  The sets are
         # symmetric, so the column stays feasible, but it ends far from its
-        # target: each round holds x0's column and projects Y against the
-        # held X, and the run goes on.
+        # target: each round holds x0's column and moves Y from y0 against
+        # the held X, and the run goes on.
         restore = designer._restore_sidelobes
 
         def negated(x, span, p, cfg):
@@ -605,7 +627,8 @@ class TestInnerCycle:
         assert len(rounds) == 5
         for args, (x, y, _, _) in rounds[1:]:
             npt.assert_array_equal(x[:, 0], args["x0"][:, 0])
-            npt.assert_array_equal(y, y_step(args["y_sigma"], x, cfg, p=args["p_y"]))
+            npt.assert_array_equal(y, y_step(args["y_sigma"], x, cfg, p=args["p_y"],
+                                             current=args["y0"]))
         assert trace.mse[-1] < trace.mse[0]
         assert np.diff(trace.mse).max() <= 0.0
 
@@ -617,34 +640,36 @@ class TestInnerCycle:
         _, trace = design_pilots(
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=6)
         )
-        rounds = trace.outer_iterations + 1
-        assert trace.outer_iterations == 6
-        assert calls == dict.fromkeys(calls, rounds)
+        assert trace.stop_reason == "max_outer"
+        assert calls == dict.fromkeys(calls, 7)
 
     def test_design_matches_alternation_until_stable(self, monkeypatch):
         # zcz-sized (4x4, B = 16, k = 2), from the generic (k = 0) start:
         # both links stay active, so the reference alternation runs a
         # second, confirming round, and restores X against the Y it ends
-        # with.  The round matches it only while that confirming round
-        # settles; from the design's row split the alternation runs all
-        # its 50 rounds without settling, and the traces part by 2.3e-5
-        # relative within 20 iterations.
+        # with.  Every round of the design, MM and extrapolation rounds
+        # alike, is fed from its recorded inputs to the alternation, which
+        # must give the same notes, solves and per-link MSEs.  Round by
+        # round, since over a whole trace the extrapolations multiply the
+        # 1e-14 differences of single rounds by alpha^2, to 4e-7.
         dl = build_scenario(4, 4, 16)
         ul = reciprocal_scenario(dl)
         cfg = DesignConfig(k=2, max_outer=20, seed=0)
         p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
         start = _start(dl, ul, dataclasses.replace(cfg, k=0), p_x, p_y)
-        _, one = _descend(dl, ul, cfg, *start, p_x, p_y)
+        rounds = record_rounds(monkeypatch)
+        _, trace = _descend(dl, ul, cfg, *start, p_x, p_y)
+        monkeypatch.undo()
+        assert len(rounds) == cfg.max_outer + 1 and sum(trace.extrapolated) > 0
         calls = count_calls(monkeypatch, "x_step")
-        monkeypatch.setattr(designer, "inner_cycle", alternate_until_stable)
-        _, ref = _descend(dl, ul, cfg, *start, p_x, p_y)
-        rounds = ref.outer_iterations + 1
-        assert rounds < calls["x_step"] <= 2 * rounds
-        assert one.outer_iterations == ref.outer_iterations
-        assert one.converged == ref.converged
-        assert one.stop_reason == ref.stop_reason
-        assert one.warnings == ref.warnings
-        npt.assert_allclose(one.mse, ref.mse, rtol=1e-10, atol=0.0)
+        for args, (x, y, notes, steps) in rounds:
+            ref_x, ref_y, ref_notes, ref_steps = alternate_until_stable(**args)
+            assert (notes, steps) == (ref_notes, ref_steps)
+            npt.assert_allclose(
+                [channel_mse_lemma(x, dl), channel_mse_lemma(y, ul)],
+                [channel_mse_lemma(ref_x, dl), channel_mse_lemma(ref_y, ul)],
+                rtol=1e-10, atol=0.0)
+        assert len(rounds) < calls["x_step"] <= 2 * len(rounds)
 
 
 def mm_curvature(v, s):
@@ -865,15 +890,19 @@ class TestFactorizationReuse:
             factored[s] += 1
             return fused(p, s)
 
-        restored = count_calls(monkeypatch, "_restore_sidelobes")
+        calls = count_calls(monkeypatch, "_restore_sidelobes", "inner_cycle")
         monkeypatch.setattr(designer, "mse_and_optimal_V", counting)
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
-        assert trace.outer_iterations == 8
-        # With k = 2 the start and every iteration restored X, and each
-        # pair was scored once (no extra trial factorings); the k >= 1
-        # start takes one more V* per link, for its own MM targets.
-        rounds = trace.outer_iterations + 1
-        assert restored["_restore_sidelobes"] == (rounds if k else 0)
+        # Every round, the start's and each extrapolation's included, is
+        # scored once (no extra trial factorings) and for k = 2 restores
+        # X; the k >= 1 start takes one more V* per link, for its own MM
+        # targets.  A rejected extrapolation is a round without a trace
+        # row: for k = 2 one of the two is, and the 9 rounds give 8 rows.
+        rounds = calls["inner_cycle"]
+        assert rounds == 9
+        assert trace.rejected_extrapolations == (1 if k else 0)
+        assert len(trace.mse) + trace.rejected_extrapolations == rounds
+        assert calls["_restore_sidelobes"] == (rounds if k else 0)
         assert list(factored.values()) == [rounds + (k > 0)] * 2
 
     def test_per_iterate_factors_are_n_t_sized(self, monkeypatch):
@@ -1506,18 +1535,19 @@ class TestWorkloadTrajectories:
     # B = 64, k = 0, eta = 1e-9, max_outer = 40).  The MSE at iterations
     # 0, 1, 10 and the last, and the stop, pin each trajectory; a change
     # that means to move one updates it here.  ref and zcz start from the
-    # row split, which keeps both links active, and stop by eta; kron
-    # (k = 0) starts from the generic impulses and runs to max_outer.
+    # row split, which keeps both links active, take SQUAREM cycles and
+    # stop by eta; kron (k = 0) starts from the generic impulses, takes
+    # plain MM rounds and runs to max_outer.
 
     @pytest.mark.parametrize(
         "dims, cfg, mse, stop",
         [
             ((4, 4, 8, 32.0), DesignConfig(k=4),
-             (0.03897336944197968, 0.03891525896419892, 0.0384940641706268,
-              0.03731845282593288), (80, "eta")),
+             (0.03897336944197968, 0.03891525896419888, 0.03653095016902409,
+              0.03595181903713524), (26, "eta")),
             ((4, 4, 16, 32.0), DesignConfig(k=2),
-             (0.01603636376913512, 0.015981637728308982, 0.015527809427913201,
-              0.01234045204690461), (162, "eta")),
+             (0.01603636376913512, 0.015981637728308982, 0.01239532041568558,
+              0.01116339823593437), (23, "eta")),
             ((8, 8, 64, None), DesignConfig(k=0, eta=1e-9, max_outer=40),
              (0.0009709616111532183, 0.0009708714784540272,
               0.000970062078731099, 0.000967387157933936), (40, "max_outer")),
@@ -1542,21 +1572,26 @@ class TestWorkloadTrajectories:
     )
     def test_restoration_solves_per_round(self, dims, cfg, monkeypatch):
         # The restoration stops a tenth of the way into its margin, after
-        # 0.91 (ref) and 0.88 (zcz) Gauss-Newton solves per round; a stop
-        # just above the level, level * (1 + 1e-9), takes 1.69 and 0.96.
-        # kron (k = 0) never restores.  The trace's restore_steps counts
-        # the same solves, one entry per iteration.
+        # 1.07 (ref) and 1.04 (zcz) Gauss-Newton solves per round, against
+        # 0.91 and 0.88 from plain MM rounds (the extrapolation rounds
+        # restore more); a stop just above the level, level * (1 + 1e-9),
+        # took 1.69 and 0.96 there.  kron (k = 0) never restores.  The
+        # trace's restore_steps counts the solves of the rounds it has a
+        # row for, every round but a rejected extrapolation.
         solves = []
         solve = np.linalg.solve
         monkeypatch.setattr(
             np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b)
         )
+        rounds = record_rounds(monkeypatch)
         n_t, n_r, b, gamma = dims
         dl = build_scenario(n_t, n_r, b, gamma=gamma)
         _, trace = design_pilots(dl, reciprocal_scenario(dl), cfg)
+        steps = [out[3] for _, out in rounds]
         assert len(trace.restore_steps) == trace.outer_iterations + 1
-        assert sum(trace.restore_steps) == len(solves)
-        assert len(solves) <= (2.0 * len(trace.restore_steps) if cfg.k else 0)
+        assert len(rounds) == len(trace.mse) + trace.rejected_extrapolations
+        assert sum(steps) == len(solves) >= sum(trace.restore_steps)
+        assert len(solves) <= (2.0 * len(rounds) if cfg.k else 0)
 
 
 def split_start(dl, ul, cfg, s_y):
@@ -1640,3 +1675,131 @@ class TestStartAndDescend:
         for block, p in zip((pair.x, pair.y), start[-2:]):
             assert _column_power(block).max() <= p * (1 + 1e-12)
         assert trace.warnings == []
+
+
+def plain_mm(dl, ul, cfg, x, y, x_sigma, y_sigma, p_x, p_y):
+    """One MM round after another from a start, each aimed at the last
+    round's MM targets, until a round moves the total MSE by less than eta
+    or max_outer rounds after the start's have run: (x, y, mse, stop)."""
+    rows = []
+    for it in range(cfg.max_outer + 1):
+        if it:
+            x_sigma = build_sigma_target(links[0][1], x, dl)
+            y_sigma = build_sigma_target(links[1][1], y, ul)
+        x, y, _, _ = inner_cycle(x_sigma, y_sigma, x, y, cfg, p_x=p_x, p_y=p_y)
+        links = mse_and_optimal_V(x, dl), mse_and_optimal_V(y, ul)
+        rows.append(links[0][0] + links[1][0])
+        if it and abs(rows[-2] - rows[-1]) < cfg.eta:
+            return x, y, rows, "eta"
+    return x, y, rows, "max_outer"
+
+
+class TestSquarem:
+    # k >= 1 designs run SQUAREM cycles (_descend): two MM rounds, then
+    # one round toward the extrapolated pair from the second, kept only if
+    # it does not raise the total MSE; k = 0 runs plain MM rounds
+
+    @pytest.mark.parametrize(
+        "dims, k, seed, mse, rounds",
+        [((4, 4, 8, 32.0), 4, 0, 0.0373185, 81),
+         ((4, 4, 8, 32.0), 4, 1, 0.0395956, 122),
+         ((4, 4, 8, 32.0), 4, 2, 0.0394079, 136),
+         ((4, 4, 8, 32.0), 4, 3, 0.0370391, 104),
+         ((4, 4, 16, 32.0), 2, 0, 0.0123405, 163),
+         ((4, 4, 16, 32.0), 2, 1, 0.0124657, 173)],
+        ids=["ref-0", "ref-1", "ref-2", "ref-3", "zcz-0", "zcz-1"],
+    )
+    def test_benchmark_panels_end_lower_in_fewer_rounds(self, dims, k, seed, mse,
+                                                        rounds, monkeypatch):
+        # the benchmark's panel seeds, against the final MSE and the round
+        # count of plain MM rounds from the same start (b703519)
+        calls = count_calls(monkeypatch, "inner_cycle")
+        n_t, n_r, b, gamma = dims
+        dl = build_scenario(n_t, n_r, b, gamma=gamma)
+        pair, trace = design_pilots(dl, reciprocal_scenario(dl),
+                                    DesignConfig(k=k, seed=seed))
+        assert trace.stop_reason == "eta" and trace.converged
+        assert trace.mse[-1] <= mse
+        assert calls["inner_cycle"] < rounds
+        assert sum(trace.extrapolated) > 0
+        assert np.diff(trace.mse).max() <= 0.0
+
+    def test_rejected_extrapolation_keeps_theta2(self, monkeypatch):
+        # Every extrapolation round, the one round not aimed at fresh MM
+        # targets, is scored 1 higher on the downlink: each is rejected and
+        # adds no row, and the next MM round starts from the pair before it
+        built = [0]
+        build = designer.build_sigma_target
+        extrapolating = []  # per round: whether it is an extrapolation
+
+        def counted(*args):
+            built[0] += 1
+            return build(*args)
+
+        rounds = record_rounds(monkeypatch)
+        cycle = designer.inner_cycle
+
+        def tagged(*args, **kwargs):
+            extrapolating.append(bool(extrapolating) and not built[0])
+            built[0] = 0
+            return cycle(*args, **kwargs)
+
+        fused = designer.mse_and_optimal_V
+
+        def scored(p, s):
+            mse, v = fused(p, s)
+            return (mse + 1.0 if extrapolating and extrapolating[-1] and s is dl
+                    else mse), v
+
+        monkeypatch.setattr(designer, "build_sigma_target", counted)
+        monkeypatch.setattr(designer, "inner_cycle", tagged)
+        monkeypatch.setattr(designer, "mse_and_optimal_V", scored)
+        dl = build_scenario(4, 4, 8, gamma=32.0)
+        ul = reciprocal_scenario(dl)
+        pair, trace = design_pilots(dl, ul, DesignConfig(k=4, max_outer=12))
+        jumps = np.flatnonzero(extrapolating)
+        assert len(jumps) >= 2 and trace.rejected_extrapolations == len(jumps)
+        assert trace.extrapolated == [0] * len(trace.mse)
+        assert len(trace.mse) == len(rounds) - len(jumps)
+        kept = [out for j, (_, out) in enumerate(rounds) if j not in jumps]
+        assert trace.mse == [channel_mse_lemma(x, dl) + channel_mse_lemma(y, ul)
+                             for x, y, _, _ in kept]
+        for j in jumps:
+            before = rounds[j - 1][1]
+            for args, _ in rounds[j : j + 2]:
+                npt.assert_array_equal(args["x0"], before[0])
+                npt.assert_array_equal(args["y0"], before[1])
+        npt.assert_array_equal(pair.x, kept[-1][0])
+        npt.assert_array_equal(pair.y, kept[-1][1])
+
+    @pytest.mark.parametrize("max_outer", range(1, 9))
+    def test_rounds_within_max_outer(self, max_outer, monkeypatch):
+        # max_outer caps the rounds after the start's, extrapolations
+        # included; a run that it stops has used them all
+        calls = count_calls(monkeypatch, "inner_cycle")
+        dl = build_scenario(4, 4, 8, gamma=32.0)
+        _, trace = design_pilots(dl, reciprocal_scenario(dl),
+                                 DesignConfig(k=4, max_outer=max_outer, eta=1e-12))
+        assert trace.stop_reason == "max_outer"
+        assert calls["inner_cycle"] == max_outer + 1
+        assert trace.outer_iterations == len(trace.mse) - 1 <= max_outer
+
+    @pytest.mark.parametrize(
+        "dims, cfg",
+        [((8, 8, 64, None), DesignConfig(k=0, eta=1e-9, max_outer=40)),
+         ((2, 3, 6, None), DesignConfig(k=0, seed=4))],
+        ids=["kron-8x8-b64-k0", "2x3-b6-k0"],
+    )
+    def test_k0_is_plain_mm(self, dims, cfg):
+        n_t, n_r, b, gamma = dims
+        dl = build_scenario(n_t, n_r, b, gamma=gamma)
+        ul = reciprocal_scenario(dl)
+        p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
+        start = _start(dl, ul, cfg, p_x, p_y)
+        pair, trace = _descend(dl, ul, cfg, *start, p_x, p_y)
+        x, y, mse, stop = plain_mm(dl, ul, cfg, *start, p_x, p_y)
+        assert trace.mse == mse and trace.stop_reason == stop
+        assert trace.extrapolated == [0] * len(mse)
+        assert trace.rejected_extrapolations == 0
+        npt.assert_array_equal(pair.x, x)
+        npt.assert_array_equal(pair.y, y)
