@@ -86,10 +86,11 @@ _RESTORE_MAX_STEPS = 50
 # The rank rule of a k >= 1 round's zones (_zone_basis), which project the
 # move from the current pilot (_in_zone), relative to the largest singular
 # value: along every direction above it the pilot keeps its coordinates,
-# and so the cross residual it meets.  The leaks of converged zcz pilots (B = 16, k = 2) into
-# each other's rows give directions from 3.9e-14 up; the rounding of a
-# pilot's zero entries gives ones of 2e-15, which a move of the pilot's
-# own length along them turns into a residual of that order only.
+# and so the cross residual it meets.  The leaks of converged zcz pilots
+# (B = 16, k = 2) into each other's rows give directions from 3.9e-14 up;
+# the rounding of a pilot's zero entries gives ones of 2e-15, which a move
+# of the pilot's own length along them turns into a residual of that order
+# only.
 _MOVE_RANK = 5e-15
 
 # A round's note for a link whose zone is {0}: only zero columns are feasible.

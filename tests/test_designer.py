@@ -1712,7 +1712,8 @@ class TestSquarem:
     def test_benchmark_panels_end_lower_in_fewer_rounds(self, dims, k, seed, mse,
                                                         rounds, monkeypatch):
         # the benchmark's panel seeds, against the final MSE and the round
-        # count of plain MM rounds from the same start (b703519)
+        # count that plain MM rounds, the k >= 1 loop before SQUAREM,
+        # reached from the same start
         calls = count_calls(monkeypatch, "inner_cycle")
         n_t, n_r, b, gamma = dims
         dl = build_scenario(n_t, n_r, b, gamma=gamma)
