@@ -31,14 +31,15 @@ round notes.  Both steps start with the same zone projection t - U U^H t
 (_in_zone: t itself for U without columns, zero for U of rank b); for
 k >= 1 a round projects only the move from the current pilot, in a zone
 whose rank rule keeps far weaker directions (_MOVE_RANK), so that a pair
-keeps the cross residual it meets.  The uplink, and the downlink for
-k = 0, then cap each column to the ball (_shrink_into_sets), the exact
-projection.  For k >= 1 the downlink's projection goes straight into the
-restoration below, inside the same zone, whose final cap into the ball
-and the ellipsoids is its only one: a feasible point near the target,
-and a design's only X step.  x_step is the projection that acceptance
-criteria 6 and 7 and tests/oracles.py alternate_until_stable check, and
-_shrink_into_sets' only k >= 1 caller.
+keeps the cross residual it meets.  The uplink then caps each column to
+the ball (_shrink_into_sets), the exact projection.  The downlink's
+projection goes straight into the restoration below, inside the same
+zone, whose final cap into the ball and the ellipsoids is its only one
+and a design's only X step: for k = 0, with no lags to restore, the ball
+cap, the exact projection; for k >= 1 a feasible point near the target.
+x_step is the projection that acceptance criteria 6 and 7 and
+tests/oracles.py alternate_until_stable check, and _shrink_into_sets'
+only k >= 1 caller.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
@@ -200,10 +201,10 @@ def _cap_into_sets(x, n2, r, p):
     from its power n2 = ||x||^2 and its sidelobes r_m = x^H J_m x, m = 1..k.
 
     The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(n2 + Re r_m) (J_m
-    is real), so the ellipsoid m holds iff n2 + Re r_m <= p.  r = None
-    (k = 0) is the plain cap to the ball.
+    is real), so the ellipsoid m holds iff n2 + Re r_m <= p.  r = None,
+    or a stack of no lags (k = 0), is the plain cap to the ball.
     """
-    top = n2 if r is None else np.maximum(n2, (n2 + r.real).max(axis=0))
+    top = n2 if r is None else n2 + r.real.max(axis=0, initial=0.0)
     return x * np.sqrt(np.where(top > p, p / np.maximum(top, _TINY), 1.0))
 
 
@@ -288,9 +289,8 @@ def y_step(y_target, x_fixed, cfg, p=None, current=None):
 
     The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
     lags}: the k = 0 case of the downlink step, with the transposed
-    shifts J_m^T x_q as cross vectors.  A zero target, the MM target of a
-    zero pilot, is its own projection and builds no zone; its fixed block
-    is checked all the same.
+    shifts J_m^T x_q as cross vectors.  Without current, a zero target,
+    the MM target of a zero pilot, projects to zero columns.
 
     With the current pilot, a feasible matrix of the target's shape, only
     the move from it is projected, in the zone at its numerical rank
@@ -303,9 +303,6 @@ def y_step(y_target, x_fixed, cfg, p=None, current=None):
     if current is not None and np.shape(current) != y_target.shape:
         raise ValueError(f"current pilot of shape {np.shape(current)} does not "
                          f"match its target of shape {y_target.shape}")
-    if not y_target.any():
-        _check_fixed(x_fixed, len(y_target), cfg)
-        return np.zeros_like(y_target)
     span = _zone_basis(x_fixed, y_target.shape[0], cfg, True, current is not None)
     y = _shrink_into_sets(_in_zone(span, y_target, current), 0, p)
     if current is None:
@@ -317,20 +314,21 @@ def y_step(y_target, x_fixed, cfg, p=None, current=None):
 def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     """One round toward the MM targets from the current pair (x0, y0).
 
-    For k = 0, X is the zone projection of x_sigma against y0, capped to
-    the ball, and Y = y_step(y_sigma) against that X.  For k >= 1 each
-    pilot moves from its current value instead: X is x0 plus the zone
-    projection of x_sigma - x0, in y0's zone at its numerical rank
-    (_zone_basis with move, _in_zone with current), and goes uncapped
-    into the sidelobe restoration inside the same zone basis
-    (_restore_sidelobes; a column already inside takes no step), whose
-    last cap is X's only one; Y = y_step(y_sigma, current=y0) against that
-    X.  A column of X that ends farther from its target than x0's, or not
-    inside the bound, keeps x0's column.  Returns
-    (X, Y, notes, steps): notes has one string per event of the round (a
-    downlink zone of {0}, each column held for the bound with its residual,
-    and an uplink whose nonzero target was projected to zero, its zone {0}),
-    and steps counts the restoration's Gauss-Newton solves (0 for k = 0).
+    X is the zone projection of x_sigma against y0, and goes uncapped into
+    the sidelobe restoration inside the same zone basis
+    (_restore_sidelobes; a column already inside takes no step, and for
+    k = 0, with no lags, none steps), whose last cap is X's only one, for
+    k = 0 the ball cap; Y = y_step(y_sigma) against that X.  For k >= 1
+    each pilot moves from its current value instead: X is x0 plus the
+    zone projection of x_sigma - x0, in y0's zone at its numerical rank
+    (_zone_basis with move, _in_zone with current), and Y =
+    y_step(y_sigma, current=y0).  A column of X that ends farther from
+    its target than x0's, or not inside the bound, keeps x0's column.
+    Returns (X, Y, notes, steps): notes has one string per event of the
+    round (a downlink zone of {0}, each column held for the bound with its
+    residual, and an uplink whose nonzero target was projected to zero,
+    its zone {0}), and steps counts the restoration's Gauss-Newton solves
+    (0 for k = 0).
     x0 must have x_sigma's shape; a ValueError names both otherwise.
 
     x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
@@ -359,10 +357,7 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     span = _zone_basis(y0, b, cfg, False, moves)
     notes = [_COLLAPSE_NOTE.format("downlink")] if span.shape[1] == b else []
     x = _in_zone(span, x_sigma, x0 if moves else None)
-    if cfg.k:
-        x, worst, steps = _restore_sidelobes(x, span, p_x, cfg)
-    else:
-        x, worst, steps = _shrink_into_sets(x, 0, p_x), np.zeros(x.shape[1]), 0
+    x, worst, steps = _restore_sidelobes(x, span, p_x, cfg)
     over = ~(worst <= SIDELOBE_DELTA)
     if over.any():
         notes += [f"column {q} keeps its current value: its sidelobe restoration "
@@ -414,16 +409,14 @@ def build_sigma_target(v, p_current, s):
     G = -Phi D R_tx (_curvature), so T(P0) + G = Phi (core Phi^H P0 - D)
     R_tx, and with Phi^H Phi = A^H A, lam_max(K) = lam_max(A core A^H),
     both n_t x n_t.  A comes from the Gram of Phi's columns scaled to unit
-    norm, so that its rounding is relative to each column.  A zero Phi
-    (V2 = 0) makes F constant in P and returns P0, without an eigenvalue
-    solve.
+    norm, so that its rounding is relative to each column.  A lam that is
+    not positive and finite returns P0: so does a zero Phi (V2 = 0), which
+    makes F constant in P and lam 0.
     """
     p_current = _checked(p_current, s)
     phi = v[0]
     if phi.shape != (s.b, s.n_t) or v[1].shape != (s.n_r, s.n_t):
         raise ValueError("auxiliary variable does not conform with the scenario")
-    if not phi.any():
-        return p_current.copy()
     core, lin = _curvature(v, s)
     norms = np.linalg.norm(phi, axis=0) + _TINY
     unit = phi / norms
@@ -509,8 +502,10 @@ def _restore_sidelobes(x, span, p, cfg):
     J_m^T x too.  Steps and stops read only |h_m|, and a step scales with
     x, so the restoration is scale-equivariant: its final cap
     (_cap_into_sets), from the last pass's measures, is the only cap a
-    column needs, and keeps the zone and every |h_m|.  Returns the matrix,
-    each column's max_m |h_m| and the number of steps (batched solves).
+    column needs, and keeps the zone and every |h_m|.  For k = 0 there are
+    no lags: no column steps, every max_m |h_m| is 0 and the cap is the
+    ball's.  Returns the matrix, each column's max_m |h_m| and the number
+    of steps (batched solves).
     """
     k = cfg.k
     for step in range(_RESTORE_MAX_STEPS + 1):
@@ -520,7 +515,7 @@ def _restore_sidelobes(x, span, p, cfg):
         s = np.maximum(n2, _TINY)
         h = (np.einsum("bq,mbq->mq", x, jx) if cfg.literal_transpose else r[1:]) / s
         mag = np.abs(h)
-        worst = mag.max(axis=0)
+        worst = mag.max(axis=0, initial=0.0)
         act = (mag > _RESTORE_ACTIVE) & (worst > _RESTORE_DONE)
         if step == _RESTORE_MAX_STEPS or not act.any():
             break

@@ -63,20 +63,16 @@ def mse_and_optimal_V(p, s):
     mse = sum_i t_i sum_j ||F U[:, j]||^2 c_ij with the mode traces
     t_i = lam_i ||S^-1[i, :]||^2 (ChannelScenario.mse_weights).  V* is
     returned as (Phi, c, Psi), of shapes (B, n_t), (n_r, n_t) and
-    (n_t, n_t).  A zero pilot takes the same expressions at d = 0 and
-    U = I without an eigendecomposition: its MSE is the prior trace and V*
-    is (0, ones, F^H).  Raises LinAlgError when M_time or M_rx is not
-    positive definite.
+    (n_t, n_t).  A zero pilot's Gram is 0, whose eigendecomposition is
+    d = 0 and U = I: its MSE is the prior trace and V* is (0, ones, F^H).
+    Raises LinAlgError when M_time or M_rx is not positive definite.
     """
     p = _checked(p, s)
     f = s.transmit_eig[0]
     low_inv, low_inv_h = s.time_whitener
-    if p.any():
-        white = low_inv @ (p @ f)
-        d, u = np.linalg.eigh(white.conj().T @ white)
-        fu, phi = f @ u, low_inv_h @ (white @ u)
-    else:  # a zero pilot's Gram is 0: d = 0 and U = I give FU = F and Phi = 0
-        d, fu, phi = np.zeros(s.n_t), f, np.zeros_like(p)
+    white = low_inv @ (p @ f)
+    d, u = np.linalg.eigh(white.conj().T @ white)
+    fu, phi = f @ u, low_inv_h @ (white @ u)
     c = 1.0 / (1.0 + s.receive_eig[0][:, None] * d)
     mse = float(s.mse_weights @ (c @ (abs(fu) ** 2).sum(axis=0)))
     return mse, (phi, c, fu.conj().T)

@@ -373,17 +373,15 @@ class TestYStep:
         with pytest.raises(ValueError, match=re.escape("shape (8, 2) does not match")):
             y_step(target, x, cfg, current=np.zeros((8, 2)))
 
-    def test_zero_target_builds_no_zone(self, monkeypatch):
+    def test_zero_target_projects_to_zero(self):
         # a zero pilot's MM target is zero (its V* is zero), and a zero
-        # target is its own projection: no zone basis is built for it
-        calls = count_calls(monkeypatch, "_zone_basis")
+        # target projects to zero columns
         cfg = DesignConfig(k=3, p=1.0)
         x = crandn(np.random.default_rng(8), 8, 2)
         target = np.zeros((8, 3))
         out = y_step(target, x, cfg)
         assert out.dtype == np.complex128 and out.shape == (8, 3)
         assert not out.any()
-        assert calls == {"_zone_basis": 0}
         npt.assert_array_equal(out, _in_zone(_zone_basis(x, 8, cfg, True), target))
         with pytest.raises(ValueError, match="no per-column power bound"):
             y_step(target, x, DesignConfig(k=3))
@@ -680,15 +678,13 @@ def mm_curvature(v, s):
 
 
 class TestSigmaTarget:
-    def test_zero_v2_returns_current(self, monkeypatch):
+    def test_zero_v2_returns_current(self):
         rng = np.random.default_rng(0)
         s = build_scenario(2, 2, 4)
         p0 = crandn(rng, 4, 2)
         v = optimal_V(np.zeros((4, 2)), s)  # v2 = 0
         assert not np.any(v[0])
-        # F is constant in P: no eigenvalue problem is solved
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, None)
+        # F is constant in P: the step's curvature norm is 0
         out = build_sigma_target(v, p0, s)
         npt.assert_array_equal(out, p0)
 
@@ -894,15 +890,15 @@ class TestFactorizationReuse:
         monkeypatch.setattr(designer, "mse_and_optimal_V", counting)
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
         # Every round, the start's and each extrapolation's included, is
-        # scored once (no extra trial factorings) and for k = 2 restores
-        # X; the k >= 1 start takes one more V* per link, for its own MM
+        # scored once (no extra trial factorings) and restores X; the
+        # k >= 1 start takes one more V* per link, for its own MM
         # targets.  A rejected extrapolation is a round without a trace
         # row: for k = 2 one of the two is, and the 9 rounds give 8 rows.
         rounds = calls["inner_cycle"]
         assert rounds == 9
         assert trace.rejected_extrapolations == (1 if k else 0)
         assert len(trace.mse) + trace.rejected_extrapolations == rounds
-        assert calls["_restore_sidelobes"] == (rounds if k else 0)
+        assert calls["_restore_sidelobes"] == rounds
         assert list(factored.values()) == [rounds + (k > 0)] * 2
 
     def test_per_iterate_factors_are_n_t_sized(self, monkeypatch):
@@ -1205,12 +1201,47 @@ class TestSidelobeBound:
         assert ellipsoid_values(x, cfg.k).max() <= 2.0 * cfg.p * (1 + 1e-12)
 
     def test_k0_runs_no_restoration(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("restoration ran with k = 0")
+        # k = 0 has no lags: every round's restoration takes no step and
+        # holds no column, and its cap is the ball's, so X is the zone
+        # projection of its target, capped to the ball, with the hold.  On
+        # n_t = B = 4 the uplink collapses, and the rounds score Y = 0.
+        restore = designer._restore_sidelobes
+        restored = []
+        monkeypatch.setattr(designer, "_restore_sidelobes",
+                            lambda *args: restored.append(restore(*args)) or restored[-1])
+        rounds = record_rounds(monkeypatch)
+        cfg = DesignConfig(k=0, max_outer=5)
 
-        monkeypatch.setattr(designer, "_restore_sidelobes", fail)
-        dl = build_scenario(2, 2, 4)
-        design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=0, max_outer=5))
+        def projected_capped_held(x_sigma, x0, y0, p_x):
+            x = _shrink_into_sets(_in_zone(_zone_basis(y0, 4, cfg, False), x_sigma), 0, p_x)
+            far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
+            return np.where(far, x0, x)
+
+        for n_t in (2, 4):
+            restored.clear()
+            rounds.clear()
+            dl = build_scenario(n_t, n_t, 4)
+            ul = reciprocal_scenario(dl)
+            p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
+            pair, trace = design_pilots(dl, ul, cfg)
+            assert len(restored) == len(rounds) == 6
+            for _, worst, steps in restored:
+                assert steps == 0 and not worst.any()
+            assert trace.restore_steps == [0] * 6
+            assert pair.y.any() == (n_t < 4)
+            for args, (x, *_) in rounds:
+                want = projected_capped_held(args["x_sigma"], args["x0"], args["y0"], p_x)
+                assert x.tobytes() == want.tobytes()
+            # from a current X whose columns 1.. are their own targets,
+            # those are held and column 0 moves from zero
+            args = rounds[1][0]
+            x_sigma, y0 = args["x_sigma"], args["y0"]
+            x0 = x_sigma.copy()
+            x0[:, 0] = 0.0
+            x = inner_cycle(x_sigma, args["y_sigma"], x0, y0, cfg, p_x=p_x, p_y=p_y)[0]
+            assert x.tobytes() == projected_capped_held(x_sigma, x0, y0, p_x).tobytes()
+            npt.assert_array_equal(x[:, 1:], x_sigma[:, 1:])
+            assert x[:, 0].any()
 
     def test_unrestorable_start_keeps_impulses(self, monkeypatch):
         # No Gauss-Newton steps, and random iteration-0 targets for X in

@@ -183,21 +183,17 @@ class TestFusedMseAndV:
         # criterion 2's tolerance for the lemma against the information form
         assert abs(mse - channel_mse_direct(p, s)) <= 1e-8 * mse
 
-    @pytest.mark.parametrize("n_t,n_r,b", [(3, 2, 5), (4, 4, 8)])
-    def test_zero_pilot_takes_no_eigendecomposition(self, n_t, n_r, b, monkeypatch):
-        # a zero pilot's Gram is 0: its score is the eigh path's at d = 0
-        # and U = I, the prior trace, with V* = (0, ones, F^H)
+    @pytest.mark.parametrize("n_t,n_r,b", [(3, 2, 5), (4, 4, 8), (8, 8, 64)])
+    def test_zero_pilot_scores_as_its_prior(self, n_t, n_r, b):
+        # a zero pilot's Gram is 0, whose eigendecomposition is d = 0 and
+        # U = I exactly: its score is the prior trace, with V* = (0, ones,
+        # F^H) bit for bit
         s = build_scenario(
             n_t, n_r, b, rho_rt=0.5 + 0.3j, rho_rr=-0.4 + 0.2j, rho_mt=0.1 - 0.6j
         )
         p = np.zeros((b, n_t))
         direct = channel_mse_direct(p, s)
-        mse_and_optimal_V(np.ones((b, n_t)), s)  # the scenario's cached factors
-        shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
         mse, (phi, c, psi) = mse_and_optimal_V(p, s)
-        assert shapes == []
         npt.assert_array_equal(phi, np.zeros((b, n_t)))
         npt.assert_array_equal(c, np.ones((n_r, n_t)))
         npt.assert_array_equal(psi, s.transmit_eig[0].conj().T)
