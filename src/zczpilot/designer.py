@@ -3,15 +3,17 @@
 Each MM step refreshes the closed-form auxiliary minimizers for both
 link directions, builds majorize-minimize targets for the two pilot
 blocks, and then takes one round (inner_cycle) toward the constraint
-sets, X first and then Y against the new X: per-column power balls, zero
-cross-correlation between the two pilots over a lag window, and the
-convexified low-autocorrelation ellipsoids on the downlink (sensing)
-pilot.  _start builds the start (k >= 1: phased impulses of Y and X on
-disjoint rows, which no lag of the zone correlates, so that both links
-train; k = 0: unit impulses, Y0 = 0 and seeded random targets), and
-_descend runs the rounds from any feasible pair: for k = 0 one MM step
-after another, for k >= 1 SQUAREM cycles of two MM steps and one
-extrapolated round, kept only when it lowers the MSE.
+sets: per-column power balls, zero cross-correlation between the two
+pilots over a lag window, and on the downlink (sensing) pilot the
+convexified low-autocorrelation ellipsoids and a 30 dB sidelobe bound.
+A round is one link step (_link_step) taken twice, X against the current
+Y and then Y against the new X.  _start builds the start (k >= 1: phased
+impulses of Y and X on disjoint rows, which no lag of the zone
+correlates, so that both links train; k = 0: unit impulses, Y0 = 0 and
+seeded random targets), and _descend runs the rounds from any feasible
+pair: for k = 0 one MM step after another, for k >= 1 SQUAREM cycles of
+two MM steps and one extrapolated round, kept only when it lowers the
+MSE.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -27,34 +29,34 @@ its constraint vectors: the fixed pilot shifted by each lag, one slice
 per lag (_shifted; the uplink's J_m^T x is R J_m R x, R the row flip).
 One thin SVD and a rank rule turn them into an orthonormal basis U of
 their span (_zone_basis); U of rank b means the zone is {0}, which the
-round notes.  Both steps start with the same zone projection t - U U^H t
-(_in_zone: t itself for U without columns, zero for U of rank b); for
-k >= 1 a round projects only the move from the current pilot, in a zone
-whose rank rule keeps far weaker directions (_MOVE_RANK), so that a pair
-keeps the cross residual it meets.  The uplink then caps each column to
-the ball (_shrink_into_sets), the exact projection.  The downlink's
-projection goes straight into the restoration below, inside the same
-zone, whose final cap into the ball and the ellipsoids is its only one
-and a design's only X step: for k = 0, with no lags to restore, the ball
-cap, the exact projection; for k >= 1 a feasible point near the target.
-x_step is the projection that acceptance criteria 6 and 7 and
-tests/oracles.py alternate_until_stable check, and _shrink_into_sets'
-only k >= 1 caller.
+link step notes.  A link step projects its target into the zone, t -
+U U^H t (_in_zone: t itself for U without columns, zero for U of rank
+b), or for k >= 1 only the move from the current pilot, in a zone whose
+rank rule keeps far weaker directions (_MOVE_RANK), so that a pair keeps
+the cross residual it meets.  The projection goes straight into the
+sidelobe restoration (_restore_sidelobes) inside the same zone, with the
+link's lags, 1..k for X and none for Y; its final cap into the ball and
+the ellipsoids is the step's only one.  With no lags it takes no step
+and caps to the ball, the exact projection.  x_step and y_step are the
+plain projections (_project): the zone at the 1e-10 rank rule, then the
+cap into the ball and, for X, the ellipsoids.  Acceptance criteria 6 and
+7 and tests/oracles.py alternate_until_stable check them; a design calls
+neither.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
-r_m(x) = x^H J_m x, so for k >= 1 every round holds every column of the
+r_m(x) = x^H J_m x, so for k >= 1 X's step holds every column of the
 sensing pilot to the 30 dB bound |r_m(x_q)| <= 10^(-1.5) ||x_q||^2,
-m = 1..k, between its two steps: Gauss-Newton minimum-norm steps inside
-the zone of the current Y, taken by all violating columns together (one
-batched solve per step), and a power cap restore X before Y is
-projected against it.  A column of X that then ends farther from its MM
-target than the current column, or not inside the bound, keeps the
-current column, which is feasible.  The MM majorizer is
-separable by column, and the current Y is a candidate of the exact Y
-step, so every round is a descent step and every iterate is feasible (as
-in the constraint-handling MM of Sun, Babu & Palomar, IEEE TSP 2017):
-the total estimation MSE of the two links is non-increasing across the
-accepted iterates for every k.
+m = 1..k: Gauss-Newton minimum-norm steps inside the zone of the current
+Y, taken by all violating columns together (one batched solve per step),
+and a power cap restore X before Y steps against it.  A column of either
+pilot that then ends farther from its MM target than the current
+column, or not inside the bound, keeps the current column, which is
+feasible: x0 lies in y0's zone, and y0 in the new X's, since each column
+of X is x0's or lies in y0's zone and the zone is symmetric.  The MM
+majorizer is separable by column, so every round is a descent step and
+every iterate is feasible (as in the constraint-handling MM of Sun, Babu
+& Palomar, IEEE TSP 2017): the total estimation MSE of the two links is
+non-increasing across the accepted iterates for every k.
 """
 
 import operator
@@ -94,9 +96,10 @@ _RESTORE_MAX_STEPS = 50
 # only.
 _MOVE_RANK = 5e-15
 
-# A round's note for a link whose zone is {0}: only zero columns are feasible.
-_COLLAPSE_NOTE = ("{} cross-correlation constraints span the whole space; "
-                  "returning zero columns")
+# A round's notes for a downlink and an uplink zone of {0}, indexed by
+# transpose_shift: only zero columns are feasible.
+_COLLAPSE_NOTES = tuple(f"{link} cross-correlation constraints span the whole space; "
+                        "returning zero columns" for link in ("downlink", "uplink"))
 
 
 @dataclass(frozen=True)
@@ -201,18 +204,11 @@ def _cap_into_sets(x, n2, r, p):
     from its power n2 = ||x||^2 and its sidelobes r_m = x^H J_m x, m = 1..k.
 
     The ellipsoid value is x^H (J_m + J_m^T + 2I) x = 2(n2 + Re r_m) (J_m
-    is real), so the ellipsoid m holds iff n2 + Re r_m <= p.  r = None,
-    or a stack of no lags (k = 0), is the plain cap to the ball.
+    is real), so the ellipsoid m holds iff n2 + Re r_m <= p.  A stack of
+    no lags adds +0.0 to n2: the plain cap to the ball, bit for bit.
     """
-    top = n2 if r is None else n2 + r.real.max(axis=0, initial=0.0)
+    top = n2 + r.real.max(axis=0, initial=0.0)
     return x * np.sqrt(np.where(top > p, p / np.maximum(top, _TINY), 1.0))
-
-
-def _shrink_into_sets(x, k, p):
-    """Measure each column's power and, for k >= 1, its sidelobes, then cap
-    (_cap_into_sets); k = 0 builds no sidelobe stack.  Only x_step reaches
-    the k >= 1 branch: a design caps X in _restore_sidelobes."""
-    return _cap_into_sets(x, _column_power(x), _autocorr(x, k, False) if k else None, p)
 
 
 def _in_zone(span, t, current=None):
@@ -269,76 +265,58 @@ def _zone_basis(fixed, b, cfg, transpose_shift, move=False):
     return u[:, : np.count_nonzero(sv > tol * sv[0])]
 
 
+def _project(target, fixed, cfg, p, transpose_shift, lags):
+    """target's zone projection against `fixed` at the 1e-10 rank rule
+    (_zone_basis, _in_zone), capped into the ball and the ellipsoids of
+    lags 1..lags (_cap_into_sets; none for lags = 0)."""
+    p = _resolve_p(cfg, p)
+    target = np.asarray(target, dtype=np.complex128)
+    t = _in_zone(_zone_basis(fixed, target.shape[0], cfg, transpose_shift), target)
+    return _cap_into_sets(t, _column_power(t), _autocorr(t, lags, False), p)
+
+
 def x_step(x_target, y_fixed, cfg, p=None):
     """Move each target column into the downlink constraint set.
 
     The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
     columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}:
-    the zone projection (_in_zone), then the shrink into the ball and the
-    ellipsoids (_shrink_into_sets), a feasible point for k >= 1.  It is the
-    projection that acceptance criteria 6 and 7 and tests/oracles.py
-    alternate_until_stable check; a design's X step is inner_cycle's.
+    the zone projection, then the cap into the ball and the ellipsoids
+    (_project), a feasible point for k >= 1.  It is the projection that
+    acceptance criteria 6 and 7 and tests/oracles.py alternate_until_stable
+    check; a design's X step is inner_cycle's link step.
     """
-    x_target = np.asarray(x_target, dtype=np.complex128)
-    span = _zone_basis(y_fixed, x_target.shape[0], cfg, False)
-    return _shrink_into_sets(_in_zone(span, x_target), cfg.k, _resolve_p(cfg, p))
+    return _project(x_target, y_fixed, cfg, p, False, cfg.k)
 
 
-def y_step(y_target, x_fixed, cfg, p=None, current=None):
+def y_step(y_target, x_fixed, cfg, p=None):
     """Project each target column onto the uplink constraint set (exact).
 
     The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
-    lags}: the k = 0 case of the downlink step, with the transposed
-    shifts J_m^T x_q as cross vectors.  Without current, a zero target,
-    the MM target of a zero pilot, projects to zero columns.
-
-    With the current pilot, a feasible matrix of the target's shape, only
-    the move from it is projected, in the zone at its numerical rank
-    (_zone_basis with move, _in_zone with current), and then capped; a
-    column that ends farther from its target than current's keeps
-    current's.
+    lags}: x_step with no lags and the transposed shifts J_m^T x_q as
+    cross vectors (_project).  A zero target, the MM target of a zero
+    pilot, projects to zero columns.  A design's Y step is inner_cycle's
+    link step.
     """
-    y_target = np.asarray(y_target, dtype=np.complex128)
-    p = _resolve_p(cfg, p)
-    if current is not None and np.shape(current) != y_target.shape:
-        raise ValueError(f"current pilot of shape {np.shape(current)} does not "
-                         f"match its target of shape {y_target.shape}")
-    span = _zone_basis(x_fixed, y_target.shape[0], cfg, True, current is not None)
-    y = _shrink_into_sets(_in_zone(span, y_target, current), 0, p)
-    if current is None:
-        return y
-    far = _column_power(y - y_target) > _column_power(current - y_target)
-    return np.where(far, current, y)
+    return _project(y_target, x_fixed, cfg, p, True, 0)
 
 
-def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
-    """One round toward the MM targets from the current pair (x0, y0).
+def _link_step(target, current, fixed, cfg, p, lags, transpose_shift):
+    """One link's step of a round, from its current pilot toward its MM
+    target, against the other link's pilot `fixed` (transpose_shift picks
+    the uplink's cross vectors, _cross_vectors).
 
-    X is the zone projection of x_sigma against y0, and goes uncapped into
-    the sidelobe restoration inside the same zone basis
-    (_restore_sidelobes; a column already inside takes no step, and for
-    k = 0, with no lags, none steps), whose last cap is X's only one, for
-    k = 0 the ball cap; Y = y_step(y_sigma) against that X.  For k >= 1
-    each pilot moves from its current value instead: X is x0 plus the
-    zone projection of x_sigma - x0, in y0's zone at its numerical rank
-    (_zone_basis with move, _in_zone with current), and Y =
-    y_step(y_sigma, current=y0).  A column of X that ends farther from
-    its target than x0's, or not inside the bound, keeps x0's column.
-    Returns (X, Y, notes, steps): notes has one string per event of the
-    round (a downlink zone of {0}, each column held for the bound with its
-    residual, and an uplink whose nonzero target was projected to zero,
-    its zone {0}), and steps counts the restoration's Gauss-Newton solves
-    (0 for k = 0).
-    x0 must have x_sigma's shape; a ValueError names both otherwise.
+    The zone basis against fixed (_zone_basis, at _MOVE_RANK for k >= 1);
+    the target's zone projection, or for k >= 1 only its move from current
+    (_in_zone); the sidelobe restoration of lags 1..lags inside the same
+    zone, whose final cap is the step's only one (_restore_sidelobes; with
+    no lags no step and the ball cap); and the hold: a column that ends
+    farther from its target than current's, or over the bound, keeps
+    current's.  Returns (pilot, notes, steps): one note for a zone of {0}
+    and one per column held over the bound, with its residual, and the
+    restoration's Gauss-Newton solves.  current must have the target's
+    shape; a ValueError names both otherwise.
 
-    x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
-    column of X does too, and none is farther from its target than x0's:
-    the MM majorizer is separable by column, so X does not raise it.  The
-    zone is symmetric, so y0 is a candidate of the exact Y step, and Y
-    does not raise its majorizer either.  The round is a descent step for
-    every k.
-
-    A move keeps each pilot's coordinates along the constraint directions,
+    A move keeps the pilot's coordinates along the constraint directions,
     so that a k >= 1 pair keeps the cross residual it has.  Converged zcz
     pilots (B = 16, k = 2) leak into each other's rows by 1e-12 and less,
     which gives constraint directions with singular values of 1e-14 to
@@ -348,27 +326,41 @@ def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
     power after an extrapolated target (_descend); one that keeps them
     would move the pilot by its own length.
     """
-    x_sigma = np.asarray(x_sigma, dtype=np.complex128)
-    if np.shape(x0) != x_sigma.shape:
-        raise ValueError(f"current pilot of shape {np.shape(x0)} does not match "
-                         f"its target of shape {x_sigma.shape}")
-    p_x = _resolve_p(cfg, p_x)
-    b, moves = x_sigma.shape[0], cfg.k > 0
-    span = _zone_basis(y0, b, cfg, False, moves)
-    notes = [_COLLAPSE_NOTE.format("downlink")] if span.shape[1] == b else []
-    x = _in_zone(span, x_sigma, x0 if moves else None)
-    x, worst, steps = _restore_sidelobes(x, span, p_x, cfg)
+    target = np.asarray(target, dtype=np.complex128)
+    if np.shape(current) != target.shape:
+        raise ValueError(f"current pilot of shape {np.shape(current)} does not match "
+                         f"its target of shape {target.shape}")
+    p, b, moves = _resolve_p(cfg, p), target.shape[0], cfg.k > 0
+    span = _zone_basis(fixed, b, cfg, transpose_shift, moves)
+    notes = [_COLLAPSE_NOTES[transpose_shift]] if span.shape[1] == b else []
+    step = _in_zone(span, target, current if moves else None)
+    step, worst, steps = _restore_sidelobes(step, span, p, lags, cfg.literal_transpose)
     over = ~(worst <= SIDELOBE_DELTA)
-    if over.any():
-        notes += [f"column {q} keeps its current value: its sidelobe restoration "
-                  f"ended at residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
-                  for q in np.flatnonzero(over)]
-    far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
-    x = np.where(over | far, x0, x)
-    y = y_step(y_sigma, x, cfg, p=p_y, current=y0 if moves else None)
-    if np.any(y_sigma) and not y.any():
-        notes.append(_COLLAPSE_NOTE.format("uplink"))
-    return x, y, notes, steps
+    notes += [f"column {q} keeps its current value: its sidelobe restoration "
+              f"ended at residual {worst[q]:.3g} > {SIDELOBE_DELTA:.3g}"
+              for q in np.flatnonzero(over)]
+    far = _column_power(step - target) > _column_power(current - target)
+    return np.where(over | far, current, step), notes, steps
+
+
+def inner_cycle(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None):
+    """One round toward the MM targets from the current pair (x0, y0): the
+    link step (_link_step) of X from x0 against y0, with lags 1..k, then
+    that of Y from y0 against the new X, with no lags.  Returns (X, Y,
+    notes, steps): notes has one string per event of the round (a link
+    whose zone is {0}, each column held for the bound with its residual),
+    and steps counts the restorations' Gauss-Newton solves (0 for k = 0).
+
+    x0 lies in y0's zone, the ball, the ellipsoids and the bound, so every
+    column of X does too, and none is farther from its target than x0's:
+    the MM majorizer is separable by column, so X does not raise it.  The
+    zone is symmetric, so y0 lies in the new X's zone, and Y, held the
+    same way, does not raise its majorizer either.  The round is a
+    descent step for every k.
+    """
+    x, notes, steps = _link_step(x_sigma, x0, y0, cfg, p_x, cfg.k, False)
+    y, y_notes, y_steps = _link_step(y_sigma, y0, x, cfg, p_y, 0, True)
+    return x, y, notes + y_notes, steps + y_steps
 
 
 def _curvature(v, s):
@@ -480,10 +472,11 @@ class DesignTrace:
         dict.fromkeys(("rounds", "targets", "scoring", "residuals"), 0.0)))
 
 
-def _restore_sidelobes(x, span, p, cfg):
-    """Move every column of x inside the sidelobe bound, then cap its power.
+def _restore_sidelobes(x, span, p, k, literal):
+    """Move every column of x inside the sidelobe bound of lags 1..k, then
+    cap its power; literal takes the sidelobes as x^T J_m x.
 
-    x must lie in the zone of the basis U = span, as inner_cycle's zone
+    x must lie in the zone of the basis U = span, as a link step's zone
     projection (_in_zone) leaves it.  Every column with max_m |h_m| >
     _RESTORE_DONE, h_m = r_m / ||x||^2, a tenth of the way from the level
     into the bound, takes Gauss-Newton steps, all together, at most
@@ -504,16 +497,15 @@ def _restore_sidelobes(x, span, p, cfg):
     (_cap_into_sets), from the last pass's measures, is the only cap a
     column needs, and keeps the zone and every |h_m|.  For k = 0 there are
     no lags: no column steps, every max_m |h_m| is 0 and the cap is the
-    ball's.  Returns the matrix, each column's max_m |h_m| and the number
-    of steps (batched solves).
+    ball's, bit for bit.  Returns the matrix, each column's max_m |h_m|
+    and the number of steps (batched solves).
     """
-    k = cfg.k
     for step in range(_RESTORE_MAX_STEPS + 1):
         lags = _shifted(x, k)
         r = np.einsum("bq,mbq->mq", x.conj(), lags)  # lag 0 is ||x||^2
         n2, jx = r[0].real, lags[1:]
         s = np.maximum(n2, _TINY)
-        h = (np.einsum("bq,mbq->mq", x, jx) if cfg.literal_transpose else r[1:]) / s
+        h = (np.einsum("bq,mbq->mq", x, jx) if literal else r[1:]) / s
         mag = np.abs(h)
         worst = mag.max(axis=0, initial=0.0)
         act = (mag > _RESTORE_ACTIVE) & (worst > _RESTORE_DONE)
@@ -522,7 +514,7 @@ def _restore_sidelobes(x, span, p, cfg):
         jtx = _shifted(x[::-1], k)[1:, ::-1]  # J_m^T x = R J_m R x, R the row flip
         # Real gradient of |h_m| packed as Re + i Im, so that
         # d|h_m| = Re(grad^H dx); inactive lags get none.
-        if cfg.literal_transpose:
+        if literal:
             grad = h[:, None] * (jx + jtx).conj()
         else:
             grad = h[:, None] * jtx + h.conj()[:, None] * jx

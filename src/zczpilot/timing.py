@@ -7,6 +7,7 @@ measured in training symbol units.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 _SLACK_TOL = 1e-12
@@ -16,7 +17,9 @@ _SLACK_TOL = 1e-12
 class TimingScenario:
     """Link geometry and symbol-time bookkeeping (distances in meters).
 
-    t_pr and k are in symbol units.
+    t_pr and k are in symbol units; k is stored as an exact int
+    (operator.index: a float, NaN included, raises TypeError), as
+    DesignConfig stores it.
     """
 
     d_user: float
@@ -36,6 +39,7 @@ class TimingScenario:
             raise ValueError("propagation speed must be positive and finite")
         if not 0 <= self.t_pr < math.inf:
             raise ValueError("t_pr must be >= 0 and finite")
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.d_object is not None and not 0 < self.d_object < math.inf:

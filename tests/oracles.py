@@ -200,9 +200,9 @@ def _restored_against(x, y, cfg, p):
     if not cfg.k:
         return x, np.zeros(x.shape[1]), 0
     span = designer._zone_basis(y, x.shape[0], cfg, False)
-    return designer._restore_sidelobes(
-        designer._in_zone(span, x), span, designer._resolve_p(cfg, p), cfg
-    )
+    return designer._restore_sidelobes(designer._in_zone(span, x), span,
+                                       designer._resolve_p(cfg, p), cfg.k,
+                                       cfg.literal_transpose)
 
 
 def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
@@ -213,11 +213,12 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     the pair by at most inner_tol; then, for k >= 1, restore X from the
     zone projection of x_sigma against the final Y; hold every column of X
     that ends farther from its target than x0's, or over the sidelobe
-    bound, at x0's column; and project Y against that X.  Returns
+    bound, at x0's column; project Y against that X and hold every column
+    of Y that ends farther from its target than y0's at y0's.  Returns
     (X, Y, notes, steps) like inner_cycle, with its note texts: a downlink
     zone of {0} against the final Y, each held column with its residual,
-    and a nonzero Y target projected to zero; steps counts the solves of
-    the one restoration.
+    and an uplink zone of {0} against the held X; steps counts the solves
+    of the one restoration.
 
     The start is recognised by a zero y0 (the designer starts from Y = 0):
     there is no Y to alternate with yet, so X is restored and held right
@@ -241,8 +242,11 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     collapsed = ("{} cross-correlation constraints span the whole space; "
                  "returning zero columns")
     b = x.shape[0]
-    span = designer._zone_basis(y, b, cfg, False)
-    notes = [collapsed.format("downlink")] if span.shape[1] == b else []
+
+    def collapses(fixed, transpose_shift):
+        return designer._zone_basis(fixed, b, cfg, transpose_shift).shape[1] == b
+
+    notes = [collapsed.format("downlink")] if collapses(y, False) else []
     notes += [
         f"column {q} keeps its current value: its sidelobe restoration "
         f"ended at residual {worst[q]:.3g} > {designer.SIDELOBE_DELTA:.3g}"
@@ -251,6 +255,8 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     far = np.linalg.norm(x - x_sigma, axis=0) > np.linalg.norm(x0 - x_sigma, axis=0)
     x = np.where(over | far, x0, x)
     y = designer.y_step(y_sigma, x, cfg, p=p_y)
-    if np.any(y_sigma) and not y.any():
+    far = np.linalg.norm(y - y_sigma, axis=0) > np.linalg.norm(y0 - y_sigma, axis=0)
+    y = np.where(far, y0, y)
+    if collapses(x, True):
         notes.append(collapsed.format("uplink"))
     return x, y, notes, steps

@@ -35,7 +35,6 @@ from zczpilot.designer import (
     _restore_sidelobes,
     _shifted,
     _descend,
-    _shrink_into_sets,
     _start,
     _zone_basis,
     build_sigma_target,
@@ -61,6 +60,27 @@ def held_note(q, residual):
     """The round's note for column q of X held over the sidelobe bound."""
     return (f"column {q} keeps its current value: its sidelobe restoration "
             f"ended at residual {residual:.3g} > {SIDELOBE_DELTA:.3g}")
+
+
+def ball_cap(t, p):
+    """Each column of t scaled down to power p if it is over it."""
+    power = _column_power(t)
+    return t * np.sqrt(np.where(power > p, p / np.maximum(power, p), 1.0))
+
+
+def held(step, current, target):
+    """step with each column that is farther from its target than
+    current's replaced by current's."""
+    far = _column_power(step - target) > _column_power(current - target)
+    return np.where(far, current, step)
+
+
+def uplink_step(y_sigma, y0, x, cfg, p):
+    """A round's Y written out: the zone projection of y_sigma against x,
+    or for k >= 1 of its move from y0 at the move's rank rule, capped to
+    the ball and held against y0."""
+    span = _zone_basis(x, len(y_sigma), cfg, True, cfg.k > 0)
+    return held(ball_cap(_in_zone(span, y_sigma, y0 if cfg.k else None), p), y0, y_sigma)
 
 
 def crandn(rng, *shape):
@@ -180,7 +200,7 @@ class TestXStep:
 
 def eigen_shrink(x, k, p):
     """Shrink into the ball and ellipsoids through eigendecompositions of
-    J_m + J_m^T + 2I (the reference form of _shrink_into_sets)."""
+    J_m + J_m^T + 2I (the reference form of _cap_into_sets)."""
     b = x.shape[0]
     n2 = np.real(np.sum(x.conj() * x, axis=0))
     scale2 = np.where(n2 > p, p / n2, 1.0)
@@ -253,7 +273,7 @@ class TestZoneBasis:
     def test_fixed_block_of_another_length_rejected(self, step, fixed_shape):
         # a fixed block must be a matrix with the target's b rows; one whose
         # size merely divides by b is not re-read as b rows, and a zero
-        # target, which builds no zone, is checked all the same
+        # target is checked all the same
         rng = np.random.default_rng(31)
         cfg = DesignConfig(k=1)
         target, fixed = crandn(rng, 8, 2), crandn(rng, *fixed_shape)
@@ -274,7 +294,8 @@ class TestShrink:
         rng = np.random.default_rng(10)
         b, k, p = 8, 4, 1.0
         x = crandn(rng, b, 12) * rng.uniform(0.1, 1.5, 12)
-        out = _shrink_into_sets(x, k, p)
+        # with no fixed columns the zone is C^b, and x_step only caps
+        out = x_step(x, np.zeros((b, 0)), DesignConfig(k=k, p=p))
         assert not np.array_equal(out, x)
         npt.assert_allclose(out, eigen_shrink(x, k, p), rtol=1e-12, atol=0)
 
@@ -283,15 +304,14 @@ class TestShrink:
         # the ellipsoids use x^H under either correlation convention
         rng = np.random.default_rng(11)
         b, k, p = 8, 4, 1.0
-        cfg = DesignConfig(k=k, p=p, literal_transpose=literal)
         span = np.zeros((b, 0), dtype=complex)
         # columns restored without a power cap meet the restoration level,
         # so after rescaling the second call only shrinks them
-        x, worst, _ = _restore_sidelobes(crandn(rng, b, 8), span, 1e6, cfg)
+        x, worst, _ = _restore_sidelobes(crandn(rng, b, 8), span, 1e6, k, literal)
         x = x[:, worst <= designer._RESTORE_DONE]
         assert x.shape[1] >= 4
         x *= rng.uniform(0.5, 2.0, x.shape[1]) / np.linalg.norm(x, axis=0)
-        out, _, _ = _restore_sidelobes(x, span, p, cfg)
+        out, _, _ = _restore_sidelobes(x, span, p, k, literal)
         assert not np.array_equal(out, x)
         npt.assert_allclose(out, eigen_shrink(x, k, p), rtol=1e-12, atol=0)
 
@@ -345,33 +365,40 @@ class TestYStep:
         x_sigma, y_sigma = 0.5 * crandn(rng, 4, 2), crandn(rng, 4, 1)
         x0, y0 = np.zeros_like(x_sigma), np.zeros_like(y_sigma)
         x, y, notes, _ = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
-        assert _zone_basis(x, 4, cfg, True).shape[1] == 4
+        assert _zone_basis(x, 4, cfg, True, True).shape[1] == 4
         assert not y.any()
         assert notes == [COLLAPSED.format("uplink")]
-        # a zero target is the fixed point of a zero pilot, not a collapse
-        assert inner_cycle(x_sigma, y0, x0, y0, cfg)[2] == []
+        # the note reads the zone, as the downlink's does, not the target:
+        # a zero target in a zone of {0} is noted too
+        assert inner_cycle(x_sigma, y0, x0, y0, cfg)[2] == [COLLAPSED.format("uplink")]
 
     def test_move_keeps_the_residual_current_meets(self):
-        # X's two columns e0 and e0 + 1e-13 e5 give constraint directions
-        # e0 and e5, the second at 5e-14 of the largest singular value: the
-        # projection of a target drops it (the 1e-10 rule) and keeps the
-        # target's e5, a residual of 1e-13; the move from a current Y that
-        # meets the zone keeps current's e5 (zero) and so its residual
-        cfg = DesignConfig(k=0, p=10.0)
+        # X's two columns e0 and e0 + 1e-13 e5 give, at lags 0 and 1,
+        # constraint directions e0, e1 and e5, e6, the last two at 5e-14
+        # of the largest singular value: the projection of a target drops
+        # them (the 1e-10 rule) and keeps the target's e5, a residual of
+        # 1e-13; a k >= 1 round moves Y from a current y0 that meets the
+        # zone, which keeps y0's e5 (zero) and so its residual.  The round
+        # keeps X, which meets y0's zone, the bound and the ball, and Y is
+        # the move, cap and hold written out.
+        cfg = DesignConfig(k=1, p=10.0)
         x = np.zeros((8, 2), dtype=complex)
         x[0], x[5, 1] = 1.0, 1e-13
-        current = np.zeros((8, 1), dtype=complex)
-        current[1] = 0.5
-        target = np.zeros((8, 1), dtype=complex)
-        target[1] = target[5] = 1.0
-        projected = y_step(target, x, cfg)
-        moved = y_step(target, x, cfg, current=current)
-        assert cross_residual(x, projected, 0) == pytest.approx(1e-13, rel=1e-6)
-        assert cross_residual(x, moved, 0) <= 1e-16
-        npt.assert_allclose(moved[:, 0], np.eye(8)[1], rtol=0.0, atol=1e-15)
-        assert np.linalg.norm(moved - target) <= np.linalg.norm(current - target)
+        y0 = np.zeros((8, 1), dtype=complex)
+        y0[2] = 0.5
+        y_sigma = np.zeros((8, 1), dtype=complex)
+        y_sigma[2] = y_sigma[5] = 1.0
+        x_new, y, notes, steps = inner_cycle(x, y_sigma, x, y0, cfg)
+        assert (notes, steps) == ([], 0)
+        npt.assert_array_equal(x_new, x)
+        npt.assert_array_equal(y, uplink_step(y_sigma, y0, x, cfg, cfg.p))
+        assert cross_residual(x, y_step(y_sigma, x, cfg), 1) == pytest.approx(
+            1e-13, rel=1e-6)
+        assert cross_residual(x, y, 1) <= 1e-16
+        npt.assert_allclose(y[:, 0], np.eye(8)[2], rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma)
         with pytest.raises(ValueError, match=re.escape("shape (8, 2) does not match")):
-            y_step(target, x, cfg, current=np.zeros((8, 2)))
+            inner_cycle(x, y_sigma, x, np.zeros((8, 2)), cfg)
 
     def test_zero_target_projects_to_zero(self):
         # a zero pilot's MM target is zero (its V* is zero), and a zero
@@ -438,7 +465,7 @@ class TestInnerCycle:
         npt.assert_allclose(x, x_sigma, atol=1e-9)
         npt.assert_allclose(y, y_sigma, atol=1e-9)
         npt.assert_array_equal(x, x_step(x_sigma, y0, cfg))
-        assert calls == {"_restore_sidelobes": 1}
+        assert calls == {"_restore_sidelobes": 2}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objective_non_increasing_across_rounds(self, seed):
@@ -467,26 +494,27 @@ class TestInnerCycle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_each_block_no_farther_than_start(self, seed):
-        # k = 0: each block is an exact projection; k = 2: x0 is restored
-        # into the bound first, and every column of X is held no farther
-        # from its target than x0's
-        for k in (0, 2):
+        # x0 is restored into the bound for k >= 1, and y0 lies in its
+        # zone.  Each link step holds every column that ends farther from
+        # its target than the current one, for both links at every k, so
+        # no column of X or Y is farther, without slack.  A current column
+        # that is its own target is kept, bit for bit.
+        for k in (0, 1, 2):
             rng = np.random.default_rng(seed)
             cfg = DesignConfig(k=k, p=1.0)
             x0 = x_step(crandn(rng, 8, 2), np.zeros((8, 0)), cfg)
-            if k:
-                x0, worst, _ = _restore_sidelobes(x0, np.zeros((8, 0)), cfg.p, cfg)
-                assert worst.max() <= SIDELOBE_DELTA
+            x0, worst, _ = _restore_sidelobes(x0, np.zeros((8, 0)), cfg.p, k, False)
+            assert worst.max(initial=0.0) <= SIDELOBE_DELTA
             y0 = y_step(crandn(rng, 8, 2), x0, cfg)
             x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
             x, y, _, _ = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
-            assert np.linalg.norm(x - x_sigma) <= np.linalg.norm(x0 - x_sigma) + 1e-12
-            assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
+            assert (_column_power(x - x_sigma) <= _column_power(x0 - x_sigma)).all()
+            assert (_column_power(y - y_sigma) <= _column_power(y0 - y_sigma)).all()
             assert cross_residual(x, y, cfg.k) <= 1e-12
-            assert np.all(
-                np.linalg.norm(x - x_sigma, axis=0)
-                <= np.linalg.norm(x0 - x_sigma, axis=0) + 1e-12
-            )
+            x0[:, 1], y0[:, 1] = x_sigma[:, 1], y_sigma[:, 1]
+            x, y, _, _ = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
+            npt.assert_array_equal(x[:, 1], x_sigma[:, 1])
+            npt.assert_array_equal(y[:, 1], y_sigma[:, 1])
 
     def test_one_dimensional_zone_holds_column(self):
         # every column of a one-dimensional zone is a multiple of one
@@ -517,7 +545,7 @@ class TestInnerCycle:
         x, _, notes, _ = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
         npt.assert_array_equal(x, x_step(x_sigma, y0, cfg))
         assert notes == []
-        assert calls == {"_restore_sidelobes": 1}
+        assert calls == {"_restore_sidelobes": 2}
 
     @pytest.mark.parametrize("x0_shape", [(8, 1), (8, 3), (4, 2), (16,)])
     def test_current_pilot_of_another_shape_rejected(self, x0_shape):
@@ -551,8 +579,9 @@ class TestInnerCycle:
         # y0 meets the zone against any X that lies in y0's zone, so it is a
         # candidate of the Y step whether or not X was restored; y0's one
         # column leaves a 5-dimensional zone, inside which the restoration
-        # meets the bound, so Y is projected against a nonzero X.  For
-        # k >= 1 it is the move from y0 that is projected.
+        # meets the bound, so Y steps against a nonzero X.  Y is the zone
+        # projection, for k >= 1 of the move from y0, capped to the ball
+        # and held against y0, as written out in uplink_step.
         rng = np.random.default_rng(14)
         cfg = DesignConfig(k=k, p=1.0)
         y0 = y_step(crandn(rng, 8, 1), np.zeros((8, 0)), cfg)
@@ -560,7 +589,7 @@ class TestInnerCycle:
         x, y, notes, _ = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
         assert notes == []
         assert np.all(np.linalg.norm(x, axis=0) > 0.1)
-        npt.assert_array_equal(y, y_step(y_sigma, x, cfg, current=y0 if k else None))
+        npt.assert_array_equal(y, uplink_step(y_sigma, y0, x, cfg, cfg.p))
         assert np.linalg.norm(y - y_sigma) <= np.linalg.norm(y0 - y_sigma) + 1e-12
 
     def test_unrestorable_columns_keep_current_value(self):
@@ -575,45 +604,45 @@ class TestInnerCycle:
         x0 = np.zeros_like(x_sigma)
         x, y, notes, _ = inner_cycle(x_sigma, y_sigma, x0, y0, cfg)
         span = _zone_basis(y0, 8, cfg, False)
-        _, worst, _ = _restore_sidelobes(x_step(x_sigma, y0, cfg), span, cfg.p, cfg)
+        _, worst, _ = _restore_sidelobes(x_step(x_sigma, y0, cfg), span, cfg.p, 2, False)
         assert (worst > SIDELOBE_DELTA).all()
         assert notes == [held_note(q, r) for q, r in enumerate(worst)]
         npt.assert_array_equal(x, x0)
         npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
 
     def test_one_round(self, monkeypatch):
-        # one zone projection per block and one zone basis per block: the X
-        # step's basis is the restoration's too.  At k >= 1 X goes from its
-        # zone projection straight into the restoration, whose last cap is
-        # its only one, so the one shrink of a round is Y's ball cap.
-        calls = count_calls(monkeypatch, "_shrink_into_sets", "_zone_basis", "y_step")
+        # one link step per pilot, each with one zone basis, which is its
+        # restoration's too; each pilot goes from its zone projection
+        # straight into the restoration, whose last cap is its only one
+        calls = count_calls(monkeypatch, "_link_step", "_zone_basis", "_restore_sidelobes")
         rng = np.random.default_rng(0)
         cfg = DesignConfig(k=1, p=1.0)
         y0 = np.zeros((8, 2), dtype=complex)
         x_sigma, y_sigma = crandn(rng, 8, 2), crandn(rng, 8, 2)
         x, y, _, _ = inner_cycle(x_sigma, y_sigma, np.zeros_like(x_sigma), y0, cfg)
-        assert calls == {"_shrink_into_sets": 1, "_zone_basis": 2, "y_step": 1}
-        npt.assert_array_equal(y, y_step(y_sigma, x, cfg))
+        assert calls == dict.fromkeys(calls, 2)
+        npt.assert_array_equal(y, uplink_step(y_sigma, y0, x, cfg, cfg.p))
 
         # A design: the start's round, then max_outer more, each an MM or
         # an extrapolation round.
-        calls.update(_shrink_into_sets=0, _zone_basis=0, y_step=0)
+        calls.update(dict.fromkeys(calls, 0))
         rounds = count_calls(monkeypatch, "inner_cycle")
         dl = build_scenario(4, 4, 16)
         design_pilots(dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5))
         assert rounds == {"inner_cycle": 6}
-        assert calls == {"_shrink_into_sets": 6, "_zone_basis": 12, "y_step": 6}
+        assert calls == dict.fromkeys(calls, 12)
 
     def test_farther_column_keeps_current_value(self, monkeypatch):
-        # Every sidelobe restoration negates column 0.  The sets are
-        # symmetric, so the column stays feasible, but it ends far from its
-        # target: each round holds x0's column and moves Y from y0 against
-        # the held X, and the run goes on.
+        # Every sidelobe restoration of X (the one with lags) negates
+        # column 0.  The sets are symmetric, so the column stays feasible,
+        # but it ends far from its target: each round holds x0's column
+        # and moves Y from y0 against the held X, and the run goes on.
         restore = designer._restore_sidelobes
 
-        def negated(x, span, p, cfg):
-            out, worst, steps = restore(x, span, p, cfg)
-            out[:, 0] *= -1.0
+        def negated(x, span, p, k, literal):
+            out, worst, steps = restore(x, span, p, k, literal)
+            if k:
+                out[:, 0] *= -1.0
             return out, worst, steps
 
         monkeypatch.setattr(designer, "_restore_sidelobes", negated)
@@ -625,21 +654,22 @@ class TestInnerCycle:
         assert len(rounds) == 5
         for args, (x, y, _, _) in rounds[1:]:
             npt.assert_array_equal(x[:, 0], args["x0"][:, 0])
-            npt.assert_array_equal(y, y_step(args["y_sigma"], x, cfg, p=args["p_y"],
-                                             current=args["y0"]))
+            npt.assert_array_equal(y, uplink_step(args["y_sigma"], args["y0"], x, cfg,
+                                                  args["p_y"]))
         assert trace.mse[-1] < trace.mse[0]
         assert np.diff(trace.mse).max() <= 0.0
 
     def test_restored_design_takes_one_y_step_per_round(self, monkeypatch):
         # zcz-sized (4x4, B = 16, k = 2): the restoration fires in every
-        # round, and Y is still projected once per round, not again after it
-        calls = count_calls(monkeypatch, "inner_cycle", "y_step", "_restore_sidelobes")
+        # round, and each round takes two link steps, X's and then one
+        # for Y, each with one restoration, and no more after them
+        calls = count_calls(monkeypatch, "inner_cycle", "_link_step", "_restore_sidelobes")
         dl = build_scenario(4, 4, 16)
         _, trace = design_pilots(
             dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=6)
         )
         assert trace.stop_reason == "max_outer"
-        assert calls == dict.fromkeys(calls, 7)
+        assert calls == {"inner_cycle": 7, "_link_step": 14, "_restore_sidelobes": 14}
 
     def test_design_matches_alternation_until_stable(self, monkeypatch):
         # zcz-sized (4x4, B = 16, k = 2), from the generic (k = 0) start:
@@ -890,15 +920,15 @@ class TestFactorizationReuse:
         monkeypatch.setattr(designer, "mse_and_optimal_V", counting)
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
         # Every round, the start's and each extrapolation's included, is
-        # scored once (no extra trial factorings) and restores X; the
-        # k >= 1 start takes one more V* per link, for its own MM
+        # scored once (no extra trial factorings) and restores both
+        # pilots, one link step each; the k >= 1 start takes one more V* per link, for its own MM
         # targets.  A rejected extrapolation is a round without a trace
         # row: for k = 2 one of the two is, and the 9 rounds give 8 rows.
         rounds = calls["inner_cycle"]
         assert rounds == 9
         assert trace.rejected_extrapolations == (1 if k else 0)
         assert len(trace.mse) + trace.rejected_extrapolations == rounds
-        assert calls["_restore_sidelobes"] == rounds
+        assert calls["_restore_sidelobes"] == 2 * rounds
         assert list(factored.values()) == [rounds + (k > 0)] * 2
 
     def test_per_iterate_factors_are_n_t_sized(self, monkeypatch):
@@ -1192,7 +1222,7 @@ class TestSidelobeBound:
         y = crandn(rng, 8, 1)
         span = _zone_basis(y, 8, cfg, False)
         x, worst, _ = _restore_sidelobes(
-            _in_zone(span, crandn(rng, 8, 3) * 3.0), span, cfg.p, cfg
+            _in_zone(span, crandn(rng, 8, 3) * 3.0), span, cfg.p, 2, False
         )
         assert worst.max() <= SIDELOBE_DELTA
         assert sidelobe_ratios(x, cfg.k).max() <= SIDELOBE_DELTA
@@ -1201,10 +1231,11 @@ class TestSidelobeBound:
         assert ellipsoid_values(x, cfg.k).max() <= 2.0 * cfg.p * (1 + 1e-12)
 
     def test_k0_runs_no_restoration(self, monkeypatch):
-        # k = 0 has no lags: every round's restoration takes no step and
-        # holds no column, and its cap is the ball's, so X is the zone
-        # projection of its target, capped to the ball, with the hold.  On
-        # n_t = B = 4 the uplink collapses, and the rounds score Y = 0.
+        # k = 0 has no lags: every restoration, X's and Y's, takes no step
+        # and holds no column, and its cap is the ball's, so each pilot is
+        # the zone projection of its target, capped to the ball, with the
+        # hold.  On n_t = B = 4 the uplink collapses, and the rounds score
+        # Y = 0.
         restore = designer._restore_sidelobes
         restored = []
         monkeypatch.setattr(designer, "_restore_sidelobes",
@@ -1213,9 +1244,8 @@ class TestSidelobeBound:
         cfg = DesignConfig(k=0, max_outer=5)
 
         def projected_capped_held(x_sigma, x0, y0, p_x):
-            x = _shrink_into_sets(_in_zone(_zone_basis(y0, 4, cfg, False), x_sigma), 0, p_x)
-            far = _column_power(x - x_sigma) > _column_power(x0 - x_sigma)
-            return np.where(far, x0, x)
+            x = ball_cap(_in_zone(_zone_basis(y0, 4, cfg, False), x_sigma), p_x)
+            return held(x, x0, x_sigma)
 
         for n_t in (2, 4):
             restored.clear()
@@ -1224,14 +1254,16 @@ class TestSidelobeBound:
             ul = reciprocal_scenario(dl)
             p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
             pair, trace = design_pilots(dl, ul, cfg)
-            assert len(restored) == len(rounds) == 6
+            assert len(restored) == 2 * len(rounds) == 12
             for _, worst, steps in restored:
                 assert steps == 0 and not worst.any()
             assert trace.restore_steps == [0] * 6
             assert pair.y.any() == (n_t < 4)
-            for args, (x, *_) in rounds:
+            for args, (x, y, *_) in rounds:
                 want = projected_capped_held(args["x_sigma"], args["x0"], args["y0"], p_x)
                 assert x.tobytes() == want.tobytes()
+                want = uplink_step(args["y_sigma"], args["y0"], x, cfg, p_y)
+                assert y.tobytes() == want.tobytes()
             # from a current X whose columns 1.. are their own targets,
             # those are held and column 0 moves from zero
             args = rounds[1][0]
@@ -1265,7 +1297,7 @@ class TestSidelobeBound:
         npt.assert_allclose(np.abs(x0), np.sqrt(p_x) * np.eye(6, 2, -3), rtol=1e-15)
         npt.assert_array_equal(x, x0)
         span = _zone_basis(y0, 6, cfg, False)
-        _, worst, _ = _restore_sidelobes(_in_zone(span, x_sigma), span, p_x, cfg)
+        _, worst, _ = _restore_sidelobes(_in_zone(span, x_sigma), span, p_x, 2, False)
         assert (worst > SIDELOBE_DELTA).all()
         want = [held_note(q, r) for q, r in enumerate(worst)]
         assert notes == want
@@ -1275,19 +1307,20 @@ class TestSidelobeBound:
         assert np.diff(trace.mse).max() <= 0.0
 
     def test_over_bound_restoration_holds_column(self, monkeypatch):
-        # the restoration of outer iteration 1 reports column 1 over the
-        # bound: that column keeps its value, a note names it with its
-        # residual and the trace records it at iteration 1, and the run
-        # goes on
+        # X's restoration (the one with lags) of outer iteration 1 reports
+        # column 1 over the bound: that column keeps its value, a note
+        # names it with its residual and the trace records it at iteration
+        # 1, and the run goes on
         restore = designer._restore_sidelobes
         seen = []
 
-        def over_bound(*args):
-            x, worst, steps = restore(*args)
-            seen.append(x)
-            if len(seen) == 2:
-                worst = worst.copy()
-                worst[1] = 0.04
+        def over_bound(x, span, p, k, literal):
+            x, worst, steps = restore(x, span, p, k, literal)
+            if k:
+                seen.append(x)
+                if len(seen) == 2:
+                    worst = worst.copy()
+                    worst[1] = 0.04
             return x, worst, steps
 
         monkeypatch.setattr(designer, "_restore_sidelobes", over_bound)
@@ -1340,7 +1373,7 @@ class TestBatchedRestoration:
         cfg = DesignConfig(k=3, literal_transpose=literal)
         span, null = zone_bases(_cross_vectors(crandn(rng, b, 1), cfg, False), b)
         x = null @ crandn(rng, null.shape[1], n)
-        out, _, _ = _restore_sidelobes(x, span, 1e6, cfg)
+        out, _, _ = _restore_sidelobes(x, span, 1e6, 3, literal)
         for q in range(n):
             ref = restore_column_loop(x[:, q], null, cfg.k, literal)
             # the two sidelobe formulas and solvers round differently; here
@@ -1362,10 +1395,10 @@ class TestBatchedRestoration:
         assert 0 < span.shape[1] < b
         x = _in_zone(span, crandn(rng, b, n))
         assert (sidelobe_ratios(x, cfg.k, literal) > SIDELOBE_DELTA).sum() >= n - 1
-        out, worst, _ = _restore_sidelobes(x, span, cfg.p, cfg)
+        out, worst, _ = _restore_sidelobes(x, span, cfg.p, 3, literal)
         assert worst.max() <= SIDELOBE_DELTA
         for q in range(n):
-            col, w, _ = _restore_sidelobes(x[:, [q]], span, cfg.p, cfg)
+            col, w, _ = _restore_sidelobes(x[:, [q]], span, cfg.p, 3, literal)
             npt.assert_allclose(out[:, q], col[:, 0], rtol=0, atol=1e-12)
             assert worst[q] == pytest.approx(w[0], rel=1e-12)
 
@@ -1374,10 +1407,10 @@ class TestBatchedRestoration:
         b = 8
         cfg = DesignConfig(k=4)
         span = np.zeros((b, 0), dtype=complex)
-        inside, w, _ = _restore_sidelobes(crandn(rng, b, 1), span, 1e6, cfg)
+        inside, w, _ = _restore_sidelobes(crandn(rng, b, 1), span, 1e6, 4, False)
         assert designer._RESTORE_LEVEL < w[0] <= designer._RESTORE_DONE
         x = np.concatenate([crandn(rng, b, 2), inside, crandn(rng, b, 2)], axis=1)
-        out, worst, _ = _restore_sidelobes(x, span, 1e6, cfg)
+        out, worst, _ = _restore_sidelobes(x, span, 1e6, 4, False)
         npt.assert_array_equal(out[:, 2], x[:, 2])
         assert worst[2] == w[0]
         others = [0, 1, 3, 4]
@@ -1404,31 +1437,30 @@ class TestBatchedRestoration:
             0.3117912813771073 + 0.004222345996962205j,
             -0.42143563970910275 - 1.1836715853966517j,
         ])[:, None]
-        cfg = DesignConfig(k=4)
         steps = []
         solve = np.linalg.solve
         monkeypatch.setattr(
             np.linalg, "solve", lambda a, b: steps.append(a.shape[0]) or solve(a, b)
         )
-        _, worst, count = _restore_sidelobes(x, np.zeros((8, 0)), 8.0, cfg)
+        _, worst, count = _restore_sidelobes(x, np.zeros((8, 0)), 8.0, 4, False)
         assert worst[0] <= designer._RESTORE_DONE
         assert len(steps) == count <= 2
         monkeypatch.setattr(
             designer, "_RESTORE_DONE", designer._RESTORE_LEVEL * (1.0 + 1e-9)
         )
         steps.clear()
-        _restore_sidelobes(x, np.zeros((8, 0)), 8.0, cfg)
+        _restore_sidelobes(x, np.zeros((8, 0)), 8.0, 4, False)
         assert len(steps) <= 5
         steps.clear()
         monkeypatch.setattr(designer, "_RESTORE_ACTIVE", designer._RESTORE_LEVEL)
-        _restore_sidelobes(x, np.zeros((8, 0)), 8.0, cfg)
+        _restore_sidelobes(x, np.zeros((8, 0)), 8.0, 4, False)
         assert len(steps) >= 17
 
     def test_singular_gram_takes_a_finite_step(self):
         # [1, 1] maximizes its lag-1 sidelobe ratio (1/2): the gradient is
         # exactly zero and the Gram singular, and the step exactly zero
         x = np.ones((2, 1), dtype=complex)
-        out, worst, _ = _restore_sidelobes(x, np.zeros((2, 0)), 1e6, DesignConfig(k=1))
+        out, worst, _ = _restore_sidelobes(x, np.zeros((2, 0)), 1e6, 1, False)
         npt.assert_array_equal(out, x)
         assert worst[0] == 0.5
         # in a one-dimensional zone no step changes the ratios (they are
@@ -1439,7 +1471,7 @@ class TestBatchedRestoration:
         span, null = zone_bases(_cross_vectors(crandn(rng, 8, 1), cfg, False), 8)
         assert null.shape[1] == 1
         x = null @ crandn(rng, 1, 3)
-        out, worst, _ = _restore_sidelobes(x, span, 1e6, cfg)
+        out, worst, _ = _restore_sidelobes(x, span, 1e6, 6, False)
         assert np.isfinite(out).all()
         npt.assert_allclose(
             np.abs(null.conj().T @ out)[0], np.linalg.norm(out, axis=0), rtol=1e-12
@@ -1467,9 +1499,7 @@ class TestBatchedRestoration:
                     d = int(rng.integers(2, min(4, b - 1) + 1))
                     vectors = rng.integers(-1, 2, (b, b - d)).astype(complex)
                     span, _ = zone_bases(vectors, b)
-                out, _, _ = _restore_sidelobes(
-                    _in_zone(span, x), span, 1e6, DesignConfig(k=k)
-                )
+                out, _, _ = _restore_sidelobes(_in_zone(span, x), span, 1e6, k, False)
                 nonfinite += not np.isfinite(out).all()
         assert nonfinite == 0
 
@@ -1486,7 +1516,7 @@ class TestBatchedRestoration:
 
         for name in ("pinv", "svd"):
             monkeypatch.setattr(np.linalg, name, fail)
-        _, worst, _ = _restore_sidelobes(x, span, 1e6, cfg)
+        _, worst, _ = _restore_sidelobes(x, span, 1e6, 3, literal)
         assert worst.max() <= SIDELOBE_DELTA
 
 
@@ -1499,15 +1529,14 @@ class TestRestorationScaling:
         # a x is a times that of x until its last cap, which takes both to
         # one point: a cap of the zone projection before it is redundant.
         rng = np.random.default_rng(100 * b + 10 * k + literal)
-        cfg = DesignConfig(k=k, literal_transpose=literal)
         span = np.linalg.qr(crandn(rng, b, 2))[0]  # a zone of dimension b - 2
         x = _in_zone(span, crandn(rng, b, 6))
         p = 1e-6 * _column_power(x).min()  # a cap that binds on every column
-        out, worst, steps = _restore_sidelobes(x, span, p, cfg)
+        out, worst, steps = _restore_sidelobes(x, span, p, k, literal)
         assert steps >= 1
         assert (_column_power(out) <= p * (1 + 1e-12)).all()
         for a in (3.0, 1e3):
-            out_a, worst_a, steps_a = _restore_sidelobes(a * x, span, p, cfg)
+            out_a, worst_a, steps_a = _restore_sidelobes(a * x, span, p, k, literal)
             npt.assert_allclose(out_a, out, rtol=1e-12, atol=1e-12 * np.abs(out).max())
             npt.assert_allclose(worst_a, worst, rtol=1e-12)
             assert steps_a == steps

@@ -154,3 +154,13 @@ class TestScenarioValidation:
         base[field] = value
         with pytest.raises(ValueError, match=f"{named} must be .*finite"):
             TimingScenario(**base)
+
+    @pytest.mark.parametrize("k", [2.5, float("nan")])
+    def test_non_integer_k_rejected(self, k):
+        # a NaN k passed k < 0 and made max_object_range NaN
+        with pytest.raises(TypeError):
+            TimingScenario(d_user=100.0, symbol_time=1e-6, k=k)
+
+    def test_integer_k_stored_as_int(self):
+        s = TimingScenario(d_user=100.0, symbol_time=1e-6, k=np.int64(3))
+        assert type(s.k) is int and s.k == 3
