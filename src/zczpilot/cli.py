@@ -64,14 +64,12 @@ def _seed(args, default):
 
 
 def _design_setup(args):
-    """Config, design knobs with the command-line overrides, and both links."""
+    """Config, design knobs with the --seed override, and both links.
+
+    The correlation conventions (lags_from_one, literal_transpose) come
+    from the [design] keys only."""
     rc = load_config(args.config)
-    design = dataclasses.replace(
-        rc.design,
-        seed=_seed(args, rc.design.seed),
-        lags_from_one=rc.design.lags_from_one or args.lags_from_one,
-        literal_transpose=rc.design.literal_transpose or args.literal_transpose,
-    )
+    design = dataclasses.replace(rc.design, seed=_seed(args, rc.design.seed))
     dl = rc.downlink()
     return rc, design, dl, reciprocal_scenario(dl)
 
@@ -127,7 +125,9 @@ def _cmd_analyze(args):
     max_lag = args.max_lag if args.max_lag is not None else b - 1
     if not 0 <= max_lag < b:
         raise ConfigError(f"--max-lag must be in [0, {b - 1}], got {max_lag}")
-    literal = args.literal_transpose or arch.design.get("literal_transpose", False)
+    # The convention the pair was designed under; archives without the key
+    # were designed conjugated.
+    literal = arch.design.get("literal_transpose", False)
     report = correlation_report(
         arch.x, arch.y, max_lag=max_lag, literal_transpose=literal
     )
@@ -256,10 +256,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="INI configuration file")
     common.add_argument("--out", help="output directory (default from [output])")
-    common.add_argument("--lags-from-one", action="store_true",
-                        help="exclude lag 0 from the cross-correlation zone")
-    common.add_argument("--literal-transpose", action="store_true",
-                        help="use unconjugated transposes in the correlations")
 
     d = sub.add_parser("design", parents=[common],
                        help="design a pilot pair and archive it")
@@ -271,8 +267,6 @@ def build_parser():
     a.add_argument("--out", help="directory for the report file")
     a.add_argument("--max-lag", type=int, help="largest lag to report")
     a.add_argument("--format", choices=["csv", "json"])
-    a.add_argument("--literal-transpose", action="store_true",
-                   help="force unconjugated transposes regardless of archive")
     a.set_defaults(func=_cmd_analyze)
 
     m = sub.add_parser("montecarlo", parents=[common],

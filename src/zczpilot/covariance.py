@@ -10,6 +10,7 @@ budget gamma is the only scale knob.  The dense covariances are never
 formed: estimation works on the factors.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,8 +38,11 @@ def exponential_covariance(n, rho):
     """n x n exponential (Kac-Murdock-Szego) covariance with ratio rho.
 
     Entry (k, l) is rho^(l-k) for k <= l; the matrix is Hermitian and,
-    for |rho| < 1, positive definite with unit diagonal.
+    for |rho| < 1, positive definite with unit diagonal.  n must be an
+    exact integer (operator.index: a float, NaN included, raises
+    TypeError rather than being rounded up by np.arange).
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
     rho = complex(rho)
@@ -196,7 +200,8 @@ def build_scenario(
     The channel covariance is R_T^T (x) R_R and the noise covariance
     M_T^T (x) R_R with M_T the b x b temporal factor; each factor is
     normalized to unit trace, so both covariances have unit trace.  gamma
-    defaults to b * n_t.
+    defaults to b * n_t.  n_t, n_r and b must be exact integers, as in
+    exponential_covariance, which raises TypeError for a float.
     """
     r_r = _unit_trace(exponential_covariance(n_r, rho_rr))
     if gamma is None:

@@ -22,6 +22,7 @@ from zczpilot.cli import (
     build_parser,
     main,
 )
+from zczpilot.designer import shift_matrix
 
 SMALL = """
 [scenario]
@@ -60,6 +61,11 @@ k = 0
 seed = 0
 """
 
+# SMALL under the other reading of both correlation conventions, which only
+# the [design] keys set.
+CONVENTIONS = SMALL.replace(
+    "seed = 0\n", "seed = 0\nlags_from_one = yes\nliteral_transpose = yes\n")
+
 TIMING_ONLY = """
 [timing]
 d_user_m = 25000
@@ -73,6 +79,13 @@ processing_symbols = 1
 def small_config(tmp_path):
     path = tmp_path / "small.ini"
     path.write_text(SMALL)
+    return path
+
+
+@pytest.fixture
+def conventions_config(tmp_path):
+    path = tmp_path / "conventions.ini"
+    path.write_text(CONVENTIONS)
     return path
 
 
@@ -222,10 +235,10 @@ class TestDesign:
         arc = read_archive(out / "pilot_archive.json")
         assert arc.design["seed"] == 9
 
-    def test_override_flags_recorded(self, small_config, tmp_path, capsys):
+    def test_override_flags_recorded(self, conventions_config, tmp_path, capsys):
         out = tmp_path / "flagged"
-        rc = main(["design", "--config", str(small_config), "--out", str(out),
-                   "--lags-from-one", "--literal-transpose", "--seed", "3"])
+        rc = main(["design", "--config", str(conventions_config), "--out", str(out),
+                   "--seed", "3"])
         assert rc == EXIT_OK
         capsys.readouterr()
         design = read_archive(out / "pilot_archive.json").design
@@ -362,6 +375,48 @@ class TestAnalyze:
         )
         assert not (tmp_path / "report").exists()
 
+    def test_reports_under_the_archived_convention(self, conventions_config,
+                                                   tmp_path, capsys):
+        design_out = tmp_path / "designed"
+        assert main(["design", "--config", str(conventions_config),
+                     "--out", str(design_out)]) == EXIT_OK
+        archive = design_out / "pilot_archive.json"
+        arc = read_archive(archive)
+        x, y, b = arc.x, arc.y, arc.dims["b"]
+
+        def report(path):
+            out = tmp_path / path.stem
+            assert main(["analyze", str(path), "--out", str(out),
+                         "--format", "json"]) == EXIT_OK
+            return json.loads((out / "correlation.json").read_text())
+
+        def cross(doc):
+            # the largest cross row of the report
+            row = max((r for r in doc["rows"] if r["kind"] == "cross"),
+                      key=lambda r: r["mag_db"])
+            return row, complex(row["re"], row["im"])
+
+        doc = report(archive)
+        assert doc["literal_transpose"] is True
+        row, value = cross(doc)
+        jm = shift_matrix(b, row["lag"])
+        plain = x[:, row["q"]] @ jm @ y[:, row["l"]]
+        conjugated = x[:, row["q"]].conj() @ jm @ y[:, row["l"]]
+        assert abs(plain - conjugated) > 1e-3 * abs(plain)
+        assert abs(value - plain) <= 1e-12
+
+        # without the key the pair was designed conjugated, and is reported so
+        raw = json.loads(archive.read_text())
+        del raw["design"]["literal_transpose"]
+        keyless = tmp_path / "keyless.json"
+        keyless.write_text(json.dumps(raw))
+        doc = report(keyless)
+        assert doc["literal_transpose"] is False
+        row, value = cross(doc)
+        jm = shift_matrix(b, row["lag"])
+        assert abs(value - x[:, row["q"]].conj() @ jm @ y[:, row["l"]]) <= 1e-12
+        capsys.readouterr()
+
     def test_string_literal_transpose_rejected(self, archive_dir, tmp_path, capsys):
         doc = json.loads((archive_dir / "pilot_archive.json").read_text())
         doc["design"]["literal_transpose"] = "false"
@@ -442,7 +497,7 @@ class TestMonteCarlo:
         assert doc["failures"] == [{"seed": 1, "type": "LinAlgError",
                                     "message": "singular Gram"}]
 
-    def test_override_flags_reach_each_design(self, small_config, tmp_path,
+    def test_override_flags_reach_each_design(self, conventions_config, tmp_path,
                                               capsys, monkeypatch):
         import zczpilot.analysis as analysis
 
@@ -454,9 +509,8 @@ class TestMonteCarlo:
             return design(dl, ul, cfg)
 
         monkeypatch.setattr(analysis, "design_pilots", stub)
-        rc = main(["montecarlo", "--config", str(small_config),
-                   "--out", str(tmp_path / "mc"), "--lags-from-one",
-                   "--literal-transpose", "--seed", "5", "--runs", "2"])
+        rc = main(["montecarlo", "--config", str(conventions_config),
+                   "--out", str(tmp_path / "mc"), "--seed", "5", "--runs", "2"])
         capsys.readouterr()
         assert rc == EXIT_OK
         assert [cfg.seed for cfg in seen] == [5, 6]
@@ -629,6 +683,22 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command, flag", [
+        ("design", "--lags-from-one"),
+        ("design", "--literal-transpose"),
+        ("montecarlo", "--lags-from-one"),
+        ("montecarlo", "--literal-transpose"),
+        ("analyze", "--literal-transpose"),
+    ])
+    def test_convention_flags_removed(self, command, flag, small_config, capsys):
+        # the [design] keys and the archive own both conventions
+        target = (["archive.json"] if command == "analyze"
+                  else ["--config", str(small_config)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_entry_point_wiring(self):
         tomllib = pytest.importorskip("tomllib")

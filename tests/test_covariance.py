@@ -50,6 +50,15 @@ class TestExponentialCovariance:
         with pytest.raises(ValueError):
             exponential_covariance(3, rho)
 
+    @pytest.mark.parametrize("n", [2.5, float("nan")])
+    def test_non_integer_size_rejected(self, n):
+        # np.arange(2.5) has 3 entries, and NaN raised numpy's ValueError
+        with pytest.raises(TypeError):
+            exponential_covariance(n, 0.5)
+
+    def test_numpy_integer_size(self):
+        assert exponential_covariance(np.int64(3), 0.5).shape == (3, 3)
+
 
 class TestBuildScenario:
     def test_scalar_limit(self):
@@ -90,6 +99,12 @@ class TestBuildScenario:
     def test_invalid_rho_rejected(self):
         with pytest.raises(ValueError):
             build_scenario(2, 2, 4, rho_rt=1.0)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2, 4), (2, 2, 3.5)])
+    def test_non_integer_size_rejected(self, dims):
+        # both built a size rounded up, with gamma from the unrounded one
+        with pytest.raises(TypeError):
+            build_scenario(*dims)
 
     def test_scenario_validation_rejects_non_hermitian(self):
         bad = np.eye(2, dtype=complex)
