@@ -31,15 +31,8 @@ from .designer import (
     PilotPair,
     design_pilots,
     inner_cycle,
-    x_step,
-    y_step,
 )
-from .estimation import (
-    channel_mse_lemma,
-    mmse_estimate,
-    optimal_V,
-    simulate_training,
-)
+from .estimation import channel_mse_lemma
 from .timing import (
     SensingFeasibility,
     TimingScenario,
@@ -76,13 +69,8 @@ __all__ = [
     "is_sensing_feasible",
     "load_config",
     "max_object_range",
-    "mmse_estimate",
     "monte_carlo_design",
-    "optimal_V",
     "parse_config",
     "read_archive",
     "reciprocal_scenario",
-    "simulate_training",
-    "x_step",
-    "y_step",
 ]

@@ -146,8 +146,12 @@ def parse_archive(payload):
         if type(dims.get(key)) is not int or dims[key] < 1:  # bool is no count
             raise ArchiveError(f"field 'dims.{key}': expected a positive integer")
     design = _require(payload, "design", dict)
-    if not isinstance(design.get("literal_transpose", False), bool):
-        raise ArchiveError("field 'design.literal_transpose': expected a JSON boolean")
+    k = design.get("k")
+    if type(k) is not int or not 0 <= k < dims["b"]:
+        raise ArchiveError(f"field 'design.k': expected an integer in [0, {dims['b']})")
+    for key in ("lags_from_one", "literal_transpose"):  # a missing key is false
+        if not isinstance(design.get(key, False), bool):
+            raise ArchiveError(f"field 'design.{key}': expected a JSON boolean")
     result = _require(payload, "result", dict)
     x = _matrix(payload, "x_re", "x_im", dims["b"], dims["n_t"])
     y = _matrix(payload, "y_re", "y_im", dims["b"], dims["n_r"])

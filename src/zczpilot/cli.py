@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _db,
     correlation_report,
     correlation_rows,
     empirical_mse,
@@ -44,7 +45,7 @@ from .archive import (
 )
 from .config import ConfigError, load_config
 from .covariance import reciprocal_scenario
-from .designer import column_power_bound, design_pilots
+from .designer import SIDELOBE_BOUND_DB, column_power_bound, design_pilots
 from .timing import delay_symbols, is_sensing_feasible, max_object_range
 
 EXIT_OK = 0
@@ -119,6 +120,15 @@ def _cmd_design(args):
     return EXIT_OK if trace.converged else EXIT_NOCONV
 
 
+def _worst_sidelobe_db(report, p):
+    """The worst sidelobe of the report's first pilot p over its lags
+    1..L, each relative to its column's lag-0 power ||p_q||^2 (zero
+    columns have none), in dB."""
+    power = np.sum(np.abs(p) ** 2, axis=0)
+    side = np.abs(report.autocorr[:, report.lags > 0]).max(axis=1, initial=0.0)
+    return float(_db(max((s / n for s, n in zip(side, power) if n > 0), default=0.0)))
+
+
 def _cmd_analyze(args):
     arch = read_archive(args.archive)
     b = arch.dims["b"]
@@ -142,11 +152,23 @@ def _cmd_analyze(args):
         print(f"wrote {target}")
 
     print(f"lags: {-max_lag}..{max_lag}")
-    if max_lag:
-        peak_auto = report.autocorr_db[:, report.lags != 0].max()
-        print(f"peak off-zero autocorrelation: {peak_auto:.2f} dB")
-    if report.crosscorr.size:
-        print(f"peak cross-correlation: {report.crosscorr_db.max():.2f} dB")
+    # The archived zone, whatever --max-lag: the cross residual over its
+    # lags relative to X's largest lag-0 power is the ratio that epsilon
+    # bounds, and X's sidelobes relative to lag 0 are what the 30 dB bound
+    # limits.
+    k = arch.design["k"]
+    first = int(arch.design.get("lags_from_one", False))
+    zone = correlation_report(arch.x, arch.y, max_lag=k, literal_transpose=literal)
+    if first <= k:
+        cross = np.abs(zone.crosscorr[:, :, zone.lags >= first]).max()
+        lag0 = float(np.max(np.sum(np.abs(arch.x) ** 2, axis=0)))
+        print(f"zone cross residual (lags {first}..{k}): "
+              f"{cross / lag0 if lag0 else np.inf:.3g} of X's largest lag-0 power")
+    if k:
+        uplink = correlation_report(arch.y, arch.x, max_lag=k, literal_transpose=literal)
+        print(f"worst sidelobe (lags 1..{k}, bound {-SIDELOBE_BOUND_DB:g} dB on X): "
+              f"X {_worst_sidelobe_db(zone, arch.x):.2f} dB, "
+              f"Y {_worst_sidelobe_db(uplink, arch.y):.2f} dB")
     return EXIT_OK
 
 

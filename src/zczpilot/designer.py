@@ -37,11 +37,10 @@ the cross residual it meets.  The projection goes straight into the
 sidelobe restoration (_restore_sidelobes) inside the same zone, with the
 link's lags, 1..k for X and none for Y; its final cap into the ball and
 the ellipsoids is the step's only one.  With no lags it takes no step
-and caps to the ball, the exact projection.  x_step and y_step are the
-plain projections (_project): the zone at the 1e-10 rank rule, then the
-cap into the ball and, for X, the ellipsoids.  Acceptance criteria 6 and
-7 and tests/oracles.py alternate_until_stable check them; a design calls
-neither.
+and caps to the ball, the exact projection.  The link step is the
+designer's one step: acceptance criteria 6 and 7 check its descent and
+feasibility, beside the plain projections x_step and y_step that
+tests/oracles.py keeps as their reference.
 
 The ellipsoids only bound Re r_m <= p - ||x||^2 for the sidelobe
 r_m(x) = x^H J_m x, so for k >= 1 X's step holds every column of the
@@ -263,41 +262,6 @@ def _zone_basis(fixed, b, cfg, transpose_shift, move=False):
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
     tol = _MOVE_RANK if move else 1e-10
     return u[:, : np.count_nonzero(sv > tol * sv[0])]
-
-
-def _project(target, fixed, cfg, p, transpose_shift, lags):
-    """target's zone projection against `fixed` at the 1e-10 rank rule
-    (_zone_basis, _in_zone), capped into the ball and the ellipsoids of
-    lags 1..lags (_cap_into_sets; none for lags = 0)."""
-    p = _resolve_p(cfg, p)
-    target = np.asarray(target, dtype=np.complex128)
-    t = _in_zone(_zone_basis(fixed, target.shape[0], cfg, transpose_shift), target)
-    return _cap_into_sets(t, _column_power(t), _autocorr(t, lags, False), p)
-
-
-def x_step(x_target, y_fixed, cfg, p=None):
-    """Move each target column into the downlink constraint set.
-
-    The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
-    columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}:
-    the zone projection, then the cap into the ball and the ellipsoids
-    (_project), a feasible point for k >= 1.  It is the projection that
-    acceptance criteria 6 and 7 and tests/oracles.py alternate_until_stable
-    check; a design's X step is inner_cycle's link step.
-    """
-    return _project(x_target, y_fixed, cfg, p, False, cfg.k)
-
-
-def y_step(y_target, x_fixed, cfg, p=None):
-    """Project each target column onto the uplink constraint set (exact).
-
-    The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
-    lags}: x_step with no lags and the transposed shifts J_m^T x_q as
-    cross vectors (_project).  A zero target, the MM target of a zero
-    pilot, projects to zero columns.  A design's Y step is inner_cycle's
-    link step.
-    """
-    return _project(y_target, x_fixed, cfg, p, True, 0)
 
 
 def _link_step(target, current, fixed, cfg, p, lags, transpose_shift):

@@ -18,19 +18,18 @@ nonnegative terms: no cancellation against trace[R], no inverse of R
 (rank-deficient priors are fine), and no B x B solve.  M_time and M_rx
 must be positive definite.  The factors (Phi, c, Psi) of the solved
 blocks are the one form of the minimizer V* of the auxiliary quadratic
-form trace[V^H Q V]: the designer's MM target, the MMSE estimator and the
-simulator's error maps are all read from them and the scenario's cached
-constants, and the channel and the training noise are coloured through
-their factors.  Receive mode i enters the estimator through a rank-one
+form trace[V^H Q V]: the designer's MM target and the simulator's error
+maps are both read from them and the scenario's cached constants, and the
+channel and the training noise are coloured through their factors.
+Receive mode i enters the MMSE estimator through a rank-one
 S^-H[:, i] S[:, i]^H, so the error maps are one small mode core times the
 whitened pilot.  No dense covariance, lifted pilot or dense V* is formed.
-A simulated trial draws one row of np.random.default_rng(seed), and a
-call of mmse_squared_errors draws its trials as consecutive rows of one
-such generator.  numpy.random is imported on the first draw, since
-building a scenario does not need it.
+A call of mmse_squared_errors draws its trials as consecutive rows of one
+np.random.default_rng(seed), one row per trial.  numpy.random is imported
+on the first draw, since building a scenario does not need it.  The
+per-trial simulator and estimate that it fuses are kept in
+tests/oracles.py as its reference (simulate_training, mmse_estimate).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,8 @@ def _checked(p, s):
 
 def channel_mse_lemma(p, s):
     """Estimation MSE trace[(R^-1 + Pt^H M^-1 Pt)^-1] from the factored
-    Gram blocks of :func:`mse_and_optimal_V`; R may be singular."""
+    Gram blocks of :func:`mse_and_optimal_V`; R may be singular.  The
+    scoring call that the benchmark's re-check of every design imports."""
     return mse_and_optimal_V(p, s)[0]
 
 
@@ -78,25 +78,6 @@ def mse_and_optimal_V(p, s):
     return mse, (phi, c, fu.conj().T)
 
 
-def optimal_V(p, s):
-    """Minimizer of trace[V^H Q V] over V with fixed top block I.
-
-    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its factors (Phi, c, Psi)
-    (mse_and_optimal_V); at this point the quadratic form equals the
-    estimation MSE.
-    """
-    return mse_and_optimal_V(p, s)[1]
-
-
-@dataclass(frozen=True)
-class TrainingRealization:
-    """One draw of channel, noise and received training block."""
-
-    h: np.ndarray
-    noise: np.ndarray
-    yrx: np.ndarray
-
-
 # Trials per block of mmse_squared_errors.  A block's white draws and
 # estimation errors are held at once, so this bounds the simulator's
 # memory for any trial count: the white draws of 64 trials on an 8x8,
@@ -104,52 +85,13 @@ class TrainingRealization:
 _TRIAL_BLOCK = 64
 
 
-def simulate_training(p, s, seed):
-    """Draw H ~ CN(0, R), N ~ CN(0, M) and form Yrx = H P^T + N.
-
-    One row of N(0, 1) draws from np.random.default_rng(seed) holds the
-    real then imaginary parts of the channel's white vector, then those of
-    the noise's, so a fixed seed reproduces the realization bit for bit,
-    and a Generator gives its next row.  A factor pair (F_a, F_b) of
-    s.colouring acts on the matrix view W of its white vector, n_t x n_r
-    for the channel and b x n_r for the noise, as F_a W F_b^T, the
-    transpose of H or N.
-    """
-    p = _checked(p, s)
-    n_h = s.n_t * s.n_r
-    white = np.random.default_rng(seed).standard_normal(2 * (n_h + s.b * s.n_r))
-    draws = []
-    for (f_a, f_b), w in zip(s.colouring, (white[:2 * n_h], white[2 * n_h:])):
-        k = len(w) // 2
-        w = ((w[:k] + 1j * w[k:]) / np.sqrt(2.0)).reshape(len(f_a), -1)
-        draws.append((f_a @ w @ f_b.T).T)
-    h, noise = draws
-    return TrainingRealization(h=h, noise=noise, yrx=h @ p.T + noise)
-
-
-def mmse_estimate(yrx, p, s):
-    """Bayesian channel estimate vec(H^) = R Pt^H (M + Pt R Pt^H)^-1 vec(Yrx).
-
-    The estimator is Z^H (G and R are Hermitian), applied from the factors
-    of V* (mse_and_optimal_V), Y_i = Phi diag(c_i) Psi:
-    H^ = S^-H [lam_i (S^H Yrx)[i, :] conj(Y_i)]_i, row i for receive mode i.
-    """
-    yrx = np.asarray(yrx, dtype=np.complex128)
-    if yrx.shape != (s.n_r, s.b):
-        raise ValueError(f"yrx shape {yrx.shape}, expected {(s.n_r, s.b)}")
-    lam, basis, basis_inv = s.receive_eig
-    phi, c, psi = optimal_V(p, s)
-    modes = ((basis.conj().T @ yrx @ phi.conj()) * (lam[:, None] * c)) @ psi.conj()
-    return basis_inv.conj().T @ modes
-
-
 def mmse_squared_errors(p, s, trials, seed):
     """The lemma MSE of p and ||H^ - H||_F^2 of the MMSE estimate for each
     of trials training draws from one np.random.default_rng(seed).
 
-    Draw for draw the same as simulate_training followed by mmse_estimate
-    per trial on that one generator, to rounding.  The error
-    E (Pt vec(H) + vec(N)) - vec(H) of
+    Draw for draw the same as tests/oracles.py's simulate_training followed
+    by mmse_estimate per trial on that one generator, to rounding.  The
+    error E (Pt vec(H) + vec(N)) - vec(H) of
     E = Z^H = sum_i lam_i Y_i^H (x) S^-H[:, i] S[:, i]^H is linear in the
     white draws, (E Pt - I)(F_tx (x) F_rx) w_h + E (F_time (x) F_n) w_n.
     Each mode's S^-H[:, i] S[:, i]^H has rank one, so both maps come from

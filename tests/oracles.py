@@ -1,10 +1,11 @@
-"""Dense reference forms that the package does not use, kept as the
-tests' oracles: the covariances R = R_tx (x) R_rx and M = M_time (x) M_rx,
-the lifted pilot Pt = P (x) I, the information form of the MSE, the block
-matrix Q, the solved Gram blocks and the dense auxiliary variable
-V* = [I; V2], the dense MM curvature and the quadratic form
-F(V, P) = trace[V^H Q V]; the full-SVD zone bases; and the reference
-iteration and restoration of the designer."""
+"""Reference forms that the package does not use, kept as the tests'
+oracles: the covariances R = R_tx (x) R_rx and M = M_time (x) M_rx, the
+lifted pilot Pt = P (x) I, the information form of the MSE, the block
+matrix Q, V* and its solved Gram blocks and dense form V* = [I; V2], the
+dense MM curvature and the quadratic form F(V, P) = trace[V^H Q V]; the
+per-trial training simulator and MMSE estimate; the full-SVD zone bases;
+the plain projections x_step and y_step; and the reference iteration and
+restoration of the designer."""
 
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from zczpilot import designer
-from zczpilot.estimation import _checked
+from zczpilot.estimation import _checked, mse_and_optimal_V
 
 
 def chan_cov(s):
@@ -115,6 +116,16 @@ class AuxiliaryV:
         return np.vstack([self.v1, self.v2])
 
 
+def optimal_V(p, s):
+    """Minimizer of trace[V^H Q V] over V with fixed top block I.
+
+    V* = [I; -(M + Pt R Pt^H)^-1 Pt R], as its factors (Phi, c, Psi)
+    (mse_and_optimal_V); at this point the quadratic form equals the
+    estimation MSE.
+    """
+    return mse_and_optimal_V(p, s)[1]
+
+
 def solved_blocks(v):
     """The n_r solved Gram blocks Y_i = Phi diag(c_i) Psi of the factors
     v = (Phi, c, Psi) of V* (mse_and_optimal_V), an (n_r, B, n_t) array."""
@@ -165,6 +176,55 @@ def surrogate_F(v, p, s):
     return float(term1.real + term2 + term3.real + term4.real)
 
 
+@dataclass(frozen=True)
+class TrainingRealization:
+    """One draw of channel, noise and received training block."""
+
+    h: np.ndarray
+    noise: np.ndarray
+    yrx: np.ndarray
+
+
+def simulate_training(p, s, seed):
+    """Draw H ~ CN(0, R), N ~ CN(0, M) and form Yrx = H P^T + N.
+
+    One row of N(0, 1) draws from np.random.default_rng(seed) holds the
+    real then imaginary parts of the channel's white vector, then those of
+    the noise's, so a fixed seed reproduces the realization bit for bit,
+    and a Generator gives its next row.  A factor pair (F_a, F_b) of
+    s.colouring acts on the matrix view W of its white vector, n_t x n_r
+    for the channel and b x n_r for the noise, as F_a W F_b^T, the
+    transpose of H or N.  estimation.mmse_squared_errors draws trial t
+    from row t of one generator.
+    """
+    p = _checked(p, s)
+    n_h = s.n_t * s.n_r
+    white = np.random.default_rng(seed).standard_normal(2 * (n_h + s.b * s.n_r))
+    draws = []
+    for (f_a, f_b), w in zip(s.colouring, (white[:2 * n_h], white[2 * n_h:])):
+        k = len(w) // 2
+        w = ((w[:k] + 1j * w[k:]) / np.sqrt(2.0)).reshape(len(f_a), -1)
+        draws.append((f_a @ w @ f_b.T).T)
+    h, noise = draws
+    return TrainingRealization(h=h, noise=noise, yrx=h @ p.T + noise)
+
+
+def mmse_estimate(yrx, p, s):
+    """Bayesian channel estimate vec(H^) = R Pt^H (M + Pt R Pt^H)^-1 vec(Yrx).
+
+    The estimator is Z^H (G and R are Hermitian), applied from the factors
+    of V* (mse_and_optimal_V), Y_i = Phi diag(c_i) Psi:
+    H^ = S^-H [lam_i (S^H Yrx)[i, :] conj(Y_i)]_i, row i for receive mode i.
+    """
+    yrx = np.asarray(yrx, dtype=np.complex128)
+    if yrx.shape != (s.n_r, s.b):
+        raise ValueError(f"yrx shape {yrx.shape}, expected {(s.n_r, s.b)}")
+    lam, basis, basis_inv = s.receive_eig
+    phi, c, psi = optimal_V(p, s)
+    modes = ((basis.conj().T @ yrx @ phi.conj()) * (lam[:, None] * c)) @ psi.conj()
+    return basis_inv.conj().T @ modes
+
+
 def adjoint_embed(z, n_r):
     """Adjoint of embed_pilot: the block partial trace.
 
@@ -191,6 +251,43 @@ def zone_bases(vectors, b):
     u, sv, _ = np.linalg.svd(vectors)
     rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
     return u[:, :rank], u[:, rank:]
+
+
+def _project(target, fixed, cfg, p, transpose_shift, lags):
+    """target's zone projection against `fixed` at the 1e-10 rank rule
+    (designer._zone_basis, _in_zone), capped into the ball and the
+    ellipsoids of lags 1..lags (_cap_into_sets; none for lags = 0)."""
+    p = designer._resolve_p(cfg, p)
+    target = np.asarray(target, dtype=np.complex128)
+    t = designer._in_zone(
+        designer._zone_basis(fixed, target.shape[0], cfg, transpose_shift), target)
+    return designer._cap_into_sets(t, designer._column_power(t),
+                                   designer._autocorr(t, lags, False), p)
+
+
+def x_step(x_target, y_fixed, cfg, p=None):
+    """Move each target column into the downlink constraint set.
+
+    The set per column is {||x||^2 <= p} ∩ {x^H J_m y_l = 0 for all fixed
+    columns y_l and lags m} ∩ {x^H (J_m^T + J_m + 2I) x <= 2p, m = 1..k}:
+    the zone projection, then the cap into the ball and the ellipsoids
+    (_project), a feasible point for k >= 1.  A design's X step is
+    designer._link_step, which acceptance criteria 6 and 7 check beside
+    this projection.
+    """
+    return _project(x_target, y_fixed, cfg, p, False, cfg.k)
+
+
+def y_step(y_target, x_fixed, cfg, p=None):
+    """Project each target column onto the uplink constraint set (exact).
+
+    The set is {||y||^2 <= p} ∩ {x_q^H J_m y = 0 for all fixed columns and
+    lags}: x_step with no lags and the transposed shifts J_m^T x_q as
+    cross vectors (_project).  A zero target, the MM target of a zero
+    pilot, projects to zero columns.  A design's Y step is
+    designer._link_step.
+    """
+    return _project(y_target, x_fixed, cfg, p, True, 0)
 
 
 def _restored_against(x, y, cfg, p):
@@ -224,13 +321,13 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     there is no Y to alternate with yet, so X is restored and held right
     after its first step, which is also what the designer's start does.
     """
-    x = designer.x_step(x_sigma, y0, cfg, p=p_x)
+    x = x_step(x_sigma, y0, cfg, p=p_x)
     y = y0
     if np.any(y0):
-        y = designer.y_step(y_sigma, x, cfg, p=p_y)
+        y = y_step(y_sigma, x, cfg, p=p_y)
         for _ in range(mu - 1):
-            x_new = designer.x_step(x_sigma, y, cfg, p=p_x)
-            y_new = designer.y_step(y_sigma, x_new, cfg, p=p_y)
+            x_new = x_step(x_sigma, y, cfg, p=p_x)
+            y_new = y_step(y_sigma, x_new, cfg, p=p_y)
             move = max(np.linalg.norm(x_new - x), np.linalg.norm(y_new - y))
             x, y = x_new, y_new
             if move <= inner_tol:
@@ -254,7 +351,7 @@ def alternate_until_stable(x_sigma, y_sigma, x0, y0, cfg, p_x=None, p_y=None,
     ]
     far = np.linalg.norm(x - x_sigma, axis=0) > np.linalg.norm(x0 - x_sigma, axis=0)
     x = np.where(over | far, x0, x)
-    y = designer.y_step(y_sigma, x, cfg, p=p_y)
+    y = y_step(y_sigma, x, cfg, p=p_y)
     far = np.linalg.norm(y - y_sigma, axis=0) > np.linalg.norm(y0 - y_sigma, axis=0)
     y = np.where(far, y0, y)
     if collapses(x, True):

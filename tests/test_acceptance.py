@@ -13,20 +13,28 @@ import time
 import numpy as np
 import pytest
 
-from oracles import build_Q, channel_mse_direct, mm_model as _mm_model, surrogate_F
+from oracles import (
+    build_Q,
+    channel_mse_direct,
+    mm_model as _mm_model,
+    optimal_V,
+    surrogate_F,
+    x_step,
+    y_step,
+)
 from zczpilot.analysis import correlation_report, empirical_mse
 from zczpilot.archive import without_timestamp
 from zczpilot.cli import main
 from zczpilot.covariance import ChannelScenario, build_scenario, reciprocal_scenario
 from zczpilot.designer import (
+    SIDELOBE_DELTA,
     DesignConfig,
+    _link_step,
     build_sigma_target,
     design_pilots,
     shift_matrix,
-    x_step,
-    y_step,
 )
-from zczpilot.estimation import channel_mse_lemma, optimal_V
+from zczpilot.estimation import channel_mse_lemma
 
 # Tolerance the projections are held to on re-projection of their own
 # output (criterion 7 allows twice it).
@@ -221,19 +229,46 @@ def test_criterion_5c_autocorrelation_suppression(reference_runs, capsys):
     assert ok
 
 
-def test_criterion_6_mm_descent(capsys):
+def criterion_6_instances():
+    """Criterion 6's 100 instances from generator seed 6: the scenario,
+    config, fixed uplink pilot, start target and V* of each."""
     rng = np.random.default_rng(6)
-    worst_descent = -np.inf
-    worst_tight = 0.0
-    for i in range(100):
-        n_t, n_r = rng.choice([1, 2]), rng.choice([1, 2])
+    for _ in range(100):
+        n_t, n_r = int(rng.choice([1, 2])), int(rng.choice([1, 2]))
         b = int(rng.choice([4, 6]))
         k = int(rng.integers(0, 3))
-        s = random_scenario(rng, int(n_t), int(n_r), b)
+        s = random_scenario(rng, n_t, n_r, b)
         cfg = DesignConfig(k=k, p=float(s.gamma) / s.n_t)
         y_fixed = crandn(rng, b, 1) * 0.5
-        p0 = x_step(crandn(rng, b, int(n_t)), y_fixed, cfg)
-        v = optimal_V(crandn(rng, b, int(n_t)), s)
+        start = crandn(rng, b, n_t)
+        yield s, cfg, y_fixed, start, optimal_V(crandn(rng, b, n_t), s)
+
+
+def downlink_excess(x, y, cfg):
+    """Feasibility of the downlink pilot x against y under cfg: its largest
+    column power over p, largest ellipsoid value x^H (J_m^T + J_m + 2I) x
+    over 2p (m = 1..k), largest |x_q^H J_m y_l| (m = 0..k) and worst
+    sidelobe ratio |x_q^H J_m x_q| / ||x_q||^2 (m = 1..k, 0 for a zero
+    column)."""
+    b = x.shape[0]
+    power = np.sum(np.abs(x) ** 2, axis=0)
+    ellipsoid, ratio = -np.inf, 0.0
+    for m in range(1, cfg.k + 1):
+        jm = shift_matrix(b, m)
+        r = np.abs(np.einsum("bq,bc,cq->q", x.conj(), jm, x))
+        ratio = max(ratio, float(np.max(r / np.where(power > 0, power, 1.0))))
+        val = np.real(np.einsum("bq,bc,cq->q", x.conj(), jm.T + jm + 2.0 * np.eye(b), x))
+        ellipsoid = max(ellipsoid, float(val.max()) - 2.0 * cfg.p)
+    cross = max(float(np.abs(x.conj().T @ shift_matrix(b, m) @ y).max(initial=0.0))
+                for m in range(cfg.k + 1))
+    return float(power.max()) - cfg.p, ellipsoid, cross, ratio
+
+
+def test_criterion_6_mm_descent(capsys):
+    worst_descent = -np.inf
+    worst_tight = 0.0
+    for s, cfg, y_fixed, start, v in criterion_6_instances():
+        p0 = x_step(start, y_fixed, cfg)
 
         # quadratic model evaluated through its pieces must match the
         # blockwise form at p0 (majorizer tightness)
@@ -259,17 +294,55 @@ def test_criterion_6_mm_descent(capsys):
     assert ok
 
 
-def test_criterion_7_projection_correctness(capsys):
+def test_criterion_6_link_step_descent(capsys):
+    # The step a design takes (designer._link_step, as inner_cycle takes
+    # X's), on criterion 6's instances: from a feasible p0, the start
+    # target stepped from a zero current, toward the MM target at p0.
+    worst_descent = -np.inf
+    worst = np.full(4, -np.inf)  # power, ellipsoid, cross, sidelobe ratio
+    moved = 0
+    for s, cfg, y_fixed, start, v in criterion_6_instances():
+        p0 = _link_step(start, np.zeros_like(start), y_fixed, cfg, None, cfg.k, False)[0]
+        p_sigma = build_sigma_target(v, p0, s)
+        p1 = _link_step(p_sigma, p0, y_fixed, cfg, None, cfg.k, False)[0]
+        worst_descent = max(worst_descent, surrogate_F(v, p1, s) - surrogate_F(v, p0, s))
+        moved += not np.array_equal(p1, p0)
+        for p in (p0, p1):
+            worst = np.maximum(worst, downlink_excess(p, y_fixed, cfg))
+    power, ellipsoid, cross, ratio = worst
+    ok = (worst_descent <= 1e-8 and moved > 0 and max(power, ellipsoid, cross) <= 1e-9
+          and ratio <= SIDELOBE_DELTA)
+    announce(
+        capsys, ok, "6 (link step)",
+        f"100 instances, {moved} move; worst F increase {worst_descent:.2e} "
+        f"(<=1e-8); excess power {power:.2e}, ellipsoid {ellipsoid:.2e}, "
+        f"cross {cross:.2e} (<=1e-9); worst sidelobe ratio {ratio:.5f} "
+        f"(<={SIDELOBE_DELTA:.5f})",
+    )
+    assert ok
+
+
+def criterion_7_draws():
+    """Criterion 7's draws from generator seed 7: ten (y, X target, Y
+    target) triples with B = 7, then the ball target t, the subspace
+    normal and the subspace target t2, each 5 x 1."""
     rng = np.random.default_rng(7)
+    triples = [(crandn(rng, 7, 1) * 0.6, crandn(rng, 7, 2) * 2.0,
+                crandn(rng, 7, 2) * 2.0) for _ in range(10)]
+    t = crandn(rng, 5, 1)
+    return triples, t * (2.0 / np.linalg.norm(t)), crandn(rng, 5, 1), crandn(rng, 5, 1)
+
+
+def test_criterion_7_projection_correctness(capsys):
     worst_move = 0.0
     worst_power = -np.inf
     worst_ellipsoid = -np.inf
     worst_cross = 0.0
     cfg = DesignConfig(k=2, p=1.5)
-    for _ in range(10):
+    triples, t, normal, t2 = criterion_7_draws()
+    for y, x_target, y_target in triples:
         b = 7
-        y = crandn(rng, b, 1) * 0.6
-        x = x_step(crandn(rng, b, 2) * 2.0, y, cfg)
+        x = x_step(x_target, y, cfg)
         worst_move = max(worst_move, np.linalg.norm(x_step(x, y, cfg) - x))
         worst_power = max(
             worst_power, float(np.real(np.sum(x.conj() * x, axis=0)).max()) - cfg.p
@@ -283,19 +356,15 @@ def test_criterion_7_projection_correctness(capsys):
             worst_cross = max(
                 worst_cross, float(np.abs(x.conj().T @ shift_matrix(b, m) @ y).max())
             )
-        yy = y_step(crandn(rng, b, 2) * 2.0, x, cfg)
+        yy = y_step(y_target, x, cfg)
         worst_move = max(worst_move, np.linalg.norm(y_step(yy, x, cfg) - yy))
 
     # single-constraint closed forms
-    t = crandn(rng, 5, 1)
-    t *= 2.0 / np.linalg.norm(t)
     ball = y_step(t, np.zeros((5, 0)), DesignConfig(k=0, p=1.0))
     ball_err = np.linalg.norm(ball - t / 2.0)
-    a = crandn(rng, 5, 1)
-    t2 = crandn(rng, 5, 1)
-    sub = x_step(t2, a, DesignConfig(k=0, p=100.0))
-    want = t2[:, 0] - a[:, 0] * (a[:, 0].conj() @ t2[:, 0]) / np.real(
-        a[:, 0].conj() @ a[:, 0]
+    sub = x_step(t2, normal, DesignConfig(k=0, p=100.0))
+    want = t2[:, 0] - normal[:, 0] * (normal[:, 0].conj() @ t2[:, 0]) / np.real(
+        normal[:, 0].conj() @ normal[:, 0]
     )
     sub_err = np.linalg.norm(sub[:, 0] - want)
 
@@ -313,6 +382,54 @@ def test_criterion_7_projection_correctness(capsys):
         f"{2 * INNER_TOL:.0e}); residual excess power {worst_power:.2e}, "
         f"ellipsoid {worst_ellipsoid:.2e}, cross {worst_cross:.2e}; closed "
         f"forms ball {ball_err:.2e}, subspace {sub_err:.2e} (<=1e-10)",
+    )
+    assert ok
+
+
+def test_criterion_7_link_step_correctness(capsys):
+    # The link step moves and holds, so it is no projection: of criterion
+    # 7's checks, feasibility, idempotence (a pilot stepped toward itself
+    # from itself) and the closed forms from a zero current carry over.
+    cfg = DesignConfig(k=2, p=1.5)
+    triples, t, normal, t2 = criterion_7_draws()
+    worst = np.full(4, -np.inf)  # power, ellipsoid, cross, sidelobe ratio
+    fixed_points = 0
+    for y, x_target, y_target in triples:
+        x = _link_step(x_target, np.zeros_like(x_target), y, cfg, None, cfg.k, False)[0]
+        yy = _link_step(y_target, np.zeros_like(y_target), x, cfg, None, 0, True)[0]
+        worst = np.maximum(worst, downlink_excess(x, y, cfg))
+        y_power = float(np.sum(np.abs(yy) ** 2, axis=0).max()) - cfg.p
+        y_cross = downlink_excess(x, yy, cfg)[2]
+        worst[:3] = np.maximum(worst[:3], (y_power, -np.inf, y_cross))
+        fixed_points += np.array_equal(
+            _link_step(x, x, y, cfg, None, cfg.k, False)[0], x)
+        fixed_points += np.array_equal(_link_step(yy, yy, x, cfg, None, 0, True)[0], yy)
+
+    # single-constraint closed forms, stepped from a zero current
+    zero = np.zeros_like(t)
+    ball = _link_step(t, zero, np.zeros((5, 0)), DesignConfig(k=0, p=1.0), None, 0, True)[0]
+    ball_err = np.linalg.norm(ball - t / 2.0)
+    sub = _link_step(t2, zero, normal, DesignConfig(k=0, p=100.0), None, 0, False)[0]
+    want = t2[:, 0] - normal[:, 0] * (normal[:, 0].conj() @ t2[:, 0]) / np.real(
+        normal[:, 0].conj() @ normal[:, 0]
+    )
+    sub_err = np.linalg.norm(sub[:, 0] - want)
+
+    power, ellipsoid, cross, ratio = worst
+    ok = (
+        fixed_points == 2 * len(triples)
+        and max(power, ellipsoid, cross) <= 1e-9
+        and ratio <= SIDELOBE_DELTA
+        and ball_err <= 1e-10
+        and sub_err <= 1e-10
+    )
+    announce(
+        capsys, ok, "7 (link step)",
+        f"{fixed_points} of {2 * len(triples)} pilots returned bit for bit when "
+        f"stepped toward themselves; excess power {power:.2e}, ellipsoid "
+        f"{ellipsoid:.2e}, cross {cross:.2e} (<=1e-9); worst sidelobe ratio "
+        f"{ratio:.5f} (<={SIDELOBE_DELTA:.5f}); closed forms ball "
+        f"{ball_err:.2e}, subspace {sub_err:.2e} (<=1e-10)",
     )
     assert ok
 

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import chan_cov, embed_pilot, noise_cov
+from oracles import chan_cov, embed_pilot, noise_cov, simulate_training
 from zczpilot.analysis import (
     DB_FLOOR,
     correlation_report,
@@ -21,7 +21,7 @@ from zczpilot.analysis import (
 )
 from zczpilot.covariance import build_scenario, reciprocal_scenario
 from zczpilot.designer import DesignConfig, design_pilots, shift_matrix
-from zczpilot.estimation import _TRIAL_BLOCK, channel_mse_lemma, simulate_training
+from zczpilot.estimation import _TRIAL_BLOCK, channel_mse_lemma
 
 
 def crandn(rng, *shape):

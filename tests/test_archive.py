@@ -210,6 +210,27 @@ class TestValidation:
         with pytest.raises(ArchiveError, match="'design.literal_transpose'.*boolean"):
             parse_archive(payload)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_lags_from_one_must_be_boolean(self, designed, value):
+        payload = make_payload(designed)
+        payload["design"]["lags_from_one"] = value
+        with pytest.raises(ArchiveError, match="'design.lags_from_one'.*boolean"):
+            parse_archive(payload)
+        del payload["design"]["lags_from_one"]  # read as false
+        assert "lags_from_one" not in parse_archive(payload).design
+
+    @pytest.mark.parametrize("value", [-1, 4, 1.0, True, "1", None])
+    def test_k_must_be_an_integer_below_b(self, designed, value):
+        # B = 4, so the zone's lags 0..k need k <= 3; a JSON float or
+        # boolean is no lag count
+        payload = make_payload(designed)
+        payload["design"]["k"] = value
+        with pytest.raises(ArchiveError, match=r"'design\.k': expected an integer in \[0, 4\)"):
+            parse_archive(payload)
+        del payload["design"]["k"]
+        with pytest.raises(ArchiveError, match=r"'design\.k'"):
+            parse_archive(payload)
+
     def test_best_mse_still_read(self, designed, tmp_path):
         # archives written while the result block carried best_mse load
         payload = make_payload(designed)

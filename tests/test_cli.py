@@ -417,6 +417,32 @@ class TestAnalyze:
         assert abs(value - x[:, row["q"]].conj() @ jm @ y[:, row["l"]]) <= 1e-12
         capsys.readouterr()
 
+    @pytest.mark.parametrize("config", ["shipped", "conventions"])
+    def test_reports_the_zone_relative_to_lag_0(self, config, conventions_config,
+                                                 tmp_path, capsys):
+        # Over the archived zone, whatever --max-lag: the cross residual
+        # relative to X's largest lag-0 power, which epsilon bounds, and each
+        # pilot's worst sidelobe relative to its column's lag-0 power, which
+        # the 30 dB bound limits on X.  Over every lag, the shipped design's
+        # largest cross term is 17.97 dB above unit power.
+        path = {"shipped": Path(__file__).parents[1] / "configs" / "mimo4x4_b8.ini",
+                "conventions": conventions_config}[config]
+        out = tmp_path / "designed"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        arc = read_archive(out / "pilot_archive.json")
+        k, first = arc.design["k"], int(arc.design["lags_from_one"])
+        capsys.readouterr()
+        assert main(["analyze", str(out / "pilot_archive.json"),
+                     "--max-lag", "0"]) == EXIT_OK
+        text = capsys.readouterr().out
+        ratio = re.search(rf"^zone cross residual \(lags {first}\.\.{k}\): (\S+) "
+                          "of X's largest lag-0 power$", text, re.M)
+        sidelobes = re.search(rf"^worst sidelobe \(lags 1\.\.{k}, bound -30 dB on X\): "
+                              r"X (\S+) dB, Y (\S+) dB$", text, re.M)
+        assert 0.0 <= float(ratio[1]) <= arc.design["epsilon"]
+        assert float(sidelobes[1]) <= -30.0
+        assert float(sidelobes[2]) < 0.0
+
     def test_string_literal_transpose_rejected(self, archive_dir, tmp_path, capsys):
         doc = json.loads((archive_dir / "pilot_archive.json").read_text())
         doc["design"]["literal_transpose"] = "false"

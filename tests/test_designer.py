@@ -13,6 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from oracles import (
     adjoint_embed,
     alternate_until_stable,
@@ -20,7 +21,10 @@ from oracles import (
     dense_v,
     embed_pilot,
     mm_model,
+    optimal_V,
     surrogate_F,
+    x_step,
+    y_step,
     zone_bases,
 )
 from test_estimation import DIM_GRID, LINALG_FACTORS, RHO_SETS, record_factor_sizes
@@ -42,10 +46,8 @@ from zczpilot.designer import (
     design_pilots,
     inner_cycle,
     shift_matrix,
-    x_step,
-    y_step,
 )
-from zczpilot.estimation import channel_mse_lemma, mse_and_optimal_V, optimal_V
+from zczpilot.estimation import channel_mse_lemma, mse_and_optimal_V
 
 # Tolerance x_step and y_step are held to on re-projection of their own
 # output.
@@ -416,8 +418,9 @@ class TestYStep:
             y_step(target, x, DesignConfig(k=8, p=1.0))
 
 
-def count_calls(monkeypatch, *names):
-    """Wrap the named designer functions so that each call is counted."""
+def count_calls(monkeypatch, *names, module=designer):
+    """Wrap the named functions of module (the designer's by default) so
+    that each call is counted."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name, func):
@@ -428,7 +431,7 @@ def count_calls(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(designer, name, counted(name, getattr(designer, name)))
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
 
@@ -689,7 +692,7 @@ class TestInnerCycle:
         _, trace = _descend(dl, ul, cfg, *start, p_x, p_y)
         monkeypatch.undo()
         assert len(rounds) == cfg.max_outer + 1 and sum(trace.extrapolated) > 0
-        calls = count_calls(monkeypatch, "x_step")
+        calls = count_calls(monkeypatch, "x_step", module=oracles)
         for args, (x, y, notes, steps) in rounds:
             ref_x, ref_y, ref_notes, ref_steps = alternate_until_stable(**args)
             assert (notes, steps) == (ref_notes, ref_steps)

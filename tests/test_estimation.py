@@ -19,7 +19,10 @@ from oracles import (
     dense_v,
     embed_pilot,
     hermitian_solve,
+    mmse_estimate,
     noise_cov,
+    optimal_V,
+    simulate_training,
     surrogate_F,
 )
 from zczpilot import cli
@@ -33,11 +36,8 @@ from zczpilot.designer import DesignConfig, design_pilots
 from zczpilot.estimation import (
     _TRIAL_BLOCK,
     channel_mse_lemma,
-    mmse_estimate,
     mmse_squared_errors,
     mse_and_optimal_V,
-    optimal_V,
-    simulate_training,
 )
 
 
