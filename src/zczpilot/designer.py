@@ -7,13 +7,13 @@ sets: per-column power balls, zero cross-correlation between the two
 pilots over a lag window, and on the downlink (sensing) pilot the
 convexified low-autocorrelation ellipsoids and a 30 dB sidelobe bound.
 A round is one link step (_link_step) taken twice, X against the current
-Y and then Y against the new X.  _start builds the start (k >= 1: phased
-impulses of Y and X on disjoint rows, which no lag of the zone
-correlates, so that both links train; k = 0: unit impulses, Y0 = 0 and
-seeded random targets), and _descend runs the rounds from any feasible
-pair: for k = 0 one MM step after another, for k >= 1 SQUAREM cycles of
-two MM steps and one extrapolated round, kept only when it lowers the
-MSE.
+Y and then Y against the new X.  _start builds the start (k >= 1: Y's
+closed-form transmit-eigenmode pilot and X's phased impulses on disjoint
+rows, which no lag of the zone correlates, so that both links train;
+k = 0: unit impulses, Y0 = 0 and seeded random targets), and _descend
+runs the rounds from any feasible pair: for k = 0 one MM step after
+another, for k >= 1 SQUAREM cycles of two MM steps and one extrapolated
+round, kept only when it lowers the MSE.
 
 The channel covariance of either link is the Kronecker product
 R = R_tx (x) R_rx of the scenario's factors, so the curvature of the MM
@@ -518,21 +518,34 @@ def _start(dl, ul, cfg, p_x, p_y):
     """The start (x, y, x_sigma, y_sigma).  k = 0: impulses of power p_x
     (column q at row q mod B), Y0 = 0 and seeded targets: dl re, dl im,
     ul re, ul im.  k >= 1: the guard-free row split, s_y = B // 2: X
-    column q an impulse of power p_x at row s_y + q mod (B - s_y), Y
-    column l one of power p_y at row l mod s_y, each with a seeded phase
-    (X's drawn first), and each block's own MM target."""
+    column q an impulse of power p_x at row s_y + q mod (B - s_y), with a
+    seeded phase, and Y the uplink's equal-power transmit-eigenmode pilot
+    on rows [0, s_y) (Kotecha & Sayeed, IEEE TSP 2004; Biguesh &
+    Gershman, IEEE TSP 2006), Y_S = sqrt(p_y) W V^H: W holds the top
+    min(n_t, s_y) eigenvectors of (M_time^-1)_SS = L^-1[:, S]^H L^-1[:, S]
+    (time_whitener, S the rows), V as many of R_tx's, largest paired with
+    largest, and each eigenvector is rotated so that its first entry is
+    real and >= 0, so Y depends on neither the seed nor the signs that
+    eigh returns.  No lag of the zone couples Y's rows to X's, so the
+    start is feasible whatever either block does on its own rows; every
+    column of Y has power p_y when n_t <= s_y, and at most p_y otherwise.
+    Each block aims at its own MM target."""
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros((dl.b, dl.n_t), dtype=np.complex128)
     y = np.zeros((ul.b, ul.n_t), dtype=np.complex128)
-    xq, yl = np.arange(dl.n_t), np.arange(ul.n_t)
+    xq = np.arange(dl.n_t)
     if not cfg.k:
         x[xq % dl.b, xq] = np.sqrt(p_x)
         return x, y, *(rng.standard_normal((s.b, s.n_t))
                        + 1j * rng.standard_normal((s.b, s.n_t)) for s in (dl, ul))
     _check_fixed(x, dl.b, cfg)  # k < B, so both blocks get rows
-    s_y, phase = dl.b // 2, np.exp(2j * np.pi * rng.random(dl.n_t + ul.n_t))
-    x[s_y + xq % (dl.b - s_y), xq] = np.sqrt(p_x) * phase[: dl.n_t]
-    y[yl % s_y, yl] = np.sqrt(p_y) * phase[dl.n_t :]
+    s_y, phase = dl.b // 2, np.exp(2j * np.pi * rng.random(dl.n_t))
+    x[s_y + xq % (dl.b - s_y), xq] = np.sqrt(p_x) * phase
+    top, low_inv = min(ul.n_t, s_y), ul.time_whitener[0][:, :s_y]
+    grams = (low_inv.conj().T @ low_inv, ul.r_tx)  # (M_time^-1)_SS and R_tx
+    modes = (np.linalg.eigh(a)[1][:, ::-1][:, :top] for a in grams)  # largest first
+    w, v = (e * np.exp(-1j * np.angle(e[:1])) for e in modes)  # first entries real, >= 0
+    y[:s_y] = np.sqrt(p_y) * w @ v.conj().T
     return x, y, *(build_sigma_target(mse_and_optimal_V(m, s)[1], m, s)
                    for m, s in ((x, dl), (y, ul)))
 
@@ -646,15 +659,16 @@ def design_pilots(dl, ul, cfg):
     the ellipsoids and the cross-correlation zone; k = 0 has no sidelobe
     bound.  Every round is one inner_cycle from the current pair
     (_descend); round 0 goes from the start (_start): for k >= 1 the row
-    split, Y above X, toward its own MM targets, so that Y != 0; for k = 0
-    impulses and Y = 0 toward seeded random targets.  Every later round
-    aims at the MM targets of the last iterate, or for k >= 1 at a SQUAREM
-    extrapolation, which is kept only if it lowers the total MSE.  A
-    column that cannot improve keeps its current value, so every MM round
-    is a descent step, the total MSE is non-increasing over the trace and
-    the returned pair is the last iterate.  Stops when a cycle (one MM
-    round for k = 0) moves the total MSE by less than eta, or flags
-    non-convergence once max_outer rounds after the start's have run.
+    split, Y's eigenmode pilot above X's seeded impulses, toward its own
+    MM targets, so that Y != 0; for k = 0 impulses and Y = 0 toward seeded
+    random targets.  Every later round aims at the MM targets of the last
+    iterate, or for k >= 1 at a SQUAREM extrapolation, which is kept only
+    if it lowers the total MSE.  A column that cannot improve keeps its
+    current value, so every MM round is a descent step, the total MSE is
+    non-increasing over the trace and the returned pair is the last
+    iterate.  Stops when a cycle (one MM round for k = 0) moves the total
+    MSE by less than eta, or flags non-convergence once max_outer rounds
+    after the start's have run.
     """
     if dl.b != ul.b:
         raise ValueError("link scenarios must share the training length")

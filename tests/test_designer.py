@@ -924,12 +924,13 @@ class TestFactorizationReuse:
         _, trace = design_pilots(dl, ul, DesignConfig(k=k, max_outer=8, seed=0))
         # Every round, the start's and each extrapolation's included, is
         # scored once (no extra trial factorings) and restores both
-        # pilots, one link step each; the k >= 1 start takes one more V* per link, for its own MM
-        # targets.  A rejected extrapolation is a round without a trace
-        # row: for k = 2 one of the two is, and the 9 rounds give 8 rows.
+        # pilots, one link step each; the k >= 1 start takes one more V*
+        # per link, for its own MM targets.  A rejected extrapolation is a
+        # round without a trace row: for k = 2 both extrapolations are
+        # kept from the eigenmode start, and the 9 rounds give 9 rows.
         rounds = calls["inner_cycle"]
         assert rounds == 9
-        assert trace.rejected_extrapolations == (1 if k else 0)
+        assert trace.rejected_extrapolations == 0
         assert len(trace.mse) + trace.rejected_extrapolations == rounds
         assert calls["_restore_sidelobes"] == 2 * rounds
         assert list(factored.values()) == [rounds + (k > 0)] * 2
@@ -1285,7 +1286,8 @@ class TestSidelobeBound:
         # holds each column at its start impulse of power p_x (column q at
         # row s_y + q = 3 + q, with its seeded phase), with one note per
         # held column, which the trace records at iteration 0, and the run
-        # goes on from that feasible pair.
+        # goes on from that feasible pair; its one extrapolation is
+        # rejected, so the 5 rounds after the start's leave 4 rows.
         monkeypatch.setattr(designer, "_RESTORE_MAX_STEPS", 0)
         rounds = record_rounds(monkeypatch)
         dl = build_scenario(2, 2, 6)
@@ -1305,15 +1307,17 @@ class TestSidelobeBound:
         want = [held_note(q, r) for q, r in enumerate(worst)]
         assert notes == want
         assert trace.warnings[:2] == [f"iteration 0: {note}" for note in want]
-        assert trace.outer_iterations == 5
+        assert trace.outer_iterations == 4 and trace.rejected_extrapolations == 1
         assert sidelobe_ratios(pair.x, cfg.k).max() <= SIDELOBE_DELTA
         assert np.diff(trace.mse).max() <= 0.0
 
     def test_over_bound_restoration_holds_column(self, monkeypatch):
         # X's restoration (the one with lags) of outer iteration 1 reports
-        # column 1 over the bound: that column keeps its value, a note
-        # names it with its residual and the trace records it at iteration
-        # 1, and the run goes on
+        # column 1 over the bound: that column keeps its value while
+        # column 0 moves, a note names it with its residual and the trace
+        # records it at iteration 1, and the run goes on.  k = 1: X's zone
+        # here is its own 3 rows, and with lags 1 and 2 bounded there
+        # column 0 keeps its start impulse in every round
         restore = designer._restore_sidelobes
         seen = []
 
@@ -1330,7 +1334,7 @@ class TestSidelobeBound:
         rounds = record_rounds(monkeypatch)
         dl = build_scenario(2, 2, 6)
         _, trace = design_pilots(
-            dl, reciprocal_scenario(dl), DesignConfig(k=2, max_outer=5)
+            dl, reciprocal_scenario(dl), DesignConfig(k=1, max_outer=5)
         )
         assert trace.outer_iterations == 5 and trace.stop_reason == "max_outer"
         args, (x, _, notes, _) = rounds[1]
@@ -1598,7 +1602,8 @@ class TestWorkloadTrajectories:
     # B = 64, k = 0, eta = 1e-9, max_outer = 40).  The MSE at iterations
     # 0, 1, 10 and the last, and the stop, pin each trajectory; a change
     # that means to move one updates it here.  ref and zcz start from the
-    # row split, which keeps both links active, take SQUAREM cycles and
+    # row split (Y's eigenmode pilot above X's seeded impulses), which
+    # keeps both links active, take SQUAREM cycles and
     # stop by eta; kron (k = 0) starts from the generic impulses, takes
     # plain MM rounds and runs to max_outer.
 
@@ -1606,11 +1611,11 @@ class TestWorkloadTrajectories:
         "dims, cfg, mse, stop",
         [
             ((4, 4, 8, 32.0), DesignConfig(k=4),
-             (0.03897336944197968, 0.03891525896419888, 0.03653095016902409,
-              0.03595181903713524), (26, "eta")),
+             (0.037555934625377145, 0.037505940820354994, 0.036130993132345225,
+              0.03583933565420121), (28, "eta")),
             ((4, 4, 16, 32.0), DesignConfig(k=2),
-             (0.01603636376913512, 0.015981637728308982, 0.01239532041568558,
-              0.01116339823593437), (23, "eta")),
+             (0.012451690384783744, 0.012420892189415732, 0.009376269347085466,
+              0.008776809589658093), (20, "eta")),
             ((8, 8, 64, None), DesignConfig(k=0, eta=1e-9, max_outer=40),
              (0.0009709616111532183, 0.0009708714784540272,
               0.000970062078731099, 0.000967387157933936), (40, "max_outer")),
@@ -1635,10 +1640,11 @@ class TestWorkloadTrajectories:
     )
     def test_restoration_solves_per_round(self, dims, cfg, monkeypatch):
         # The restoration stops a tenth of the way into its margin, after
-        # 1.07 (ref) and 1.04 (zcz) Gauss-Newton solves per round, against
-        # 0.91 and 0.88 from plain MM rounds (the extrapolation rounds
-        # restore more); a stop just above the level, level * (1 + 1e-9),
-        # took 1.69 and 0.96 there.  kron (k = 0) never restores.  The
+        # 0.90 (ref) and 1.55 (zcz) Gauss-Newton solves per round from the
+        # eigenmode start (1.07 and 1.04 from Y's seeded impulses, and
+        # 0.91 and 0.88 from those with plain MM rounds; the extrapolation
+        # rounds restore more); a stop just above the level,
+        # level * (1 + 1e-9), took 1.69 and 0.96 from the impulses.  kron (k = 0) never restores.  The
         # trace's restore_steps counts the solves of the rounds it has a
         # row for, every round but a rejected extrapolation.
         solves = []
@@ -1658,10 +1664,10 @@ class TestWorkloadTrajectories:
 
 
 def split_start(dl, ul, cfg, s_y):
-    """The design's k >= 1 start at any s_y and without its phases: Y's
-    impulses on rows [0, s_y) and X's on rows [s_y, B), so that no lag
-    m >= 0 correlates them, and iteration-0 targets that are each block's
-    own MM target."""
+    """A k >= 1 row-split start at any s_y, with impulses in both blocks
+    and no phases: Y's on rows [0, s_y) and X's on rows [s_y, B), so that
+    no lag m >= 0 correlates them, and iteration-0 targets that are each
+    block's own MM target."""
     p_x, p_y = column_power_bound(cfg, dl), column_power_bound(cfg, ul)
     x = np.zeros((dl.b, dl.n_t), dtype=np.complex128)
     x[s_y + np.arange(dl.n_t) % (dl.b - s_y), np.arange(dl.n_t)] = np.sqrt(p_x)
@@ -1674,25 +1680,58 @@ def split_start(dl, ul, cfg, s_y):
 
 class TestStartAndDescend:
     # design_pilots is _descend from _start: the start owns the seeded
-    # draws and the impulse pair, and the rounds run from any feasible pair
+    # draws and the start pair, and the rounds run from any feasible pair
 
-    def test_start_is_seeded_impulses(self):
-        # k >= 1, B = 4: the row split at s_y = 2, X's 3 columns on rows
-        # 2, 3, 2 and Y's 3 on rows 0, 1, 0, each with a phase drawn from
-        # default_rng(seed).random, X's first, and each block aimed at its
-        # own MM target
-        dl = build_scenario(3, 3, 4)
-        ul = reciprocal_scenario(dl)
-        x, y, x_sigma, y_sigma = _start(dl, ul, DesignConfig(k=1, seed=5), 0.7, 0.3)
-        rng = np.random.default_rng(5)
-        for block, sigma, s, p, rows in ((x, x_sigma, dl, 0.7, [2, 3, 2]),
-                                         (y, y_sigma, ul, 0.3, [0, 1, 0])):
-            want = np.zeros((4, 3), dtype=np.complex128)
-            want[rows, [0, 1, 2]] = np.sqrt(p) * np.exp(2j * np.pi * rng.random(3))
-            npt.assert_allclose(block, want, rtol=1e-15, atol=0.0)
-            npt.assert_array_equal(
-                sigma, build_sigma_target(mse_and_optimal_V(block, s)[1], block, s))
-        assert x.dtype == y.dtype == np.complex128
+    def test_start_is_eigenmode_uplink(self, monkeypatch):
+        # k >= 1: the row split at s_y = B // 2.  X's 3 columns are
+        # impulses on rows s_y + q mod (B - s_y), each with a phase drawn
+        # from default_rng(seed).random, and Y on rows [0, s_y) is the
+        # uplink's equal-power transmit-eigenmode pilot sqrt(p_y) W V^H,
+        # which no seed draws.  B = 8 has s_y = 4 >= n_t, so every column
+        # of Y has power p_y; B = 4 has s_y = 2 < n_t, and Y takes the top
+        # two modes, every column at power <= p_y.  Each block aims at its
+        # own MM target.
+        eigh = np.linalg.eigh
+        for b, rows in ((8, [4, 5, 6]), (4, [2, 3, 2])):
+            dl = build_scenario(3, 3, b)
+            ul = reciprocal_scenario(dl)
+            s_y, top = b // 2, min(3, b // 2)
+            starts = [_start(dl, ul, DesignConfig(k=1, seed=seed), 0.7, 0.3)
+                      for seed in (5, 6)]
+            x, y, x_sigma, y_sigma = starts[0]
+            want = np.zeros((b, 3), dtype=np.complex128)
+            want[rows, [0, 1, 2]] = np.sqrt(0.7) * np.exp(
+                2j * np.pi * np.random.default_rng(5).random(3))
+            npt.assert_array_equal(x, want)
+            npt.assert_array_equal(y[s_y:], 0.0)
+            npt.assert_array_equal(starts[1][1], y)
+            power = _column_power(y)
+            if top == 3:
+                npt.assert_allclose(power, 0.3, rtol=1e-14)
+                mu, _ = eigh(np.linalg.inv(ul.m_time)[:s_y, :s_y])
+                v = eigh(ul.r_tx)[1][:, ::-1][:, :top]
+                ys = y[:s_y]
+                npt.assert_allclose(
+                    ys.conj().T @ np.linalg.inv(ul.m_time)[:s_y, :s_y] @ ys,
+                    0.3 * (v * mu[::-1][:top]) @ v.conj().T, rtol=1e-12)
+            else:
+                assert (power <= 0.3).all() and y.any()
+            for block, sigma, s in ((x, x_sigma, dl), (y, y_sigma, ul)):
+                npt.assert_array_equal(
+                    sigma, build_sigma_target(mse_and_optimal_V(block, s)[1], block, s))
+            assert x.dtype == y.dtype == np.complex128
+            # eigenvectors of any sign or phase give the same Y: every one
+            # negated (which W V^H alone does not see), and then each also
+            # turned by its own phase (which it does)
+            for turn in (0.0, 1.0):
+                def turned(a):
+                    mu, vec = eigh(a)
+                    return mu, -vec * np.exp(1j * turn * np.arange(1, len(mu) + 1))
+
+                monkeypatch.setattr(np.linalg, "eigh", turned)
+                flipped = _start(dl, ul, DesignConfig(k=1, seed=5), 0.7, 0.3)[1]
+                monkeypatch.undo()
+                npt.assert_allclose(flipped, y, rtol=0.0, atol=1e-15)
 
     def test_k0_start_is_generic(self):
         # 3 columns on B = 2 rows put column 2 back on row 0; the uplink
