@@ -1315,9 +1315,10 @@ class TestSidelobeBound:
         # X's restoration (the one with lags) of outer iteration 1 reports
         # column 1 over the bound: that column keeps its value while
         # column 0 moves, a note names it with its residual and the trace
-        # records it at iteration 1, and the run goes on.  k = 1: X's zone
-        # here is its own 3 rows, and with lags 1 and 2 bounded there
-        # column 0 keeps its start impulse in every round
+        # records it at iteration 1, and the run goes on.  At k = 2, X's
+        # zone on this instance is its own 3 rows, where the bound at lags
+        # 1 and 2 keeps column 0 at its start impulse in every round, so
+        # the test runs k = 1
         restore = designer._restore_sidelobes
         seen = []
 
@@ -1603,9 +1604,9 @@ class TestWorkloadTrajectories:
     # 0, 1, 10 and the last, and the stop, pin each trajectory; a change
     # that means to move one updates it here.  ref and zcz start from the
     # row split (Y's eigenmode pilot above X's seeded impulses), which
-    # keeps both links active, take SQUAREM cycles and
-    # stop by eta; kron (k = 0) starts from the generic impulses, takes
-    # plain MM rounds and runs to max_outer.
+    # keeps both links active, take SQUAREM cycles and stop by eta; kron
+    # (k = 0) starts from the generic impulses, takes plain MM rounds and
+    # runs to max_outer.
 
     @pytest.mark.parametrize(
         "dims, cfg, mse, stop",
@@ -1644,9 +1645,10 @@ class TestWorkloadTrajectories:
         # eigenmode start (1.07 and 1.04 from Y's seeded impulses, and
         # 0.91 and 0.88 from those with plain MM rounds; the extrapolation
         # rounds restore more); a stop just above the level,
-        # level * (1 + 1e-9), took 1.69 and 0.96 from the impulses.  kron (k = 0) never restores.  The
-        # trace's restore_steps counts the solves of the rounds it has a
-        # row for, every round but a rejected extrapolation.
+        # level * (1 + 1e-9), took 1.69 and 0.96 from the impulses.  kron
+        # (k = 0) never restores.  The trace's restore_steps counts the
+        # solves of the rounds it has a row for, every round but a
+        # rejected extrapolation.
         solves = []
         solve = np.linalg.solve
         monkeypatch.setattr(
